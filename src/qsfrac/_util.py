@@ -1,34 +1,16 @@
-"""Small shared helpers: worker threads and float formatting."""
+"""Small shared helpers: the candidate map and float formatting."""
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
-THREADS_ENV = "QSFRAC_THREADS"
-
-
-def thread_count() -> int:
-    """Worker threads for independent candidate evaluations (>= 1)."""
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
 
 def parallel_map(fn, items):
-    """Map preserving input order; results are reduced deterministically.
+    """Evaluate ``fn`` on each item in order and return the results as a list.
 
-    Each item is evaluated independently, so the float results do not depend
-    on the worker count; only wall time does.
+    Batches of independent candidate evaluations go through this function.
+    It runs serially: the evaluations are small cached solves, and worker
+    threads only added contention.
     """
-    items = list(items)
-    n = thread_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=min(n, len(items))) as pool:
-        return list(pool.map(fn, items))
+    return [fn(x) for x in items]
 
 
 def sci17(x: float) -> str:

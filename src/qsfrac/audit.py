@@ -19,8 +19,7 @@ levels pass.  The euler and one-edge levels are necessary conditions only;
 when they succeed the verdict is INCONCLUSIVE (with ``level_passed`` set),
 while an exhaustive success is a genuine PASS.
 
-All checks are read-only over immutable records; candidate evaluations are
-independent and may run on worker threads with a deterministic reduction.
+All checks are read-only over immutable records.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ from .energy import (
 )
 from .evolution import EvolutionRecord, net_power, tie_tolerance
 from .mesh import Mesh, crackable_edges
-from .minimize import ElasticSolver, assemble_forms, assemble_gradient, euler_residual
+from .minimize import ElasticSolver, _scatter_corner, assemble_forms, assemble_gradient, euler_residual
 
 __all__ = [
     "AuditError",
@@ -467,20 +466,13 @@ def dual_certificate(model: EnergyModel, mesh: Mesh, crack: CrackSet, t: float,
 
 def _pair_triple(mesh: Mesh, topo, sig1, sig2, sig3) -> np.ndarray:
     """Assemble v -> <sigma, (grad v, v, v)> as a DOF vector."""
-    out = np.zeros(topo.n_dofs)
     per_corner = mesh.tri_area[:, None] * np.einsum("tk,tki->ti", sig1, mesh.grad_op)
-    np.add.at(out, topo.corner_dof.ravel(), per_corner.ravel())
-    np.add.at(out, topo.corner_dof.ravel(),
-              np.repeat(mesh.tri_area * sig2 / 3.0, 3))
+    per_corner += (mesh.tri_area * sig2 / 3.0)[:, None]
     ids = mesh.surface_edges
     if len(ids):
-        from .minimize import _surface_corner_dofs
-
-        sd = _surface_corner_dofs(mesh, topo)
-        w = mesh.edge_length[ids] * sig3 / 2.0
-        np.add.at(out, sd[:, 0], w)
-        np.add.at(out, sd[:, 1], w)
-    return out
+        np.add.at(per_corner.reshape(-1), mesh.edge_corner[ids, 0].ravel(),
+                  np.repeat(mesh.edge_length[ids] * sig3 / 2.0, 2))
+    return _scatter_corner(topo, per_corner)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,10 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
+import scipy.sparse
+from scipy.sparse.csgraph import connected_components
 
-from .mesh import BoundaryLabel, Mesh, crackable_edges
+from .mesh import BoundaryLabel, Mesh
 
 __all__ = [
     "CrackSet",
@@ -72,29 +74,6 @@ class CrackSet:
         return float(np.sum(mesh.edge_length[list(self.edge_ids)])) if self.edge_ids else 0.0
 
 
-class _DSU:
-    """Union-find over corner indices with deterministic root selection."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, a: int) -> int:
-        p = self.parent
-        root = a
-        while p[root] != root:
-            root = p[root]
-        while p[a] != root:
-            p[a], a = root, p[a]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-
 @dataclass
 class DofTopology:
     """Degree-of-freedom layout of the broken space for one crack set.
@@ -133,60 +112,42 @@ class DofTopology:
         return len(self._free)
 
 
+def _components(n_nodes: int, links: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Connected components of the undirected graph on ``n_nodes`` nodes with
+    the (k, 2) edge list ``links``.
+
+    Returns ``(label, first)``: components are numbered in the order of their
+    smallest node, ``label[v]`` is the component of node ``v`` and
+    ``first[c]`` the smallest node of component ``c``.
+    """
+    graph = scipy.sparse.coo_matrix(
+        (np.ones(len(links)), (links[:, 0], links[:, 1])), shape=(n_nodes, n_nodes))
+    n_comp, raw = connected_components(graph, directed=False)
+    _, first = np.unique(raw, return_index=True)
+    first.sort()
+    rank = np.empty(n_comp, dtype=int)
+    rank[raw[first]] = np.arange(n_comp)
+    return rank[raw], first
+
+
 def _corner_structure(mesh: Mesh, crack: CrackSet):
     """Merge triangle corners through uncracked interior edges.
 
     Returns (corner_dof, n_dofs, dof_vertex, constrained_mask); independent of
     the boundary datum, so callers may cache it per crack set.
     """
-    tris = mesh.triangles
-    m = len(tris)
-    dsu = _DSU(3 * m)
-
-    corner_of = {}
-    for t in range(m):
-        for i in range(3):
-            corner_of[(t, int(tris[t, i]))] = 3 * t + i
-
-    cracked = crack.as_set()
-    for e in mesh.interior_edges:
-        if int(e) in cracked:
-            continue
-        t1, t2 = mesh.edge_tris[e]
-        a, b = mesh.edges[e]
-        dsu.union(corner_of[(t1, int(a))], corner_of[(t2, int(a))])
-        dsu.union(corner_of[(t1, int(b))], corner_of[(t2, int(b))])
-
-    roots = np.fromiter((dsu.find(c) for c in range(3 * m)), dtype=int, count=3 * m)
-    dof_of_root: dict[int, int] = {}
-    corner_dof = np.empty(3 * m, dtype=int)
-    dof_vertex = []
-    for c in range(3 * m):
-        r = int(roots[c])
-        if r not in dof_of_root:
-            dof_of_root[r] = len(dof_vertex)
-            dof_vertex.append(int(tris[c // 3, c % 3]))
-        corner_dof[c] = dof_of_root[r]
-    corner_dof = corner_dof.reshape(m, 3)
-    n_dofs = len(dof_vertex)
+    uncracked = np.ones(mesh.n_edges, dtype=bool)
+    uncracked[list(crack.edge_ids)] = False
+    inner = mesh.edge_corner[uncracked & (mesh.edge_tris[:, 1] >= 0)]   # (k, 2, 2)
+    links = inner.transpose(0, 2, 1).reshape(-1, 2)   # same endpoint, both sides
+    label, first = _components(3 * mesh.n_triangles, links)
+    corner_dof = label.reshape(-1, 3)
+    n_dofs = len(first)
 
     constrained = np.zeros(n_dofs, dtype=bool)
-    for e in mesh.dirichlet_edges:
-        if int(e) in cracked:
-            continue
-        t = int(mesh.edge_tris[e, 0])
-        for v in mesh.edges[e]:
-            constrained[corner_dof[t, _local_corner(tris, t, int(v))]] = True
-
-    return corner_dof, n_dofs, np.asarray(dof_vertex), constrained
-
-
-def _local_corner(tris: np.ndarray, t: int, v: int) -> int:
-    row = tris[t]
-    for i in range(3):
-        if row[i] == v:
-            return i
-    raise ValueError(f"vertex {v} not a corner of triangle {t}")
+    pinned = uncracked & (mesh.boundary_label == BoundaryLabel.DIRICHLET)
+    constrained[label[mesh.edge_corner[pinned, 0]]] = True
+    return corner_dof, n_dofs, mesh.triangles.ravel()[first], constrained
 
 
 def _nodal_array(mesh: Mesh, psi) -> np.ndarray:
@@ -208,10 +169,9 @@ def build_topology(mesh: Mesh, crack: CrackSet, psi=None, _structure=None) -> Do
     ``psi`` may be a nodal array, a callable of (x, y), a scalar, or None
     (zero datum).  Raises if the crack set leaves the crackable edge set.
     """
-    allowed = set(crackable_edges(mesh).tolist())
-    extra = set(crack.edge_ids) - allowed
+    extra = mesh.non_crackable(crack.edge_ids)
     if extra:
-        raise ValueError(f"crack contains non-crackable edges {sorted(extra)}")
+        raise ValueError(f"crack contains non-crackable edges {extra}")
 
     psi_nodal = _nodal_array(mesh, psi)
     if _structure is None:
@@ -282,19 +242,15 @@ def jump_across_edge(u: BrokenField, edge_id: int, psi_nodal=None) -> tuple[floa
     mesh = u.topology.mesh
     if not 0 <= edge_id < mesh.n_edges:
         raise ValueError(f"unknown edge id {edge_id}")
-    t1, t2 = mesh.edge_tris[edge_id]
-    a, b = (int(v) for v in mesh.edges[edge_id])
-    tris = mesh.triangles
-    cd = u.topology.corner_dof
-    if t2 >= 0:
-        ja = u.values[cd[t2, _local_corner(tris, t2, a)]] - u.values[cd[t1, _local_corner(tris, t1, a)]]
-        jb = u.values[cd[t2, _local_corner(tris, t2, b)]] - u.values[cd[t1, _local_corner(tris, t1, b)]]
-        return float(ja), float(jb)
-    if mesh.boundary_label[edge_id] != BoundaryLabel.DIRICHLET:
+    cd = u.topology.corner_dof.ravel()
+    low, high = mesh.edge_corner[edge_id]   # endpoint corners in each adjacent triangle
+    if mesh.edge_tris[edge_id, 1] >= 0:
+        ja, jb = u.values[cd[high]] - u.values[cd[low]]
+    elif mesh.boundary_label[edge_id] != BoundaryLabel.DIRICHLET:
         raise ValueError(f"edge {edge_id} is not interior and not Dirichlet; jump undefined")
-    psi = u.topology.psi_nodal if psi_nodal is None else _nodal_array(mesh, psi_nodal)
-    ja = u.values[cd[t1, _local_corner(tris, t1, a)]] - psi[a]
-    jb = u.values[cd[t1, _local_corner(tris, t1, b)]] - psi[b]
+    else:
+        psi = u.topology.psi_nodal if psi_nodal is None else _nodal_array(mesh, psi_nodal)
+        ja, jb = u.values[cd[low]] - psi[mesh.edges[edge_id]]
     return float(ja), float(jb)
 
 
@@ -332,17 +288,8 @@ def trace_on_surface_part(u: BrokenField) -> np.ndarray:
     Ordered like ``mesh.surface_edges``.
     """
     mesh = u.topology.mesh
-    cd = u.topology.corner_dof
-    tris = mesh.triangles
-    out = np.empty(len(mesh.surface_edges))
-    for k, e in enumerate(mesh.surface_edges):
-        t = int(mesh.edge_tris[e, 0])
-        a, b = (int(v) for v in mesh.edges[e])
-        out[k] = 0.5 * (
-            u.values[cd[t, _local_corner(tris, t, a)]]
-            + u.values[cd[t, _local_corner(tris, t, b)]]
-        )
-    return out
+    corners = mesh.edge_corner[mesh.surface_edges, 0]           # (n_surf, 2)
+    return u.values[u.topology.corner_dof.ravel()[corners]].mean(axis=1)
 
 
 def embed_field(u: BrokenField, target: DofTopology) -> BrokenField:

@@ -1,9 +1,7 @@
 """Batch front door: run, audit, envelope and oracle-compare subcommands.
 
 Exit codes: 0 success, 1 audit failure, 2 usage or configuration error,
-3 numeric failure.  The worker-thread count for independent candidate
-evaluations is read from the ``QSFRAC_THREADS`` environment variable;
-records are byte-identical for any thread count.
+3 numeric failure.
 """
 
 from __future__ import annotations
@@ -14,7 +12,6 @@ import sys
 from pathlib import Path
 
 from . import audit as audit_mod
-from ._util import THREADS_ENV
 from .audit import AuditError, AuditReport
 from .config import ConfigError, load_config
 from .evolution import (
@@ -49,7 +46,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qsfrac",
         description="Quasistatic brittle crack growth: run, audit, envelopes, comparisons.",
-        epilog=f"Worker threads: set {THREADS_ENV} (default 1).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

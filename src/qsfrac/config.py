@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import ast
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +45,7 @@ from .energy import (
     Toughness,
 )
 from .evolution import SearchStrategy, TimeGrid
-from .mesh import Mesh, build_structured_mesh, crackable_edges
+from .mesh import Mesh, build_structured_mesh
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "load_config", "config_hash"]
 
@@ -111,10 +112,18 @@ def compile_expr(src: str, key: str = "<expr>"):
 
 
 def _eval_at(src: str, key: str, points: np.ndarray) -> np.ndarray:
+    """Evaluate an expression at ``points``; every value must be finite."""
     fn = compile_expr(src, key)
     if len(points) == 0:
         return np.zeros(0)
-    return fn(points[:, 0], points[:, 1])
+    try:
+        with np.errstate(all="ignore"):   # non-finite results are rejected below
+            values = fn(points[:, 0], points[:, 1])
+    except ArithmeticError as exc:
+        raise ConfigError(f"{key}: cannot evaluate {src!r}: {exc}") from None
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"{key}: {src!r} is not a finite number at every point")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +195,12 @@ class RunConfig:
                 raise ConfigError(f"missing required key {key!r}")
             return float(default)
         try:
-            return float(v)
+            x = float(v)
         except ValueError:
             raise ConfigError(f"{key}: expected a number, got {v!r}") from None
+        if not math.isfinite(x):
+            raise ConfigError(f"{key}: expected a finite number, got {v!r}")
+        return x
 
     def _int(self, key: str, default=None) -> int:
         v = self._float(key, default)
@@ -235,6 +247,8 @@ class RunConfig:
                 t = float(t_str)
             except ValueError:
                 raise ConfigError(f"{key}: bad time {t_str!r}") from None
+            if not math.isfinite(t):
+                raise ConfigError(f"{key}: bad time {t_str!r}")
             pairs.append((t, expr.strip()))
         if not pairs:
             raise ConfigError(f"{key}: empty table")
@@ -305,6 +319,8 @@ class RunConfig:
             mu = float(mu_raw)
         except ValueError:
             mu = _eval_at(mu_raw, "energy.mu", mesh.tri_centroid)
+        if not np.all(np.isfinite(mu)):
+            raise ConfigError(f"energy.mu: expected a finite number, got {mu_raw!r}")
         try:
             bulk = BulkLaw(p=p, mu=mu, epsilon=eps)
         except ValueError as exc:
@@ -362,7 +378,6 @@ class RunConfig:
         if v == "none":
             return CrackSet.empty()
         region = self._region("initial.crack", v)
-        allowed = set(crackable_edges(mesh).tolist())
         if region[0] == "edges":
             ids = region[1]
         else:
@@ -372,11 +387,10 @@ class RunConfig:
             inside = np.all(
                 (pts[..., 0] >= x0 - tol) & (pts[..., 0] <= x1 + tol)
                 & (pts[..., 1] >= y0 - tol) & (pts[..., 1] <= y1 + tol), axis=1)
-            ids = np.flatnonzero(inside).tolist()
-            ids = [e for e in ids if e in allowed]
-        extra = set(ids) - allowed
+            ids = np.flatnonzero(inside & mesh.crackable_mask).tolist()
+        extra = mesh.non_crackable(ids)
         if extra:
-            raise ConfigError(f"initial.crack: edges {sorted(extra)} are not crackable")
+            raise ConfigError(f"initial.crack: edges {extra} are not crackable")
         return CrackSet.of(ids)
 
     def build_problem(self) -> Problem:

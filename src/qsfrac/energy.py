@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .broken import BrokenField, CrackSet, trace_on_surface_part
-from .mesh import Mesh, crackable_edges
+from .mesh import Mesh
 
 __all__ = [
     "TimeTable",
@@ -304,10 +304,9 @@ def surface_energy(tough: Toughness, mesh: Mesh, crack: CrackSet) -> float:
     depend on the normal orientation because kappa is even in its second
     argument.
     """
-    allowed = set(crackable_edges(mesh).tolist())
-    extra = set(crack.edge_ids) - allowed
+    extra = mesh.non_crackable(crack.edge_ids)
     if extra:
-        raise ValueError(f"crack contains non-crackable edges {sorted(extra)}")
+        raise ValueError(f"crack contains non-crackable edges {extra}")
     if len(crack) == 0:
         return 0.0
     ids = np.asarray(crack.edge_ids, dtype=int)

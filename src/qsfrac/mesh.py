@@ -8,8 +8,7 @@ exactly one of the labels DIRICHLET / NEUMANN / SURFACE_FORCE, and a per-edge
 forces and the brittle region must not meet, so cracked edges never interfere
 with the traction data.
 
-Meshes are immutable after construction; all queries are pure functions and
-safe to share across threads.
+Meshes are immutable after construction; all queries are pure functions.
 """
 
 from __future__ import annotations
@@ -77,6 +76,12 @@ class Mesh:
     boundary_label : (n_edges,) int array of ``BoundaryLabel`` codes.
     brittle : (n_edges,) bool array, True where the edge lies in the brittle
         region.
+
+    Derived tables include ``edge_corner``, an (n_edges, 2, 2) int array:
+    entry ``[e, s, j]`` is the flat corner id ``3 * t + i`` at which endpoint
+    ``edges[e, j]`` sits in the adjacent triangle ``t = edge_tris[e, s]``, or
+    -1 where the edge has no second triangle; and ``crackable_mask``, True on
+    the edges ``crackable_edges`` returns.
     """
 
     vertices: np.ndarray
@@ -93,6 +98,8 @@ class Mesh:
     edge_length: np.ndarray = field(init=False, repr=False)
     edge_midpoint: np.ndarray = field(init=False, repr=False)
     edge_normal: np.ndarray = field(init=False, repr=False)
+    edge_corner: np.ndarray = field(init=False, repr=False)
+    crackable_mask: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=float)
@@ -135,10 +142,23 @@ class Mesh:
         sign = np.where(self.edge_tris[:, 1] >= 0, sign, -sign)
         self.edge_normal = normal * sign[:, None]
 
+        # local corner of each edge endpoint in each adjacent triangle
+        hit = self.triangles[self.edge_tris][:, :, None, :] == self.edges[:, None, :, None]
+        present = (self.edge_tris >= 0)[:, :, None]
+        if np.any(present & ~hit.any(axis=3)):
+            raise MeshError("edge endpoints are not corners of the adjacent triangles")
+        corner = 3 * self.edge_tris[:, :, None] + hit.argmax(axis=3)
+        self.edge_corner = np.where(present, corner, -1)
+
+        lbl = self.boundary_label
+        eligible = (lbl == BoundaryLabel.INTERIOR) | (lbl == BoundaryLabel.DIRICHLET)
+        self.crackable_mask = self.brittle & eligible
+
         for arr in (self.vertices, self.triangles, self.edges, self.edge_tris,
                     self.boundary_label, self.brittle, self.tri_area,
                     self.tri_centroid, self.grad_op, self.edge_length,
-                    self.edge_midpoint, self.edge_normal):
+                    self.edge_midpoint, self.edge_normal, self.edge_corner,
+                    self.crackable_mask):
             arr.setflags(write=False)
 
     # -- queries -----------------------------------------------------------
@@ -173,6 +193,12 @@ class Mesh:
     @property
     def surface_edges(self) -> np.ndarray:
         return self.edges_with_label(BoundaryLabel.SURFACE_FORCE)
+
+    def non_crackable(self, ids) -> list[int]:
+        """The ids among ``ids`` that name no crackable edge, sorted."""
+        mask = self.crackable_mask
+        n = len(mask)
+        return sorted({e for e in ids if not (0 <= e < n and mask[e])})
 
     def validate(self) -> None:
         """Check all structural invariants; raise ``MeshError`` on failure."""
@@ -393,9 +419,7 @@ def crackable_edges(mesh: Mesh) -> np.ndarray:
     traction-free boundary would change no energy term and would only create
     spurious tied minimizers.
     """
-    lbl = mesh.boundary_label
-    eligible = (lbl == BoundaryLabel.INTERIOR) | (lbl == BoundaryLabel.DIRICHLET)
-    return np.flatnonzero(mesh.brittle & eligible)
+    return np.flatnonzero(mesh.crackable_mask)
 
 
 def edge_geometry(mesh: Mesh, edge_id: int) -> EdgeGeometry:

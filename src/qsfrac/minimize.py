@@ -25,7 +25,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .broken import BrokenField, CrackSet, DofTopology, _corner_structure, build_topology, trace_on_surface_part
+from .broken import BrokenField, CrackSet, DofTopology, _components, build_topology, trace_on_surface_part
 from .energy import (
     EnergyModel,
     body_hessian_coeff,
@@ -104,15 +104,7 @@ def _scatter_corner(topo: DofTopology, per_corner: np.ndarray) -> np.ndarray:
 
 def _surface_corner_dofs(mesh: Mesh, topo: DofTopology) -> np.ndarray:
     """DOF ids of the two endpoints of each surface-force edge, (n_surf, 2)."""
-    ids = mesh.surface_edges
-    out = np.empty((len(ids), 2), dtype=int)
-    tris = mesh.triangles
-    for k, e in enumerate(ids):
-        t = int(mesh.edge_tris[e, 0])
-        for j, v in enumerate(mesh.edges[e]):
-            loc = int(np.flatnonzero(tris[t] == v)[0])
-            out[k, j] = topo.corner_dof[t, loc]
-    return out
+    return topo.corner_dof.ravel()[mesh.edge_corner[mesh.surface_edges, 0]]
 
 
 def assemble_gradient(model: EnergyModel, mesh: Mesh, t: float, u: BrokenField) -> np.ndarray:
@@ -161,21 +153,22 @@ class _CrackData:
     """Per-crack-set immutable solve structure, cached inside ElasticSolver."""
 
     __slots__ = ("structure", "matrix", "free", "cons", "factor", "k_fc",
-                 "surf_dofs", "components")
+                 "surf_dofs", "floating")
 
     def __init__(self, model: EnergyModel, mesh: Mesh, crack: CrackSet, quadratic: bool):
-        self.structure = _corner_structure(mesh, crack)
-        topo = build_topology(mesh, crack, None, _structure=self.structure)
+        topo = build_topology(mesh, crack, None)
+        self.structure = (topo.corner_dof, topo.n_dofs, topo.dof_vertex, topo.constrained)
         self.free = topo.free_dofs
         self.cons = topo.constrained_dofs
         self.surf_dofs = _surface_corner_dofs(mesh, topo) if len(mesh.surface_edges) else None
-        self.components = _dof_components(topo)
+        # only a run without confinement can float a piece of the body
+        self.floating = _floating_message(topo) if model.body.lam == 0.0 else None
         self.matrix = None
         self.factor = None
         self.k_fc = None
         if quadratic:
-            if model.body.lam == 0.0:
-                _raise_if_floating(topo, self.components)
+            if self.floating:
+                raise FloatingComponentError(self.floating)
             stiff = mesh.tri_area * model.bulk.mu_at(np.arange(mesh.n_triangles))
             mass = mesh.tri_area * model.body.lam
             k = assemble_forms(mesh, topo, stiff, mass)
@@ -190,40 +183,20 @@ class _CrackData:
                 self.factor = ("cg", kff, scipy.sparse.diags(1.0 / diag))
 
 
-def _raise_if_floating(topo: DofTopology, components: list[np.ndarray]) -> None:
-    constrained = set(topo.constrained_dofs.tolist())
-    for comp in components:
-        if not any(int(d) in constrained for d in comp):
-            verts = sorted({int(topo.dof_vertex[d]) for d in comp})
-            raise FloatingComponentError(
-                "component with no Dirichlet constraint and zero confinement "
-                f"(vertices {verts}); the minimum is unbounded below or non-unique"
-            )
-
-
-def _dof_components(topo: DofTopology) -> list[np.ndarray]:
-    """Connected components of the DOF graph (DOFs sharing a triangle)."""
-    n = topo.n_dofs
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for row in topo.corner_dof:
-        r = find(int(row[0]))
-        for other in row[1:]:
-            ro = find(int(other))
-            if ro != r:
-                if ro < r:
-                    r, ro = ro, r
-                parent[ro] = r
-    groups: dict[int, list[int]] = {}
-    for d in range(n):
-        groups.setdefault(find(d), []).append(d)
-    return [np.asarray(v) for v in groups.values()]
+def _floating_message(topo: DofTopology) -> str | None:
+    """Describe the first connected piece of the DOF graph (DOFs sharing a
+    triangle) that holds no constrained DOF, or None when every piece does."""
+    cd = topo.corner_dof
+    links = np.concatenate([cd[:, [0, 1]], cd[:, [0, 2]]])
+    label, first = _components(topo.n_dofs, links)
+    pinned = np.zeros(len(first), dtype=bool)
+    pinned[label[topo.constrained]] = True
+    if pinned.all():
+        return None
+    comp = int(np.argmin(pinned))
+    verts = sorted({int(v) for v in topo.dof_vertex[label == comp]})
+    return ("component with no Dirichlet constraint and zero confinement "
+            f"(vertices {verts}); the minimum is unbounded below or non-unique")
 
 
 class ElasticSolver:
@@ -259,11 +232,6 @@ class ElasticSolver:
         return build_topology(self.mesh, crack, self.model.boundary.value(t),
                               _structure=data.structure)
 
-    def _check_floating(self, data: _CrackData, topo: DofTopology) -> None:
-        if self.model.body.lam > 0:
-            return
-        _raise_if_floating(topo, data.components)
-
     def _load_vector(self, topo: DofTopology, data: _CrackData, t: float) -> np.ndarray:
         mesh = self.mesh
         b = np.zeros(topo.n_dofs)
@@ -282,7 +250,8 @@ class ElasticSolver:
         start = time.perf_counter()
         data = self._data(crack)
         topo = self.topology(crack, t)
-        self._check_floating(data, topo)
+        if data.floating:
+            raise FloatingComponentError(data.floating)
         if self.quadratic:
             field, iters, res, method = self._solve_quadratic(topo, data, t, tol)
         else:

@@ -26,17 +26,22 @@ def make_strip_mesh(ny=1, brittle=("rect", (1.0, 0.0, 1.0, 1.0)), labeling=None)
     return build_structured_mesh(2, ny, 2.0, 1.0, labeling=labeling, brittle=brittle)
 
 
-def cli_env(threads):
-    """Environment for a ``python -m qsfrac`` child run with ``QSFRAC_THREADS``.
+def cli_env(threads=None):
+    """Environment for a ``python -m qsfrac`` child run.
 
     The source root of the imported package goes first on ``PYTHONPATH``, so a
     child started in another directory imports this same qsfrac whether it is
     installed or run from a checkout with a relative ``PYTHONPATH=src``.
+    ``threads``, when given, is exported as ``QSFRAC_THREADS``; the program
+    runs serially and does not read it.
     """
     root = str(Path(qsfrac.__file__).resolve().parents[1])
     inherited = os.environ.get("PYTHONPATH")
     path = root + os.pathsep + inherited if inherited else root
-    return dict(os.environ, QSFRAC_THREADS=threads, PYTHONPATH=path)
+    env = dict(os.environ, PYTHONPATH=path)
+    if threads is not None:
+        env["QSFRAC_THREADS"] = threads
+    return env
 
 
 def make_model(mesh, *, p=2.0, q=2.0, r=2.0, mu=1.0, eps=0.0, lam=1e-3,

@@ -186,6 +186,48 @@ def test_cli_bad_config_exit_2(tmp_path, capsys):
     assert "mesh.ny" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", [
+    "body.force = 0: 0; 1: log(x - 1.5)",
+    "energy.lambda = nan",
+])
+def test_cli_non_finite_config_value_exit_2(tmp_path, line):
+    key = line.split(" = ")[0]
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(BASE + line + "\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "qsfrac", "run", "--config", str(cfg_path),
+         "--out", str(tmp_path / "r.json")],
+        capture_output=True, text=True, env=cli_env(), cwd=str(tmp_path),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert key in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("line", [
+    "energy.mu = inf",
+    "energy.mu = sqrt(x - 1.5)",
+    "energy.mu = 1 / (x - x)",
+    "energy.epsilon = -inf",
+    "boundary.psi = 0: 0; nan: x",
+    "body.force = 0: 1 / 0",
+    "strategy.max_edges = inf",
+])
+def test_non_finite_config_value_names_its_key(line):
+    key = line.split(" = ")[0]
+    with pytest.raises(ConfigError, match=key):
+        parse_config(BASE + line + "\n").build_problem()
+
+
+def test_initial_crack_ids_out_of_range_rejected():
+    # every edge is crackable, so an id that wrapped around would be accepted
+    text = BASE.replace("left, right", "all").replace("rect: 1, 0, 1, 1", "all")
+    n_edges = parse_config(text).build_problem().mesh.n_edges
+    for ids in (-1, n_edges):
+        with pytest.raises(ConfigError, match="not crackable"):
+            parse_config(text + f"initial.crack = edges: {ids}\n").build_problem()
+
+
 def test_cli_numeric_failure_exit_3(tmp_path, capsys):
     # zero confinement plus a crack candidate that floats: the inner solve
     # raises and the run aborts with the numeric exit code
