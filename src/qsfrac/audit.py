@@ -24,15 +24,10 @@ All checks are read-only over immutable records.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
-from ._util import parallel_map
 from .broken import BrokenField, CrackSet, jump_support, trace_on_surface_part
 from .energy import (
     BoundaryProgram,
@@ -44,12 +39,19 @@ from .energy import (
     lq_norm_tri,
     lr_norm_surface,
     stress,
-    surface_energy,
     surface_value_and_gradient,
+    total_energy,
 )
-from .evolution import EvolutionRecord, net_power, tie_tolerance
-from .mesh import Mesh, crackable_edges
-from .minimize import ElasticSolver, _scatter_corner, assemble_forms, assemble_gradient, euler_residual
+from .evolution import EvolutionRecord, _Search, extensions, net_power, tie_tolerance
+from .mesh import Mesh
+from .minimize import (
+    ElasticSolver,
+    _scatter_corner,
+    _solve_spd,
+    assemble_forms,
+    assemble_gradient,
+    euler_residual,
+)
 
 __all__ = [
     "AuditError",
@@ -182,9 +184,7 @@ def check_energy_balance(record: EvolutionRecord, model: EnergyModel, mesh: Mesh
     times = record.times
     # recomputation guard: the record must be consistent with the model
     for i in range(n):
-        el, parts = elastic_energy(model, mesh, float(times[i]), record.fields[i])
-        es = surface_energy(model.toughness, mesh, record.cracks[i])
-        total = el + es
+        total, _ = total_energy(model, mesh, float(times[i]), record.fields[i], record.cracks[i])
         stored = record.total_energy(i)
         if abs(total - stored) > _RECOMPUTE_RTOL * (1.0 + abs(total)):
             res = CheckResult(
@@ -247,9 +247,8 @@ def check_global_stability(record: EvolutionRecord, model: EnergyModel, mesh: Me
     """
     if level not in _LEVELS:
         raise AuditError(f"unknown stability level {level!r}; expected one of {_LEVELS}")
-    solver = _solver or ElasticSolver(model, mesh)
+    search = _Search(model, mesh, solver=_solver)
     n = len(record)
-    crackable = [int(e) for e in crackable_edges(mesh)]
 
     max_resid = 0.0
     worst_resid_knot = -1
@@ -269,25 +268,18 @@ def check_global_stability(record: EvolutionRecord, model: EnergyModel, mesh: Me
             base = record.cracks[i]
             e_rec = record.total_energy(i)
             tol_i = tie_tolerance(e_rec)
-            cand_edges = [e for e in crackable if e not in base]
+            cand_edges = search.candidates(base)
             if level == ORACLE:
                 if len(cand_edges) > max_oracle_edges:
                     raise AuditError(
                         f"oracle stability over {len(cand_edges)} candidate edges exceeds "
                         f"the limit {max_oracle_edges}; use level one_edge or raise the limit"
                     )
-                extensions = [base]
-                for size in range(1, len(cand_edges) + 1):
-                    extensions.extend(base.union(s) for s in itertools.combinations(cand_edges, size))
+                sizes = range(len(cand_edges) + 1)
             else:
-                extensions = [base] + [base.union((e,)) for e in cand_edges]
-
-            def cand_total(crack: CrackSet, _t=t) -> float:
-                _, rep = solver.solve(crack, _t)
-                return rep.energy + surface_energy(model.toughness, mesh, crack)
-
-            energies = parallel_map(cand_total, extensions)
-            for crack, e_cand in zip(extensions, energies):
+                sizes = (0, 1)
+            cracks = extensions(base, cand_edges, sizes)
+            for crack, e_cand in zip(cracks, search.energies(cracks, t)):
                 margin = e_cand - e_rec
                 if margin < worst_margin:
                     worst_margin, worst_knot = margin, i
@@ -422,14 +414,7 @@ def dual_certificate(model: EnergyModel, mesh: Mesh, crack: CrackSet, t: float,
     # minimum-norm correction of (sig1, sig2) restoring exact annihilation
     use_mass = model.body.lam > 0.0
     gram = assemble_forms(mesh, topo, area**2, area**2 if use_mass else 0.0)
-    gram_ff = gram[free][:, free]
-    if len(free):
-        if gram_ff.shape[0] <= 200:
-            y = scipy.linalg.solve(gram_ff.toarray(), -rho, assume_a="pos")
-        else:
-            y = scipy.sparse.linalg.spsolve(gram_ff.tocsc(), -rho)
-    else:
-        y = np.zeros(0)
+    y = _solve_spd(gram[free][:, free], -rho) if len(free) else np.zeros(0)
     yfull = np.zeros(topo.n_dofs)
     yfull[free] = y
     yfield = BrokenField(topo, yfull)

@@ -15,6 +15,7 @@ Topologies and fields are immutable snapshots; all queries are pure.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -90,7 +91,6 @@ class DofTopology:
     dof_vertex: np.ndarray          # (n_dofs,) vertex id of each DOF
     constrained: np.ndarray         # (n_dofs,) bool
     psi_nodal: np.ndarray           # (n_vertices,) boundary datum used for pinning
-    dirichlet_values: np.ndarray    # (n_dofs,) pinned value where constrained, else 0
 
     _free: np.ndarray = field(init=False, repr=False)
     _cons: np.ndarray = field(init=False, repr=False)
@@ -98,6 +98,18 @@ class DofTopology:
     def __post_init__(self):
         self._free = np.flatnonzero(~self.constrained)
         self._cons = np.flatnonzero(self.constrained)
+
+    def with_datum(self, psi) -> "DofTopology":
+        """The same layout pinned to the boundary datum ``psi`` (any form
+        ``build_topology`` accepts); the crack set is not checked again."""
+        out = copy.copy(self)
+        out.psi_nodal = _nodal_array(self.mesh, psi)
+        return out
+
+    @property
+    def dirichlet_values(self) -> np.ndarray:
+        """(n_dofs,) new array: the pinned value where constrained, else 0."""
+        return np.where(self.constrained, self.psi_nodal[self.dof_vertex], 0.0)
 
     @property
     def free_dofs(self) -> np.ndarray:
@@ -134,7 +146,7 @@ def _corner_structure(mesh: Mesh, crack: CrackSet):
     """Merge triangle corners through uncracked interior edges.
 
     Returns (corner_dof, n_dofs, dof_vertex, constrained_mask); independent of
-    the boundary datum, so callers may cache it per crack set.
+    the boundary datum, which ``DofTopology.with_datum`` swaps.
     """
     uncracked = np.ones(mesh.n_edges, dtype=bool)
     uncracked[list(crack.edge_ids)] = False
@@ -163,7 +175,7 @@ def _nodal_array(mesh: Mesh, psi) -> np.ndarray:
     return arr
 
 
-def build_topology(mesh: Mesh, crack: CrackSet, psi=None, _structure=None) -> DofTopology:
+def build_topology(mesh: Mesh, crack: CrackSet, psi=None) -> DofTopology:
     """Build the DOF layout for ``crack`` with boundary datum ``psi``.
 
     ``psi`` may be a nodal array, a callable of (x, y), a scalar, or None
@@ -173,11 +185,7 @@ def build_topology(mesh: Mesh, crack: CrackSet, psi=None, _structure=None) -> Do
     if extra:
         raise ValueError(f"crack contains non-crackable edges {extra}")
 
-    psi_nodal = _nodal_array(mesh, psi)
-    if _structure is None:
-        _structure = _corner_structure(mesh, crack)
-    corner_dof, n_dofs, dof_vertex, constrained = _structure
-    values = np.where(constrained, psi_nodal[dof_vertex], 0.0)
+    corner_dof, n_dofs, dof_vertex, constrained = _corner_structure(mesh, crack)
     return DofTopology(
         mesh=mesh,
         crack=crack,
@@ -185,8 +193,7 @@ def build_topology(mesh: Mesh, crack: CrackSet, psi=None, _structure=None) -> Do
         n_dofs=n_dofs,
         dof_vertex=dof_vertex,
         constrained=constrained,
-        psi_nodal=psi_nodal,
-        dirichlet_values=values,
+        psi_nodal=_nodal_array(mesh, psi),
     )
 
 
@@ -205,7 +212,7 @@ class BrokenField:
     @classmethod
     def zeros(cls, topology: DofTopology) -> "BrokenField":
         # free DOFs at zero, pinned DOFs at their boundary values
-        return cls(topology, topology.dirichlet_values.copy())
+        return cls(topology, topology.dirichlet_values)
 
     @classmethod
     def from_nodal(cls, topology: DofTopology, nodal) -> "BrokenField":

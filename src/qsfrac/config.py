@@ -45,7 +45,7 @@ from .energy import (
     Toughness,
 )
 from .evolution import SearchStrategy, TimeGrid
-from .mesh import Mesh, build_structured_mesh
+from .mesh import Mesh, _resolve_brittle, build_structured_mesh
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "load_config", "config_hash"]
 
@@ -380,13 +380,8 @@ class RunConfig:
         region = self._region("initial.crack", v)
         if region[0] == "edges":
             ids = region[1]
-        else:
-            x0, y0, x1, y1 = region[1]
-            pts = mesh.vertices[mesh.edges]
-            tol = 1e-12
-            inside = np.all(
-                (pts[..., 0] >= x0 - tol) & (pts[..., 0] <= x1 + tol)
-                & (pts[..., 1] >= y0 - tol) & (pts[..., 1] <= y1 + tol), axis=1)
+        else:   # "all" or a closed rectangle, as for mesh.brittle, on crackable edges
+            inside = _resolve_brittle(region, mesh.vertices, mesh.edges)
             ids = np.flatnonzero(inside & mesh.crackable_mask).tolist()
         extra = mesh.non_crackable(ids)
         if extra:

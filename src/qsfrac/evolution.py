@@ -31,11 +31,11 @@ from .energy import (
     EnergyModel,
     body_rate,
     body_value_and_gradient,
-    elastic_energy,
     stress,
     surface_energy,
     surface_rate,
     surface_value_and_gradient,
+    total_energy,
     trace_on_surface_part,
 )
 from .mesh import Mesh, crackable_edges, mesh_fingerprint
@@ -52,6 +52,7 @@ __all__ = [
     "SearchLimitError",
     "InitialMinimality",
     "check_initial_minimality",
+    "extensions",
     "incremental_step",
     "run_evolution",
     "left_envelope",
@@ -86,6 +87,23 @@ class SearchLimitError(EvolutionError):
 
 def tie_tolerance(energy: float) -> float:
     return 1e-9 * (1.0 + abs(energy))
+
+
+def extensions(base: CrackSet, edges, sizes) -> list[CrackSet]:
+    """``base`` united with every ``k``-subset of ``edges``, for each ``k`` in
+    ``sizes``, in (size, lexicographic) order; size 0 gives ``base`` itself.
+
+    With ``edges`` sorted and disjoint from ``base`` this order is the tie
+    preference: fewer added edges first, then the smallest edge-id set.
+    """
+    return [base.union(s) for k in sizes for s in itertools.combinations(edges, k)]
+
+
+def _first_min(energies) -> int:
+    """Index of the first energy within the tie tolerance of the minimum."""
+    e_min = min(energies)
+    tol = tie_tolerance(e_min)
+    return next(i for i, e in enumerate(energies) if e <= e_min + tol)
 
 
 @dataclass(frozen=True)
@@ -187,12 +205,6 @@ def sample_power_terms(model: EnergyModel, mesh: Mesh, t: float, u: BrokenField)
 def net_power(power: dict) -> float:
     return (power["stress_power"] - power["body_coupling"] - power["body_rate"]
             - power["surface_coupling"] - power["surface_rate"])
-
-
-def _energy_row(model: EnergyModel, mesh: Mesh, t: float, u: BrokenField, crack: CrackSet) -> dict:
-    el, parts = elastic_energy(model, mesh, t, u)
-    es = surface_energy(model.toughness, mesh, crack)
-    return {"W": parts["W"], "Es": es, "F": parts["F"], "G": parts["G"], "total": el + es}
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +334,7 @@ class EvolutionRecord:
 # ---------------------------------------------------------------------------
 
 class _Search:
-    def __init__(self, model: EnergyModel, mesh: Mesh, strategy: SearchStrategy,
+    def __init__(self, model: EnergyModel, mesh: Mesh, strategy: SearchStrategy = SearchStrategy(),
                  solver: ElasticSolver | None = None, tol: float = 1e-10):
         self.model = model
         self.mesh = mesh
@@ -335,9 +347,24 @@ class _Search:
         _, report = self.solver.solve(crack, t, self.tol)
         return report.energy + surface_energy(self.model.toughness, self.mesh, crack)
 
+    def energies(self, cracks: list[CrackSet], t: float) -> list[float]:
+        """Total energies of the candidate crack sets at time t, in order."""
+        return parallel_map(lambda c: self.total(c, t), cracks)
+
     def candidates(self, crack: CrackSet) -> list[int]:
         present = crack.as_set()
         return [e for e in self.crackable if e not in present]
+
+    def all_extensions(self, base: CrackSet) -> list[CrackSet]:
+        """Every superset of ``base``, refused beyond the brute-force edge cap."""
+        cand = self.candidates(base)
+        if len(cand) > self.strategy.max_bruteforce_edges:
+            raise SearchLimitError(
+                f"brute force over {len(cand)} candidate edges exceeds the configured "
+                f"limit {self.strategy.max_bruteforce_edges}; shrink the brittle region "
+                "or use a greedy strategy"
+            )
+        return extensions(base, cand, range(len(cand) + 1))
 
     def best_superset(self, crack_prev: CrackSet, t: float) -> CrackSet:
         if self.strategy.kind == BRUTE_FORCE:
@@ -345,24 +372,8 @@ class _Search:
         return self._greedy(crack_prev, t, pairs=self.strategy.kind == GREEDY_WITH_PAIRS)
 
     def _brute(self, crack_prev: CrackSet, t: float) -> CrackSet:
-        cand = self.candidates(crack_prev)
-        if len(cand) > self.strategy.max_bruteforce_edges:
-            raise SearchLimitError(
-                f"brute force over {len(cand)} candidate edges exceeds the configured "
-                f"limit {self.strategy.max_bruteforce_edges}; shrink the brittle region "
-                "or use a greedy strategy"
-            )
-        subsets = [crack_prev]
-        for size in range(1, len(cand) + 1):
-            subsets.extend(crack_prev.union(s) for s in itertools.combinations(cand, size))
-        energies = parallel_map(lambda c: self.total(c, t), subsets)
-        e_min = min(energies)
-        tol = tie_tolerance(e_min)
-        # enumeration order is (size, lexicographic), which is the tie preference
-        for crack, e in zip(subsets, energies):
-            if e <= e_min + tol:
-                return crack
-        raise AssertionError("unreachable: minimum not found among candidates")
+        subsets = self.all_extensions(crack_prev)
+        return subsets[_first_min(self.energies(subsets, t))]
 
     def _greedy(self, crack_prev: CrackSet, t: float, pairs: bool) -> CrackSet:
         current = crack_prev
@@ -377,19 +388,13 @@ class _Search:
         return current
 
     def _best_move(self, current: CrackSet, t: float, e_cur: float, size: int):
-        cand = self.candidates(current)
-        moves = [current.union(s) for s in itertools.combinations(cand, size)]
+        moves = extensions(current, self.candidates(current), (size,))
         if not moves:
             return None
-        energies = parallel_map(lambda c: self.total(c, t), moves)
-        best_i = int(np.argmin(energies))
-        # first index wins ties: moves are already in lexicographic order
-        for i, e in enumerate(energies):
-            if e <= energies[best_i] + tie_tolerance(energies[best_i]):
-                best_i = i
-                break
-        if energies[best_i] < e_cur - tie_tolerance(e_cur):
-            return moves[best_i], energies[best_i]
+        energies = self.energies(moves, t)
+        best = _first_min(energies)
+        if energies[best] < e_cur - tie_tolerance(e_cur):
+            return moves[best], energies[best]
         return None
 
 
@@ -412,38 +417,20 @@ def check_initial_minimality(model: EnergyModel, mesh: Mesh, crack0: CrackSet,
     extension improves, which is a necessary condition.
     """
     search = _Search(model, mesh, strategy, solver=_solver)
-    el0, _ = elastic_energy(model, mesh, t, u0)
-    e0 = el0 + surface_energy(model.toughness, mesh, crack0)
-    tol = tie_tolerance(e0)
-
-    if strategy.kind == BRUTE_FORCE:
-        cand = search.candidates(crack0)
-        if len(cand) > strategy.max_bruteforce_edges:
-            raise SearchLimitError(
-                f"brute force over {len(cand)} candidate edges exceeds the limit "
-                f"{strategy.max_bruteforce_edges}"
-            )
-        subsets = [crack0]
-        for size in range(1, len(cand) + 1):
-            subsets.extend(crack0.union(s) for s in itertools.combinations(cand, size))
-        energies = parallel_map(lambda c: search.total(c, t), subsets)
-        exhaustive = True
+    e0, _ = total_energy(model, mesh, t, u0, crack0)
+    exhaustive = strategy.kind == BRUTE_FORCE
+    if exhaustive:
+        subsets = search.all_extensions(crack0)
     else:
-        sizes = (1, 2) if strategy.kind == GREEDY_WITH_PAIRS else (1,)
-        cand = search.candidates(crack0)
-        subsets = [crack0]
-        for size in sizes:
-            subsets.extend(crack0.union(s) for s in itertools.combinations(cand, size))
-        energies = parallel_map(lambda c: search.total(c, t), subsets)
-        exhaustive = False
+        sizes = (0, 1, 2) if strategy.kind == GREEDY_WITH_PAIRS else (0, 1)
+        subsets = extensions(crack0, search.candidates(crack0), sizes)
+    energies = search.energies(subsets, t)
 
-    margin = float(min(energies) - e0)
     worst = int(np.argmin(energies))
-    passed = energies[worst] >= e0 - tol
-    witness = None if passed else subsets[worst]
+    passed = energies[worst] >= e0 - tie_tolerance(e0)
     return InitialMinimality(
-        passed=passed, margin=margin,
-        witness_crack=witness,
+        passed=passed, margin=float(energies[worst] - e0),
+        witness_crack=None if passed else subsets[worst],
         witness_energy=None if passed else float(energies[worst]),
         exhaustive=exhaustive,
     )
@@ -490,7 +477,7 @@ def run_evolution(model: EnergyModel, mesh: Mesh, grid: TimeGrid, crack0: CrackS
 
     cracks = [crack0]
     fields = [u0]
-    energies = [_energy_row(model, mesh, t0, u0, crack0)]
+    energies = [total_energy(model, mesh, t0, u0, crack0)[1]]
     powers = [sample_power_terms(model, mesh, t0, u0)]
 
     def partial() -> EvolutionRecord:
@@ -513,7 +500,7 @@ def run_evolution(model: EnergyModel, mesh: Mesh, grid: TimeGrid, crack0: CrackS
         assert cracks[-1].issubset(crack)
         cracks.append(crack)
         fields.append(u)
-        energies.append(_energy_row(model, mesh, t, u, crack))
+        energies.append(total_energy(model, mesh, t, u, crack)[1])
         powers.append(sample_power_terms(model, mesh, t, u))
 
     return EvolutionRecord(
@@ -546,7 +533,7 @@ def _envelope(record: EvolutionRecord, model: EnergyModel, mesh: Mesh, side: str
         u, _ = solver.solve(crack, t)
         out.cracks[i] = crack
         out.fields[i] = u
-        out.energies[i] = _energy_row(model, mesh, t, u, crack)
+        out.energies[i] = total_energy(model, mesh, t, u, crack)[1]
         out.powers[i] = sample_power_terms(model, mesh, t, u)
     out.annotations.append(f"{side} envelope applied at knots {jumps}")
     return out

@@ -2,10 +2,10 @@
 
 For the quadratic exponent pair (p = q = 2) the problem is a symmetric
 positive definite linear system; it is solved directly (dense Cholesky up to
-200 free DOFs, which doubles as the reference path) or by diagonally
-preconditioned conjugate gradients beyond that.  For any other exponents a
-damped Newton iteration with Armijo backtracking runs on the free DOFs,
-cold-started from the boundary interpolant so results do not depend on
+``_DENSE_LIMIT`` free DOFs, which doubles as the reference path) or by
+diagonally preconditioned conjugate gradients beyond that.  For any other
+exponents a damped Newton iteration with Armijo backtracking runs on the free
+DOFs, cold-started from the boundary interpolant so results do not depend on
 evaluation order.
 
 A run with zero confinement and a crack that isolates a piece of the body
@@ -87,13 +87,16 @@ def assemble_forms(mesh: Mesh, topo: DofTopology, stiff_coef, mass_coef) -> scip
     mass = np.broadcast_to(np.asarray(mass_coef, dtype=float), (m,))
     g = mesh.grad_op
     local = np.einsum("t,tki,tkj->tij", stiff, g, g)
-    local = local + (mass / 9.0)[:, None, None] * np.ones((3, 3))
+    return _scatter_local(topo, local + (mass / 9.0)[:, None, None] * np.ones((3, 3)))
+
+
+def _scatter_local(topo: DofTopology, local: np.ndarray) -> scipy.sparse.csr_matrix:
+    """Sum the per-triangle 3x3 corner matrices ``local`` into a DOF matrix."""
     rows = np.repeat(topo.corner_dof, 3, axis=1).ravel()
     cols = np.tile(topo.corner_dof, (1, 3)).ravel()
-    mat = scipy.sparse.coo_matrix(
+    return scipy.sparse.coo_matrix(
         (local.ravel(), (rows, cols)), shape=(topo.n_dofs, topo.n_dofs)
-    )
-    return mat.tocsr()
+    ).tocsr()
 
 
 def _scatter_corner(topo: DofTopology, per_corner: np.ndarray) -> np.ndarray:
@@ -102,9 +105,20 @@ def _scatter_corner(topo: DofTopology, per_corner: np.ndarray) -> np.ndarray:
     return out
 
 
-def _surface_corner_dofs(mesh: Mesh, topo: DofTopology) -> np.ndarray:
-    """DOF ids of the two endpoints of each surface-force edge, (n_surf, 2)."""
-    return topo.corner_dof.ravel()[mesh.edge_corner[mesh.surface_edges, 0]]
+def _scatter_surface(mesh: Mesh, topo: DofTopology, out: np.ndarray, w: np.ndarray) -> None:
+    """Add ``w[k]`` into ``out`` at both endpoint DOFs of surface-force edge k
+    (every first endpoint, then every second one)."""
+    dofs = topo.corner_dof.ravel()[mesh.edge_corner[mesh.surface_edges, 0]]
+    np.add.at(out, dofs[:, 0], w)
+    np.add.at(out, dofs[:, 1], w)
+
+
+def _solve_spd(matrix: scipy.sparse.spmatrix, rhs: np.ndarray) -> np.ndarray:
+    """Solve a symmetric positive definite sparse system: dense up to
+    ``_DENSE_LIMIT`` unknowns, sparse LU above."""
+    if matrix.shape[0] <= _DENSE_LIMIT:
+        return scipy.linalg.solve(matrix.toarray(), rhs, assume_a="pos")
+    return scipy.sparse.linalg.spsolve(matrix.tocsc(), rhs)
 
 
 def assemble_gradient(model: EnergyModel, mesh: Mesh, t: float, u: BrokenField) -> np.ndarray:
@@ -122,27 +136,18 @@ def assemble_gradient(model: EnergyModel, mesh: Mesh, t: float, u: BrokenField) 
     ids = mesh.surface_edges
     if len(ids):
         _, g_dens = surface_value_and_gradient(model.surface, t, trace_on_surface_part(u), mesh)
-        w = mesh.edge_length[ids] * g_dens / 2.0
-        sd = _surface_corner_dofs(mesh, topo)
-        np.subtract.at(out, sd[:, 0], w)
-        np.subtract.at(out, sd[:, 1], w)
+        _scatter_surface(mesh, topo, out, -(mesh.edge_length[ids] * g_dens / 2.0))
     return out
 
 
 def _assemble_hessian(model: EnergyModel, mesh: Mesh, t: float, u: BrokenField) -> scipy.sparse.csr_matrix:
-    topo = u.topology
     grads = u.gradients()
     tri = np.arange(mesh.n_triangles)
     d = stress_jacobian(model.bulk, tri, grads)               # (m, 2, 2)
     g = mesh.grad_op
     local = mesh.tri_area[:, None, None] * np.einsum("tki,tkl,tlj->tij", g, d, g)
     c = mesh.tri_area * body_hessian_coeff(model.body, t, u.tri_means())
-    local = local + (c / 9.0)[:, None, None] * np.ones((3, 3))
-    rows = np.repeat(topo.corner_dof, 3, axis=1).ravel()
-    cols = np.tile(topo.corner_dof, (1, 3)).ravel()
-    return scipy.sparse.coo_matrix(
-        (local.ravel(), (rows, cols)), shape=(topo.n_dofs, topo.n_dofs)
-    ).tocsr()
+    return _scatter_local(u.topology, local + (c / 9.0)[:, None, None] * np.ones((3, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -152,15 +157,12 @@ def _assemble_hessian(model: EnergyModel, mesh: Mesh, t: float, u: BrokenField) 
 class _CrackData:
     """Per-crack-set immutable solve structure, cached inside ElasticSolver."""
 
-    __slots__ = ("structure", "matrix", "free", "cons", "factor", "k_fc",
-                 "surf_dofs", "floating")
+    __slots__ = ("topology", "matrix", "factor", "k_fc", "floating")
 
     def __init__(self, model: EnergyModel, mesh: Mesh, crack: CrackSet, quadratic: bool):
-        topo = build_topology(mesh, crack, None)
-        self.structure = (topo.corner_dof, topo.n_dofs, topo.dof_vertex, topo.constrained)
-        self.free = topo.free_dofs
-        self.cons = topo.constrained_dofs
-        self.surf_dofs = _surface_corner_dofs(mesh, topo) if len(mesh.surface_edges) else None
+        # validated once here; solves only attach the datum at their time
+        topo = self.topology = build_topology(mesh, crack, None)
+        free, cons = topo.free_dofs, topo.constrained_dofs
         # only a run without confinement can float a piece of the body
         self.floating = _floating_message(topo) if model.body.lam == 0.0 else None
         self.matrix = None
@@ -173,9 +175,9 @@ class _CrackData:
             mass = mesh.tri_area * model.body.lam
             k = assemble_forms(mesh, topo, stiff, mass)
             self.matrix = k
-            kff = k[self.free][:, self.free]
-            self.k_fc = k[self.free][:, self.cons]
-            if len(self.free) <= _DENSE_LIMIT:
+            kff = k[free][:, free]
+            self.k_fc = k[free][:, cons]
+            if len(free) <= _DENSE_LIMIT:
                 self.factor = ("dense", scipy.linalg.cho_factor(kff.toarray()))
             else:
                 diag = kff.diagonal()
@@ -228,28 +230,22 @@ class ElasticSolver:
         return data
 
     def topology(self, crack: CrackSet, t: float) -> DofTopology:
-        data = self._data(crack)
-        return build_topology(self.mesh, crack, self.model.boundary.value(t),
-                              _structure=data.structure)
+        return self._data(crack).topology.with_datum(self.model.boundary.value(t))
 
-    def _load_vector(self, topo: DofTopology, data: _CrackData, t: float) -> np.ndarray:
+    def _load_vector(self, topo: DofTopology, t: float) -> np.ndarray:
         mesh = self.mesh
-        b = np.zeros(topo.n_dofs)
         f = self.model.body.table.value(t)
-        np.add.at(b, topo.corner_dof.ravel(),
-                  np.repeat(mesh.tri_area * f / 3.0, 3))
-        if data.surf_dofs is not None:
+        b = _scatter_corner(topo, np.repeat(mesh.tri_area * f / 3.0, 3))
+        if len(mesh.surface_edges):
             g = self.model.surface.table.value(t)
-            w = mesh.edge_length[mesh.surface_edges] * g / 2.0
-            np.add.at(b, data.surf_dofs[:, 0], w)
-            np.add.at(b, data.surf_dofs[:, 1], w)
+            _scatter_surface(mesh, topo, b, mesh.edge_length[mesh.surface_edges] * g / 2.0)
         return b
 
     def solve(self, crack: CrackSet, t: float, tol: float = 1e-10):
         """Return (field, report) with the free-DOF gradient norm at most tol."""
         start = time.perf_counter()
         data = self._data(crack)
-        topo = self.topology(crack, t)
+        topo = data.topology.with_datum(self.model.boundary.value(t))
         if data.floating:
             raise FloatingComponentError(data.floating)
         if self.quadratic:
@@ -265,9 +261,9 @@ class ElasticSolver:
         return field, report
 
     def _solve_quadratic(self, topo: DofTopology, data: _CrackData, t: float, tol: float):
-        b = self._load_vector(topo, data, t)
-        free, cons = data.free, data.cons
-        u = topo.dirichlet_values.copy()
+        b = self._load_vector(topo, t)
+        free, cons = topo.free_dofs, topo.constrained_dofs
+        u = topo.dirichlet_values
         rhs = b[free] - (data.k_fc @ u[cons] if len(cons) else 0.0)
         kind = data.factor[0]
         iters = 1
@@ -409,10 +405,7 @@ class ElasticSolver:
         for _ in range(8):
             try:
                 hh = h + ridge * base * scipy.sparse.identity(n) if ridge else h
-                if n <= _DENSE_LIMIT:
-                    d = scipy.linalg.solve(hh.toarray(), -g, assume_a="pos")
-                else:
-                    d = scipy.sparse.linalg.spsolve(hh.tocsc(), -g)
+                d = _solve_spd(hh, -g)
                 if np.all(np.isfinite(d)):
                     return d
             except (scipy.linalg.LinAlgError, RuntimeError):

@@ -228,6 +228,19 @@ def test_initial_crack_ids_out_of_range_rejected():
             parse_config(text + f"initial.crack = edges: {ids}\n").build_problem()
 
 
+def test_initial_crack_regions_select_crackable_edges_like_the_brittle_region():
+    # a closed rectangle (with the 1e-12 geometric tolerance) and "all" pick
+    # the crackable edges the same way mesh.brittle picks brittle edges
+    mesh = parse_config(BASE).build_problem().mesh
+    crackable = np.flatnonzero(mesh.crackable_mask).tolist()
+    for region in ("rect: 1, 0, 1, 1", "rect: 0.9999999999999, 0, 1, 1.0000000000001", "all"):
+        crack = parse_config(BASE + f"initial.crack = {region}\n").build_initial_crack(mesh)
+        assert list(crack.edge_ids) == crackable
+    for region in ("rect: 0, 0, 0.5, 1", "rect: 1.00001, 0, 2, 1"):
+        crack = parse_config(BASE + f"initial.crack = {region}\n").build_initial_crack(mesh)
+        assert len(crack) == 0
+
+
 def test_cli_numeric_failure_exit_3(tmp_path, capsys):
     # zero confinement plus a crack candidate that floats: the inner solve
     # raises and the run aborts with the numeric exit code
