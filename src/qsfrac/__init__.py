@@ -55,6 +55,7 @@ from .evolution import (
     GREEDY_WITH_PAIRS,
     EvolutionError,
     EvolutionRecord,
+    RecordError,
     SearchStrategy,
     TimeGrid,
     check_initial_minimality,

@@ -186,7 +186,7 @@ def check_energy_balance(record: EvolutionRecord, model: EnergyModel, mesh: Mesh
     for i in range(n):
         total, _ = total_energy(model, mesh, float(times[i]), record.fields[i], record.cracks[i])
         stored = record.total_energy(i)
-        if abs(total - stored) > _RECOMPUTE_RTOL * (1.0 + abs(total)):
+        if not abs(total - stored) <= _RECOMPUTE_RTOL * (1.0 + abs(total)):   # NaN fails
             res = CheckResult(
                 "energy_balance", "FAIL",
                 margins={"recompute_mismatch": abs(total - stored)},
@@ -254,7 +254,7 @@ def check_global_stability(record: EvolutionRecord, model: EnergyModel, mesh: Me
     worst_resid_knot = -1
     for i in range(n):
         r = euler_residual(model, mesh, record.cracks[i], float(record.times[i]), record.fields[i])
-        if r > max_resid:
+        if r > max_resid or not np.isfinite(r):   # a NaN residual is the worst
             max_resid, worst_resid_knot = r, i
     euler_ok = max_resid <= residual_tol
 
@@ -279,7 +279,7 @@ def check_global_stability(record: EvolutionRecord, model: EnergyModel, mesh: Me
             else:
                 sizes = (0, 1)
             cracks = extensions(base, cand_edges, sizes)
-            for crack, e_cand in zip(cracks, search.energies(cracks, t)):
+            for crack, e_cand in zip(cracks, search.energies(cracks, t, stored=e_rec)):
                 margin = e_cand - e_rec
                 if margin < worst_margin:
                     worst_margin, worst_knot = margin, i

@@ -20,6 +20,7 @@ from .evolution import (
     GREEDY_WITH_PAIRS,
     EvolutionError,
     EvolutionRecord,
+    RecordError,
     SearchLimitError,
     SearchStrategy,
     TimeGrid,
@@ -97,7 +98,7 @@ def main(argv=None) -> int:
         if args.command == "envelope":
             return cmd_envelope(args)
         return cmd_oracle_compare(args)
-    except (ConfigError, AuditError, SearchLimitError, FileNotFoundError) as exc:
+    except (ConfigError, AuditError, RecordError, SearchLimitError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SolveError, EvolutionError) as exc:

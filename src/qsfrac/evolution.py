@@ -32,7 +32,6 @@ from .energy import (
     body_rate,
     body_value_and_gradient,
     stress,
-    surface_energy,
     surface_rate,
     surface_value_and_gradient,
     total_energy,
@@ -49,6 +48,7 @@ __all__ = [
     "GREEDY_WITH_PAIRS",
     "EvolutionRecord",
     "EvolutionError",
+    "RecordError",
     "SearchLimitError",
     "InitialMinimality",
     "check_initial_minimality",
@@ -83,6 +83,10 @@ class EvolutionError(RuntimeError):
 
 class SearchLimitError(EvolutionError):
     """The configured candidate-edge cap refuses an exhaustive search."""
+
+
+class RecordError(ValueError):
+    """A record file that cannot be read back against its mesh and model."""
 
 
 def tie_tolerance(energy: float) -> float:
@@ -211,6 +215,12 @@ def net_power(power: dict) -> float:
 # the evolution record
 # ---------------------------------------------------------------------------
 
+def _finite(values, what: str):
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"non-finite {what} value")
+    return values
+
+
 @dataclass
 class EvolutionRecord:
     """Per-knot states, energy components and power samples of one run."""
@@ -288,30 +298,54 @@ class EvolutionRecord:
     @classmethod
     def load(cls, path, mesh: Mesh, model: EnergyModel,
              solver: ElasticSolver | None = None) -> "EvolutionRecord":
-        """Rebuild a record against its mesh and model (topologies are derived)."""
+        """Rebuild a record against its mesh and model (topologies are derived).
+
+        A file that is not a readable record for this mesh (bad JSON, a
+        missing key, a DOF array of the wrong length, an edge that cannot
+        crack, a non-finite number) raises ``RecordError`` naming the knot.
+        """
         with open(path) as fh:
-            payload = json.load(fh)
-        if payload.get("format_version") != RECORD_FORMAT_VERSION:
-            raise ValueError(f"unsupported record format version {payload.get('format_version')!r}")
+            try:
+                payload = json.load(fh)
+            except ValueError as exc:
+                raise RecordError(f"{path}: not a JSON record ({exc})") from exc
         solver = solver or ElasticSolver(model, mesh)
-        grid = TimeGrid(np.asarray(payload["grid"], dtype=float))
-        cracks, fields, energies, powers = [], [], [], []
-        for i, row in enumerate(payload["knots"]):
-            crack = CrackSet.of(row["crack"])
-            topo = solver.topology(crack, grid.knots[i])
-            values = np.asarray(row["dofs"], dtype=float)
-            cracks.append(crack)
-            fields.append(BrokenField(topo, values))
-            energies.append({k: float(row["energy"][k]) for k in _ENERGY_KEYS})
-            powers.append({k: float(row["power"][k]) for k in _POWER_KEYS})
-        strat = payload["strategy"]
-        return cls(
-            grid=grid, cracks=cracks, fields=fields, energies=energies, powers=powers,
-            strategy=SearchStrategy(strat["kind"], strat["max_bruteforce_edges"]),
-            certification=strat["certification"],
-            config_hash=payload["config_hash"], mesh_hash=payload["mesh_hash"],
-            complete=payload["complete"], annotations=list(payload["annotations"]),
-        )
+        where = "record"
+        try:
+            if not isinstance(payload, dict):
+                raise ValueError("the top level is not a JSON object")
+            if payload.get("format_version") != RECORD_FORMAT_VERSION:
+                raise ValueError(f"unsupported record format version {payload.get('format_version')!r}")
+            grid = TimeGrid(_finite(np.asarray(payload["grid"], dtype=float), "grid"))
+            if len(payload["knots"]) != len(grid):
+                raise ValueError(f"{len(payload['knots'])} knots stored for a grid of {len(grid)}")
+            cracks, fields, energies, powers = [], [], [], []
+            for i, row in enumerate(payload["knots"]):
+                where = f"knot {i}"
+                crack = CrackSet.of(row["crack"])
+                topo = solver.topology(crack, grid.knots[i])
+                values = _finite(np.asarray(row["dofs"], dtype=float), "DOF")
+                energy = {k: float(row["energy"][k]) for k in _ENERGY_KEYS}
+                power = {k: float(row["power"][k]) for k in _POWER_KEYS}
+                for k, v in {**energy, **power}.items():
+                    _finite(v, k)
+                cracks.append(crack)
+                fields.append(BrokenField(topo, values))
+                energies.append(energy)
+                powers.append(power)
+            where = "record"
+            strat = payload["strategy"]
+            return cls(
+                grid=grid, cracks=cracks, fields=fields, energies=energies, powers=powers,
+                strategy=SearchStrategy(strat["kind"], strat["max_bruteforce_edges"]),
+                certification=strat["certification"],
+                config_hash=payload["config_hash"], mesh_hash=payload["mesh_hash"],
+                complete=payload["complete"], annotations=list(payload["annotations"]),
+            )
+        except KeyError as exc:
+            raise RecordError(f"{path}: {where}: missing key {exc}") from exc
+        except (IndexError, TypeError, ValueError) as exc:
+            raise RecordError(f"{path}: {where}: {exc}") from exc
 
     def write_csv(self, path) -> None:
         """Trace with one row per knot, full-precision scientific notation."""
@@ -343,13 +377,31 @@ class _Search:
         self.tol = tol
         self.crackable = [int(e) for e in crackable_edges(mesh)]
 
-    def total(self, crack: CrackSet, t: float) -> float:
-        _, report = self.solver.solve(crack, t, self.tol)
-        return report.energy + surface_energy(self.model.toughness, self.mesh, crack)
+    def _scored(self, crack: CrackSet, t: float) -> tuple[BrokenField, float]:
+        u, report = self.solver.solve(crack, t, self.tol)
+        return u, report.energy + self.solver.surface_energy(crack)
 
-    def energies(self, cracks: list[CrackSet], t: float) -> list[float]:
-        """Total energies of the candidate crack sets at time t, in order."""
-        return parallel_map(lambda c: self.total(c, t), cracks)
+    def total(self, crack: CrackSet, t: float) -> float:
+        return self._scored(crack, t)[1]
+
+    def energies(self, cracks: list[CrackSet], t: float, stored: float | None = None) -> list[float]:
+        """Total energies of the candidate crack sets at time t, in order.
+
+        Given ``stored``, the stored total of a recorded state at t, every
+        candidate within the tie tolerance of it or below is re-scored from
+        its field by ``total_energy``, the quadrature stored totals come
+        from.  Those candidates decide a minimality verdict, and a state
+        that is its own re-solve then scores exactly its stored total.
+        """
+        if stored is None:
+            return parallel_map(lambda c: self.total(c, t), cracks)
+        window = stored + tie_tolerance(stored)
+
+        def score(crack: CrackSet) -> float:
+            u, e = self._scored(crack, t)
+            return total_energy(self.model, self.mesh, t, u, crack)[0] if e <= window else e
+
+        return parallel_map(score, cracks)
 
     def candidates(self, crack: CrackSet) -> list[int]:
         present = crack.as_set()
@@ -424,7 +476,7 @@ def check_initial_minimality(model: EnergyModel, mesh: Mesh, crack0: CrackSet,
     else:
         sizes = (0, 1, 2) if strategy.kind == GREEDY_WITH_PAIRS else (0, 1)
         subsets = extensions(crack0, search.candidates(crack0), sizes)
-    energies = search.energies(subsets, t)
+    energies = search.energies(subsets, t, stored=e0)
 
     worst = int(np.argmin(energies))
     passed = energies[worst] >= e0 - tie_tolerance(e0)

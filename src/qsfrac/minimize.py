@@ -3,10 +3,23 @@
 For the quadratic exponent pair (p = q = 2) the problem is a symmetric
 positive definite linear system; it is solved directly (dense Cholesky up to
 ``_DENSE_LIMIT`` free DOFs, which doubles as the reference path) or by
-diagonally preconditioned conjugate gradients beyond that.  For any other
-exponents a damped Newton iteration with Armijo backtracking runs on the free
-DOFs, cold-started from the boundary interpolant so results do not depend on
-evaluation order.
+diagonally preconditioned conjugate gradients beyond that.  The elastic
+energy W - F - G of the solution is then the quadratic form itself,
+
+    E_el(u) = 1/2 u.(K u) - b.u + c_eps,   c_eps = 1/2 eps^2 sum_T |T| mu_T,
+
+with K the stiffness-plus-confinement matrix and b the load vector; the
+residual check already forms K u, so scoring a candidate crack set costs no
+quadrature.  For any other exponents a damped Newton iteration with Armijo
+backtracking runs on the free DOFs, cold-started from the boundary
+interpolant so results do not depend on evaluation order, and its energy is
+the quadrature of ``energy.elastic_energy``.
+
+``ElasticSolver`` keeps two caches: a bounded LRU of per-crack-set solve
+structures (DOF layout, factorization, crack surface energy), and a
+one-entry memo of the loads at the last time solved (boundary datum, body
+load per corner, surface load per surface edge), which every candidate of a
+knot shares.
 
 A run with zero confinement and a crack that isolates a piece of the body
 from the Dirichlet boundary has no bounded minimizer; this surfaces as a
@@ -33,6 +46,7 @@ from .energy import (
     elastic_energy,
     stress,
     stress_jacobian,
+    surface_energy,
     surface_value_and_gradient,
 )
 from .mesh import Mesh
@@ -63,6 +77,10 @@ class FloatingComponentError(SolveError):
 
 @dataclass
 class SolveReport:
+    """How a solve went.  ``energy`` is the elastic energy W - F - G of the
+    returned field: the quadratic form 1/2 u.(K u) - b.u + c_eps for
+    p = q = 2, the quadrature of ``energy.elastic_energy`` otherwise."""
+
     iterations: int
     residual: float
     energy: float
@@ -157,11 +175,12 @@ def _assemble_hessian(model: EnergyModel, mesh: Mesh, t: float, u: BrokenField) 
 class _CrackData:
     """Per-crack-set immutable solve structure, cached inside ElasticSolver."""
 
-    __slots__ = ("topology", "matrix", "factor", "k_fc", "floating")
+    __slots__ = ("topology", "surface", "matrix", "factor", "k_fc", "floating")
 
     def __init__(self, model: EnergyModel, mesh: Mesh, crack: CrackSet, quadratic: bool):
         # validated once here; solves only attach the datum at their time
         topo = self.topology = build_topology(mesh, crack, None)
+        self.surface = surface_energy(model.toughness, mesh, crack)
         free, cons = topo.free_dofs, topo.constrained_dofs
         # only a run without confinement can float a piece of the body
         self.floating = _floating_message(topo) if model.body.lam == 0.0 else None
@@ -204,9 +223,11 @@ def _floating_message(topo: DofTopology) -> str | None:
 class ElasticSolver:
     """Minimizes the elastic energy over the broken space at fixed cracks.
 
-    Solve structures (DOF layout, stiffness factorization) are cached per
-    crack set, so sweeping many candidate cracks over many times reuses the
-    expensive parts.  The cache is bounded LRU.
+    Solve structures (DOF layout, stiffness factorization, crack surface
+    energy) are cached per crack set, so sweeping many candidate cracks over
+    many times reuses the expensive parts.  The cache is bounded LRU.  The
+    loads of the last time solved are memoized, so the candidates of one
+    knot interpolate the load tables once.
     """
 
     def __init__(self, model: EnergyModel, mesh: Mesh, cache_size: int = 8192):
@@ -216,6 +237,10 @@ class ElasticSolver:
         self.quadratic = model.p == 2.0 and model.q == 2.0
         self.cache_size = cache_size
         self._cache: OrderedDict[tuple, _CrackData] = OrderedDict()
+        self._loads: tuple | None = None
+        # the constant of the quadratic energy identity: the bulk energy at zero gradient
+        mu = model.bulk.mu_at(np.arange(mesh.n_triangles))
+        self._c_eps = 0.5 * model.bulk.epsilon**2 * float(np.sum(mesh.tri_area * mu))
 
     def _data(self, crack: CrackSet) -> _CrackData:
         key = crack.edge_ids
@@ -230,29 +255,44 @@ class ElasticSolver:
         return data
 
     def topology(self, crack: CrackSet, t: float) -> DofTopology:
-        return self._data(crack).topology.with_datum(self.model.boundary.value(t))
+        return self._data(crack).topology.with_datum(self._loads_at(t)[1])
+
+    def surface_energy(self, crack: CrackSet) -> float:
+        """Crack surface energy of ``crack``, kept with its solve structure."""
+        return self._data(crack).surface
+
+    def _loads_at(self, t: float) -> tuple:
+        """(t, boundary datum, body load per corner, surface load per
+        surface edge) at time ``t``, read-only; a one-entry memo."""
+        loads = self._loads
+        if loads is None or loads[0] != t:
+            mesh, model = self.mesh, self.model
+            psi = model.boundary.value(t)
+            body = np.repeat(mesh.tri_area * model.body.table.value(t) / 3.0, 3)
+            surf = mesh.edge_length[mesh.surface_edges] * model.surface.table.value(t) / 2.0
+            for arr in (psi, body, surf):
+                arr.setflags(write=False)
+            loads = self._loads = (t, psi, body, surf)
+        return loads
 
     def _load_vector(self, topo: DofTopology, t: float) -> np.ndarray:
-        mesh = self.mesh
-        f = self.model.body.table.value(t)
-        b = _scatter_corner(topo, np.repeat(mesh.tri_area * f / 3.0, 3))
-        if len(mesh.surface_edges):
-            g = self.model.surface.table.value(t)
-            _scatter_surface(mesh, topo, b, mesh.edge_length[mesh.surface_edges] * g / 2.0)
+        _, _, body, surf = self._loads_at(t)
+        b = _scatter_corner(topo, body)
+        if len(surf):
+            _scatter_surface(self.mesh, topo, b, surf)
         return b
 
     def solve(self, crack: CrackSet, t: float, tol: float = 1e-10):
         """Return (field, report) with the free-DOF gradient norm at most tol."""
         start = time.perf_counter()
         data = self._data(crack)
-        topo = data.topology.with_datum(self.model.boundary.value(t))
+        topo = data.topology.with_datum(self._loads_at(t)[1])
         if data.floating:
             raise FloatingComponentError(data.floating)
         if self.quadratic:
-            field, iters, res, method = self._solve_quadratic(topo, data, t, tol)
+            field, iters, res, method, energy = self._solve_quadratic(topo, data, t, tol)
         else:
-            field, iters, res, method = self._solve_newton(topo, t, tol)
-        energy, _ = elastic_energy(self.model, self.mesh, t, field)
+            field, iters, res, method, energy = self._solve_newton(topo, t, tol)
         report = SolveReport(
             iterations=iters, residual=res, energy=energy,
             wall_time=time.perf_counter() - start, method=method,
@@ -277,7 +317,8 @@ class ElasticSolver:
                 iters = 0 if info == 0 else info
                 method = "cg"
             u[free] = x
-            grad = (data.matrix @ u - b)[free]
+            ku = data.matrix @ u
+            grad = (ku - b)[free]
             res = float(np.linalg.norm(grad))
             if res > tol:
                 # one refinement pass, then give up honestly
@@ -287,14 +328,17 @@ class ElasticSolver:
                     dx, _ = scipy.sparse.linalg.cg(data.factor[1], -grad, rtol=1e-14,
                                                    atol=0.0, M=data.factor[2])
                     u[free] += dx
-                res = float(np.linalg.norm((data.matrix @ u - b)[free]))
+                ku = data.matrix @ u
+                res = float(np.linalg.norm((ku - b)[free]))
                 iters += 1
                 if res > tol:
                     raise SolveError(f"linear solve stalled at residual {res:.3e} > tol {tol:.3e}")
         else:
             method = "direct"
             res = 0.0
-        return BrokenField(topo, u), iters, res, method
+            ku = data.matrix @ u
+        energy = 0.5 * float(u @ ku) - float(b @ u) + self._c_eps
+        return BrokenField(topo, u), iters, res, method, energy
 
     def _trust_region_start(self, topo: DofTopology, t: float, field: BrokenField,
                             tol: float) -> BrokenField:
@@ -342,18 +386,18 @@ class ElasticSolver:
 
     def _solve_newton(self, topo: DofTopology, t: float, tol: float):
         model, mesh = self.model, self.mesh
-        field = BrokenField.from_nodal(topo, model.boundary.value(t))
+        field = BrokenField.from_nodal(topo, topo.psi_nodal)
         free = topo.free_dofs
-        if len(free) == 0:
-            return field, 0, 0.0, "newton"
-        if min(model.p, model.q) < 2.0:
+        if len(free) and min(model.p, model.q) < 2.0:
             field = self._trust_region_start(topo, t, field, tol)
         energy, _ = elastic_energy(model, mesh, t, field)
+        if len(free) == 0:
+            return field, 0, 0.0, "newton", energy
         for it in range(_NEWTON_CAP):
             g = assemble_gradient(model, mesh, t, field)[free]
             res = float(np.linalg.norm(g))
             if res <= tol:
-                return field, it, res, "newton"
+                return field, it, res, "newton", energy
             h = _assemble_hessian(model, mesh, t, field)[free][:, free]
             d = self._newton_direction(h, g)
             slope = float(g @ d)

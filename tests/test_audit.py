@@ -137,6 +137,21 @@ def test_euler_level_flags_suboptimal_fields(strip_problem, strip_record):
     assert "knot 7" in res.result.details
 
 
+@pytest.mark.parametrize("dof", ["free", "constrained"])
+def test_a_non_finite_field_fails_stability_and_balance(strip_problem, strip_record, dof):
+    # every comparison with NaN is false, so a NaN must fail explicitly
+    bad = doctor(strip_record)
+    u = bad.fields[7]
+    vals = u.values.copy()
+    vals[getattr(u.topology, f"{dof}_dofs")[0]] = np.nan
+    bad.fields[7] = BrokenField(u.topology, vals)
+    p = strip_problem
+    res = check_global_stability(bad, p.model, p.mesh, level=EULER)
+    assert res.result.verdict == "FAIL"
+    assert "knot 7" in res.result.details
+    assert check_energy_balance(bad, p.model, p.mesh).result.verdict == "FAIL"
+
+
 def test_certification_hierarchy_on_cooperative_instance(corpus_runs):
     # greedy stalls where only the pair pays off: the single-edge necessary
     # condition holds but the exhaustive check exposes the missed extension

@@ -4,9 +4,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsfrac.cli import main
-from qsfrac.config import ConfigError, compile_expr, parse_config
+from qsfrac.config import ConfigError, compile_expr, config_hash, parse_config
 from qsfrac.corpus import CORPUS, build_config, config_text
 
 from conftest import cli_env
@@ -49,6 +51,17 @@ def test_hash_stable_under_reordering_and_whitespace():
     assert h1 == h2
     h3 = parse_config(BASE.replace("0.05", "0.06")).hash
     assert h1 != h3
+
+
+@given(st.sampled_from(sorted(CORPUS)), st.data())
+@settings(max_examples=50, deadline=None)
+def test_config_hash_ignores_key_order_and_sees_every_value(name, data):
+    text = config_text(name, 9)
+    base = parse_config(text)
+    lines = [line for line in text.splitlines() if line.strip()]
+    assert parse_config("\n".join(data.draw(st.permutations(lines)))).hash == base.hash
+    key = data.draw(st.sampled_from(sorted(base.raw)))
+    assert config_hash(dict(base.raw, **{key: base.raw[key] + "1"})) != base.hash
 
 
 def test_unknown_key_named_in_error():
@@ -176,6 +189,58 @@ def test_cli_audit_rejects_hash_mismatch(tmp_path, capsys):
     other_cfg.write_text(config_text("strip", 17).replace("0.05", "0.07"))
     code = main(["audit", "--config", str(other_cfg), "--record", str(rec_path)])
     assert code == 2
+
+
+@pytest.fixture(scope="module")
+def strip_run(tmp_path_factory):
+    """A 2 x 1 strip config and the record payload ``qsfrac run`` writes for it."""
+    root = tmp_path_factory.mktemp("strip")
+    cfg_path = root / "strip.cfg"
+    cfg_path.write_text(config_text("strip", 5))
+    rec_path = root / "rec.json"
+    assert main(["run", "--config", str(cfg_path), "--out", str(rec_path)]) == 0
+    return cfg_path, json.loads(rec_path.read_text())
+
+
+def _drop_energy_key(payload):
+    del payload["knots"][2]["energy"]["W"]
+
+
+def _shorten_dofs(payload):
+    payload["knots"][1]["dofs"].pop()
+
+
+def _crack_a_pinned_edge(payload):
+    payload["knots"][3]["crack"] = [0]   # a Dirichlet edge outside the brittle column
+
+
+def _nan_dof(payload):
+    payload["knots"][2]["dofs"][0] = float("nan")
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (None, "not a JSON record"),
+    (_drop_energy_key, "knot 2: missing key 'W'"),
+    (_shorten_dofs, "knot 1: DOF value array does not match"),
+    (_crack_a_pinned_edge, "knot 3: crack contains non-crackable edges [0]"),
+    (_nan_dof, "knot 2: non-finite DOF value"),
+], ids=["invalid_json", "missing_energy_key", "short_dof_array", "uncrackable_edge", "nan_dof"])
+def test_cli_audit_of_a_malformed_record_exits_2_naming_the_knot(strip_run, tmp_path, tamper, message):
+    cfg_path, payload = strip_run
+    rec_path = tmp_path / "rec.json"
+    if tamper is None:
+        rec_path.write_text(json.dumps(payload)[:200])
+    else:
+        payload = json.loads(json.dumps(payload))
+        tamper(payload)
+        rec_path.write_text(json.dumps(payload))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qsfrac", "audit", "--config", str(cfg_path), "--record", str(rec_path)],
+        capture_output=True, text=True, env=cli_env(), cwd=str(tmp_path),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "error:" in proc.stderr and message in proc.stderr, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_bad_config_exit_2(tmp_path, capsys):
