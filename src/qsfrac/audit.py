@@ -33,25 +33,17 @@ from .energy import (
     BoundaryProgram,
     EnergyModel,
     body_conjugate_density,
-    body_value_and_gradient,
     bulk_conjugate_density,
     elastic_energy,
     lq_norm_tri,
     lr_norm_surface,
     stress,
-    surface_value_and_gradient,
+    stress_triple,
     total_energy,
 )
 from .evolution import EvolutionRecord, _Search, extensions, net_power, tie_tolerance
 from .mesh import Mesh
-from .minimize import (
-    ElasticSolver,
-    _scatter_corner,
-    _solve_spd,
-    assemble_forms,
-    assemble_gradient,
-    euler_residual,
-)
+from .minimize import ElasticSolver, _solve_spd, assemble_forms, assemble_pairing, euler_residual
 
 __all__ = [
     "AuditError",
@@ -243,7 +235,9 @@ def check_global_stability(record: EvolutionRecord, model: EnergyModel, mesh: Me
     The margin of a candidate extension is (candidate total energy) minus the
     recorded total; stability requires every margin to stay above
     -1e-9 * (1 + |E|).  See the module docstring for the level hierarchy and
-    the PASS/INCONCLUSIVE semantics.
+    the PASS/INCONCLUSIVE semantics.  A recorded field that is not admissible
+    at its own knot (a pinned DOF off the boundary datum) is a FAIL naming
+    the first such knot.
     """
     if level not in _LEVELS:
         raise AuditError(f"unknown stability level {level!r}; expected one of {_LEVELS}")
@@ -252,8 +246,13 @@ def check_global_stability(record: EvolutionRecord, model: EnergyModel, mesh: Me
 
     max_resid = 0.0
     worst_resid_knot = -1
+    inadmissible = ""
     for i in range(n):
-        r = euler_residual(model, mesh, record.cracks[i], float(record.times[i]), record.fields[i])
+        try:
+            r = euler_residual(model, mesh, record.cracks[i], float(record.times[i]), record.fields[i])
+        except ValueError as exc:   # e.g. a pinned DOF off the boundary datum
+            r = np.inf
+            inadmissible = inadmissible or f"knot {i}: {exc}"
         if r > max_resid or not np.isfinite(r):   # a NaN residual is the worst
             max_resid, worst_resid_knot = r, i
     euler_ok = max_resid <= residual_tol
@@ -293,7 +292,9 @@ def check_global_stability(record: EvolutionRecord, model: EnergyModel, mesh: Me
         verdict = "PASS" if level == ORACLE else "INCONCLUSIVE"
 
     detail = ""
-    if not euler_ok:
+    if inadmissible:
+        detail = inadmissible
+    elif not euler_ok:
         detail = f"euler residual {max_resid:.3e} at knot {worst_resid_knot} exceeds {residual_tol:.1e}"
     elif violations:
         k, ids, m = violations[0]
@@ -398,17 +399,8 @@ def dual_certificate(model: EnergyModel, mesh: Mesh, crack: CrackSet, t: float,
     area = mesh.tri_area
     tri = np.arange(mesh.n_triangles)
 
-    grads = u.gradients()
-    zbar = u.tri_means()
-    sig1 = stress(model.bulk, tri, grads)
-    _, f_dens = body_value_and_gradient(model.body, t, u)
-    sig2 = -f_dens
-    ids = mesh.surface_edges
-    trace = trace_on_surface_part(u)
-    _, g_dens = surface_value_and_gradient(model.surface, t, trace, mesh)
-    sig3 = -g_dens
-
-    rho = assemble_gradient(model, mesh, t, u)[free]
+    sig1, sig2, sig3 = stress_triple(model, mesh, t, u)
+    rho = assemble_pairing(mesh, topo, sig1, sig2, sig3)[free]
     residual = float(np.linalg.norm(rho))
 
     # minimum-norm correction of (sig1, sig2) restoring exact annihilation
@@ -424,20 +416,19 @@ def dual_certificate(model: EnergyModel, mesh: Mesh, crack: CrackSet, t: float,
     sig2_hat = sig2 + dsig2
     correction = float(np.sqrt(np.sum(dsig1**2) + np.sum(dsig2**2)))
 
-    post = _pair_triple(mesh, topo, sig1_hat, sig2_hat, sig3)[free]
+    post = assemble_pairing(mesh, topo, sig1_hat, sig2_hat, sig3)[free]
     post_residual = float(np.linalg.norm(post))
 
     primal, _ = elastic_energy(model, mesh, t, u)
+    # the surface potential is linear, so its conjugate is the indicator of
+    # {sigma3 = -g}; sig3 is left uncorrected and contributes 0
     conj = float(np.sum(area * bulk_conjugate_density(model.bulk, tri, sig1_hat)))
     conj += float(np.sum(area * body_conjugate_density(model.body, t, sig2_hat)))
+    pairing = float(np.sum(area * np.einsum("tk,tk->t", sig1_hat, u.gradients())))
+    pairing += float(np.sum(area * sig2_hat * u.tri_means()))
+    ids = mesh.surface_edges
     if len(ids):
-        # linear surface potential: the conjugate is the indicator of {sigma3 = -g}
-        if np.max(np.abs(sig3 + g_dens)) > 0.0:
-            conj = np.inf
-    pairing = float(np.sum(area * np.einsum("tk,tk->t", sig1_hat, grads)))
-    pairing += float(np.sum(area * sig2_hat * zbar))
-    if len(ids):
-        pairing += float(np.sum(mesh.edge_length[ids] * sig3 * trace))
+        pairing += float(np.sum(mesh.edge_length[ids] * sig3 * trace_on_surface_part(u)))
     gap = primal + conj - pairing
 
     return DualCertificate(
@@ -447,17 +438,6 @@ def dual_certificate(model: EnergyModel, mesh: Mesh, crack: CrackSet, t: float,
         post_residual=post_residual,
         primal_value=primal,
     )
-
-
-def _pair_triple(mesh: Mesh, topo, sig1, sig2, sig3) -> np.ndarray:
-    """Assemble v -> <sigma, (grad v, v, v)> as a DOF vector."""
-    per_corner = mesh.tri_area[:, None] * np.einsum("tk,tki->ti", sig1, mesh.grad_op)
-    per_corner += (mesh.tri_area * sig2 / 3.0)[:, None]
-    ids = mesh.surface_edges
-    if len(ids):
-        np.add.at(per_corner.reshape(-1), mesh.edge_corner[ids, 0].ravel(),
-                  np.repeat(mesh.edge_length[ids] * sig3 / 2.0, 2))
-    return _scatter_corner(topo, per_corner)
 
 
 # ---------------------------------------------------------------------------

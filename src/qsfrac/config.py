@@ -101,12 +101,20 @@ def compile_expr(src: str, key: str = "<expr>"):
                 raise ConfigError(f"{key}: unknown function in {src!r}")
         if isinstance(node, ast.Name) and node.id not in _ALLOWED_NAMES | set(_ALLOWED_CALLS):
             raise ConfigError(f"{key}: unknown name {node.id!r} in {src!r} (allowed: x, y)")
+        if isinstance(node, ast.Constant) and type(node.value) is int:
+            # float powers overflow where integer towers would grow without bound
+            try:
+                node.value = float(node.value)
+            except OverflowError:
+                raise ConfigError(f"{key}: constant too large in {src!r}") from None
     code = compile(tree, f"<config:{key}>", "eval")
     env = dict(_ALLOWED_CALLS, pi=np.pi, e=np.e)
 
     def evaluate(x, y):
-        out = eval(code, {"__builtins__": {}}, dict(env, x=x, y=y))  # noqa: S307 - whitelisted AST
-        return np.broadcast_to(np.asarray(out, dtype=float), np.shape(x)).copy()
+        out = np.asarray(eval(code, {"__builtins__": {}}, dict(env, x=x, y=y)))  # noqa: S307 - whitelisted AST
+        if out.dtype.kind not in "biuf":   # complex (a negative base to a fractional power) or text
+            raise ConfigError(f"{key}: {src!r} is not a real number")
+        return np.broadcast_to(out.astype(float), np.shape(x)).copy()
 
     return evaluate
 

@@ -51,6 +51,7 @@ __all__ = [
     "surface_value_and_gradient",
     "surface_rate",
     "elastic_energy",
+    "stress_triple",
     "total_energy",
     "validate_growth",
     "GrowthCheck",
@@ -515,6 +516,21 @@ def elastic_energy(model: EnergyModel, mesh: Mesh, t: float, u: BrokenField):
     g_val, _ = surface_value_and_gradient(model.surface, t, trace_on_surface_part(u), mesh)
     parts = {"W": w_val, "F": f_val, "G": g_val}
     return w_val - f_val - g_val, parts
+
+
+def stress_triple(model: EnergyModel, mesh: Mesh, t: float, u: BrokenField):
+    """The stress triple of ``u`` at time t: (bulk stress per triangle, minus
+    dF/dz per triangle, minus dG/dz per surface edge).
+
+    Paired with (grad v, v, v) it is the first variation of the elastic
+    energy W - F - G in the direction v (``minimize.assemble_pairing``).
+    """
+    sig = stress(model.bulk, np.arange(mesh.n_triangles), u.gradients())
+    _, body = body_value_and_gradient(model.body, t, u)
+    surf = np.zeros(0)
+    if len(mesh.surface_edges):
+        _, surf = surface_value_and_gradient(model.surface, t, trace_on_surface_part(u), mesh)
+    return sig, -body, -surf
 
 
 def total_energy(model: EnergyModel, mesh: Mesh, t: float, u: BrokenField, crack: CrackSet):

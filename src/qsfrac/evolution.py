@@ -30,10 +30,8 @@ from .broken import BrokenField, CrackSet
 from .energy import (
     EnergyModel,
     body_rate,
-    body_value_and_gradient,
-    stress,
+    stress_triple,
     surface_rate,
-    surface_value_and_gradient,
     total_energy,
     trace_on_surface_part,
 )
@@ -177,22 +175,18 @@ def sample_power_terms(model: EnergyModel, mesh: Mesh, t: float, u: BrokenField)
     """
     psi_dot = model.boundary.rate(t)
     grads_psi_dot = np.einsum("tki,ti->tk", mesh.grad_op, psi_dot[mesh.triangles])
-    tri = np.arange(mesh.n_triangles)
-    sig = stress(model.bulk, tri, u.gradients())
+    sig, body, surf = stress_triple(model, mesh, t, u)
     p_stress = float(np.sum(mesh.tri_area * np.einsum("tk,tk->t", sig, grads_psi_dot)))
 
-    _, dens = body_value_and_gradient(model.body, t, u)
     psi_dot_tri = psi_dot[mesh.triangles].mean(axis=1)
-    p_body_coupling = float(np.sum(mesh.tri_area * dens * psi_dot_tri))
+    p_body_coupling = float(np.sum(mesh.tri_area * -body * psi_dot_tri))
     p_body_rate = body_rate(model.body, t, u)
 
     ids = mesh.surface_edges
     if len(ids):
-        trace = trace_on_surface_part(u)
-        _, g_dens = surface_value_and_gradient(model.surface, t, trace, mesh)
         psi_dot_edge = psi_dot[mesh.edges[ids]].mean(axis=1)
-        p_surf_coupling = float(np.sum(mesh.edge_length[ids] * g_dens * psi_dot_edge))
-        p_surf_rate = surface_rate(model.surface, t, trace, mesh)
+        p_surf_coupling = float(np.sum(mesh.edge_length[ids] * -surf * psi_dot_edge))
+        p_surf_rate = surface_rate(model.surface, t, trace_on_surface_part(u), mesh)
     else:
         p_surf_coupling = 0.0
         p_surf_rate = 0.0

@@ -405,8 +405,9 @@ def _resolve_brittle(spec, verts: np.ndarray, edges: np.ndarray) -> np.ndarray:
     if kind == "edges":
         mask = np.zeros(n, dtype=bool)
         ids = np.asarray(list(payload), dtype=int)
-        if np.any((ids < 0) | (ids >= n)):
-            raise MeshError(f"brittle edge ids out of range: {ids.tolist()}")
+        bad = ids[(ids < 0) | (ids >= n)]
+        if len(bad):
+            raise MeshError(f"brittle edge ids out of range: {bad.tolist()} ({n} edges)")
         mask[ids] = True
         return mask
     raise MeshError(f"unknown brittle spec kind {kind!r}")

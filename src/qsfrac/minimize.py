@@ -1,8 +1,9 @@
 """Inner convex solves: minimize the elastic energy at a fixed crack set.
 
 For the quadratic exponent pair (p = q = 2) the problem is a symmetric
-positive definite linear system; it is solved directly (dense Cholesky up to
-``_DENSE_LIMIT`` free DOFs, which doubles as the reference path) or by
+positive definite linear system.  Each crack set's cached solve structure
+carries one ``solve(rhs, rtol)`` on its free block, chosen when it is built:
+dense Cholesky up to ``_DENSE_LIMIT`` free DOFs (the reference path), and
 diagonally preconditioned conjugate gradients beyond that.  The elastic
 energy W - F - G of the solution is then the quadratic form itself,
 
@@ -15,11 +16,17 @@ backtracking runs on the free DOFs, cold-started from the boundary
 interpolant so results do not depend on evaluation order, and its energy is
 the quadrature of ``energy.elastic_energy``.
 
-``ElasticSolver`` keeps two caches: a bounded LRU of per-crack-set solve
-structures (DOF layout, factorization, crack surface energy), and a
-one-entry memo of the loads at the last time solved (boundary datum, body
-load per corner, surface load per surface edge), which every candidate of a
-knot shares.
+The first variation of the elastic energy is the stress triple of
+``energy.stress_triple`` paired with (grad v, v, v); ``assemble_pairing`` is
+the one routine that scatters such a pairing onto the DOFs.  It gives the
+Newton gradient (``assemble_gradient``), the Euler residual of the
+stability audit, and both residuals of the dual certificate.
+
+``ElasticSolver`` keeps two caches: an LRU of at most ``_CACHE_SIZE``
+per-crack-set solve structures (DOF layout, linear solve, crack surface
+energy), and a one-entry memo of the loads at the last time solved
+(boundary datum, body load per corner, surface load per surface edge),
+which every candidate of a knot shares.
 
 A run with zero confinement and a crack that isolates a piece of the body
 from the Dirichlet boundary has no bounded minimizer; this surfaces as a
@@ -38,16 +45,14 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .broken import BrokenField, CrackSet, DofTopology, _components, build_topology, trace_on_surface_part
+from .broken import BrokenField, CrackSet, DofTopology, _components, build_topology
 from .energy import (
     EnergyModel,
     body_hessian_coeff,
-    body_value_and_gradient,
     elastic_energy,
-    stress,
     stress_jacobian,
+    stress_triple,
     surface_energy,
-    surface_value_and_gradient,
 )
 from .mesh import Mesh
 
@@ -59,10 +64,12 @@ __all__ = [
     "minimize_elastic",
     "euler_residual",
     "assemble_gradient",
+    "assemble_pairing",
     "assemble_forms",
 ]
 
 _DENSE_LIMIT = 200
+_CACHE_SIZE = 8192   # crack sets whose solve structure ElasticSolver keeps
 _NEWTON_CAP = 200
 _ARMIJO = 1e-4
 
@@ -139,23 +146,22 @@ def _solve_spd(matrix: scipy.sparse.spmatrix, rhs: np.ndarray) -> np.ndarray:
     return scipy.sparse.linalg.spsolve(matrix.tocsc(), rhs)
 
 
-def assemble_gradient(model: EnergyModel, mesh: Mesh, t: float, u: BrokenField) -> np.ndarray:
-    """Full DOF gradient of the elastic energy W - F - G at ``u``."""
-    topo = u.topology
-    grads = u.gradients()
-    tri = np.arange(mesh.n_triangles)
-    sig = stress(model.bulk, tri, grads)                      # (m, 2)
-    per_corner = mesh.tri_area[:, None] * np.einsum("tk,tki->ti", sig, mesh.grad_op)
-    out = _scatter_corner(topo, per_corner)
-
-    _, dens = body_value_and_gradient(model.body, t, u)
-    out -= _scatter_corner(topo, np.repeat((mesh.tri_area * dens / 3.0)[:, None], 3, axis=1))
-
-    ids = mesh.surface_edges
-    if len(ids):
-        _, g_dens = surface_value_and_gradient(model.surface, t, trace_on_surface_part(u), mesh)
-        _scatter_surface(mesh, topo, out, -(mesh.edge_length[ids] * g_dens / 2.0))
+def assemble_pairing(mesh: Mesh, topo: DofTopology, sig: np.ndarray, body: np.ndarray,
+                     surf: np.ndarray) -> np.ndarray:
+    """The DOF vector of v -> sum_T |T| (sig.grad v + body v) + sum_e |e| surf v,
+    for a triple of densities per triangle (``sig``, ``body``) and per
+    surface edge (``surf``), with midpoint quadrature."""
+    out = _scatter_corner(topo, mesh.tri_area[:, None] * np.einsum("tk,tki->ti", sig, mesh.grad_op))
+    out += _scatter_corner(topo, np.repeat((mesh.tri_area * body / 3.0)[:, None], 3, axis=1))
+    if len(surf):
+        _scatter_surface(mesh, topo, out, mesh.edge_length[mesh.surface_edges] * surf / 2.0)
     return out
+
+
+def assemble_gradient(model: EnergyModel, mesh: Mesh, t: float, u: BrokenField) -> np.ndarray:
+    """Full DOF gradient of the elastic energy W - F - G at ``u``: the
+    pairing of its stress triple."""
+    return assemble_pairing(mesh, u.topology, *stress_triple(model, mesh, t, u))
 
 
 def _assemble_hessian(model: EnergyModel, mesh: Mesh, t: float, u: BrokenField) -> scipy.sparse.csr_matrix:
@@ -173,9 +179,16 @@ def _assemble_hessian(model: EnergyModel, mesh: Mesh, t: float, u: BrokenField) 
 # ---------------------------------------------------------------------------
 
 class _CrackData:
-    """Per-crack-set immutable solve structure, cached inside ElasticSolver."""
+    """Per-crack-set immutable solve structure, cached inside ElasticSolver.
 
-    __slots__ = ("topology", "surface", "matrix", "factor", "k_fc", "floating")
+    For p = q = 2 it holds the stiffness matrix and the one linear solve on
+    its free block, ``solve(rhs, rtol) -> (x, iterations)``, labelled by
+    ``method``: dense Cholesky up to ``_DENSE_LIMIT`` free DOFs (one
+    iteration, ``rtol`` unused), Jacobi-preconditioned conjugate gradients
+    above (scipy's ``info`` as the count: 0 on convergence).
+    """
+
+    __slots__ = ("topology", "surface", "matrix", "k_fc", "solve", "method", "floating")
 
     def __init__(self, model: EnergyModel, mesh: Mesh, crack: CrackSet, quadratic: bool):
         # validated once here; solves only attach the datum at their time
@@ -184,24 +197,25 @@ class _CrackData:
         free, cons = topo.free_dofs, topo.constrained_dofs
         # only a run without confinement can float a piece of the body
         self.floating = _floating_message(topo) if model.body.lam == 0.0 else None
-        self.matrix = None
-        self.factor = None
-        self.k_fc = None
+        self.matrix = self.k_fc = self.solve = self.method = None
         if quadratic:
             if self.floating:
                 raise FloatingComponentError(self.floating)
             stiff = mesh.tri_area * model.bulk.mu_at(np.arange(mesh.n_triangles))
             mass = mesh.tri_area * model.body.lam
-            k = assemble_forms(mesh, topo, stiff, mass)
-            self.matrix = k
+            k = self.matrix = assemble_forms(mesh, topo, stiff, mass)
             kff = k[free][:, free]
             self.k_fc = k[free][:, cons]
             if len(free) <= _DENSE_LIMIT:
-                self.factor = ("dense", scipy.linalg.cho_factor(kff.toarray()))
+                factor = scipy.linalg.cho_factor(kff.toarray())
+                self.method = "direct"
+                self.solve = lambda rhs, rtol: (scipy.linalg.cho_solve(factor, rhs), 1)
             else:
                 diag = kff.diagonal()
-                diag = np.where(diag > 0, diag, 1.0)
-                self.factor = ("cg", kff, scipy.sparse.diags(1.0 / diag))
+                precond = scipy.sparse.diags(1.0 / np.where(diag > 0, diag, 1.0))
+                self.method = "cg"
+                self.solve = lambda rhs, rtol: scipy.sparse.linalg.cg(
+                    kff, rhs, rtol=rtol, atol=0.0, M=precond)
 
 
 def _floating_message(topo: DofTopology) -> str | None:
@@ -223,19 +237,18 @@ def _floating_message(topo: DofTopology) -> str | None:
 class ElasticSolver:
     """Minimizes the elastic energy over the broken space at fixed cracks.
 
-    Solve structures (DOF layout, stiffness factorization, crack surface
-    energy) are cached per crack set, so sweeping many candidate cracks over
-    many times reuses the expensive parts.  The cache is bounded LRU.  The
+    Solve structures (DOF layout, linear solve, crack surface energy) are
+    cached per crack set, so sweeping many candidate cracks over many times
+    reuses the expensive parts.  The cache is an LRU of ``_CACHE_SIZE``.  The
     loads of the last time solved are memoized, so the candidates of one
     knot interpolate the load tables once.
     """
 
-    def __init__(self, model: EnergyModel, mesh: Mesh, cache_size: int = 8192):
+    def __init__(self, model: EnergyModel, mesh: Mesh):
         model.validate(mesh)
         self.model = model
         self.mesh = mesh
         self.quadratic = model.p == 2.0 and model.q == 2.0
-        self.cache_size = cache_size
         self._cache: OrderedDict[tuple, _CrackData] = OrderedDict()
         self._loads: tuple | None = None
         # the constant of the quadratic energy identity: the bulk energy at zero gradient
@@ -248,7 +261,7 @@ class ElasticSolver:
         if data is None:
             data = _CrackData(self.model, self.mesh, crack, self.quadratic)
             self._cache[key] = data
-            if len(self._cache) > self.cache_size:
+            if len(self._cache) > _CACHE_SIZE:
                 self._cache.popitem(last=False)
         else:
             self._cache.move_to_end(key)
@@ -305,40 +318,20 @@ class ElasticSolver:
         free, cons = topo.free_dofs, topo.constrained_dofs
         u = topo.dirichlet_values
         rhs = b[free] - (data.k_fc @ u[cons] if len(cons) else 0.0)
-        kind = data.factor[0]
-        iters = 1
-        if len(free):
-            if kind == "dense":
-                x = scipy.linalg.cho_solve(data.factor[1], rhs)
-                method = "direct"
-            else:
-                _, kff, precond = data.factor
-                x, info = scipy.sparse.linalg.cg(kff, rhs, rtol=1e-10, atol=0.0, M=precond)
-                iters = 0 if info == 0 else info
-                method = "cg"
-            u[free] = x
+        u[free], iters = data.solve(rhs, 1e-10)
+        ku = data.matrix @ u
+        grad = (ku - b)[free]
+        res = float(np.linalg.norm(grad))
+        if res > tol:
+            # one refinement pass, then give up honestly
+            u[free] += data.solve(-grad, 1e-14)[0]
             ku = data.matrix @ u
-            grad = (ku - b)[free]
-            res = float(np.linalg.norm(grad))
+            res = float(np.linalg.norm((ku - b)[free]))
+            iters += 1
             if res > tol:
-                # one refinement pass, then give up honestly
-                if kind == "dense":
-                    u[free] += scipy.linalg.cho_solve(data.factor[1], -grad)
-                else:
-                    dx, _ = scipy.sparse.linalg.cg(data.factor[1], -grad, rtol=1e-14,
-                                                   atol=0.0, M=data.factor[2])
-                    u[free] += dx
-                ku = data.matrix @ u
-                res = float(np.linalg.norm((ku - b)[free]))
-                iters += 1
-                if res > tol:
-                    raise SolveError(f"linear solve stalled at residual {res:.3e} > tol {tol:.3e}")
-        else:
-            method = "direct"
-            res = 0.0
-            ku = data.matrix @ u
+                raise SolveError(f"linear solve stalled at residual {res:.3e} > tol {tol:.3e}")
         energy = 0.5 * float(u @ ku) - float(b @ u) + self._c_eps
-        return BrokenField(topo, u), iters, res, method, energy
+        return BrokenField(topo, u), iters, res, data.method, energy
 
     def _trust_region_start(self, topo: DofTopology, t: float, field: BrokenField,
                             tol: float) -> BrokenField:
@@ -428,16 +421,6 @@ class ElasticSolver:
                 alpha *= 0.5
             else:
                 raise SolveError(f"line search failed at Newton iteration {it}, residual {res:.3e}")
-            # expansion: with exponents below 2 the curvature decays away from
-            # the current iterate and the unit Newton step can undershoot
-            # along a flat valley; doubling while the energy drops fixes the
-            # crawl and is inert near the solution
-            while alpha < 2.0**30:
-                cand2, e_new2 = energy_at(2.0 * alpha)
-                if e_new2 < e_new:
-                    alpha, cand, e_new = 2.0 * alpha, cand2, e_new2
-                else:
-                    break
             field, energy = cand, e_new
         raise SolveError(f"Newton did not reach tol {tol:.3e} within {_NEWTON_CAP} iterations")
 

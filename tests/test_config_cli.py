@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from qsfrac.cli import main
 from qsfrac.config import ConfigError, compile_expr, config_hash, parse_config
 from qsfrac.corpus import CORPUS, build_config, config_text
+from qsfrac.evolution import run_evolution
+from qsfrac.mesh import crackable_edges
 
 from conftest import cli_env
 
@@ -110,6 +112,9 @@ def test_expressions_safe_and_vectorized():
     y = np.array([1.0, 3.0, 0.5])
     expected = np.sin(x) + np.minimum(y, 2) * np.sqrt(np.abs(x))
     assert np.allclose(fn(x, y), expected)
+    # constants are floats, so integer towers overflow instead of growing
+    # without bound (exact integers would give 1 here)
+    assert compile_expr("(2 ** 60 + 1) % 2")(x, y).tolist() == [0.0, 0.0, 0.0]
     for bad in ("__import__('os')", "x.__class__", "lambda: 1", "t * x", "open('f')"):
         with pytest.raises(ConfigError):
             compile_expr(bad)
@@ -251,9 +256,30 @@ def test_cli_bad_config_exit_2(tmp_path, capsys):
     assert "mesh.ny" in capsys.readouterr().err
 
 
+def test_cli_audit_of_a_pinned_dof_off_the_datum_fails_naming_the_knot(strip_run, tmp_path):
+    cfg_path, payload = strip_run
+    payload = json.loads(json.dumps(payload))
+    payload["knots"][2]["dofs"][0] += 0.5   # DOF 0 sits on the left Dirichlet edge
+    rec_path = tmp_path / "rec.json"
+    rec_path.write_text(json.dumps(payload))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qsfrac", "audit", "--config", str(cfg_path), "--record", str(rec_path)],
+        capture_output=True, text=True, env=cli_env(), cwd=str(tmp_path),
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "[FAIL        ] global_stability[oracle]" in proc.stdout
+    # the stability detail line (the balance audit words its own differently)
+    assert "    knot 2: field does not match the boundary datum" in proc.stdout
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("line", [
     "body.force = 0: 0; 1: log(x - 1.5)",
     "energy.lambda = nan",
+    # complex in Python even with float constants: no traceback, and no
+    # imaginary part silently dropped
+    "body.force = 0: 0; 1: (-8) ** 0.5",
+    "body.force = 0: 0; 1: x ** 0.5 * (-1) ** 0.5",
 ])
 def test_cli_non_finite_config_value_exit_2(tmp_path, line):
     key = line.split(" = ")[0]
@@ -282,6 +308,22 @@ def test_non_finite_config_value_names_its_key(line):
     key = line.split(" = ")[0]
     with pytest.raises(ConfigError, match=key):
         parse_config(BASE + line + "\n").build_problem()
+
+
+def test_brittle_edge_ids_select_the_same_crackable_edges_as_a_rectangle(tmp_path, capsys):
+    by_rect = parse_config(BASE).build_problem()
+    by_ids = parse_config(BASE.replace("rect: 1, 0, 1, 1", "edges: 4")).build_problem()
+    assert crackable_edges(by_ids.mesh).tolist() == [4]
+    rec_rect, rec_ids = (run_evolution(p.model, p.mesh, p.grid, p.initial_crack, p.strategy)
+                         for p in (by_rect, by_ids))
+    assert rec_ids.cracks == rec_rect.cracks
+    assert [rec_ids.total_energy(i) for i in range(len(rec_ids))] == \
+        [rec_rect.total_energy(i) for i in range(len(rec_rect))]
+
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(BASE.replace("rect: 1, 0, 1, 1", "edges: 4, 99"))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "r.json")]) == 2
+    assert "brittle edge ids out of range: [99]" in capsys.readouterr().err
 
 
 def test_initial_crack_ids_out_of_range_rejected():

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from qsfrac import minimize
 from qsfrac.broken import BrokenField, CrackSet, build_topology
 from qsfrac.energy import TimeTable, elastic_energy
-from qsfrac.mesh import build_structured_mesh
+from qsfrac.mesh import build_structured_mesh, crackable_edges
 from qsfrac.minimize import (
     ElasticSolver,
     FloatingComponentError,
@@ -241,6 +242,25 @@ def test_repeated_solves_are_identical():
     u1, _ = minimize_elastic(model, mesh, CrackSet.of([4]), 0.8)
     u2, _ = minimize_elastic(model, mesh, CrackSet.of([4]), 0.8)
     assert np.array_equal(u1.values, u2.values)
+
+
+def test_solver_cache_evicts_the_least_recent_crack_set(monkeypatch):
+    # a cache of 2 over 4 crack sets evicts on every cold solve; a crack set
+    # rebuilt after eviction must solve exactly as in a fresh solver
+    monkeypatch.setattr(minimize, "_CACHE_SIZE", 2)
+    mesh = make_strip_mesh(brittle="all")
+    model = make_model(mesh, f=TimeTable.constant(0.3, mesh.n_triangles), lam=1e-2)
+    e1, e2 = crackable_edges(mesh)[:2]
+    cracks = [CrackSet.empty(), CrackSet.of([e1]), CrackSet.of([e2]), CrackSet.of([e1, e2])]
+    solver = ElasticSolver(model, mesh)
+    for t in (0.4, 0.8):
+        for crack in cracks:
+            u, rep = solver.solve(crack, t)
+            assert len(solver._cache) <= 2
+            u_ref, rep_ref = ElasticSolver(model, mesh).solve(crack, t)
+            assert np.array_equal(u.values, u_ref.values)
+            assert rep.energy == rep_ref.energy
+        assert list(solver._cache) == [c.edge_ids for c in cracks[2:]]
 
 
 def test_cg_path_beyond_dense_limit():
