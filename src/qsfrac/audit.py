@@ -11,8 +11,8 @@ Stability is checked at three levels forming a hierarchy:
 
 * ``euler``    stationarity of each recorded field at its own crack set,
 * ``one_edge`` additionally no single-edge extension pays off,
-* ``oracle``   additionally no extension whatsoever pays off (exhaustive
-               enumeration, small instances only).
+* ``oracle``   additionally no extension whatsoever pays off (an exact
+               branch and bound over every superset, small instances only).
 
 Each level includes the previous ones, so an oracle PASS implies the weaker
 levels pass.  The euler and one-edge levels are necessary conditions only;
@@ -41,7 +41,7 @@ from .energy import (
     stress_triple,
     total_energy,
 )
-from .evolution import EvolutionRecord, _Search, extensions, net_power, tie_tolerance
+from .evolution import EvolutionRecord, SearchStrategy, _Search, extensions, net_power, tie_tolerance
 from .mesh import Mesh
 from .minimize import ElasticSolver, _solve_spd, assemble_forms, assemble_pairing, euler_residual
 
@@ -91,6 +91,11 @@ class CheckResult:
         return self.verdict == "FAIL"
 
 
+def _json_number(value) -> float | str:
+    value = float(value)
+    return value if np.isfinite(value) else str(value)
+
+
 @dataclass
 class AuditReport:
     results: list[CheckResult]
@@ -116,13 +121,15 @@ class AuditReport:
         return "\n".join(lines)
 
     def to_payload(self) -> dict:
+        """The report as strict JSON data: a non-finite number becomes the
+        string "inf", "-inf" or "nan"."""
         return {
             "checks": [
                 {
                     "name": r.name,
                     "verdict": r.verdict,
-                    "margins": {k: float(v) for k, v in r.margins.items()},
-                    "tolerances": {k: float(v) for k, v in r.tolerances.items()},
+                    "margins": {k: _json_number(v) for k, v in r.margins.items()},
+                    "tolerances": {k: _json_number(v) for k, v in r.tolerances.items()},
                     "details": r.details,
                 }
                 for r in self.results
@@ -241,7 +248,8 @@ def check_global_stability(record: EvolutionRecord, model: EnergyModel, mesh: Me
     """
     if level not in _LEVELS:
         raise AuditError(f"unknown stability level {level!r}; expected one of {_LEVELS}")
-    search = _Search(model, mesh, solver=_solver)
+    search = _Search(model, mesh, SearchStrategy(max_bruteforce_edges=max_oracle_edges),
+                     solver=_solver)
     n = len(record)
 
     max_resid = 0.0
@@ -274,11 +282,11 @@ def check_global_stability(record: EvolutionRecord, model: EnergyModel, mesh: Me
                         f"oracle stability over {len(cand_edges)} candidate edges exceeds "
                         f"the limit {max_oracle_edges}; use level one_edge or raise the limit"
                     )
-                sizes = range(len(cand_edges) + 1)
+                cracks, energies = search.branch_and_bound(base, t, stored=e_rec)
             else:
-                sizes = (0, 1)
-            cracks = extensions(base, cand_edges, sizes)
-            for crack, e_cand in zip(cracks, search.energies(cracks, t, stored=e_rec)):
+                cracks = extensions(base, cand_edges, (0, 1))
+                energies = search.energies(cracks, t, stored=e_rec)
+            for crack, e_cand in zip(cracks, energies):
                 margin = e_cand - e_rec
                 if margin < worst_margin:
                     worst_margin, worst_knot = margin, i

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import audit as audit_mod
-from .audit import AuditError, AuditReport
+from .audit import AuditError, AuditReport, CheckResult
 from .config import ConfigError, load_config
 from .evolution import (
     BRUTE_FORCE,
@@ -171,6 +171,12 @@ def cmd_audit(args) -> int:
 
     solver = ElasticSolver(problem.model, problem.mesh)
     results = []
+    if not record.complete:
+        results.append(CheckResult(
+            "completeness", "FAIL",
+            details=f"incomplete record: the run stopped after {len(record)} of "
+                    f"{len(problem.grid)} configured knots",
+        ))
     for name in wanted:
         if name == "irreversibility":
             results.append(audit_mod.check_irreversibility(record))
@@ -191,7 +197,7 @@ def cmd_audit(args) -> int:
     print(report.to_text())
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump(report.to_payload(), fh, sort_keys=True, indent=1)
+            json.dump(report.to_payload(), fh, sort_keys=True, indent=1, allow_nan=False)
             fh.write("\n")
         print(f"report: {args.out}")
     ok = report.ok(inconclusive_ok=args.inconclusive == "pass")

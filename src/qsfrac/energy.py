@@ -45,6 +45,7 @@ __all__ = [
     "bulk_conjugate_density",
     "toughness_values",
     "surface_energy",
+    "edge_surface_energies",
     "body_value_and_gradient",
     "body_rate",
     "body_conjugate_density",
@@ -310,8 +311,14 @@ def surface_energy(tough: Toughness, mesh: Mesh, crack: CrackSet) -> float:
         raise ValueError(f"crack contains non-crackable edges {extra}")
     if len(crack) == 0:
         return 0.0
-    ids = np.asarray(crack.edge_ids, dtype=int)
-    return float(np.sum(toughness_values(tough, mesh, ids) * mesh.edge_length[ids]))
+    return float(np.sum(edge_surface_energies(tough, mesh, crack.edge_ids)))
+
+
+def edge_surface_energies(tough: Toughness, mesh: Mesh, edge_ids) -> np.ndarray:
+    """kappa(midpoint, normal) * length of each given edge: the terms of
+    ``surface_energy``."""
+    ids = np.asarray(list(edge_ids), dtype=int)
+    return toughness_values(tough, mesh, ids) * mesh.edge_length[ids]
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,14 @@
 At every knot of the time grid the state jumps to a global minimizer of the
 total energy among crack sets containing the previous one, each candidate
 paired with its own elastic minimizer.  The search over candidate edge
-subsets is exhaustive under the brute-force strategy (exact discrete
-minimizer, deterministic tie-breaking) and move-limited under the greedy
-strategies (stable under single-edge, optionally pair, additions).
+subsets is exact under the brute-force strategy (the discrete minimizer,
+with deterministic tie-breaking) and move-limited under the greedy
+strategies (stable under single-edge, optionally pair, additions).  Brute
+force is a branch and bound over the supersets: the elastic energy only
+falls as the crack grows and the surface energy adds up over edges, so a
+partial decision has a lower bound, and only the supersets that can still
+win are solved.  It decides exactly as enumerating every superset would,
+and the initial-minimality check and the oracle stability audit use it too.
 
 Energy ties within 1e-9 * (1 + |E|) are broken toward fewer cracked edges,
 then toward the lexicographically smallest edge-id set: a crack only appears
@@ -30,6 +35,7 @@ from .broken import BrokenField, CrackSet
 from .energy import (
     EnergyModel,
     body_rate,
+    edge_surface_energies,
     stress_triple,
     surface_rate,
     total_energy,
@@ -401,8 +407,25 @@ class _Search:
         present = crack.as_set()
         return [e for e in self.crackable if e not in present]
 
-    def all_extensions(self, base: CrackSet) -> list[CrackSet]:
-        """Every superset of ``base``, refused beyond the brute-force edge cap."""
+    def branch_and_bound(self, base: CrackSet, t: float,
+                         stored: float | None = None) -> tuple[list[CrackSet], list[float]]:
+        """The supersets of ``base`` that can decide an exact search at time t,
+        in ``extensions`` order, with their energies as ``energies`` scores them.
+
+        A depth-first include/exclude search over the sorted candidate edges,
+        exclude first, so ``base`` is the first leaf.  A node with edges I
+        included and U undecided has the crack set base | I | U; an include
+        child keeps it, so only exclude children are solved, each a different
+        crack set.  Every leaf below the node costs at least
+        E_el(base | I | U) + Es(base | I): the elastic energy only falls as
+        the crack grows, and the surface energy adds up over edges.  A node
+        is pruned when this bound exceeds both the incumbent plus
+        1e-9 * (1 + max(|incumbent|, |root bound|)), which covers the tie
+        window of the final minimum, and ``stored`` minus its tie tolerance.
+        So the result holds the minimum, every superset within the tie
+        tolerance of it and, given ``stored``, every superset below it by
+        more than its tie tolerance.
+        """
         cand = self.candidates(base)
         if len(cand) > self.strategy.max_bruteforce_edges:
             raise SearchLimitError(
@@ -410,7 +433,31 @@ class _Search:
                 f"limit {self.strategy.max_bruteforce_edges}; shrink the brittle region "
                 "or use a greedy strategy"
             )
-        return extensions(base, cand, range(len(cand) + 1))
+        floor = -np.inf if stored is None else stored - tie_tolerance(stored)
+        # tail[k]: surface energy of the undecided edges cand[k:]
+        es = edge_surface_energies(self.model.toughness, self.mesh, cand)
+        tail = np.append(np.cumsum(es[::-1])[::-1], 0.0).tolist()
+        top = base.union(cand)
+        e_top = self.energies([top], t, stored)[0]
+        root = e_top - tail[0]
+        best = np.inf
+        leaves: dict[CrackSet, float] = {}
+
+        def visit(k: int, crack: CrackSet, energy: float) -> None:
+            nonlocal best
+            if energy - tail[k] > max(best + tie_tolerance(max(abs(best), abs(root))), floor):
+                return
+            if k == len(cand):
+                leaves[crack] = energy
+                best = min(best, energy)
+                return
+            out = CrackSet(tuple(e for e in crack.edge_ids if e != cand[k]))
+            visit(k + 1, out, self.energies([out], t, stored)[0])
+            visit(k + 1, crack, energy)
+
+        visit(0, top, e_top)
+        order = sorted(leaves, key=lambda c: (len(c), c.edge_ids))
+        return order, [leaves[c] for c in order]
 
     def best_superset(self, crack_prev: CrackSet, t: float) -> CrackSet:
         if self.strategy.kind == BRUTE_FORCE:
@@ -418,8 +465,8 @@ class _Search:
         return self._greedy(crack_prev, t, pairs=self.strategy.kind == GREEDY_WITH_PAIRS)
 
     def _brute(self, crack_prev: CrackSet, t: float) -> CrackSet:
-        subsets = self.all_extensions(crack_prev)
-        return subsets[_first_min(self.energies(subsets, t))]
+        subsets, energies = self.branch_and_bound(crack_prev, t)
+        return subsets[_first_min(energies)]
 
     def _greedy(self, crack_prev: CrackSet, t: float, pairs: bool) -> CrackSet:
         current = crack_prev
@@ -466,11 +513,11 @@ def check_initial_minimality(model: EnergyModel, mesh: Mesh, crack0: CrackSet,
     e0, _ = total_energy(model, mesh, t, u0, crack0)
     exhaustive = strategy.kind == BRUTE_FORCE
     if exhaustive:
-        subsets = search.all_extensions(crack0)
+        subsets, energies = search.branch_and_bound(crack0, t, stored=e0)
     else:
         sizes = (0, 1, 2) if strategy.kind == GREEDY_WITH_PAIRS else (0, 1)
         subsets = extensions(crack0, search.candidates(crack0), sizes)
-    energies = search.energies(subsets, t, stored=e0)
+        energies = search.energies(subsets, t, stored=e0)
 
     worst = int(np.argmin(energies))
     passed = energies[worst] >= e0 - tie_tolerance(e0)

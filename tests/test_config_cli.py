@@ -273,6 +273,45 @@ def test_cli_audit_of_a_pinned_dof_off_the_datum_fails_naming_the_knot(strip_run
     assert "Traceback" not in proc.stderr
 
 
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def test_cli_audit_report_is_strict_json_when_a_margin_is_infinite(strip_run, tmp_path, capsys):
+    cfg_path, payload = strip_run
+    payload = json.loads(json.dumps(payload))
+    payload["knots"][2]["dofs"][0] += 0.5   # off the datum: an infinite Euler residual
+    rec_path, out = tmp_path / "rec.json", tmp_path / "report.json"
+    rec_path.write_text(json.dumps(payload))
+    assert main(["audit", "--config", str(cfg_path), "--record", str(rec_path), "--out", str(out)]) == 1
+    report = json.loads(out.read_text(), parse_constant=_reject_constant)
+    stability = next(c for c in report["checks"] if c["name"] == "global_stability[oracle]")
+    assert stability["margins"]["max_euler_residual"] == "inf"
+    assert "max_euler_residual = inf" in capsys.readouterr().out
+
+
+def test_cli_audit_of_a_partial_record_fails_naming_its_knots(tmp_path):
+    # a load that overflows stops the run after its first knot; the partial
+    # record it writes must not audit as a PASS
+    cfg_path, rec_path, out = tmp_path / "strip.cfg", tmp_path / "rec.json", tmp_path / "report.json"
+    cfg_path.write_text(config_text("strip", 9).replace("1: x / 2", "1: 1e200 * x"))
+
+    def qsfrac(*args):
+        return subprocess.run([sys.executable, "-m", "qsfrac", *args, "--config", str(cfg_path)],
+                              capture_output=True, text=True, env=cli_env(), cwd=str(tmp_path))
+
+    run = qsfrac("run", "--out", str(rec_path))
+    assert run.returncode == 3 and "partial (incomplete) record" in run.stderr, run.stderr
+    proc = qsfrac("audit", "--record", str(rec_path), "--out", str(out))
+    assert proc.returncode == 1, proc.stderr
+    assert "[FAIL        ] completeness" in proc.stdout
+    assert "the run stopped after 1 of 9 configured knots" in proc.stdout
+    assert "Traceback" not in run.stderr + proc.stderr
+    report = json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert report["checks"][0]["name"] == "completeness"
+    assert report["checks"][0]["verdict"] == "FAIL"
+
+
 @pytest.mark.parametrize("line", [
     "body.force = 0: 0; 1: log(x - 1.5)",
     "energy.lambda = nan",

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from qsfrac.audit import ORACLE, check_global_stability
 from qsfrac.broken import CrackSet
+from qsfrac.config import parse_config
 from qsfrac.corpus import build_config
 from qsfrac.energy import (
     BodyPotential,
@@ -134,6 +136,44 @@ def test_brute_force_edge_cap():
     with pytest.raises(EvolutionError, match="limit"):
         incremental_step(model, mesh, CrackSet.empty(), 0.5,
                          SearchStrategy(BRUTE_FORCE, max_bruteforce_edges=3))
+
+
+BAND = """
+version = 1
+mesh.nx = 4
+mesh.ny = 2
+mesh.width = 2.0
+mesh.height = 1.0
+mesh.dirichlet = left, right
+mesh.brittle = rect: 0.5, 0, 1.5, 1
+energy.lambda = 1e-3
+toughness.weight = 0.05
+boundary.psi = 0: 0; 1: x / 2
+strategy.max_edges = 12
+time.horizon = 1.0
+time.knots = 9
+"""
+
+
+def test_brute_force_on_twelve_edges_solves_few_crack_sets(monkeypatch):
+    # every edge of a 2 x 2 block of cells is brittle; the whole run, and
+    # then the whole oracle audit, each solve fewer crack sets than one
+    # enumeration of the 2^12 supersets of a single knot would
+    p = parse_config(BAND).build_problem()
+    assert len(crackable_edges(p.mesh)) == 12
+    solved = []
+    solve = ElasticSolver.solve
+
+    def counted(self, crack, *args, **kwargs):
+        solved.append(crack)
+        return solve(self, crack, *args, **kwargs)
+
+    monkeypatch.setattr(ElasticSolver, "solve", counted)
+    rec = run_evolution(p.model, p.mesh, p.grid, p.initial_crack, p.strategy)
+    n_run = len(solved)
+    res = check_global_stability(rec, p.model, p.mesh, level=ORACLE)
+    assert rec.jump_knots() and res.result.verdict == "PASS", res.result.details
+    assert n_run < 2 ** 12 and len(solved) - n_run < 2 ** 12
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Property tests of the crack search: the extension enumerator, the tie
-rule, brute force against the oracle audit and the greedy strategies, and
-the record's save/load round trip, over random small meshes, brittle
-rectangles and load tables."""
+rule, branch and bound against enumeration, brute force against the oracle
+audit and the greedy strategies, and the record's save/load round trip, over
+random small meshes, brittle rectangles and load tables."""
 
 import functools
 import itertools
@@ -23,6 +23,8 @@ from qsfrac.evolution import (
     SearchStrategy,
     TimeGrid,
     _first_min,
+    _Search,
+    check_initial_minimality,
     extensions,
     incremental_step,
     run_evolution,
@@ -149,6 +151,96 @@ def test_greedy_totals_bound_the_brute_force_step_from_above(case, kind):
         u, crack = incremental_step(model, mesh, greedy.cracks[i - 1], t, SearchStrategy(BRUTE_FORCE))
         e_min, _ = total_energy(model, mesh, t, u, crack)
         assert greedy.total_energy(i) >= e_min - tie_tolerance(e_min)
+
+
+# ---------------------------------------------------------------------------
+# branch and bound against enumeration
+# ---------------------------------------------------------------------------
+
+def _enumerated(search, base, t, stored=None):
+    """Reference: every superset of ``base`` in ``extensions`` order, scored."""
+    cand = search.candidates(base)
+    cracks = extensions(base, cand, range(len(cand) + 1))
+    return cracks, search.energies(cracks, t, stored)
+
+
+def _solved_during(search, call):
+    """The crack sets ``call()`` scores through ``search.energies``, in order."""
+    solved, energies = [], search.energies
+
+    def counted(cracks, t, stored=None):
+        solved.extend(cracks)
+        return energies(cracks, t, stored)
+
+    search.energies = counted
+    try:
+        return call(), solved
+    finally:
+        search.energies = energies
+
+
+@given(problems(), st.sampled_from([BRUTE_FORCE, GREEDY]))
+@settings(max_examples=30, deadline=None)
+def test_branch_and_bound_decides_like_enumeration(case, kind):
+    # the crack chosen, the initial-minimality verdict and the oracle
+    # stability verdict all equal those of a search over every superset;
+    # greedy records give other bases, the uncracked copy gives violations
+    model, mesh = case
+    rec = _run(model, mesh, kind)
+    search = _Search(model, mesh)
+    n_cand = len(search.crackable)
+
+    for i in range(1, _KNOTS):
+        t, base = float(rec.times[i]), rec.cracks[i - 1]
+        chosen, solved = _solved_during(search, lambda: search._brute(base, t))
+        cracks, energies = _enumerated(search, base, t)
+        assert chosen == cracks[_first_min(energies)]
+        assert len(set(solved)) == len(solved) <= 2 ** n_cand
+
+    t = float(rec.times[-1])
+    u, _ = search.solver.solve(CrackSet.empty(), t)
+    init = check_initial_minimality(model, mesh, CrackSet.empty(), u, SearchStrategy(BRUTE_FORCE), t=t)
+    e0, _ = total_energy(model, mesh, t, u, CrackSet.empty())
+    cracks, energies = _enumerated(search, CrackSet.empty(), t, stored=e0)
+    worst = int(np.argmin(energies))
+    passed = energies[worst] >= e0 - tie_tolerance(e0)
+    assert (init.passed, init.margin, init.witness_crack) == \
+        (passed, energies[worst] - e0, None if passed else cracks[worst])
+
+    for audited in (rec, _uncracked(rec, model, mesh, search.solver)):
+        res = check_global_stability(audited, model, mesh, level=ORACLE)
+        assert (res.worst_margin, res.worst_knot, res.violations) == _oracle_reference(search, audited)
+
+
+def _uncracked(rec, model, mesh, solver):
+    """``rec`` with every knot re-solved on the empty crack: once cracking
+    pays, the oracle audit lists violations."""
+    out = rec.shallow_copy()
+    for i, t in enumerate(rec.times):
+        u, _ = solver.solve(CrackSet.empty(), float(t))
+        out.cracks[i], out.fields[i] = CrackSet.empty(), u
+        out.energies[i] = total_energy(model, mesh, float(t), u, CrackSet.empty())[1]
+    return out
+
+
+def _oracle_reference(search, rec):
+    """(worst margin, worst knot, violations) of the oracle audit by
+    enumeration; branch and bound solves at most 2^n crack sets per knot and
+    returns its supersets in enumeration order."""
+    worst_margin, worst_knot, violations = np.inf, -1, []
+    for i in range(len(rec)):
+        t, e_rec = float(rec.times[i]), rec.total_energy(i)
+        (found, _), solved = _solved_during(
+            search, lambda: search.branch_and_bound(rec.cracks[i], t, stored=e_rec))
+        assert len(set(solved)) == len(solved) <= 2 ** len(search.crackable)
+        cracks, energies = _enumerated(search, rec.cracks[i], t, stored=e_rec)
+        assert found == [c for c in cracks if c in set(found)]
+        for crack, e in zip(cracks, energies):
+            if e - e_rec < worst_margin:
+                worst_margin, worst_knot = e - e_rec, i
+            if e - e_rec < -tie_tolerance(e_rec):
+                violations.append((i, crack.edge_ids, float(e - e_rec)))
+    return float(worst_margin), worst_knot, violations
 
 
 # ---------------------------------------------------------------------------
