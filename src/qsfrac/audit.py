@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .broken import BrokenField, CrackSet, jump_support, trace_on_surface_part
+from .broken import BrokenField, CrackSet, default_jump_tol, jump_support, trace_on_surface_part
 from .energy import (
     BoundaryProgram,
     EnergyModel,
@@ -343,16 +343,19 @@ def check_structure(record: EvolutionRecord, boundary: BoundaryProgram,
 
     Jumps outside the crack set are impossible by construction of the broken
     space and are asserted; the informative failure mode is an edge that was
-    cracked but never opened.
+    cracked but never opened.  Without ``tol`` each knot separates opening
+    from rounding at 1e-9 * (1 + max |psi(t_i)|), the datum of its own time;
+    the report gives the largest tolerance used.
     """
-    if tol is None:
-        tol = 1e-9 * (1.0 + boundary.max_abs())
     cum = record.cracks[0].as_set()
     never: dict[int, tuple] = {}
     jump_sets: list[CrackSet] = []
+    used = 0.0
     for i in range(len(record)):
         psi = boundary.value(float(record.times[i]))
-        s = jump_support(record.fields[i], psi, tol)
+        tol_i = default_jump_tol(psi) if tol is None else tol
+        used = max(used, tol_i)
+        s = jump_support(record.fields[i], psi, tol_i)
         jump_sets.append(s)
         assert s.issubset(record.cracks[i]), "jump outside the crack set"
         cum |= s.as_set()
@@ -363,11 +366,11 @@ def check_structure(record: EvolutionRecord, boundary: BoundaryProgram,
         first = min(never)
         res = CheckResult(
             "structure_identity", "FAIL",
-            tolerances={"jump": tol},
+            tolerances={"jump": used},
             details=f"knot {first}: cracked edges {list(never[first])} never opened",
         )
     else:
-        res = CheckResult("structure_identity", "PASS", tolerances={"jump": tol})
+        res = CheckResult("structure_identity", "PASS", tolerances={"jump": used})
     return StructureResult(never, jump_sets, res)
 
 

@@ -11,6 +11,8 @@ import json
 import sys
 from pathlib import Path
 
+from numpy.linalg import LinAlgError
+
 from . import audit as audit_mod
 from .audit import AuditError, AuditReport, CheckResult
 from .config import ConfigError, load_config
@@ -101,7 +103,7 @@ def main(argv=None) -> int:
     except (ConfigError, AuditError, RecordError, SearchLimitError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SolveError, EvolutionError) as exc:
+    except (SolveError, EvolutionError, LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

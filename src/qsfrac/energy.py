@@ -454,9 +454,6 @@ class BoundaryProgram:
     def horizon(self) -> float:
         return self.table.horizon
 
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.table.samples)))
-
 
 # ---------------------------------------------------------------------------
 # the assembled model

@@ -12,6 +12,15 @@ partial decision has a lower bound, and only the supersets that can still
 win are solved.  It decides exactly as enumerating every superset would,
 and the initial-minimality check and the oracle stability audit use it too.
 
+Candidates are scored, states are solved.  Where the solver offers the
+open-space score (p = q = 2 and few enough tie rows, see ``minimize``), a
+candidate's total energy is that score plus its surface energy from the
+per-edge table every total of the search uses: no topology, no assembly and
+no solve per candidate.  The crack set a knot records, the greedy's current
+state, and every candidate within the tie window of a stored total (these
+decide a minimality verdict) are solved, so records and verdicts take their
+energies from solves.  Elsewhere every candidate is solved.
+
 Energy ties within 1e-9 * (1 + |E|) are broken toward fewer cracked edges,
 then toward the lexicographically smallest edge-id set: a crack only appears
 when it is strictly energetically convenient, and records are reproducible.
@@ -376,32 +385,51 @@ class _Search:
         self.solver = solver or ElasticSolver(model, mesh)
         self.tol = tol
         self.crackable = [int(e) for e in crackable_edges(mesh)]
+        self._edge_es = np.zeros(mesh.n_edges)   # surface energy per crackable edge
+        self._edge_es[self.crackable] = edge_surface_energies(model.toughness, mesh, self.crackable)
+
+    def _surface(self, crack: CrackSet) -> float:
+        return float(np.sum(self._edge_es[list(crack.edge_ids)]))
 
     def _scored(self, crack: CrackSet, t: float) -> tuple[BrokenField, float]:
         u, report = self.solver.solve(crack, t, self.tol)
-        return u, report.energy + self.solver.surface_energy(crack)
+        return u, report.energy + self._surface(crack)
 
     def total(self, crack: CrackSet, t: float) -> float:
-        return self._scored(crack, t)[1]
+        """Total energy of ``crack`` at time t: the solver's open-space score
+        plus the surface energy where the score applies, else a solve."""
+        if not self.solver.scores:
+            return self._scored(crack, t)[1]
+        return self.solver.score(crack, t, self.tol) + self._surface(crack)
 
     def energies(self, cracks: list[CrackSet], t: float, stored: float | None = None) -> list[float]:
         """Total energies of the candidate crack sets at time t, in order.
 
-        Given ``stored``, the stored total of a recorded state at t, every
-        candidate within the tie tolerance of it or below is re-scored from
-        its field by ``total_energy``, the quadrature stored totals come
-        from.  Those candidates decide a minimality verdict, and a state
-        that is its own re-solve then scores exactly its stored total.
+        Each candidate is scored by ``total``.  Given ``stored``, the stored
+        total of a recorded state at t, every candidate within the tie
+        tolerance of it or below is solved and, if its solve agrees, re-scored
+        from its field by ``total_energy``, the quadrature stored totals come
+        from.  Those candidates decide a minimality verdict, and a state that
+        is its own re-solve then scores exactly its stored total.  Solves go
+        through ``parallel_map``: every candidate where the solver has no
+        score, else only the re-scored ones.
         """
-        if stored is None:
-            return parallel_map(lambda c: self.total(c, t), cracks)
-        window = stored + tie_tolerance(stored)
+        window = None if stored is None else stored + tie_tolerance(stored)
 
-        def score(crack: CrackSet) -> float:
+        def solved(crack: CrackSet) -> float:
             u, e = self._scored(crack, t)
-            return total_energy(self.model, self.mesh, t, u, crack)[0] if e <= window else e
+            if window is None or e > window:
+                return e
+            return total_energy(self.model, self.mesh, t, u, crack)[0]
 
-        return parallel_map(score, cracks)
+        if not self.solver.scores:
+            return parallel_map(solved, cracks)
+        scores = [self.total(c, t) for c in cracks]
+        near = [] if window is None else [i for i, e in enumerate(scores) if e <= window]
+        if near:
+            for i, e in zip(near, parallel_map(solved, [cracks[i] for i in near])):
+                scores[i] = e
+        return scores
 
     def candidates(self, crack: CrackSet) -> list[int]:
         present = crack.as_set()
@@ -435,7 +463,7 @@ class _Search:
             )
         floor = -np.inf if stored is None else stored - tie_tolerance(stored)
         # tail[k]: surface energy of the undecided edges cand[k:]
-        es = edge_surface_energies(self.model.toughness, self.mesh, cand)
+        es = self._edge_es[cand]
         tail = np.append(np.cumsum(es[::-1])[::-1], 0.0).tolist()
         top = base.union(cand)
         e_top = self.energies([top], t, stored)[0]
@@ -470,7 +498,7 @@ class _Search:
 
     def _greedy(self, crack_prev: CrackSet, t: float, pairs: bool) -> CrackSet:
         current = crack_prev
-        e_cur = self.total(current, t)
+        e_cur = self._scored(current, t)[1]
         for _ in range(len(self.crackable) + 1):
             move = self._best_move(current, t, e_cur, 1)
             if move is None and pairs:

@@ -16,17 +16,37 @@ backtracking runs on the free DOFs, cold-started from the boundary
 interpolant so results do not depend on evaluation order, and its energy is
 the quadrature of ``energy.elastic_energy``.
 
+Every crack set X of a quadratic problem is the all-open space (every
+crackable edge cracked) with time-independent rows added: a tie per endpoint
+of each crackable edge X leaves uncracked, or a pin to the datum on a
+Dirichlet edge.  Its minimum is therefore the open-space identity
+
+    E_el(X, t) = E_open(t) + 1/2 r_X(t).G_X^+ r_X(t),   G = R K_open^-1 R^T,
+
+a constrained-QP Schur complement over the rows X keeps, with r(t) the
+row residual of the open minimizer (``_OpenSpace``).  ``ElasticSolver.score``
+evaluates it from one factorization of the open stiffness: no topology, no
+assembly and no solve per crack set.  It applies (``ElasticSolver.scores``)
+when the open stiffness is positive definite and no loaded piece of the open
+body floats: such a piece drifts to load / lambda, and the identity would
+then cancel two energies of that size in rounding.  It also needs few
+enough rows (``_SCORE_ROWS_DENSE`` where the uncracked body solves densely,
+``_SCORE_ROWS_CG`` above): each score factors the rows its crack set keeps,
+at a cost cubic in their number, while a solve grows with the DOFs, so a
+wide brittle region is solved candidate by candidate as before.
+
 The first variation of the elastic energy is the stress triple of
 ``energy.stress_triple`` paired with (grad v, v, v); ``assemble_pairing`` is
 the one routine that scatters such a pairing onto the DOFs.  It gives the
 Newton gradient (``assemble_gradient``), the Euler residual of the
 stability audit, and both residuals of the dual certificate.
 
-``ElasticSolver`` keeps two caches: an LRU of at most ``_CACHE_SIZE``
-per-crack-set solve structures (DOF layout, linear solve, crack surface
-energy), and a one-entry memo of the loads at the last time solved
-(boundary datum, body load per corner, surface load per surface edge),
-which every candidate of a knot shares.
+``ElasticSolver`` keeps three caches: an LRU of at most ``_CACHE_SIZE``
+per-crack-set solve structures (DOF layout and linear solve), a one-entry
+memo of the loads at the last time solved (boundary datum, body load per
+corner, surface load per surface edge), which every candidate of a knot
+shares, and, once ``scores`` is read, the open space with a one-entry memo
+of E_open and r at the last time scored.
 
 A run with zero confinement and a crack that isolates a piece of the body
 from the Dirichlet boundary has no bounded minimizer; this surfaces as a
@@ -36,6 +56,7 @@ solution, keeping the coercivity requirement of the model visible.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -52,9 +73,8 @@ from .energy import (
     elastic_energy,
     stress_jacobian,
     stress_triple,
-    surface_energy,
 )
-from .mesh import Mesh
+from .mesh import Mesh, crackable_edges
 
 __all__ = [
     "SolveReport",
@@ -70,6 +90,15 @@ __all__ = [
 
 _DENSE_LIMIT = 200
 _CACHE_SIZE = 8192   # crack sets whose solve structure ElasticSolver keeps
+# most rows of the all-open space that ``ElasticSolver.score`` takes on.  A
+# score factors the rows its crack set keeps, at a cost growing with the cube
+# of their number; a candidate solve is a cached dense Cholesky solve when the
+# uncracked body has at most ``_DENSE_LIMIT`` free DOFs, a CG solve above.  On
+# greedy runs of brittle bands (run + audit), scores beat dense solves up to
+# about 100 rows and lose from about 170; they beat CG solves up to about 380
+# rows and lose at 484.
+_SCORE_ROWS_DENSE = 96
+_SCORE_ROWS_CG = 320
 _NEWTON_CAP = 200
 _ARMIJO = 1e-4
 
@@ -188,44 +217,158 @@ class _CrackData:
     above (scipy's ``info`` as the count: 0 on convergence).
     """
 
-    __slots__ = ("topology", "surface", "matrix", "k_fc", "solve", "method", "floating")
+    __slots__ = ("topology", "matrix", "k_fc", "solve", "method", "floating")
 
     def __init__(self, model: EnergyModel, mesh: Mesh, crack: CrackSet, quadratic: bool):
         # validated once here; solves only attach the datum at their time
         topo = self.topology = build_topology(mesh, crack, None)
-        self.surface = surface_energy(model.toughness, mesh, crack)
-        free, cons = topo.free_dofs, topo.constrained_dofs
         # only a run without confinement can float a piece of the body
         self.floating = _floating_message(topo) if model.body.lam == 0.0 else None
         self.matrix = self.k_fc = self.solve = self.method = None
         if quadratic:
             if self.floating:
                 raise FloatingComponentError(self.floating)
-            stiff = mesh.tri_area * model.bulk.mu_at(np.arange(mesh.n_triangles))
-            mass = mesh.tri_area * model.body.lam
-            k = self.matrix = assemble_forms(mesh, topo, stiff, mass)
-            kff = k[free][:, free]
-            self.k_fc = k[free][:, cons]
-            if len(free) <= _DENSE_LIMIT:
-                factor = scipy.linalg.cho_factor(kff.toarray())
-                self.method = "direct"
-                self.solve = lambda rhs, rtol: (scipy.linalg.cho_solve(factor, rhs), 1)
-            else:
-                diag = kff.diagonal()
-                precond = scipy.sparse.diags(1.0 / np.where(diag > 0, diag, 1.0))
-                self.method = "cg"
-                self.solve = lambda rhs, rtol: scipy.sparse.linalg.cg(
-                    kff, rhs, rtol=rtol, atol=0.0, M=precond)
+            self._factor(model, mesh)
+
+    def _factor(self, model: EnergyModel, mesh: Mesh) -> None:
+        """Assemble the stiffness and set up the solve on its free block."""
+        topo = self.topology
+        free, cons = topo.free_dofs, topo.constrained_dofs
+        stiff = mesh.tri_area * model.bulk.mu_at(np.arange(mesh.n_triangles))
+        mass = mesh.tri_area * model.body.lam
+        k = self.matrix = assemble_forms(mesh, topo, stiff, mass)
+        kff = k[free][:, free]
+        self.k_fc = k[free][:, cons]
+        self.solve, self.method = self._linear_solve(kff)
+
+    @staticmethod
+    def _linear_solve(kff: scipy.sparse.csr_matrix):
+        if kff.shape[0] <= _DENSE_LIMIT:
+            factor = scipy.linalg.cho_factor(kff.toarray())
+            return lambda rhs, rtol: (scipy.linalg.cho_solve(factor, rhs), 1), "direct"
+        diag = kff.diagonal()
+        precond = scipy.sparse.diags(1.0 / np.where(diag > 0, diag, 1.0))
+        return lambda rhs, rtol: scipy.sparse.linalg.cg(
+            kff, rhs, rtol=rtol, atol=0.0, M=precond), "cg"
 
 
-def _floating_message(topo: DofTopology) -> str | None:
-    """Describe the first connected piece of the DOF graph (DOFs sharing a
-    triangle) that holds no constrained DOF, or None when every piece does."""
+class _OpenSpace(_CrackData):
+    """The all-open space of a quadratic problem, and the rows that carve
+    every crack set out of it.
+
+    Cracking every crackable edge gives the largest broken space.  A crack
+    set X is that space with, for each crackable edge X leaves uncracked, a
+    tie row per endpoint (the corner values on both sides agree) or, on a
+    Dirichlet edge, a pin row (the corner value equals the datum).  A row
+    that two edges ask for is kept once and owned by both; a row the layout
+    already satisfies (both corners on one DOF, or on pinned DOFs) is
+    dropped.  The rows do not depend on t.  With K the stiffness on the free
+    DOFs, one direct factorization of K (dense Cholesky up to the dense limit,
+    sparse LU above) gives the Gram matrix G = R K^-1 R^T of the rows, and the
+    constrained minimum over X is
+
+        E_el(X, t) = E_open(t) + 1/2 r_X(t).G_X^+ r_X(t),
+
+    with E_open(t) and u_open(t) the open minimum and minimizer, and
+    r(t) = R u_open(t) - d(t) the row residual, restricted to the rows X
+    keeps.  Ties around one vertex can be redundant, so G_X may be singular;
+    ``excess`` solves it by pivoted Cholesky, which stops at its numerical
+    rank (consistent rows lose nothing).  Only G is kept: the score needs
+    neither K^-1 R^T nor the open field.  A loaded piece of the open body
+    with no constrained DOF is refused with ``FloatingComponentError``: it
+    drifts to load / lambda, and the identity would cancel energies of that
+    size in rounding.  Above the row limit nothing is factored, no G is
+    formed (``gram`` is None) and the space does not score.
+    """
+
+    __slots__ = ("rows", "owner_edge", "owner_row", "gram")
+
+    def __init__(self, model: EnergyModel, mesh: Mesh):
+        super().__init__(model, mesh, CrackSet.of(crackable_edges(mesh)), False)
+        if self.floating:
+            raise FloatingComponentError(self.floating)
+        topo = self.topology
+        label, held = _pieces(topo)
+        loose = ~held[label[topo.corner_dof[:, 0]]]       # per triangle
+        surf = loose[mesh.edge_tris[mesh.surface_edges, 0]]   # per surface-force edge
+        if np.any(model.body.table.samples[:, loose]) or np.any(model.surface.table.samples[:, surf]):
+            raise FloatingComponentError("a loaded piece of the all-open body has no Dirichlet constraint")
+        ids = np.asarray(topo.crack.edge_ids, dtype=int)
+        cd = topo.corner_dof.ravel()
+        corners = mesh.edge_corner[ids]                   # [edge, side, endpoint]
+        tie = corners[:, 1] >= 0                          # else a Dirichlet edge: pin rows
+        a, b = cd[corners[:, 0]], cd[corners[:, 1]]
+        lo = np.where(tie, np.minimum(a, b), a)
+        hi = np.where(tie, np.maximum(a, b), -1)
+        pinned = topo.constrained
+        live = (lo != hi) & ~(pinned[lo] & (~tie | pinned[hi]))
+        self.rows, owner = np.unique(np.stack([lo[live], hi[live]], axis=1), axis=0,
+                                     return_inverse=True)
+        self.owner_edge = np.broadcast_to(ids[:, None], live.shape)[live]
+        self.owner_row = owner.ravel()
+        n = len(self.rows)
+        self.gram = None
+        # the free DOFs of the uncracked body say whether candidate solves are dense
+        n_free = mesh.n_vertices - len(np.unique(topo.dof_vertex[topo.constrained_dofs]))
+        if n > (_SCORE_ROWS_DENSE if n_free <= _DENSE_LIMIT else _SCORE_ROWS_CG):
+            return
+        self._factor(model, mesh)
+        # R^T on the free DOFs: +1 at the first DOF of each row, -1 at the second of a tie
+        ties = np.flatnonzero(self.rows[:, 1] >= 0)
+        rt = np.zeros((topo.n_dofs, n))
+        rt[self.rows[:, 0], np.arange(n)] = 1.0
+        rt[self.rows[ties, 1], ties] = -1.0
+        rt = rt[topo.free_dofs]
+        gram = rt.T @ self.solve(rt, 0.0)[0]
+        self.gram = 0.5 * (gram + gram.T)
+
+    @staticmethod
+    def _linear_solve(kff: scipy.sparse.csr_matrix):
+        """A direct solve at every size, for many right-hand sides at once."""
+        try:
+            if kff.shape[0] <= _DENSE_LIMIT:
+                return _CrackData._linear_solve(kff)
+            lu = scipy.sparse.linalg.splu(kff.tocsc())
+        except (RuntimeError, scipy.linalg.LinAlgError) as exc:
+            raise SolveError(f"factorization of the all-open stiffness failed: {exc}") from exc
+        return lambda rhs, rtol: (lu.solve(rhs), 1), "direct"
+
+    def residual(self, u: np.ndarray, psi: np.ndarray) -> np.ndarray:
+        """r = R u - d for the DOF values ``u`` and the nodal datum ``psi``."""
+        lo, hi = self.rows[:, 0], self.rows[:, 1]
+        other = np.where(hi >= 0, u[hi], psi[self.topology.dof_vertex[lo]])
+        return u[lo] - other
+
+    def kept_rows(self, crack: CrackSet) -> np.ndarray:
+        """The rows ``crack`` keeps: those owned by an edge it leaves uncracked."""
+        cracked = np.zeros(self.topology.mesh.n_edges, dtype=bool)
+        cracked[list(crack.edge_ids)] = True
+        return np.flatnonzero(np.bincount(self.owner_row, ~cracked[self.owner_edge], len(self.rows)))
+
+    def excess(self, rows: np.ndarray, r: np.ndarray) -> float:
+        """1/2 r_X.G_X^+ r_X over ``rows``, by pivoted Cholesky."""
+        if not len(rows):
+            return 0.0
+        c, piv, rank, _ = scipy.linalg.lapack.dpstrf(self.gram[np.ix_(rows, rows)])
+        w, _ = scipy.linalg.lapack.dtrtrs(c[:rank, :rank], r[rows[piv[:rank] - 1]][:, None], trans=1)
+        return 0.5 * float(w[:, 0] @ w[:, 0])
+
+
+def _pieces(topo: DofTopology) -> tuple[np.ndarray, np.ndarray]:
+    """Connected pieces of the DOF graph (DOFs sharing a triangle): the piece
+    of each DOF, and for each piece whether it holds a constrained DOF."""
     cd = topo.corner_dof
     links = np.concatenate([cd[:, [0, 1]], cd[:, [0, 2]]])
     label, first = _components(topo.n_dofs, links)
     pinned = np.zeros(len(first), dtype=bool)
     pinned[label[topo.constrained]] = True
+    return label, pinned
+
+
+def _floating_message(topo: DofTopology) -> str | None:
+    """Describe the first piece of the DOF graph that holds no constrained
+    DOF, or None when every piece does."""
+    label, pinned = _pieces(topo)
     if pinned.all():
         return None
     comp = int(np.argmin(pinned))
@@ -237,11 +380,12 @@ def _floating_message(topo: DofTopology) -> str | None:
 class ElasticSolver:
     """Minimizes the elastic energy over the broken space at fixed cracks.
 
-    Solve structures (DOF layout, linear solve, crack surface energy) are
-    cached per crack set, so sweeping many candidate cracks over many times
-    reuses the expensive parts.  The cache is an LRU of ``_CACHE_SIZE``.  The
+    Solve structures (DOF layout and linear solve) are cached per crack
+    set, so sweeping many candidate cracks over many times reuses the
+    expensive parts.  The cache is an LRU of ``_CACHE_SIZE``.  The
     loads of the last time solved are memoized, so the candidates of one
-    knot interpolate the load tables once.
+    knot interpolate the load tables once.  Where ``scores`` holds, ``score``
+    gives the energy of any crack set from the all-open space instead.
     """
 
     def __init__(self, model: EnergyModel, mesh: Mesh):
@@ -251,6 +395,8 @@ class ElasticSolver:
         self.quadratic = model.p == 2.0 and model.q == 2.0
         self._cache: OrderedDict[tuple, _CrackData] = OrderedDict()
         self._loads: tuple | None = None
+        self._open: _OpenSpace | bool | None = None   # built when ``scores`` is first read
+        self._open_at: tuple | None = None     # (t, E_open, r) of the last time scored
         # the constant of the quadratic energy identity: the bulk energy at zero gradient
         mu = model.bulk.mu_at(np.arange(mesh.n_triangles))
         self._c_eps = 0.5 * model.bulk.epsilon**2 * float(np.sum(mesh.tri_area * mu))
@@ -270,10 +416,6 @@ class ElasticSolver:
     def topology(self, crack: CrackSet, t: float) -> DofTopology:
         return self._data(crack).topology.with_datum(self._loads_at(t)[1])
 
-    def surface_energy(self, crack: CrackSet) -> float:
-        """Crack surface energy of ``crack``, kept with its solve structure."""
-        return self._data(crack).surface
-
     def _loads_at(self, t: float) -> tuple:
         """(t, boundary datum, body load per corner, surface load per
         surface edge) at time ``t``, read-only; a one-entry memo."""
@@ -287,6 +429,36 @@ class ElasticSolver:
                 arr.setflags(write=False)
             loads = self._loads = (t, psi, body, surf)
         return loads
+
+    @property
+    def scores(self) -> bool:
+        """Whether ``score`` applies: p = q = 2, some confinement or no piece
+        of the all-open body left without a Dirichlet constraint, and few
+        enough rows that a score costs less than a solve."""
+        if self._open is None:
+            try:
+                space = _OpenSpace(self.model, self.mesh) if self.quadratic else None
+            except FloatingComponentError:
+                space = None
+            self._open = False if space is None or space.gram is None else space
+        return self._open is not False
+
+    def score(self, crack: CrackSet, t: float, tol: float = 1e-10) -> float:
+        """Elastic energy of the minimizer over ``crack`` at time ``t`` from
+        the all-open space (see ``_OpenSpace``): no topology, no assembly and
+        no linear solve per crack set.  Only where ``scores`` holds; the open
+        minimizer is solved once per time, to ``tol``."""
+        space = self._open
+        memo = self._open_at
+        with np.errstate(all="ignore"):   # an overflow is the SolveError below
+            if memo is None or memo[0] != t:
+                topo = space.topology.with_datum(self._loads_at(t)[1])
+                u, _, _, _, e_open = self._solve_quadratic(topo, space, t, tol)
+                memo = self._open_at = (t, e_open, space.residual(u.values, topo.psi_nodal))
+            energy = memo[1] + space.excess(space.kept_rows(crack), memo[2])
+        if not math.isfinite(energy):
+            raise SolveError(f"non-finite energy score at t={t}")
+        return energy
 
     def _load_vector(self, topo: DofTopology, t: float) -> np.ndarray:
         _, _, body, surf = self._loads_at(t)
@@ -317,20 +489,24 @@ class ElasticSolver:
         b = self._load_vector(topo, t)
         free, cons = topo.free_dofs, topo.constrained_dofs
         u = topo.dirichlet_values
-        rhs = b[free] - (data.k_fc @ u[cons] if len(cons) else 0.0)
-        u[free], iters = data.solve(rhs, 1e-10)
-        ku = data.matrix @ u
-        grad = (ku - b)[free]
-        res = float(np.linalg.norm(grad))
-        if res > tol:
-            # one refinement pass, then give up honestly
-            u[free] += data.solve(-grad, 1e-14)[0]
+        # an overflow surfaces as the SolveError below, not as a numpy warning
+        with np.errstate(all="ignore"):
+            rhs = b[free] - (data.k_fc @ u[cons] if len(cons) else 0.0)
+            u[free], iters = data.solve(rhs, 1e-10)
             ku = data.matrix @ u
-            res = float(np.linalg.norm((ku - b)[free]))
-            iters += 1
+            grad = (ku - b)[free]
+            res = float(np.linalg.norm(grad))
             if res > tol:
-                raise SolveError(f"linear solve stalled at residual {res:.3e} > tol {tol:.3e}")
-        energy = 0.5 * float(u @ ku) - float(b @ u) + self._c_eps
+                # one refinement pass, then give up honestly
+                u[free] += data.solve(-grad, 1e-14)[0]
+                ku = data.matrix @ u
+                res = float(np.linalg.norm((ku - b)[free]))
+                iters += 1
+            energy = 0.5 * float(u @ ku) - float(b @ u) + self._c_eps
+        if not (math.isfinite(res) and math.isfinite(energy)):
+            raise SolveError(f"non-finite residual or energy at t={t}")
+        if res > tol:
+            raise SolveError(f"linear solve stalled at residual {res:.3e} > tol {tol:.3e}")
         return BrokenField(topo, u), iters, res, data.method, energy
 
     def _trust_region_start(self, topo: DofTopology, t: float, field: BrokenField,

@@ -236,6 +236,35 @@ def test_structure_flags_never_opening_edges(strip_problem, strip_record):
     assert f"knot {j - 2}" in res.result.details
 
 
+LATE_PEAK = """
+version = 1
+mesh.nx = 2
+mesh.ny = 1
+mesh.width = 2.0
+mesh.height = 1.0
+mesh.dirichlet = left, right
+mesh.brittle = rect: 1, 0, 1, 1
+energy.lambda = 1e-3
+toughness.weight = 0.05
+boundary.psi = 0: 0; 0.5: x / 2; 1: 1e9 * x
+body.force = 0: 0; 1: 0
+surface.force = 0: 0; 1: 0
+time.horizon = 0.5
+time.knots = 9
+"""
+
+
+def test_structure_tolerance_follows_the_datum_of_each_knot():
+    # the datum table peaks at 2e9 after the last knot; a tolerance from the
+    # whole table (2.0) would call the opened crack never opened
+    p = parse_config(LATE_PEAK).build_problem()
+    rec = run_evolution(p.model, p.mesh, p.grid, p.initial_crack, p.strategy)
+    assert rec.complete and rec.jump_knots()
+    res = check_structure(rec, p.model.boundary)
+    assert res.result.verdict == "PASS", res.result.details
+    assert res.result.tolerances["jump"] == pytest.approx(2e-9)   # 1e-9 (1 + max |psi(0.5)|)
+
+
 # ---------------------------------------------------------------------------
 # duality certificates
 # ---------------------------------------------------------------------------

@@ -312,6 +312,23 @@ def test_cli_audit_of_a_partial_record_fails_naming_its_knots(tmp_path):
     assert report["checks"][0]["verdict"] == "FAIL"
 
 
+@pytest.mark.parametrize("flags", [[], ["-W", "error"]])
+def test_cli_overflowing_load_is_a_numeric_failure_without_a_warning(tmp_path, flags):
+    # the residual and the energy overflow at the first knot past 0: the run
+    # exits 3 naming a numeric failure, and no numpy warning reaches stderr,
+    # nor a traceback when warnings are errors
+    cfg_path = tmp_path / "strip.cfg"
+    cfg_path.write_text(config_text("strip", 9).replace("1: x / 2", "1: 1e200 * x"))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "qsfrac", "run", "--config", str(cfg_path),
+         "--out", str(tmp_path / "rec.json")],
+        capture_output=True, text=True, env=cli_env(), cwd=str(tmp_path),
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "numeric failure" in proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
+
+
 @pytest.mark.parametrize("line", [
     "body.force = 0: 0; 1: log(x - 1.5)",
     "energy.lambda = nan",

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qsfrac import evolution
 from qsfrac.audit import ORACLE, check_global_stability
 from qsfrac.broken import CrackSet
 from qsfrac.config import parse_config
@@ -23,6 +24,7 @@ from qsfrac.evolution import (
     EvolutionRecord,
     SearchStrategy,
     TimeGrid,
+    _Search,
     check_initial_minimality,
     incremental_step,
     left_envelope,
@@ -174,6 +176,69 @@ def test_brute_force_on_twelve_edges_solves_few_crack_sets(monkeypatch):
     res = check_global_stability(rec, p.model, p.mesh, level=ORACLE)
     assert rec.jump_knots() and res.result.verdict == "PASS", res.result.details
     assert n_run < 2 ** 12 and len(solved) - n_run < 2 ** 12
+
+
+NOTCHED = """
+version = 1
+mesh.nx = {nx}
+mesh.ny = {ny}
+mesh.width = 2.0
+mesh.height = 1.0
+mesh.dirichlet = left, right
+mesh.brittle = rect: 1, 0, 1, 1
+energy.lambda = 1e-3
+toughness.weight = 0.05
+boundary.psi = 0: 0; 1: x / 2
+time.horizon = 1.0
+time.knots = {knots}
+initial.crack = rect: 1, 0, 1, 0.3
+strategy.kind = {kind}
+"""
+
+
+def test_exact_search_on_the_notched_strip_scores_like_the_solve(tmp_path, monkeypatch):
+    # brute force over the notch column of a 900-triangle strip: the record
+    # passes the oracle audit and keeps its bytes when every candidate is
+    # solved instead of scored from the open space
+    p = parse_config(NOTCHED.format(nx=30, ny=15, knots=5, kind=BRUTE_FORCE)).build_problem()
+    assert ElasticSolver(p.model, p.mesh).scores
+
+    def record_bytes(name):
+        rec = run_evolution(p.model, p.mesh, p.grid, p.initial_crack, p.strategy,
+                            config_hash=p.config_hash)
+        rec.save(tmp_path / name)
+        return rec, (tmp_path / name).read_bytes()
+
+    rec, scored = record_bytes("scored.json")
+    assert rec.jump_knots()
+    res = check_global_stability(rec, p.model, p.mesh, level=ORACLE)
+    assert res.result.verdict == "PASS", res.result.details
+    monkeypatch.setattr(_Search, "total", lambda self, crack, t: self._scored(crack, t)[1])
+    assert record_bytes("solved.json")[1] == scored
+
+
+def test_greedy_solves_only_the_state_and_the_tie_window(monkeypatch):
+    # per later knot the greedy solves its current state and the run re-solves
+    # the chosen one; every other candidate is scored without a solve
+    p = parse_config(NOTCHED.format(nx=20, ny=10, knots=17, kind=GREEDY)).build_problem()
+    solves, window = [], []
+    solve = ElasticSolver.solve
+
+    def counted_solve(self, crack, *args, **kwargs):
+        solves.append(crack)
+        return solve(self, crack, *args, **kwargs)
+
+    def counted_map(fn, items):
+        window.extend(items)
+        return [fn(x) for x in items]
+
+    monkeypatch.setattr(ElasticSolver, "solve", counted_solve)
+    monkeypatch.setattr(evolution, "parallel_map", counted_map)
+    rec = run_evolution(p.model, p.mesh, p.grid, p.initial_crack, p.strategy)
+    assert rec.jump_knots()
+    # the tie-window re-solves: the initial check's own state
+    assert window == [p.initial_crack]
+    assert len(solves) == 1 + 2 * (len(p.grid) - 1) + len(window)
 
 
 # ---------------------------------------------------------------------------

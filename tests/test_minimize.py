@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
 from qsfrac import minimize
 from qsfrac.broken import BrokenField, CrackSet, build_topology
@@ -310,3 +311,44 @@ def test_fully_pinned_problem_returns_the_interpolant():
     u, rep = minimize_elastic(model, mesh, CrackSet.empty(), 0.5)
     assert rep.n_free == 0
     assert np.allclose(u.values, 0.5 * mesh.vertices[:, 0][u.topology.dof_vertex])
+
+
+@pytest.mark.parametrize("n", [2, minimize._DENSE_LIMIT + 1])
+def test_open_space_factorization_failure_is_a_solve_error(n):
+    # dense Cholesky up to the dense limit, sparse LU above: a singular
+    # all-open stiffness surfaces as the solver's numeric error
+    with pytest.raises(minimize.SolveError, match="all-open stiffness"):
+        minimize._OpenSpace._linear_solve(scipy.sparse.csr_matrix((n, n)))
+
+
+def test_fully_pinned_problem_scores_without_free_dofs():
+    # no free DOF in the all-open space: the score is the interpolant's energy
+    mesh = build_structured_mesh(1, 1, 1.0, 1.0, brittle="none")
+    psi = TimeTable.build([(0.0, np.zeros(mesh.n_vertices)),
+                           (1.0, mesh.vertices[:, 0])], mesh.n_vertices)
+    solver = ElasticSolver(make_model(mesh, psi=psi, lam=0.1), mesh)
+    assert solver.scores
+    assert solver.score(CrackSet.empty(), 0.5) == solver.solve(CrackSet.empty(), 0.5)[1].energy
+
+
+@pytest.mark.parametrize("nx, brittle, scores", [
+    (10, ("rect", (0.8, 0.0, 1.2, 1.0)), True),    # dense solves, 66 rows
+    (8, "all", False),                             # dense solves, 184 rows
+    (20, ("rect", (0.9, 0.0, 1.1, 1.0)), True),    # CG solves, 136 rows
+    (20, "all", False),                            # CG solves, 1,180 rows
+])
+def test_open_space_scores_only_up_to_the_row_limit(nx, brittle, scores):
+    # strips loaded by their datum only: past the row limit of its solve
+    # regime one score would cost more than a solve, so every candidate is
+    # solved
+    from qsfrac.evolution import _Search
+    mesh = build_structured_mesh(nx, nx // 2, 2.0, 1.0, labeling={"dirichlet": ("left", "right")},
+                                 brittle=brittle)
+    search = _Search(make_model(mesh), mesh)
+    assert search.solver.scores is scores
+    solves = []
+    solve = search.solver.solve
+    search.solver.solve = lambda *a: solves.append(a[0]) or solve(*a)
+    cracks = [CrackSet.of([e]) for e in search.crackable[:3]]
+    search.energies(cracks, 0.5)
+    assert solves == ([] if scores else cracks)

@@ -15,18 +15,30 @@ f / lambda under weak confinement (|u| ~ 2000 at lambda = 1e-3): the form
 then cancels and the identity misses the quadrature by up to about
 4 eps |u|.|K||u|, which was 2.4e-12 (1 + |E|) in the worst of 3,000 random
 cases tried.
+
+The open-space score of a crack set (the all-open minimum plus a Schur
+complement over the tie rows the set keeps, plus its surface energy) must
+agree with the solve of that crack set to the same rounding, for every
+subset of the crackable edges, wherever the solver offers the score.
 """
 
+import itertools
+from types import SimpleNamespace
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsfrac.broken import CrackSet
 from qsfrac.config import parse_config
-from qsfrac.energy import elastic_energy, total_energy
+from qsfrac.energy import TimeTable, Toughness, elastic_energy, surface_energy, total_energy
 from qsfrac.evolution import _Search
 from qsfrac.mesh import crackable_edges
-from qsfrac.minimize import ElasticSolver, assemble_forms
+from qsfrac.minimize import ElasticSolver, FloatingComponentError, assemble_forms
+
+from conftest import make_model, make_strip_mesh
+from test_evolution_properties import _mesh, _mesh_choices
 
 _LABELINGS = (
     "mesh.dirichlet = all",
@@ -111,3 +123,87 @@ def test_load_memo_does_not_leak_between_times(case, t2):
         assert u.values.tobytes() == fresh_u.values.tobytes()
         assert u.topology.psi_nodal.tobytes() == fresh_u.topology.psi_nodal.tobytes()
         assert report.energy == fresh.energy
+
+
+@st.composite
+def open_space_cases(draw):
+    """(model, mesh, two times) on a mesh of ``test_evolution_properties``
+    (at most 3 x 2 cells, either diagonal, the four labelings, one to five
+    crackable edges) with a stiffness expression, epsilon >= 0, positive
+    confinement and load tables.  Each load is zero in about half the draws:
+    a loaded piece of the all-open body without Dirichlet constraint turns
+    the score off."""
+    mesh = _mesh(*draw(st.sampled_from(_mesh_choices())))
+    x, y = mesh.tri_centroid.T
+    amp = st.floats(-2.0, 2.0)
+    load = st.one_of(st.just(0.0), amp)
+    psi_x, psi_y = mesh.vertices.T
+    surf_x, surf_y = mesh.edge_midpoint[mesh.surface_edges].T
+    nv, nt, ns = mesh.n_vertices, mesh.n_triangles, len(mesh.surface_edges)
+    model = make_model(
+        mesh,
+        mu=draw(st.floats(0.5, 2.0)) + draw(st.floats(0.0, 1.0)) * x * (1 + y),
+        eps=draw(st.sampled_from([0.0, draw(st.floats(0.0, 1.0))])),
+        lam=draw(st.floats(1e-3, 1.0)),
+        kappa=Toughness("isotropic", (draw(st.floats(0.01, 1.0)),)),
+        psi=TimeTable.build([(0.0, 0.0), (0.4, draw(amp) * psi_x + draw(amp) * psi_y),
+                             (1.0, draw(amp) * psi_x)], nv),
+        f=TimeTable.build([(0.0, draw(load)), (1.0, draw(load) * (x - y))], nt),
+        g=TimeTable.build([(0.0, 0.0), (1.0, draw(load) * (1 + surf_x + surf_y))], ns),
+    )
+    return model, mesh, (draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0)))
+
+
+def _assert_every_subset_scores_like_its_solve(model, mesh, times):
+    search = _Search(model, mesh)
+    solver = ElasticSolver(model, mesh)   # independent of the open space
+    edges = search.crackable
+    p = SimpleNamespace(mesh=mesh, model=model)
+    for k in range(len(edges) + 1):
+        for subset in itertools.combinations(edges, k):
+            crack = CrackSet.of(subset)
+            for t in times:   # alternating times exercises the per-time memo
+                u, report = solver.solve(crack, t)
+                expected = report.energy + surface_energy(model.toughness, mesh, crack)
+                score = search.total(crack, t)
+                assert _close(p, u, score, expected), (crack, t, score, expected)
+
+
+@given(open_space_cases())
+@settings(max_examples=40, deadline=None)
+def test_open_space_score_of_every_subset_matches_its_solve(case):
+    model, mesh, times = case
+    loaded = np.any(model.body.table.samples) or np.any(model.surface.table.samples)
+    scores = ElasticSolver(model, mesh).scores
+    assert scores or loaded
+    if scores:
+        _assert_every_subset_scores_like_its_solve(model, mesh, times)
+
+
+@pytest.mark.parametrize("labeling, rect", [(2, (0, 0, 1, 1)), (3, (1, 0, 2, 1))])
+def test_open_space_score_drops_redundant_tie_rows(labeling, rect):
+    # uncracked, these brittle cells tie the corners around a vertex in a
+    # cycle, or pin two corners that a tie also joins, so G over the kept
+    # rows is singular; the pivoted solve must stop at its rank
+    mesh = _mesh(3, 2, labeling, rect, "main")
+    psi = TimeTable.build([(0.0, 0.0), (1.0, 0.7 * mesh.vertices[:, 0] - 0.3 * mesh.vertices[:, 1] ** 2)],
+                          mesh.n_vertices)
+    model = make_model(mesh, psi=psi, eps=0.5)
+    solver = ElasticSolver(model, mesh)
+    assert solver.scores
+    rows = solver._open.kept_rows(CrackSet.empty())
+    assert np.linalg.matrix_rank(solver._open.gram[np.ix_(rows, rows)]) < len(rows)
+    _assert_every_subset_scores_like_its_solve(model, mesh, (0.3, 1.0))
+
+
+def test_zero_confinement_with_a_floating_open_piece_keeps_the_solve_path():
+    # cracking the column floats the right half of a strip clamped on the
+    # left: without confinement the all-open stiffness is singular, so
+    # candidates are solved, and the floating one still raises
+    mesh = make_strip_mesh(labeling={"dirichlet": ("left",)})
+    model = make_model(mesh, lam=0.0)
+    search = _Search(model, mesh)
+    assert not search.solver.scores
+    assert search.total(CrackSet.empty(), 0.5) == search._scored(CrackSet.empty(), 0.5)[1]
+    with pytest.raises(FloatingComponentError):
+        search.energies([CrackSet.empty(), CrackSet.of([4])], 0.5)
