@@ -41,9 +41,9 @@ from .energy import (
     stress_triple,
     total_energy,
 )
-from .evolution import EvolutionRecord, SearchStrategy, _Search, extensions, net_power, tie_tolerance
+from .evolution import BRUTE_FORCE, GREEDY, EvolutionRecord, SearchStrategy, _Search, net_power, tie_tolerance
 from .mesh import Mesh
-from .minimize import ElasticSolver, _solve_spd, assemble_forms, assemble_pairing, euler_residual
+from .minimize import _spd_solver, assemble_forms, assemble_pairing, euler_residual
 
 __all__ = [
     "AuditError",
@@ -235,8 +235,7 @@ class StabilityResult:
 
 def check_global_stability(record: EvolutionRecord, model: EnergyModel, mesh: Mesh,
                            level: str = ORACLE, residual_tol: float = _RESIDUAL_TOL,
-                           max_oracle_edges: int = 12,
-                           _solver: ElasticSolver | None = None) -> StabilityResult:
+                           max_oracle_edges: int = 12) -> StabilityResult:
     """Check the minimality of every recorded state at its own time.
 
     The margin of a candidate extension is (candidate total energy) minus the
@@ -248,8 +247,8 @@ def check_global_stability(record: EvolutionRecord, model: EnergyModel, mesh: Me
     """
     if level not in _LEVELS:
         raise AuditError(f"unknown stability level {level!r}; expected one of {_LEVELS}")
-    search = _Search(model, mesh, SearchStrategy(max_bruteforce_edges=max_oracle_edges),
-                     solver=_solver)
+    kind = BRUTE_FORCE if level == ORACLE else GREEDY
+    search = _Search(model, mesh, SearchStrategy(kind, max_oracle_edges))
     n = len(record)
 
     max_resid = 0.0
@@ -275,17 +274,13 @@ def check_global_stability(record: EvolutionRecord, model: EnergyModel, mesh: Me
             base = record.cracks[i]
             e_rec = record.total_energy(i)
             tol_i = tie_tolerance(e_rec)
-            cand_edges = search.candidates(base)
-            if level == ORACLE:
-                if len(cand_edges) > max_oracle_edges:
-                    raise AuditError(
-                        f"oracle stability over {len(cand_edges)} candidate edges exceeds "
-                        f"the limit {max_oracle_edges}; use level one_edge or raise the limit"
-                    )
-                cracks, energies = search.branch_and_bound(base, t, stored=e_rec)
-            else:
-                cracks = extensions(base, cand_edges, (0, 1))
-                energies = search.energies(cracks, t, stored=e_rec)
+            n_cand = len(search.candidates(base))
+            if level == ORACLE and n_cand > max_oracle_edges:
+                raise AuditError(
+                    f"oracle stability over {n_cand} candidate edges exceeds "
+                    f"the limit {max_oracle_edges}; use level one_edge or raise the limit"
+                )
+            cracks, energies = search.rivals(base, t, e_rec)
             for crack, e_cand in zip(cracks, energies):
                 margin = e_cand - e_rec
                 if margin < worst_margin:
@@ -417,7 +412,7 @@ def dual_certificate(model: EnergyModel, mesh: Mesh, crack: CrackSet, t: float,
     # minimum-norm correction of (sig1, sig2) restoring exact annihilation
     use_mass = model.body.lam > 0.0
     gram = assemble_forms(mesh, topo, area**2, area**2 if use_mass else 0.0)
-    y = _solve_spd(gram[free][:, free], -rho) if len(free) else np.zeros(0)
+    y = _spd_solver(gram[free][:, free])(-rho) if len(free) else np.zeros(0)
     yfull = np.zeros(topo.n_dofs)
     yfull[free] = y
     yfield = BrokenField(topo, yfull)

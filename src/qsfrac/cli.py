@@ -31,7 +31,7 @@ from .evolution import (
     run_evolution,
 )
 from .mesh import crackable_edges, mesh_fingerprint
-from .minimize import ElasticSolver, SolveError
+from .minimize import SolveError
 
 EXIT_OK = 0
 EXIT_AUDIT = 1
@@ -171,7 +171,6 @@ def cmd_audit(args) -> int:
     if unknown:
         raise AuditError(f"unknown checks: {sorted(unknown)}; available: {sorted(known)}")
 
-    solver = ElasticSolver(problem.model, problem.mesh)
     results = []
     if not record.complete:
         results.append(CheckResult(
@@ -192,7 +191,7 @@ def cmd_audit(args) -> int:
                 level = "oracle" if n_cand <= args.max_edges else "one_edge"
             results.append(audit_mod.check_global_stability(
                 record, problem.model, problem.mesh, level=level,
-                max_oracle_edges=args.max_edges, _solver=solver).result)
+                max_oracle_edges=args.max_edges).result)
         elif name == "structure":
             results.append(audit_mod.check_structure(record, problem.model.boundary).result)
     report = AuditReport(results)

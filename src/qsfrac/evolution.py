@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import parallel_map
-from .broken import BrokenField, CrackSet
+from .broken import BrokenField, CrackSet, build_topology
 from .energy import (
     EnergyModel,
     body_rate,
@@ -305,9 +305,9 @@ class EvolutionRecord:
             fh.write("\n")
 
     @classmethod
-    def load(cls, path, mesh: Mesh, model: EnergyModel,
-             solver: ElasticSolver | None = None) -> "EvolutionRecord":
-        """Rebuild a record against its mesh and model (topologies are derived).
+    def load(cls, path, mesh: Mesh, model: EnergyModel) -> "EvolutionRecord":
+        """Rebuild a record against its mesh and model: each distinct crack
+        set's DOF layout is built once, and each knot pins it to its datum.
 
         A file that is not a readable record for this mesh (bad JSON, a
         missing key, a DOF array of the wrong length, an edge that cannot
@@ -318,7 +318,7 @@ class EvolutionRecord:
                 payload = json.load(fh)
             except ValueError as exc:
                 raise RecordError(f"{path}: not a JSON record ({exc})") from exc
-        solver = solver or ElasticSolver(model, mesh)
+        layouts = {}
         where = "record"
         try:
             if not isinstance(payload, dict):
@@ -332,7 +332,9 @@ class EvolutionRecord:
             for i, row in enumerate(payload["knots"]):
                 where = f"knot {i}"
                 crack = CrackSet.of(row["crack"])
-                topo = solver.topology(crack, grid.knots[i])
+                if crack not in layouts:
+                    layouts[crack] = build_topology(mesh, crack)
+                topo = layouts[crack].with_datum(model.boundary.value(grid.knots[i]))
                 values = _finite(np.asarray(row["dofs"], dtype=float), "DOF")
                 energy = {k: float(row["energy"][k]) for k in _ENERGY_KEYS}
                 power = {k: float(row["power"][k]) for k in _POWER_KEYS}
@@ -487,6 +489,17 @@ class _Search:
         order = sorted(leaves, key=lambda c: (len(c), c.edge_ids))
         return order, [leaves[c] for c in order]
 
+    def rivals(self, base: CrackSet, t: float, stored: float) -> tuple[list[CrackSet], list[float]]:
+        """The supersets of ``base`` that a minimality verdict against the
+        stored total ``stored`` at time t weighs, with their energies: the
+        branch and bound under brute force, else ``base`` and its single-edge
+        (with pairs, also two-edge) extensions, scored by ``energies``."""
+        if self.strategy.kind == BRUTE_FORCE:
+            return self.branch_and_bound(base, t, stored)
+        sizes = (0, 1, 2) if self.strategy.kind == GREEDY_WITH_PAIRS else (0, 1)
+        cracks = extensions(base, self.candidates(base), sizes)
+        return cracks, self.energies(cracks, t, stored)
+
     def best_superset(self, crack_prev: CrackSet, t: float) -> CrackSet:
         if self.strategy.kind == BRUTE_FORCE:
             return self._brute(crack_prev, t)
@@ -539,30 +552,22 @@ def check_initial_minimality(model: EnergyModel, mesh: Mesh, crack0: CrackSet,
     """
     search = _Search(model, mesh, strategy, solver=_solver)
     e0, _ = total_energy(model, mesh, t, u0, crack0)
-    exhaustive = strategy.kind == BRUTE_FORCE
-    if exhaustive:
-        subsets, energies = search.branch_and_bound(crack0, t, stored=e0)
-    else:
-        sizes = (0, 1, 2) if strategy.kind == GREEDY_WITH_PAIRS else (0, 1)
-        subsets = extensions(crack0, search.candidates(crack0), sizes)
-        energies = search.energies(subsets, t, stored=e0)
-
+    subsets, energies = search.rivals(crack0, t, e0)
     worst = int(np.argmin(energies))
     passed = energies[worst] >= e0 - tie_tolerance(e0)
     return InitialMinimality(
         passed=passed, margin=float(energies[worst] - e0),
         witness_crack=None if passed else subsets[worst],
         witness_energy=None if passed else float(energies[worst]),
-        exhaustive=exhaustive,
+        exhaustive=strategy.kind == BRUTE_FORCE,
     )
 
 
 def incremental_step(model: EnergyModel, mesh: Mesh, crack_prev: CrackSet, t: float,
-                     strategy: SearchStrategy, _solver: ElasticSolver | None = None,
-                     tol: float = 1e-10):
+                     strategy: SearchStrategy, tol: float = 1e-10):
     """One knot of the incremental scheme: the minimizing (field, crack) with
     the crack containing ``crack_prev``."""
-    search = _Search(model, mesh, strategy, solver=_solver, tol=tol)
+    search = _Search(model, mesh, strategy, tol=tol)
     crack = search.best_superset(crack_prev, t)
     field, _ = search.solver.solve(crack, t, tol)
     return field, crack
@@ -641,16 +646,12 @@ def _envelope(record: EvolutionRecord, model: EnergyModel, mesh: Mesh, side: str
         raise EvolutionError("cannot take the envelope of an incomplete record")
     solver = ElasticSolver(model, mesh)
     out = record.shallow_copy()
-    n = len(record)
-    if side == "left":
-        jumps = [i for i in range(1, n) if record.cracks[i] != record.cracks[i - 1]]
-        replacement = {i: record.cracks[i - 1] for i in jumps}
-    else:
-        jumps = [i for i in range(n - 1) if record.cracks[i] != record.cracks[i + 1]]
-        replacement = {i: record.cracks[i + 1] for i in jumps}
+    jumps = record.jump_knots()
+    if side == "right":   # the crack after each jump, taken at the knot before it
+        jumps = [j - 1 for j in jumps]
     for i in jumps:
         t = float(record.times[i])
-        crack = replacement[i]
+        crack = record.cracks[i - 1] if side == "left" else record.cracks[i + 1]
         u, _ = solver.solve(crack, t)
         out.cracks[i] = crack
         out.fields[i] = u

@@ -1,10 +1,12 @@
 """Inner convex solves: minimize the elastic energy at a fixed crack set.
 
-For the quadratic exponent pair (p = q = 2) the problem is a symmetric
-positive definite linear system.  Each crack set's cached solve structure
-carries one ``solve(rhs, rtol)`` on its free block, chosen when it is built:
-dense Cholesky up to ``_DENSE_LIMIT`` free DOFs (the reference path), and
-diagonally preconditioned conjugate gradients beyond that.  The elastic
+Every direct solve of a symmetric positive definite system goes through
+``_spd_solver``: dense Cholesky up to ``_DENSE_LIMIT`` unknowns, sparse LU
+above, a failed factorization raising ``SolveError``.  For the quadratic
+exponent pair (p = q = 2) each crack set's cached solve structure carries
+one ``solve(rhs, rtol)`` on its free block: the direct solve up to
+``_DENSE_LIMIT`` free DOFs, and diagonally preconditioned conjugate
+gradients (only for these per-crack-set solves) beyond that.  The elastic
 energy W - F - G of the solution is then the quadratic form itself,
 
     E_el(u) = 1/2 u.(K u) - b.u + c_eps,   c_eps = 1/2 eps^2 sum_T |T| mu_T,
@@ -167,12 +169,17 @@ def _scatter_surface(mesh: Mesh, topo: DofTopology, out: np.ndarray, w: np.ndarr
     np.add.at(out, dofs[:, 1], w)
 
 
-def _solve_spd(matrix: scipy.sparse.spmatrix, rhs: np.ndarray) -> np.ndarray:
-    """Solve a symmetric positive definite sparse system: dense up to
-    ``_DENSE_LIMIT`` unknowns, sparse LU above."""
-    if matrix.shape[0] <= _DENSE_LIMIT:
-        return scipy.linalg.solve(matrix.toarray(), rhs, assume_a="pos")
-    return scipy.sparse.linalg.spsolve(matrix.tocsc(), rhs)
+def _spd_solver(matrix: scipy.sparse.spmatrix):
+    """Factor a symmetric positive definite sparse matrix once and return
+    ``solve(rhs)``: dense Cholesky up to ``_DENSE_LIMIT`` unknowns, sparse LU
+    above.  A failed factorization raises ``SolveError``."""
+    try:
+        if matrix.shape[0] <= _DENSE_LIMIT:
+            factor = scipy.linalg.cho_factor(matrix.toarray())
+            return lambda rhs: scipy.linalg.cho_solve(factor, rhs)
+        return scipy.sparse.linalg.splu(matrix.tocsc()).solve
+    except (RuntimeError, scipy.linalg.LinAlgError) as exc:
+        raise SolveError(f"SPD factorization failed: {exc}") from exc
 
 
 def assemble_pairing(mesh: Mesh, topo: DofTopology, sig: np.ndarray, body: np.ndarray,
@@ -212,12 +219,13 @@ class _CrackData:
 
     For p = q = 2 it holds the stiffness matrix and the one linear solve on
     its free block, ``solve(rhs, rtol) -> (x, iterations)``, labelled by
-    ``method``: dense Cholesky up to ``_DENSE_LIMIT`` free DOFs (one
+    ``method``: the direct ``_spd_solver`` up to ``_cg_above`` free DOFs (one
     iteration, ``rtol`` unused), Jacobi-preconditioned conjugate gradients
     above (scipy's ``info`` as the count: 0 on convergence).
     """
 
     __slots__ = ("topology", "matrix", "k_fc", "solve", "method", "floating")
+    _cg_above = _DENSE_LIMIT
 
     def __init__(self, model: EnergyModel, mesh: Mesh, crack: CrackSet, quadratic: bool):
         # validated once here; solves only attach the datum at their time
@@ -241,11 +249,10 @@ class _CrackData:
         self.k_fc = k[free][:, cons]
         self.solve, self.method = self._linear_solve(kff)
 
-    @staticmethod
-    def _linear_solve(kff: scipy.sparse.csr_matrix):
-        if kff.shape[0] <= _DENSE_LIMIT:
-            factor = scipy.linalg.cho_factor(kff.toarray())
-            return lambda rhs, rtol: (scipy.linalg.cho_solve(factor, rhs), 1), "direct"
+    def _linear_solve(self, kff: scipy.sparse.csr_matrix):
+        if kff.shape[0] <= self._cg_above:
+            solve = _spd_solver(kff)
+            return lambda rhs, rtol: (solve(rhs), 1), "direct"
         diag = kff.diagonal()
         precond = scipy.sparse.diags(1.0 / np.where(diag > 0, diag, 1.0))
         return lambda rhs, rtol: scipy.sparse.linalg.cg(
@@ -263,8 +270,8 @@ class _OpenSpace(_CrackData):
     that two edges ask for is kept once and owned by both; a row the layout
     already satisfies (both corners on one DOF, or on pinned DOFs) is
     dropped.  The rows do not depend on t.  With K the stiffness on the free
-    DOFs, one direct factorization of K (dense Cholesky up to the dense limit,
-    sparse LU above) gives the Gram matrix G = R K^-1 R^T of the rows, and the
+    DOFs, one direct factorization of K (``_spd_solver``, at every size)
+    gives the Gram matrix G = R K^-1 R^T of the rows, and the
     constrained minimum over X is
 
         E_el(X, t) = E_open(t) + 1/2 r_X(t).G_X^+ r_X(t),
@@ -282,6 +289,7 @@ class _OpenSpace(_CrackData):
     """
 
     __slots__ = ("rows", "owner_edge", "owner_row", "gram")
+    _cg_above = math.inf   # a direct solve at every size, for many right-hand sides at once
 
     def __init__(self, model: EnergyModel, mesh: Mesh):
         super().__init__(model, mesh, CrackSet.of(crackable_edges(mesh)), False)
@@ -321,17 +329,6 @@ class _OpenSpace(_CrackData):
         rt = rt[topo.free_dofs]
         gram = rt.T @ self.solve(rt, 0.0)[0]
         self.gram = 0.5 * (gram + gram.T)
-
-    @staticmethod
-    def _linear_solve(kff: scipy.sparse.csr_matrix):
-        """A direct solve at every size, for many right-hand sides at once."""
-        try:
-            if kff.shape[0] <= _DENSE_LIMIT:
-                return _CrackData._linear_solve(kff)
-            lu = scipy.sparse.linalg.splu(kff.tocsc())
-        except (RuntimeError, scipy.linalg.LinAlgError) as exc:
-            raise SolveError(f"factorization of the all-open stiffness failed: {exc}") from exc
-        return lambda rhs, rtol: (lu.solve(rhs), 1), "direct"
 
     def residual(self, u: np.ndarray, psi: np.ndarray) -> np.ndarray:
         """r = R u - d for the DOF values ``u`` and the nodal datum ``psi``."""
@@ -412,9 +409,6 @@ class ElasticSolver:
         else:
             self._cache.move_to_end(key)
         return data
-
-    def topology(self, crack: CrackSet, t: float) -> DofTopology:
-        return self._data(crack).topology.with_datum(self._loads_at(t)[1])
 
     def _loads_at(self, t: float) -> tuple:
         """(t, boundary datum, body load per corner, surface load per
@@ -607,13 +601,9 @@ class ElasticSolver:
         base = float(np.mean(h.diagonal())) or 1.0
         for _ in range(8):
             try:
-                hh = h + ridge * base * scipy.sparse.identity(n) if ridge else h
-                d = _solve_spd(hh, -g)
-                if np.all(np.isfinite(d)):
-                    return d
-            except (scipy.linalg.LinAlgError, RuntimeError):
-                pass
-            ridge = max(ridge * 10.0, 1e-12)
+                return _spd_solver(h + ridge * base * scipy.sparse.identity(n) if ridge else h)(-g)
+            except SolveError:
+                ridge = max(ridge * 10.0, 1e-12)
         raise SolveError("Newton direction solve failed even with ridge regularization")
 
 

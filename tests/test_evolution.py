@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qsfrac import evolution
+from qsfrac import evolution, minimize
 from qsfrac.audit import ORACLE, check_global_stability
 from qsfrac.broken import CrackSet
 from qsfrac.config import parse_config
@@ -468,6 +468,18 @@ def test_record_roundtrip_bit_exact(tmp_path, strip_problem, strip_record):
         assert rec.cracks[i] == rec2.cracks[i]
         assert rec.energies[i] == rec2.energies[i]
         assert rec.powers[i] == rec2.powers[i]
+
+
+def test_record_load_builds_no_solve_structure(tmp_path, monkeypatch, strip_problem, strip_record):
+    # loading reads DOF layouts only: no stiffness is assembled or factored
+    def refuse(*args, **kwargs):
+        raise AssertionError("EvolutionRecord.load built a solve structure")
+
+    monkeypatch.setattr(minimize._CrackData, "__init__", refuse)
+    path1, path2 = tmp_path / "a.json", tmp_path / "b.json"
+    strip_record.save(path1)
+    EvolutionRecord.load(path1, strip_problem.mesh, strip_problem.model).save(path2)
+    assert path1.read_bytes() == path2.read_bytes()
 
 
 def test_record_csv_columns(tmp_path, strip_record):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -316,9 +318,23 @@ def test_fully_pinned_problem_returns_the_interpolant():
 @pytest.mark.parametrize("n", [2, minimize._DENSE_LIMIT + 1])
 def test_open_space_factorization_failure_is_a_solve_error(n):
     # dense Cholesky up to the dense limit, sparse LU above: a singular
-    # all-open stiffness surfaces as the solver's numeric error
-    with pytest.raises(minimize.SolveError, match="all-open stiffness"):
-        minimize._OpenSpace._linear_solve(scipy.sparse.csr_matrix((n, n)))
+    # matrix (the all-open stiffness among others) is the solver's numeric error
+    with pytest.raises(minimize.SolveError, match="factorization failed"):
+        minimize._spd_solver(scipy.sparse.csr_matrix((n, n)))
+
+
+def test_newton_direction_on_a_singular_hessian_raises_no_warning():
+    # a path Laplacian is singular (constants are its kernel) and above the
+    # dense limit; the ridge fallback gives a finite direction, and no
+    # factorization emits a warning on the way
+    n = minimize._DENSE_LIMIT + 1
+    lap = scipy.sparse.diags([-np.ones(n - 1), np.r_[1.0, 2.0 * np.ones(n - 2), 1.0],
+                              -np.ones(n - 1)], [-1, 0, 1], format="csr")
+    g = np.sin(np.arange(n, dtype=float))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = ElasticSolver._newton_direction(lap, g)
+    assert d.shape == (n,) and np.all(np.isfinite(d))
 
 
 def test_fully_pinned_problem_scores_without_free_dofs():
