@@ -43,7 +43,7 @@ from .energy import (
 )
 from .evolution import BRUTE_FORCE, GREEDY, EvolutionRecord, SearchStrategy, _Search, net_power, tie_tolerance
 from .mesh import Mesh
-from .minimize import _spd_solver, assemble_forms, assemble_pairing, euler_residual
+from .minimize import _FreeBlock, _spd_solver, assemble_forms, assemble_pairing, euler_residual
 
 __all__ = [
     "AuditError",
@@ -411,8 +411,8 @@ def dual_certificate(model: EnergyModel, mesh: Mesh, crack: CrackSet, t: float,
 
     # minimum-norm correction of (sig1, sig2) restoring exact annihilation
     use_mass = model.body.lam > 0.0
-    gram = assemble_forms(mesh, topo, area**2, area**2 if use_mass else 0.0)
-    y = _spd_solver(gram[free][:, free])(-rho) if len(free) else np.zeros(0)
+    gram = assemble_forms(mesh, topo, area**2, area**2 if use_mass else 0.0, _FreeBlock(topo))
+    y = _spd_solver(gram)(-rho) if len(free) else np.zeros(0)
     yfull = np.zeros(topo.n_dofs)
     yfull[free] = y
     yfield = BrokenField(topo, yfull)

@@ -16,7 +16,10 @@ residual check already forms K u, so scoring a candidate crack set costs no
 quadrature.  For any other exponents a damped Newton iteration with Armijo
 backtracking runs on the free DOFs, cold-started from the boundary
 interpolant so results do not depend on evaluation order, and its energy is
-the quadrature of ``energy.elastic_energy``.
+the quadrature of ``energy.elastic_energy``.  Its Hessian is scattered from
+the per-triangle 3x3 blocks straight onto the free DOFs (``_FreeBlock``,
+built once per crack set): a dense array up to ``_DENSE_LIMIT`` of them, CSR
+above, never a matrix on all DOFs sliced afterwards.
 
 Every crack set X of a quadratic problem is the all-open space (every
 crackable edge cracked) with time-independent rows added: a tie per endpoint
@@ -43,12 +46,15 @@ the one routine that scatters such a pairing onto the DOFs.  It gives the
 Newton gradient (``assemble_gradient``), the Euler residual of the
 stability audit, and both residuals of the dual certificate.
 
-``ElasticSolver`` keeps three caches: an LRU of at most ``_CACHE_SIZE``
-per-crack-set solve structures (DOF layout and linear solve), a one-entry
-memo of the loads at the last time solved (boundary datum, body load per
-corner, surface load per surface edge), which every candidate of a knot
-shares, and, once ``scores`` is read, the open space with a one-entry memo
-of E_open and r at the last time scored.
+``ElasticSolver`` keeps four caches: an LRU of at most ``_CACHE_SIZE``
+per-crack-set solve structures (DOF layout, and the linear solve or the
+free-block scatter), a one-entry memo of the loads at the last time solved
+(boundary datum, body load per corner, surface load per surface edge), which
+every candidate of a knot shares, a one-entry memo of the last successful
+solve (crack set, time and tolerance, with its field and report), so the
+state a search has just chosen is not solved again, and, once ``scores`` is
+read, the open space with a one-entry memo of E_open and r at the last time
+scored.
 
 A run with zero confinement and a crack that isolates a piece of the body
 from the Dirichlet boundary has no bounded minimizer; this surfaces as a
@@ -131,8 +137,10 @@ class SolveReport:
 # assembly helpers
 # ---------------------------------------------------------------------------
 
-def assemble_forms(mesh: Mesh, topo: DofTopology, stiff_coef, mass_coef) -> scipy.sparse.csr_matrix:
-    """Assemble sum_T stiff[T] * (Gt G) + mass[T]/9 * ones(3,3) on the DOFs.
+def assemble_forms(mesh: Mesh, topo: DofTopology, stiff_coef, mass_coef,
+                   block: _FreeBlock | None = None):
+    """Assemble sum_T stiff[T] * (Gt G) + mass[T]/9 * ones(3,3) on the DOFs,
+    or on the free block ``block`` (see ``_scatter_local``).
 
     With stiff = area * mu and mass = area * lam this is the Hessian of the
     quadratic elastic energy; other coefficient choices reuse the same
@@ -143,16 +151,43 @@ def assemble_forms(mesh: Mesh, topo: DofTopology, stiff_coef, mass_coef) -> scip
     mass = np.broadcast_to(np.asarray(mass_coef, dtype=float), (m,))
     g = mesh.grad_op
     local = np.einsum("t,tki,tkj->tij", stiff, g, g)
-    return _scatter_local(topo, local + (mass / 9.0)[:, None, None] * np.ones((3, 3)))
+    return _scatter_local(topo, local + (mass / 9.0)[:, None, None] * np.ones((3, 3)), block)
 
 
-def _scatter_local(topo: DofTopology, local: np.ndarray) -> scipy.sparse.csr_matrix:
-    """Sum the per-triangle 3x3 corner matrices ``local`` into a DOF matrix."""
-    rows = np.repeat(topo.corner_dof, 3, axis=1).ravel()
-    cols = np.tile(topo.corner_dof, (1, 3)).ravel()
-    return scipy.sparse.coo_matrix(
-        (local.ravel(), (rows, cols)), shape=(topo.n_dofs, topo.n_dofs)
-    ).tocsr()
+class _FreeBlock:
+    """Where the per-triangle 3x3 corner entries of a topology land in its
+    free-DOF block: the raveled (triangle, row corner, column corner) entries
+    whose two DOFs are both free (``keep``), and their flat position
+    ``row * n + col`` among the ``n`` free DOFs.  Built once per crack set."""
+
+    __slots__ = ("n", "keep", "flat")
+
+    def __init__(self, topo: DofTopology):
+        pos = np.full(topo.n_dofs, -1)
+        pos[topo.free_dofs] = np.arange(topo.n_free)
+        corner = pos[topo.corner_dof]
+        rows = np.repeat(corner, 3, axis=1).ravel()
+        cols = np.tile(corner, (1, 3)).ravel()
+        self.n = topo.n_free
+        self.keep = np.flatnonzero((rows >= 0) & (cols >= 0))
+        self.flat = rows[self.keep] * self.n + cols[self.keep]
+
+
+def _scatter_local(topo: DofTopology, local: np.ndarray, block: _FreeBlock | None = None):
+    """Sum the per-triangle 3x3 corner matrices ``local`` into a CSR matrix
+    on all DOFs or, given ``block``, straight onto the free DOFs: a dense
+    array up to ``_DENSE_LIMIT`` of them, CSR above."""
+    if block is None:
+        rows = np.repeat(topo.corner_dof, 3, axis=1).ravel()
+        cols = np.tile(topo.corner_dof, (1, 3)).ravel()
+        return scipy.sparse.coo_matrix(
+            (local.ravel(), (rows, cols)), shape=(topo.n_dofs, topo.n_dofs)
+        ).tocsr()
+    n = block.n
+    values = local.ravel()[block.keep]
+    if n <= _DENSE_LIMIT:
+        return np.bincount(block.flat, values, n * n).reshape(n, n)
+    return scipy.sparse.csr_matrix((values, divmod(block.flat, n)), shape=(n, n))
 
 
 def _scatter_corner(topo: DofTopology, per_corner: np.ndarray) -> np.ndarray:
@@ -169,13 +204,15 @@ def _scatter_surface(mesh: Mesh, topo: DofTopology, out: np.ndarray, w: np.ndarr
     np.add.at(out, dofs[:, 1], w)
 
 
-def _spd_solver(matrix: scipy.sparse.spmatrix):
-    """Factor a symmetric positive definite sparse matrix once and return
+def _spd_solver(matrix):
+    """Factor a symmetric positive definite matrix once and return
     ``solve(rhs)``: dense Cholesky up to ``_DENSE_LIMIT`` unknowns, sparse LU
-    above.  A failed factorization raises ``SolveError``."""
+    above (``matrix`` is then sparse; below it may be a dense array).  A
+    failed factorization raises ``SolveError``."""
     try:
         if matrix.shape[0] <= _DENSE_LIMIT:
-            factor = scipy.linalg.cho_factor(matrix.toarray())
+            dense = matrix if isinstance(matrix, np.ndarray) else matrix.toarray()
+            factor = scipy.linalg.cho_factor(dense)
             return lambda rhs: scipy.linalg.cho_solve(factor, rhs)
         return scipy.sparse.linalg.splu(matrix.tocsc()).solve
     except (RuntimeError, scipy.linalg.LinAlgError) as exc:
@@ -200,14 +237,13 @@ def assemble_gradient(model: EnergyModel, mesh: Mesh, t: float, u: BrokenField) 
     return assemble_pairing(mesh, u.topology, *stress_triple(model, mesh, t, u))
 
 
-def _assemble_hessian(model: EnergyModel, mesh: Mesh, t: float, u: BrokenField) -> scipy.sparse.csr_matrix:
-    grads = u.gradients()
-    tri = np.arange(mesh.n_triangles)
-    d = stress_jacobian(model.bulk, tri, grads)               # (m, 2, 2)
+def _free_hessian(model: EnergyModel, mesh: Mesh, t: float, u: BrokenField, block: _FreeBlock):
+    """Hessian of the elastic energy at ``u`` on the free block ``block``."""
+    d = stress_jacobian(model.bulk, np.arange(mesh.n_triangles), u.gradients())   # (m, 2, 2)
     g = mesh.grad_op
     local = mesh.tri_area[:, None, None] * np.einsum("tki,tkl,tlj->tij", g, d, g)
     c = mesh.tri_area * body_hessian_coeff(model.body, t, u.tri_means())
-    return _scatter_local(u.topology, local + (c / 9.0)[:, None, None] * np.ones((3, 3)))
+    return _scatter_local(u.topology, local + (c / 9.0)[:, None, None] * np.ones((3, 3)), block)
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +257,11 @@ class _CrackData:
     its free block, ``solve(rhs, rtol) -> (x, iterations)``, labelled by
     ``method``: the direct ``_spd_solver`` up to ``_cg_above`` free DOFs (one
     iteration, ``rtol`` unused), Jacobi-preconditioned conjugate gradients
-    above (scipy's ``info`` as the count: 0 on convergence).
+    above (scipy's ``info`` as the count: 0 on convergence).  For any other
+    exponents it holds the ``_FreeBlock`` the Newton Hessians scatter onto.
     """
 
-    __slots__ = ("topology", "matrix", "k_fc", "solve", "method", "floating")
+    __slots__ = ("topology", "matrix", "k_fc", "solve", "method", "floating", "block")
     _cg_above = _DENSE_LIMIT
 
     def __init__(self, model: EnergyModel, mesh: Mesh, crack: CrackSet, quadratic: bool):
@@ -233,6 +270,7 @@ class _CrackData:
         # only a run without confinement can float a piece of the body
         self.floating = _floating_message(topo) if model.body.lam == 0.0 else None
         self.matrix = self.k_fc = self.solve = self.method = None
+        self.block = None if quadratic else _FreeBlock(topo)
         if quadratic:
             if self.floating:
                 raise FloatingComponentError(self.floating)
@@ -381,8 +419,9 @@ class ElasticSolver:
     set, so sweeping many candidate cracks over many times reuses the
     expensive parts.  The cache is an LRU of ``_CACHE_SIZE``.  The
     loads of the last time solved are memoized, so the candidates of one
-    knot interpolate the load tables once.  Where ``scores`` holds, ``score``
-    gives the energy of any crack set from the all-open space instead.
+    knot interpolate the load tables once, and so is the last solve.  Where
+    ``scores`` holds, ``score`` gives the energy of any crack set from the
+    all-open space instead.
     """
 
     def __init__(self, model: EnergyModel, mesh: Mesh):
@@ -394,6 +433,7 @@ class ElasticSolver:
         self._loads: tuple | None = None
         self._open: _OpenSpace | bool | None = None   # built when ``scores`` is first read
         self._open_at: tuple | None = None     # (t, E_open, r) of the last time scored
+        self._last: tuple | None = None        # ((edge ids, t, tol), (field, report)) of the last solve
         # the constant of the quadratic energy identity: the bulk energy at zero gradient
         mu = model.bulk.mu_at(np.arange(mesh.n_triangles))
         self._c_eps = 0.5 * model.bulk.epsilon**2 * float(np.sum(mesh.tri_area * mu))
@@ -462,7 +502,13 @@ class ElasticSolver:
         return b
 
     def solve(self, crack: CrackSet, t: float, tol: float = 1e-10):
-        """Return (field, report) with the free-DOF gradient norm at most tol."""
+        """Return (field, report) with the free-DOF gradient norm at most tol.
+
+        The last successful solve is memoized: asking for it again returns
+        the same (field, report), whose field values are read-only."""
+        key = (crack.edge_ids, t, tol)
+        if self._last is not None and self._last[0] == key:
+            return self._last[1]
         start = time.perf_counter()
         data = self._data(crack)
         topo = data.topology.with_datum(self._loads_at(t)[1])
@@ -471,12 +517,14 @@ class ElasticSolver:
         if self.quadratic:
             field, iters, res, method, energy = self._solve_quadratic(topo, data, t, tol)
         else:
-            field, iters, res, method, energy = self._solve_newton(topo, t, tol)
+            field, iters, res, method, energy = self._solve_newton(topo, data.block, t, tol)
         report = SolveReport(
             iterations=iters, residual=res, energy=energy,
             wall_time=time.perf_counter() - start, method=method,
             n_free=topo.n_free,
         )
+        field.values.setflags(write=False)
+        self._last = (key, (field, report))
         return field, report
 
     def _solve_quadratic(self, topo: DofTopology, data: _CrackData, t: float, tol: float):
@@ -503,8 +551,8 @@ class ElasticSolver:
             raise SolveError(f"linear solve stalled at residual {res:.3e} > tol {tol:.3e}")
         return BrokenField(topo, u), iters, res, data.method, energy
 
-    def _trust_region_start(self, topo: DofTopology, t: float, field: BrokenField,
-                            tol: float) -> BrokenField:
+    def _trust_region_start(self, topo: DofTopology, block: _FreeBlock, t: float,
+                            field: BrokenField, tol: float) -> BrokenField:
         """Globalize with a trust-region Newton before the damped polish.
 
         For exponents below 2 the curvature of the power laws decays away
@@ -532,14 +580,17 @@ class ElasticSolver:
         options = {"gtol": max(tol, 1e-12), "maxiter": 500}
         if len(free) <= _DENSE_LIMIT:
             def hess(v):
-                return _assemble_hessian(model, mesh, t, embed(v))[free][:, free].toarray()
+                return _free_hessian(model, mesh, t, embed(v), block)
 
             result = scipy.optimize.minimize(fun, base[free], jac=jac, hess=hess,
                                              method="trust-exact", options=options)
         else:
+            last = [None, None]   # the iterate and its Hessian: CG steps share them
+
             def hessp(v, w):
-                h = _assemble_hessian(model, mesh, t, embed(v))[free][:, free]
-                return h @ w
+                if last[0] is None or not np.array_equal(last[0], v):
+                    last[:] = v.copy(), _free_hessian(model, mesh, t, embed(v), block)
+                return last[1] @ w
 
             result = scipy.optimize.minimize(fun, base[free], jac=jac, hessp=hessp,
                                              method="trust-ncg", options=options)
@@ -547,12 +598,12 @@ class ElasticSolver:
         # Newton polish below decides whether the tolerance is reachable
         return embed(result.x)
 
-    def _solve_newton(self, topo: DofTopology, t: float, tol: float):
+    def _solve_newton(self, topo: DofTopology, block: _FreeBlock, t: float, tol: float):
         model, mesh = self.model, self.mesh
         field = BrokenField.from_nodal(topo, topo.psi_nodal)
         free = topo.free_dofs
         if len(free) and min(model.p, model.q) < 2.0:
-            field = self._trust_region_start(topo, t, field, tol)
+            field = self._trust_region_start(topo, block, t, field, tol)
         energy, _ = elastic_energy(model, mesh, t, field)
         if len(free) == 0:
             return field, 0, 0.0, "newton", energy
@@ -561,8 +612,7 @@ class ElasticSolver:
             res = float(np.linalg.norm(g))
             if res <= tol:
                 return field, it, res, "newton", energy
-            h = _assemble_hessian(model, mesh, t, field)[free][:, free]
-            d = self._newton_direction(h, g)
+            d = self._newton_direction(_free_hessian(model, mesh, t, field, block), g)
             slope = float(g @ d)
             if slope >= 0:
                 d, slope = -g, -float(g @ g)
@@ -595,13 +645,16 @@ class ElasticSolver:
         raise SolveError(f"Newton did not reach tol {tol:.3e} within {_NEWTON_CAP} iterations")
 
     @staticmethod
-    def _newton_direction(h: scipy.sparse.csr_matrix, g: np.ndarray) -> np.ndarray:
+    def _newton_direction(h, g: np.ndarray) -> np.ndarray:
+        """Solve h d = -g for the dense or sparse free-block Hessian ``h``,
+        adding a growing ridge while the factorization fails."""
         n = h.shape[0]
+        eye = np.eye if isinstance(h, np.ndarray) else scipy.sparse.identity
         ridge = 0.0
         base = float(np.mean(h.diagonal())) or 1.0
         for _ in range(8):
             try:
-                return _spd_solver(h + ridge * base * scipy.sparse.identity(n) if ridge else h)(-g)
+                return _spd_solver(h + ridge * base * eye(n) if ridge else h)(-g)
             except SolveError:
                 ridge = max(ridge * 10.0, 1e-12)
         raise SolveError("Newton direction solve failed even with ridge regularization")

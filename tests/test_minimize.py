@@ -6,7 +6,7 @@ import scipy.sparse
 
 from qsfrac import minimize
 from qsfrac.broken import BrokenField, CrackSet, build_topology
-from qsfrac.energy import TimeTable, elastic_energy
+from qsfrac.energy import TimeTable, body_hessian_coeff, elastic_energy, stress_jacobian
 from qsfrac.mesh import build_structured_mesh, crackable_edges
 from qsfrac.minimize import (
     ElasticSolver,
@@ -335,6 +335,117 @@ def test_newton_direction_on_a_singular_hessian_raises_no_warning():
         warnings.simplefilter("error")
         d = ElasticSolver._newton_direction(lap, g)
     assert d.shape == (n,) and np.all(np.isfinite(d))
+
+
+def test_newton_direction_on_a_singular_dense_hessian_takes_the_ridge(monkeypatch):
+    # the dense twin of the test above: a path Laplacian at the dense limit
+    # fails its Cholesky factorization without a warning, and the ridge
+    # fallback factors again and gives a finite direction
+    n = minimize._DENSE_LIMIT
+    lap = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    lap[0, 0] = lap[-1, -1] = 1.0
+    g = np.sin(np.arange(n, dtype=float))
+    factored = []
+    spd_solver = minimize._spd_solver
+    monkeypatch.setattr(minimize, "_spd_solver", lambda h: factored.append(h) or spd_solver(h))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = ElasticSolver._newton_direction(lap, g)
+    assert len(factored) >= 2 and all(isinstance(h, np.ndarray) for h in factored)
+    assert d.shape == (n,) and np.all(np.isfinite(d))
+
+
+def full_hessian_reference(model, mesh, t, u):
+    """The Hessian of the elastic energy assembled on all DOFs, then sliced
+    to the free ones: the free-block assembly must match it."""
+    d = stress_jacobian(model.bulk, np.arange(mesh.n_triangles), u.gradients())
+    g = mesh.grad_op
+    local = mesh.tri_area[:, None, None] * np.einsum("tki,tkl,tlj->tij", g, d, g)
+    c = mesh.tri_area * body_hessian_coeff(model.body, t, u.tri_means())
+    local = local + (c / 9.0)[:, None, None] * np.ones((3, 3))
+    topo = u.topology
+    rows = np.repeat(topo.corner_dof, 3, axis=1).ravel()
+    cols = np.tile(topo.corner_dof, (1, 3)).ravel()
+    full = scipy.sparse.coo_matrix((local.ravel(), (rows, cols)),
+                                   shape=(topo.n_dofs, topo.n_dofs)).tocsr()
+    free = topo.free_dofs
+    return full[free][:, free].toarray()
+
+
+@pytest.mark.parametrize("p, q", [(4.0, 2.0), (1.5, 2.0), (2.0, 3.0)])
+@pytest.mark.parametrize("nx, ny", [(2, 1), (18, 14)])
+def test_free_block_hessian_matches_the_sliced_full_assembly(p, q, nx, ny):
+    # random fields on the uncracked body and on one with a cracked-off piece
+    mesh = build_structured_mesh(nx, ny, 2.0, 1.0, labeling={"dirichlet": ("left",)},
+                                 brittle=("rect", (1.0, 0.0, 1.0, 1.0)))
+    model = make_model(mesh, p=p, q=q, eps=1e-6, lam=0.5)
+    rng = np.random.default_rng(10)
+    for crack in (CrackSet.empty(), CrackSet.of(crackable_edges(mesh))):
+        topo = build_topology(mesh, crack, model.boundary.value(0.6))
+        u = BrokenField(topo, rng.normal(size=topo.n_dofs))
+        h = minimize._free_hessian(model, mesh, 0.6, u, minimize._FreeBlock(topo))
+        assert isinstance(h, np.ndarray) is (topo.n_free <= minimize._DENSE_LIMIT)
+        dense = h if isinstance(h, np.ndarray) else h.toarray()
+        ref = full_hessian_reference(model, mesh, 0.6, u)
+        assert np.max(np.abs(dense - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_a_repeated_solve_returns_the_last_result(monkeypatch):
+    mesh = make_strip_mesh()
+    model = make_model(mesh, p=4.0, lam=1e-2)
+    evaluations = []
+    energy = minimize.elastic_energy
+    monkeypatch.setattr(minimize, "elastic_energy", lambda *a: evaluations.append(1) or energy(*a))
+    solver = ElasticSolver(model, mesh)
+    u, rep = solver.solve(CrackSet.of([4]), 0.8, 1e-10)
+    data = u.values.tobytes()
+    assert evaluations and not u.values.flags.writeable
+    evaluations.clear()
+    again = solver.solve(CrackSet.of([4]), 0.8, 1e-10)
+    assert again[0] is u and again[1] is rep and u.values.tobytes() == data
+    assert not evaluations
+    for crack, t, tol in ((CrackSet.of([4]), 0.7, 1e-10), (CrackSet.of([4]), 0.7, 1e-11),
+                          (CrackSet.empty(), 0.7, 1e-11)):
+        solver.solve(crack, t, tol)
+        assert evaluations
+        evaluations.clear()
+
+
+def test_a_failed_solve_is_not_memoized(monkeypatch):
+    # the cracked-off piece relaxes onto the kink of the q < 2 body potential
+    mesh = make_strip_mesh()
+    solver = ElasticSolver(make_model(mesh, q=1.5, lam=1e-2), mesh)
+    evaluations = []
+    energy = minimize.elastic_energy
+    monkeypatch.setattr(minimize, "elastic_energy", lambda *a: evaluations.append(1) or energy(*a))
+    for _ in range(2):
+        evaluations.clear()
+        with pytest.raises(minimize.SolveError):
+            solver.solve(CrackSet.of([4]), 0.3)
+        assert evaluations
+
+
+def test_trust_region_hessian_assembles_once_per_iterate(monkeypatch):
+    # above the dense limit trust-ncg asks for a Hessian product at every CG
+    # step; the Hessian is assembled only when the iterate moves
+    mesh = build_structured_mesh(18, 14, 2.0, 1.0, labeling={"dirichlet": ("left", "right")},
+                                 brittle=("rect", (1.0, 0.0, 1.0, 1.0)))
+    model = make_model(mesh, p=1.5, eps=1e-6, lam=1e-2)
+    crack = CrackSet.of(crackable_edges(mesh)[:7])
+    topo = build_topology(mesh, crack, model.boundary.value(0.9))
+    assert topo.n_free > minimize._DENSE_LIMIT
+    iterates = []
+    hessian = minimize._free_hessian
+
+    def counted(model, mesh, t, u, block):
+        iterates.append(u.values[u.topology.free_dofs].tobytes())
+        return hessian(model, mesh, t, u, block)
+
+    monkeypatch.setattr(minimize, "_free_hessian", counted)
+    solver = ElasticSolver(model, mesh)
+    start = BrokenField.from_nodal(topo, topo.psi_nodal)
+    solver._trust_region_start(topo, minimize._FreeBlock(topo), 0.9, start, 1e-10)
+    assert len(iterates) == len(set(iterates)) >= 2
 
 
 def test_fully_pinned_problem_scores_without_free_dofs():
