@@ -13,13 +13,19 @@ energy W - F - G of the solution is then the quadratic form itself,
 
 with K the stiffness-plus-confinement matrix and b the load vector; the
 residual check already forms K u, so scoring a candidate crack set costs no
-quadrature.  For any other exponents a damped Newton iteration with Armijo
-backtracking runs on the free DOFs, cold-started from the boundary
-interpolant so results do not depend on evaluation order, and its energy is
-the quadrature of ``energy.elastic_energy``.  Its Hessian is scattered from
-the per-triangle 3x3 blocks straight onto the free DOFs (``_FreeBlock``,
-built once per crack set): a dense array up to ``_DENSE_LIMIT`` of them, CSR
-above, never a matrix on all DOFs sliced afterwards.
+quadrature.  For any other exponents a damped Newton iteration runs on the
+free DOFs, cold-started from the boundary interpolant so results do not
+depend on evaluation order; below exponent 2 a trust-region Newton (scipy's
+trust-exact, trust-ncg above ``_DENSE_LIMIT``) starts it.  Both phases read
+energy, gradient and Hessian from one ``_Evaluator`` per solve, which fixes
+the loads at t and the per-triangle constants once and computes the
+gradients and midpoint means once per iterate.  A step that fails to halve
+the gradient norm falls back to an Armijo search with safeguarded
+quadratic-interpolation backtracking.  The Hessian is scattered from the
+per-triangle 3x3 blocks straight onto the free DOFs (``_FreeBlock``, built
+once per crack set): a dense array up to ``_DENSE_LIMIT`` of them, CSR
+above.  The reported energy is the quadrature of ``energy.elastic_energy``
+at the returned field.
 
 Every crack set X of a quadratic problem is the all-open space (every
 crackable edge cracked) with time-independent rows added: a tie per endpoint
@@ -43,8 +49,9 @@ wide brittle region is solved candidate by candidate as before.
 The first variation of the elastic energy is the stress triple of
 ``energy.stress_triple`` paired with (grad v, v, v); ``assemble_pairing`` is
 the one routine that scatters such a pairing onto the DOFs.  It gives the
-Newton gradient (``assemble_gradient``), the Euler residual of the
-stability audit, and both residuals of the dual certificate.
+reference gradient (``assemble_gradient``) the Newton evaluator is tested
+against, the Euler residual of the stability audit, and both residuals of
+the dual certificate.
 
 ``ElasticSolver`` keeps four caches: an LRU of at most ``_CACHE_SIZE``
 per-crack-set solve structures (DOF layout, and the linear solve or the
@@ -158,9 +165,12 @@ class _FreeBlock:
     """Where the per-triangle 3x3 corner entries of a topology land in its
     free-DOF block: the raveled (triangle, row corner, column corner) entries
     whose two DOFs are both free (``keep``), and their flat position
-    ``row * n + col`` among the ``n`` free DOFs.  Built once per crack set."""
+    ``row * n + col`` among the ``n`` free DOFs.  Likewise for the raveled
+    (triangle, corner) entries of a per-corner vector: those on a free DOF
+    (``corners``) and their position among the free DOFs (``corner_pos``).
+    Built once per crack set."""
 
-    __slots__ = ("n", "keep", "flat")
+    __slots__ = ("n", "keep", "flat", "corners", "corner_pos")
 
     def __init__(self, topo: DofTopology):
         pos = np.full(topo.n_dofs, -1)
@@ -171,6 +181,8 @@ class _FreeBlock:
         self.n = topo.n_free
         self.keep = np.flatnonzero((rows >= 0) & (cols >= 0))
         self.flat = rows[self.keep] * self.n + cols[self.keep]
+        self.corners = np.flatnonzero(corner.ravel() >= 0)
+        self.corner_pos = corner.ravel()[self.corners]
 
 
 def _scatter_local(topo: DofTopology, local: np.ndarray, block: _FreeBlock | None = None):
@@ -246,6 +258,123 @@ def _free_hessian(model: EnergyModel, mesh: Mesh, t: float, u: BrokenField, bloc
     return _scatter_local(u.topology, local + (c / 9.0)[:, None, None] * np.ones((3, 3)), block)
 
 
+class _Evaluator:
+    """Energy, free gradient and free Hessian of the elastic energy for one
+    Newton solve: one topology with its datum, one time t, one free block.
+
+    The body and surface loads are linear in u, so with b the load vector at
+    t (``ElasticSolver._load_vector``) and z the midpoint means,
+
+        E(u)      = sum_T |T| (mu/p s^(p/2) + lam/q |z|^q) - b.u,
+        s         = |xi|^2 + eps^2,   xi = G u the gradient on T,
+        grad E(u) = sum_T |T| (mu s^((p-2)/2) G^T xi + lam |z|^(q-2) z / 3) - b,
+        hess E(u) = sum_T |T| (a G^T G + b' (G^T xi)(G^T xi)^T + c/9 ones(3, 3)),
+
+    with a I + b' xi xi^T the stress Jacobian and c the body curvature.
+    Construction fixes what does not depend on the iterate: the embedding of
+    the free values, b, |T| mu and G^T G; the block gives the free position
+    of each triangle corner, so the gradient is one ``np.bincount``.  Per
+    iterate ``v`` (the free values) xi, s and z are computed once, in a
+    one-entry memo on ``v``, and the energy and gradient are derived from
+    them on demand.  The Hessian keeps its own one-entry memo: the CG steps
+    of trust-ncg at one iterate share it even after a rejected trial point.
+    A wild trial point gives an infinite energy, never a numpy warning.
+    ``energy.elastic_energy``, ``assemble_gradient`` and ``_free_hessian``
+    are the reference implementations it is tested against.
+    """
+
+    def __init__(self, model: EnergyModel, mesh: Mesh, topo: DofTopology, block: _FreeBlock,
+                 t: float, b: np.ndarray):
+        self.model, self.topo, self.block, self.t, self.b = model, topo, block, t, b
+        self.free = topo.free_dofs
+        self.base = topo.dirichlet_values
+        self.b_free = b[self.free]
+        self.grad_op = g = mesh.grad_op
+        self.area = mesh.tri_area
+        self.area_mu = mesh.tri_area * model.bulk.mu_at(np.arange(mesh.n_triangles))
+        self.gtg = np.einsum("tki,tkj->tij", g, g)
+        self._v = None          # the memoized iterate ...
+        self._h = None          # ... and (iterate, Hessian) of the last Hessian
+
+    def values(self, v: np.ndarray) -> np.ndarray:
+        """The DOF values with free values ``v``."""
+        vals = self.base.copy()
+        vals[self.free] = v
+        return vals
+
+    def _at(self, v: np.ndarray) -> None:
+        if self._v is not None and np.array_equal(self._v, v):
+            return
+        vals = self.values(v)
+        cv = vals[self.topo.corner_dof]
+        with np.errstate(all="ignore"):
+            xi = np.einsum("tki,ti->tk", self.grad_op, cv)
+            self._s = np.sum(xi * xi, axis=1) + self.model.bulk.epsilon**2
+            self._z = cv.sum(axis=1) / 3.0
+        self._v, self._vals, self._xi = v.copy(), vals, xi
+        self._energy = self._grad = self._stress = None
+
+    def _stress_terms(self):
+        """(|T| mu s^((p-2)/2), G^T xi) per triangle at the memoized iterate."""
+        if self._stress is None:
+            p = self.model.p
+            with np.errstate(all="ignore"):
+                a = self.area_mu if p == 2.0 else self.area_mu * self._s ** ((p - 2.0) / 2.0)
+                self._stress = a, np.einsum("tki,tk->ti", self.grad_op, self._xi)
+        return self._stress
+
+    def energy(self, v: np.ndarray) -> float:
+        """E at the free values ``v``; +inf where it is not finite."""
+        self._at(v)
+        if self._energy is None:
+            p, body = self.model.p, self.model.body
+            with np.errstate(all="ignore"):
+                e = float(self.area_mu @ self._s ** (p / 2.0)) / p - float(self.b @ self._vals)
+                if body.lam:
+                    e += body.lam / body.q * float(self.area @ np.abs(self._z) ** body.q)
+            self._energy = e if math.isfinite(e) else math.inf
+        return self._energy
+
+    def gradient(self, v: np.ndarray) -> np.ndarray:
+        """The gradient of E on the free DOFs at ``v``."""
+        self._at(v)
+        if self._grad is None:
+            a, gx = self._stress_terms()
+            body = self.model.body
+            with np.errstate(all="ignore"):
+                local = a[:, None] * gx
+                if body.lam:
+                    z = self._z
+                    dz = z if body.q == 2.0 else np.abs(z) ** (body.q - 1.0) * np.sign(z)
+                    local += (self.area * body.lam / 3.0 * dz)[:, None]
+                block = self.block
+                self._grad = np.bincount(block.corner_pos, local.ravel()[block.corners],
+                                         block.n) - self.b_free
+        return self._grad
+
+    def hessian(self, v: np.ndarray):
+        """The Hessian of E on the free block at ``v``: dense up to
+        ``_DENSE_LIMIT`` free DOFs, CSR above."""
+        if self._h is None or not np.array_equal(self._h[0], v):
+            self._at(v)
+            self._h = (self._v, self._assemble_hessian())
+        return self._h[1]
+
+    def _assemble_hessian(self):
+        """The free-block Hessian at the memoized iterate."""
+        a, gx = self._stress_terms()
+        p = self.model.p
+        with np.errstate(all="ignore"):
+            local = a[:, None, None] * self.gtg
+            if p != 2.0:
+                s = self._s
+                rank_one = np.where(s > 0.0, self.area_mu * (p - 2.0) * s ** ((p - 4.0) / 2.0), 0.0)
+                local += rank_one[:, None, None] * gx[:, :, None] * gx[:, None, :]
+            c = self.area * body_hessian_coeff(self.model.body, self.t, self._z)
+            local += (c / 9.0)[:, None, None]
+            return _scatter_local(self.topo, local, self.block)
+
+
 # ---------------------------------------------------------------------------
 # the solver
 # ---------------------------------------------------------------------------
@@ -258,7 +387,8 @@ class _CrackData:
     ``method``: the direct ``_spd_solver`` up to ``_cg_above`` free DOFs (one
     iteration, ``rtol`` unused), Jacobi-preconditioned conjugate gradients
     above (scipy's ``info`` as the count: 0 on convergence).  For any other
-    exponents it holds the ``_FreeBlock`` the Newton Hessians scatter onto.
+    exponents it holds the ``_FreeBlock`` the Newton gradients and Hessians
+    scatter onto.
     """
 
     __slots__ = ("topology", "matrix", "k_fc", "solve", "method", "floating", "block")
@@ -551,97 +681,73 @@ class ElasticSolver:
             raise SolveError(f"linear solve stalled at residual {res:.3e} > tol {tol:.3e}")
         return BrokenField(topo, u), iters, res, data.method, energy
 
-    def _trust_region_start(self, topo: DofTopology, block: _FreeBlock, t: float,
-                            field: BrokenField, tol: float) -> BrokenField:
+    def _trust_region_start(self, ev: _Evaluator, x: np.ndarray, tol: float) -> np.ndarray:
         """Globalize with a trust-region Newton before the damped polish.
 
         For exponents below 2 the curvature of the power laws decays away
         from the current iterate, and line-searched Newton steps can stall in
-        a long flat valley; a trust region traverses it.
+        a long flat valley; a trust region traverses it.  It runs from the
+        free values ``x`` on the evaluator ``ev`` of the solve (energy,
+        gradient and free-block Hessian): trust-exact on the dense Hessian up
+        to ``_DENSE_LIMIT`` free DOFs, trust-ncg on products with the sparse
+        one above, whose CG steps at one iterate share one assembly.  Returns
+        the free values reached.
         """
         import scipy.optimize
 
-        model, mesh = self.model, self.mesh
-        free = topo.free_dofs
-        base = field.values.copy()
-
-        def embed(v):
-            vals = base.copy()
-            vals[free] = v
-            return BrokenField(topo, vals)
-
-        def fun(v):
-            val, _ = elastic_energy(model, mesh, t, embed(v))
-            return val
-
-        def jac(v):
-            return assemble_gradient(model, mesh, t, embed(v))[free]
-
         options = {"gtol": max(tol, 1e-12), "maxiter": 500}
-        if len(free) <= _DENSE_LIMIT:
-            def hess(v):
-                return _free_hessian(model, mesh, t, embed(v), block)
-
-            result = scipy.optimize.minimize(fun, base[free], jac=jac, hess=hess,
+        if len(x) <= _DENSE_LIMIT:
+            result = scipy.optimize.minimize(ev.energy, x, jac=ev.gradient, hess=ev.hessian,
                                              method="trust-exact", options=options)
         else:
-            last = [None, None]   # the iterate and its Hessian: CG steps share them
-
-            def hessp(v, w):
-                if last[0] is None or not np.array_equal(last[0], v):
-                    last[:] = v.copy(), _free_hessian(model, mesh, t, embed(v), block)
-                return last[1] @ w
-
-            result = scipy.optimize.minimize(fun, base[free], jac=jac, hessp=hessp,
+            result = scipy.optimize.minimize(ev.energy, x, jac=ev.gradient,
+                                             hessp=lambda v, w: ev.hessian(v) @ w,
                                              method="trust-ncg", options=options)
         # even on nominal failure the iterate is a descent point; the damped
         # Newton polish below decides whether the tolerance is reachable
-        return embed(result.x)
+        return result.x
 
     def _solve_newton(self, topo: DofTopology, block: _FreeBlock, t: float, tol: float):
         model, mesh = self.model, self.mesh
         field = BrokenField.from_nodal(topo, topo.psi_nodal)
         free = topo.free_dofs
-        if len(free) and min(model.p, model.q) < 2.0:
-            field = self._trust_region_start(topo, block, t, field, tol)
-        energy, _ = elastic_energy(model, mesh, t, field)
         if len(free) == 0:
-            return field, 0, 0.0, "newton", energy
+            return field, 0, 0.0, "newton", elastic_energy(model, mesh, t, field)[0]
+        ev = _Evaluator(model, mesh, topo, block, t, self._load_vector(topo, t))
+        x = field.values[free]
+        if min(model.p, model.q) < 2.0:
+            x = self._trust_region_start(ev, x, tol)
+        energy = ev.energy(x)
         for it in range(_NEWTON_CAP):
-            g = assemble_gradient(model, mesh, t, field)[free]
+            g = ev.gradient(x)
             res = float(np.linalg.norm(g))
             if res <= tol:
-                return field, it, res, "newton", energy
-            d = self._newton_direction(_free_hessian(model, mesh, t, field, block), g)
+                field = BrokenField(topo, ev.values(x))
+                return field, it, res, "newton", elastic_energy(model, mesh, t, field)[0]
+            d = self._newton_direction(ev.hessian(x), g)
             slope = float(g @ d)
             if slope >= 0:
                 d, slope = -g, -float(g @ g)
-
-            def energy_at(alpha):
-                trial = field.values.copy()
-                trial[free] += alpha * d
-                cand = field.with_values(trial)
-                e_new, _ = elastic_energy(model, mesh, t, cand)
-                return cand, e_new
-
             # near the minimum the energy decrement drops below rounding while
             # the full Newton step still contracts the gradient; accept on
-            # gradient descent before falling back to the Armijo search
-            cand, e_new = energy_at(1.0)
-            g_new = assemble_gradient(model, mesh, t, cand)[free]
-            if float(np.linalg.norm(g_new)) <= 0.5 * res:
-                field, energy = cand, e_new
-                continue
-
-            alpha = 1.0
-            while alpha >= 1e-14:
-                cand, e_new = energy_at(alpha)
-                if e_new <= energy + _ARMIJO * alpha * slope:
-                    break
-                alpha *= 0.5
-            else:
-                raise SolveError(f"line search failed at Newton iteration {it}, residual {res:.3e}")
-            field, energy = cand, e_new
+            # gradient descent (a NaN norm does not) before falling back to
+            # the Armijo search
+            alpha, trial = 1.0, x + d
+            e_new = ev.energy(trial)
+            contracted = float(np.linalg.norm(ev.gradient(trial))) <= 0.5 * res
+            if not contracted:
+                while e_new > energy + _ARMIJO * alpha * slope:
+                    # the minimizer of the quadratic through e(0), e'(0) and
+                    # e(alpha), kept within [0.1, 0.5] alpha (0.1 alpha for
+                    # an infinite e(alpha))
+                    step = -slope * alpha * alpha / (2.0 * (e_new - energy - slope * alpha))
+                    alpha = min(max(step, 0.1 * alpha), 0.5 * alpha)
+                    if alpha < 1e-14:
+                        raise SolveError(f"line search failed at Newton iteration {it}, "
+                                         f"residual {res:.3e}")
+                    trial = x + alpha * d
+                    e_new = ev.energy(trial)
+            x, energy = trial, e_new
         raise SolveError(f"Newton did not reach tol {tol:.3e} within {_NEWTON_CAP} iterations")
 
     @staticmethod

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -390,12 +391,76 @@ def test_free_block_hessian_matches_the_sliced_full_assembly(p, q, nx, ny):
         assert np.max(np.abs(dense - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("p, q", [(4.0, 2.0), (1.5, 2.0), (2.0, 3.0), (2.0, 1.5)])
+@pytest.mark.parametrize("nx, ny", [(2, 1), (18, 14)])
+def test_newton_evaluator_matches_the_reference_functions(p, q, nx, ny):
+    # random fields under body and surface loads, on the uncracked body and
+    # on one with a cracked-off piece, on both sides of the dense limit
+    mesh = build_structured_mesh(nx, ny, 2.0, 1.0,
+                                 labeling={"dirichlet": ("left",), "surface": ("right",)},
+                                 brittle=("rect", (1.0, 0.0, 1.0, 1.0)))
+    rng = np.random.default_rng(11)
+    f = TimeTable.build([(0.0, 0.0), (1.0, rng.normal(size=mesh.n_triangles))], mesh.n_triangles)
+    g = TimeTable.build([(0.0, 0.0), (1.0, rng.normal(size=len(mesh.surface_edges)))],
+                        len(mesh.surface_edges))
+    model = make_model(mesh, p=p, q=q, eps=1e-6, lam=0.5, f=f, g=g,
+                       mu=rng.uniform(0.5, 2.0, mesh.n_triangles))
+    solver = ElasticSolver(model, mesh)
+    t = 0.6
+    for crack in (CrackSet.empty(), CrackSet.of(crackable_edges(mesh))):
+        topo = build_topology(mesh, crack, model.boundary.value(t))
+        block = minimize._FreeBlock(topo)
+        ev = minimize._Evaluator(model, mesh, topo, block, t, solver._load_vector(topo, t))
+        for _ in range(3):
+            v = rng.normal(size=topo.n_free)
+            u = BrokenField(topo, ev.values(v))
+            energy, _ = elastic_energy(model, mesh, t, u)
+            assert abs(ev.energy(v) - energy) <= 1e-13 * abs(energy)
+            grad = minimize.assemble_gradient(model, mesh, t, u)[topo.free_dofs]
+            assert np.max(np.abs(ev.gradient(v) - grad)) <= 1e-13 * np.max(np.abs(grad))
+            h, ref = ev.hessian(v), minimize._free_hessian(model, mesh, t, u, block)
+            assert isinstance(h, np.ndarray) is (topo.n_free <= minimize._DENSE_LIMIT)
+            diff = h - ref if isinstance(h, np.ndarray) else (h - ref).toarray()
+            assert np.max(np.abs(diff)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_newton_evaluator_at_a_wild_point_raises_no_warning():
+    # the ridge direction on the singular q = 3 block of a cracked-off piece
+    # reaches about 1e12; far beyond, the energy overflows (at 1e308 every
+    # term does, and W - F - G would be NaN): an infinite energy, so a
+    # rejected step, with no numpy warning on the way
+    mesh = make_strip_mesh(labeling={"dirichlet": ("left",)})
+    model = make_model(mesh, q=3.0, lam=0.5, f=TimeTable.constant(10.0, mesh.n_triangles))
+    solver = ElasticSolver(model, mesh)
+    topo = build_topology(mesh, CrackSet.of([4]), model.boundary.value(0.5))
+    ev = minimize._Evaluator(model, mesh, topo, minimize._FreeBlock(topo), 0.5,
+                             solver._load_vector(topo, 0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale, finite in ((1e12, True), (1e120, False), (1e308, False)):
+            v = scale * (1.0 + 0.5 * np.linspace(-1.0, 1.0, topo.n_free))
+            assert math.isfinite(ev.energy(v)) is finite
+            assert ev.energy(v) > 0.0
+            ev.gradient(v)
+            ev.hessian(v)
+
+
+def _count_energies(monkeypatch):
+    """Record every energy evaluation of the Newton path: the evaluator's
+    energies and the report energy of each solve."""
+    evaluations = []
+    energy, report_energy = minimize._Evaluator.energy, minimize.elastic_energy
+    monkeypatch.setattr(minimize._Evaluator, "energy",
+                        lambda self, v: evaluations.append(1) or energy(self, v))
+    monkeypatch.setattr(minimize, "elastic_energy",
+                        lambda *a: evaluations.append(1) or report_energy(*a))
+    return evaluations
+
+
 def test_a_repeated_solve_returns_the_last_result(monkeypatch):
     mesh = make_strip_mesh()
     model = make_model(mesh, p=4.0, lam=1e-2)
-    evaluations = []
-    energy = minimize.elastic_energy
-    monkeypatch.setattr(minimize, "elastic_energy", lambda *a: evaluations.append(1) or energy(*a))
+    evaluations = _count_energies(monkeypatch)
     solver = ElasticSolver(model, mesh)
     u, rep = solver.solve(CrackSet.of([4]), 0.8, 1e-10)
     data = u.values.tobytes()
@@ -415,9 +480,7 @@ def test_a_failed_solve_is_not_memoized(monkeypatch):
     # the cracked-off piece relaxes onto the kink of the q < 2 body potential
     mesh = make_strip_mesh()
     solver = ElasticSolver(make_model(mesh, q=1.5, lam=1e-2), mesh)
-    evaluations = []
-    energy = minimize.elastic_energy
-    monkeypatch.setattr(minimize, "elastic_energy", lambda *a: evaluations.append(1) or energy(*a))
+    evaluations = _count_energies(monkeypatch)
     for _ in range(2):
         evaluations.clear()
         with pytest.raises(minimize.SolveError):
@@ -435,16 +498,18 @@ def test_trust_region_hessian_assembles_once_per_iterate(monkeypatch):
     topo = build_topology(mesh, crack, model.boundary.value(0.9))
     assert topo.n_free > minimize._DENSE_LIMIT
     iterates = []
-    hessian = minimize._free_hessian
+    assemble = minimize._Evaluator._assemble_hessian
 
-    def counted(model, mesh, t, u, block):
-        iterates.append(u.values[u.topology.free_dofs].tobytes())
-        return hessian(model, mesh, t, u, block)
+    def counted(self):
+        iterates.append(self._v.tobytes())
+        return assemble(self)
 
-    monkeypatch.setattr(minimize, "_free_hessian", counted)
+    monkeypatch.setattr(minimize._Evaluator, "_assemble_hessian", counted)
     solver = ElasticSolver(model, mesh)
-    start = BrokenField.from_nodal(topo, topo.psi_nodal)
-    solver._trust_region_start(topo, minimize._FreeBlock(topo), 0.9, start, 1e-10)
+    ev = minimize._Evaluator(model, mesh, topo, minimize._FreeBlock(topo), 0.9,
+                             solver._load_vector(topo, 0.9))
+    start = BrokenField.from_nodal(topo, topo.psi_nodal).values[topo.free_dofs]
+    solver._trust_region_start(ev, start, 1e-10)
     assert len(iterates) == len(set(iterates)) >= 2
 
 
