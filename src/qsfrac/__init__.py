@@ -7,6 +7,15 @@ global stability, irreversibility (cracks only grow), energy balance, the
 crack-structure identity, and convex-duality certificates of minimality.
 """
 
+import os
+
+# one BLAS thread unless the user set a count: the dense factorizations here
+# are small, and on a machine with few cores OpenBLAS's default of one thread
+# per core makes them far slower (set before numpy loads, so it takes effect)
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
 from .audit import (
     AuditError,
     AuditReport,

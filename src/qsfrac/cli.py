@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -45,6 +46,17 @@ _STRATEGIES = {
 }
 
 
+def _positive(text: str) -> float:
+    """An argparse type: a finite number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qsfrac",
@@ -58,9 +70,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--csv", default=None, help="CSV trace path (default: record path with .csv)")
     run.add_argument("--strategy", choices=sorted(_STRATEGIES), default=None,
                      help="override the configured search strategy")
-    run.add_argument("--dt", type=float, default=None,
+    run.add_argument("--dt", type=_positive, default=None,
                      help="override the grid with uniform spacing dt")
-    run.add_argument("--tol", type=float, default=None, help="override the solver tolerance")
+    run.add_argument("--tol", type=_positive, default=None, help="override the solver tolerance")
 
     aud = sub.add_parser("audit", help="audit a record against its config")
     aud.add_argument("--config", required=True)
@@ -72,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="global-stability level (auto: oracle when small enough)")
     aud.add_argument("--max-edges", type=int, default=12,
                      help="candidate-edge cap for the oracle stability level")
-    aud.add_argument("--tol", type=float, default=None, help="energy-balance gap tolerance")
+    aud.add_argument("--tol", type=_positive, default=None, help="energy-balance gap tolerance")
     aud.add_argument("--inconclusive", choices=("pass", "fail"), default="pass",
                      help="how INCONCLUSIVE verdicts count toward the exit code")
 
@@ -116,10 +128,14 @@ def _load_problem(args):
             kind=_STRATEGIES[args.strategy],
             max_bruteforce_edges=problem.strategy.max_bruteforce_edges,
         )
-    if getattr(args, "dt", None):
-        n = int(round(problem.grid.horizon / args.dt)) + 1
-        problem.grid = TimeGrid.uniform(problem.grid.horizon, max(n, 2))
-    if getattr(args, "tol", None) and args.command == "run":
+    if getattr(args, "dt", None) is not None:
+        try:
+            n = int(round(problem.grid.horizon / args.dt)) + 1
+            problem.grid = TimeGrid.uniform(problem.grid.horizon, max(n, 2))
+        except (OverflowError, ValueError, MemoryError) as exc:
+            raise ConfigError(f"--dt {args.dt!r} is too small for the horizon "
+                              f"{problem.grid.horizon!r}: {exc}") from exc
+    if args.command == "run" and args.tol is not None:
         problem.solver_tol = args.tol
     return problem
 

@@ -149,7 +149,8 @@ time.knots = {knots}
 
 
 def subquadratic(knots: int = 64) -> str:
-    # p < 2 needs the gradient regularization; trust-region inner solves
+    # p < 2 needs the gradient regularization; its decaying curvature makes
+    # the inner Newton solves damp their steps
     return f"""
 version = 1
 mesh.nx = 2

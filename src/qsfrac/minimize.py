@@ -13,19 +13,21 @@ energy W - F - G of the solution is then the quadratic form itself,
 
 with K the stiffness-plus-confinement matrix and b the load vector; the
 residual check already forms K u, so scoring a candidate crack set costs no
-quadrature.  For any other exponents a damped Newton iteration runs on the
-free DOFs, cold-started from the boundary interpolant so results do not
-depend on evaluation order; below exponent 2 a trust-region Newton (scipy's
-trust-exact, trust-ncg above ``_DENSE_LIMIT``) starts it.  Both phases read
-energy, gradient and Hessian from one ``_Evaluator`` per solve, which fixes
-the loads at t and the per-triangle constants once and computes the
-gradients and midpoint means once per iterate.  A step that fails to halve
-the gradient norm falls back to an Armijo search with safeguarded
-quadratic-interpolation backtracking.  The Hessian is scattered from the
+quadrature.  For any other exponents one damped Newton loop
+(Levenberg-Marquardt, a trust-region method) runs on the free DOFs,
+cold-started from the boundary interpolant so results do not depend on
+evaluation order.  Each step solves (H + delta m I) d = -g through
+``_spd_solver``, with m the mean of diag H; the ratio of actual to predicted
+decrease steers delta, which stays 0 while full Newton steps contract the
+gradient, and grows where the curvature of a power law below exponent 2
+decays or the Hessian of a cracked-off piece is singular.  Energy, gradient
+and Hessian come from one ``_Evaluator`` per solve, which fixes the loads at
+t and the per-triangle constants once and computes the gradients and
+midpoint means once per iterate.  The Hessian is scattered from the
 per-triangle 3x3 blocks straight onto the free DOFs (``_FreeBlock``, built
 once per crack set): a dense array up to ``_DENSE_LIMIT`` of them, CSR
-above.  The reported energy is the quadrature of ``energy.elastic_energy``
-at the returned field.
+above, and a rejected step reuses it.  The reported energy is the quadrature
+of ``energy.elastic_energy`` at the returned field.
 
 Every crack set X of a quadratic problem is the all-open space (every
 crackable edge cracked) with time-independent rows added: a tie per endpoint
@@ -115,7 +117,6 @@ _CACHE_SIZE = 8192   # crack sets whose solve structure ElasticSolver keeps
 _SCORE_ROWS_DENSE = 96
 _SCORE_ROWS_CG = 320
 _NEWTON_CAP = 200
-_ARMIJO = 1e-4
 
 
 class SolveError(RuntimeError):
@@ -130,7 +131,9 @@ class FloatingComponentError(SolveError):
 class SolveReport:
     """How a solve went.  ``energy`` is the elastic energy W - F - G of the
     returned field: the quadratic form 1/2 u.(K u) - b.u + c_eps for
-    p = q = 2, the quadrature of ``energy.elastic_energy`` otherwise."""
+    p = q = 2, the quadrature of ``energy.elastic_energy`` otherwise.
+    On the Newton path ``iterations`` counts every damped step, rejected
+    ones included."""
 
     iterations: int
     residual: float
@@ -275,12 +278,11 @@ class _Evaluator:
     the free values, b, |T| mu and G^T G; the block gives the free position
     of each triangle corner, so the gradient is one ``np.bincount``.  Per
     iterate ``v`` (the free values) xi, s and z are computed once, in a
-    one-entry memo on ``v``, and the energy and gradient are derived from
-    them on demand.  The Hessian keeps its own one-entry memo: the CG steps
-    of trust-ncg at one iterate share it even after a rejected trial point.
-    A wild trial point gives an infinite energy, never a numpy warning.
-    ``energy.elastic_energy``, ``assemble_gradient`` and ``_free_hessian``
-    are the reference implementations it is tested against.
+    one-entry memo on ``v``, and the energy, gradient and Hessian are
+    derived from them on demand.  A wild trial point gives an infinite
+    energy, never a numpy warning.  ``energy.elastic_energy``,
+    ``assemble_gradient`` and ``_free_hessian`` are the reference
+    implementations it is tested against.
     """
 
     def __init__(self, model: EnergyModel, mesh: Mesh, topo: DofTopology, block: _FreeBlock,
@@ -293,8 +295,7 @@ class _Evaluator:
         self.area = mesh.tri_area
         self.area_mu = mesh.tri_area * model.bulk.mu_at(np.arange(mesh.n_triangles))
         self.gtg = np.einsum("tki,tkj->tij", g, g)
-        self._v = None          # the memoized iterate ...
-        self._h = None          # ... and (iterate, Hessian) of the last Hessian
+        self._v = None          # the memoized iterate
 
     def values(self, v: np.ndarray) -> np.ndarray:
         """The DOF values with free values ``v``."""
@@ -355,13 +356,7 @@ class _Evaluator:
     def hessian(self, v: np.ndarray):
         """The Hessian of E on the free block at ``v``: dense up to
         ``_DENSE_LIMIT`` free DOFs, CSR above."""
-        if self._h is None or not np.array_equal(self._h[0], v):
-            self._at(v)
-            self._h = (self._v, self._assemble_hessian())
-        return self._h[1]
-
-    def _assemble_hessian(self):
-        """The free-block Hessian at the memoized iterate."""
+        self._at(v)
         a, gx = self._stress_terms()
         p = self.model.p
         with np.errstate(all="ignore"):
@@ -681,33 +676,20 @@ class ElasticSolver:
             raise SolveError(f"linear solve stalled at residual {res:.3e} > tol {tol:.3e}")
         return BrokenField(topo, u), iters, res, data.method, energy
 
-    def _trust_region_start(self, ev: _Evaluator, x: np.ndarray, tol: float) -> np.ndarray:
-        """Globalize with a trust-region Newton before the damped polish.
-
-        For exponents below 2 the curvature of the power laws decays away
-        from the current iterate, and line-searched Newton steps can stall in
-        a long flat valley; a trust region traverses it.  It runs from the
-        free values ``x`` on the evaluator ``ev`` of the solve (energy,
-        gradient and free-block Hessian): trust-exact on the dense Hessian up
-        to ``_DENSE_LIMIT`` free DOFs, trust-ncg on products with the sparse
-        one above, whose CG steps at one iterate share one assembly.  Returns
-        the free values reached.
-        """
-        import scipy.optimize
-
-        options = {"gtol": max(tol, 1e-12), "maxiter": 500}
-        if len(x) <= _DENSE_LIMIT:
-            result = scipy.optimize.minimize(ev.energy, x, jac=ev.gradient, hess=ev.hessian,
-                                             method="trust-exact", options=options)
-        else:
-            result = scipy.optimize.minimize(ev.energy, x, jac=ev.gradient,
-                                             hessp=lambda v, w: ev.hessian(v) @ w,
-                                             method="trust-ncg", options=options)
-        # even on nominal failure the iterate is a descent point; the damped
-        # Newton polish below decides whether the tolerance is reachable
-        return result.x
-
     def _solve_newton(self, topo: DofTopology, block: _FreeBlock, t: float, tol: float):
+        """Damped Newton (Levenberg-Marquardt) on the free DOFs.
+
+        Each step solves (H + delta m I) d = -g, with m the mean of diag H,
+        and the ratio rho of the actual to the predicted decrease of the
+        energy steers delta, as a trust region steers its radius: a step
+        that halves the gradient norm or has rho > 0.75 divides it by 10,
+        and one with rho < 0.25 or a failed factorization raises it to
+        max(10 delta, 1).  A step is taken when rho > 1e-4 or it halves the
+        gradient norm (near the minimum the energy decrease falls below
+        rounding while the step still contracts the gradient; a NaN norm
+        does not).  delta starts at 0, so where full steps contract this is
+        plain Newton.
+        """
         model, mesh = self.model, self.mesh
         field = BrokenField.from_nodal(topo, topo.psi_nodal)
         free = topo.free_dofs
@@ -715,55 +697,36 @@ class ElasticSolver:
             return field, 0, 0.0, "newton", elastic_energy(model, mesh, t, field)[0]
         ev = _Evaluator(model, mesh, topo, block, t, self._load_vector(topo, t))
         x = field.values[free]
-        if min(model.p, model.q) < 2.0:
-            x = self._trust_region_start(ev, x, tol)
-        energy = ev.energy(x)
+        energy, g = ev.energy(x), ev.gradient(x)
+        res = float(np.linalg.norm(g))
+        h, delta = None, 0.0
         for it in range(_NEWTON_CAP):
-            g = ev.gradient(x)
-            res = float(np.linalg.norm(g))
             if res <= tol:
                 field = BrokenField(topo, ev.values(x))
                 return field, it, res, "newton", elastic_energy(model, mesh, t, field)[0]
-            d = self._newton_direction(ev.hessian(x), g)
-            slope = float(g @ d)
-            if slope >= 0:
-                d, slope = -g, -float(g @ g)
-            # near the minimum the energy decrement drops below rounding while
-            # the full Newton step still contracts the gradient; accept on
-            # gradient descent (a NaN norm does not) before falling back to
-            # the Armijo search
-            alpha, trial = 1.0, x + d
-            e_new = ev.energy(trial)
-            contracted = float(np.linalg.norm(ev.gradient(trial))) <= 0.5 * res
-            if not contracted:
-                while e_new > energy + _ARMIJO * alpha * slope:
-                    # the minimizer of the quadratic through e(0), e'(0) and
-                    # e(alpha), kept within [0.1, 0.5] alpha (0.1 alpha for
-                    # an infinite e(alpha))
-                    step = -slope * alpha * alpha / (2.0 * (e_new - energy - slope * alpha))
-                    alpha = min(max(step, 0.1 * alpha), 0.5 * alpha)
-                    if alpha < 1e-14:
-                        raise SolveError(f"line search failed at Newton iteration {it}, "
-                                         f"residual {res:.3e}")
-                    trial = x + alpha * d
-                    e_new = ev.energy(trial)
-            x, energy = trial, e_new
-        raise SolveError(f"Newton did not reach tol {tol:.3e} within {_NEWTON_CAP} iterations")
-
-    @staticmethod
-    def _newton_direction(h, g: np.ndarray) -> np.ndarray:
-        """Solve h d = -g for the dense or sparse free-block Hessian ``h``,
-        adding a growing ridge while the factorization fails."""
-        n = h.shape[0]
-        eye = np.eye if isinstance(h, np.ndarray) else scipy.sparse.identity
-        ridge = 0.0
-        base = float(np.mean(h.diagonal())) or 1.0
-        for _ in range(8):
+            if h is None:
+                h = ev.hessian(x)
+                eye = np.eye if isinstance(h, np.ndarray) else scipy.sparse.identity
+                scale = float(np.mean(h.diagonal())) or 1.0
             try:
-                return _spd_solver(h + ridge * base * eye(n) if ridge else h)(-g)
+                d = _spd_solver(h + delta * scale * eye(len(x)) if delta else h)(-g)
             except SolveError:
-                ridge = max(ridge * 10.0, 1e-12)
-        raise SolveError("Newton direction solve failed even with ridge regularization")
+                delta = max(10.0 * delta, 1.0)
+                continue
+            with np.errstate(all="ignore"):   # a wild step is rejected, with no warning
+                trial = x + d
+                e_new, g_new = ev.energy(trial), ev.gradient(trial)
+                res_new = float(np.linalg.norm(g_new))
+                predicted = -float(g @ d) - 0.5 * float(d @ (h @ d))
+            rho = (energy - e_new) / predicted if predicted > 0.0 else -math.inf
+            contracted = res_new <= 0.5 * res
+            if contracted or rho > 0.75:
+                delta /= 10.0
+            elif rho < 0.25:
+                delta = max(10.0 * delta, 1.0)
+            if contracted or rho > 1e-4:
+                x, energy, g, res, h = trial, e_new, g_new, res_new, None
+        raise SolveError(f"Newton did not reach tol {tol:.3e} within {_NEWTON_CAP} steps")
 
 
 def minimize_elastic(model: EnergyModel, mesh: Mesh, crack: CrackSet, t: float,

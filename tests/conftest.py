@@ -32,15 +32,15 @@ def cli_env(threads=None):
     The source root of the imported package goes first on ``PYTHONPATH``, so a
     child started in another directory imports this same qsfrac whether it is
     installed or run from a checkout with a relative ``PYTHONPATH=src``.
-    ``threads``, when given, is exported as ``QSFRAC_THREADS``; the program
-    runs serially and does not read it.
+    ``threads``, when given, is exported as ``OPENBLAS_NUM_THREADS``, the
+    BLAS thread count, which ``import qsfrac`` otherwise sets to 1.
     """
     root = str(Path(qsfrac.__file__).resolve().parents[1])
     inherited = os.environ.get("PYTHONPATH")
     path = root + os.pathsep + inherited if inherited else root
     env = dict(os.environ, PYTHONPATH=path)
     if threads is not None:
-        env["QSFRAC_THREADS"] = threads
+        env["OPENBLAS_NUM_THREADS"] = threads
     return env
 
 

@@ -461,6 +461,31 @@ def test_cli_run_overrides(tmp_path, capsys):
     assert payload["strategy"]["certification"] == "single-edge-stable"
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    *(("run", "--dt", v) for v in ("nan", "1e-300", "-0.1", "inf", "0", "ten")),
+    *(("run", "--tol", v) for v in ("0", "nan", "inf", "-1")),
+    *(("audit", "--tol", v) for v in ("nan", "0", "-1", "inf")),
+])
+def test_cli_numeric_flag_out_of_range_is_a_usage_error(strip_run, tmp_path, capsys, command, flag,
+                                                        value):
+    # each must be finite and > 0; --dt 1e-300 is, but its knot count is more
+    # than numpy can allocate
+    cfg_path, payload = strip_run
+    if command == "run":
+        argv = ["run", "--config", str(cfg_path), "--out", str(tmp_path / "r.json")]
+    else:
+        rec_path = tmp_path / "rec.json"
+        rec_path.write_text(json.dumps(payload))
+        argv = ["audit", "--config", str(cfg_path), "--record", str(rec_path)]
+    try:
+        code = main(argv + [flag, value])
+    except SystemExit as exc:   # argparse's usage error
+        code = exc.code
+    assert code == 2
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_cli_envelope_of_jumpless_record_is_identity(tmp_path, capsys):
     cfg_path = tmp_path / "zero.cfg"
     cfg_path.write_text(config_text("zero_load", 9))
@@ -572,6 +597,20 @@ def test_cli_thread_count_does_not_change_records(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outs[threads] = rec_path.read_bytes()
     assert outs["1"] == outs["3"]
+
+
+@pytest.mark.parametrize("setting, expected", [(None, "1"), ("3", "3")])
+def test_importing_qsfrac_caps_blas_threads_unless_set(setting, expected):
+    env = cli_env()
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env.pop(var, None)
+    if setting is not None:
+        env["OPENBLAS_NUM_THREADS"] = setting
+    proc = subprocess.run(
+        [sys.executable, "-c", "import os, qsfrac; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == expected
 
 
 def test_cli_oracle_compare_strip_has_no_gap(tmp_path, capsys):

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -16,7 +18,7 @@ from qsfrac.minimize import (
     minimize_elastic,
 )
 
-from conftest import make_model, make_strip_mesh
+from conftest import cli_env, make_model, make_strip_mesh
 
 
 def dense_oracle(model, mesh, crack, t):
@@ -281,8 +283,8 @@ def test_cg_path_beyond_dense_limit():
 
 
 def test_subquadratic_bulk_solves_to_tolerance():
-    # p < 2: decaying curvature; the trust-region start plus Newton polish
-    # must still reach the requested residual on cracked and uncracked states
+    # p < 2: decaying curvature; the damped Newton steps must still reach
+    # the requested residual on cracked and uncracked states
     mesh = make_strip_mesh()
     model = make_model(mesh, p=1.5, eps=1e-6, lam=1e-2)
     for t in (0.3, 0.9):
@@ -324,36 +326,57 @@ def test_open_space_factorization_failure_is_a_solve_error(n):
         minimize._spd_solver(scipy.sparse.csr_matrix((n, n)))
 
 
-def test_newton_direction_on_a_singular_hessian_raises_no_warning():
-    # a path Laplacian is singular (constants are its kernel) and above the
-    # dense limit; the ridge fallback gives a finite direction, and no
-    # factorization emits a warning on the way
-    n = minimize._DENSE_LIMIT + 1
-    lap = scipy.sparse.diags([-np.ones(n - 1), np.r_[1.0, 2.0 * np.ones(n - 2), 1.0],
-                              -np.ones(n - 1)], [-1, 0, 1], format="csr")
-    g = np.sin(np.arange(n, dtype=float))
+def _singular_q3_case(nx, ny):
+    """A strip held on its left side only, with its x = 1 column cracked,
+    q = 3 and a body load: the cracked-off right piece starts at z = 0, where
+    the q = 3 body curvature vanishes, so the free-block Hessian of the
+    boundary-interpolant start is singular (constants on that piece)."""
+    mesh = build_structured_mesh(nx, ny, 2.0, 1.0, labeling={"dirichlet": ("left",)},
+                                 brittle=("rect", (1.0, 0.0, 1.0, 1.0)))
+    model = make_model(mesh, q=3.0, lam=0.5, psi=TimeTable.constant(0.0, mesh.n_vertices),
+                       f=TimeTable.constant(10.0, mesh.n_triangles))
+    return mesh, model, CrackSet.of(crackable_edges(mesh))
+
+
+def _start_hessian(model, mesh, crack, t):
+    solver = ElasticSolver(model, mesh)
+    topo = build_topology(mesh, crack, model.boundary.value(t))
+    ev = minimize._Evaluator(model, mesh, topo, minimize._FreeBlock(topo), t,
+                             solver._load_vector(topo, t))
+    return ev.hessian(BrokenField.from_nodal(topo, topo.psi_nodal).values[topo.free_dofs])
+
+
+def test_newton_on_a_singular_sparse_hessian_raises_no_warning():
+    # above the dense limit: the damped steps leave the singular start, and
+    # no factorization or wild trial point emits a warning on the way
+    mesh, model, crack = _singular_q3_case(18, 14)
+    h = _start_hessian(model, mesh, crack, 0.5)
+    assert not isinstance(h, np.ndarray) and h.shape[0] > minimize._DENSE_LIMIT
+    topo = build_topology(mesh, crack, None)
+    label, pinned = minimize._pieces(topo)
+    kernel = (~pinned[label])[topo.free_dofs].astype(float)   # constants on the loose piece
+    assert np.max(np.abs(h @ kernel)) <= 1e-12 * abs(h).max()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        d = ElasticSolver._newton_direction(lap, g)
-    assert d.shape == (n,) and np.all(np.isfinite(d))
+        u, rep = minimize_elastic(model, mesh, crack, 0.5)
+    assert rep.residual <= 1e-10
 
 
-def test_newton_direction_on_a_singular_dense_hessian_takes_the_ridge(monkeypatch):
-    # the dense twin of the test above: a path Laplacian at the dense limit
-    # fails its Cholesky factorization without a warning, and the ridge
-    # fallback factors again and gives a finite direction
-    n = minimize._DENSE_LIMIT
-    lap = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
-    lap[0, 0] = lap[-1, -1] = 1.0
-    g = np.sin(np.arange(n, dtype=float))
+def test_newton_on_a_singular_dense_hessian_damps_the_step(monkeypatch):
+    # the dense twin of the test above: the Cholesky factorization of the
+    # singular start fails without a warning, and the damped steps factor
+    # again until the solve reaches its tolerance
+    mesh, model, crack = _singular_q3_case(2, 1)
+    with pytest.raises(minimize.SolveError, match="factorization failed"):
+        minimize._spd_solver(_start_hessian(model, mesh, crack, 0.5))
     factored = []
     spd_solver = minimize._spd_solver
     monkeypatch.setattr(minimize, "_spd_solver", lambda h: factored.append(h) or spd_solver(h))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        d = ElasticSolver._newton_direction(lap, g)
+        u, rep = minimize_elastic(model, mesh, crack, 0.5)
     assert len(factored) >= 2 and all(isinstance(h, np.ndarray) for h in factored)
-    assert d.shape == (n,) and np.all(np.isfinite(d))
+    assert rep.residual <= 1e-10
 
 
 def full_hessian_reference(model, mesh, t, u):
@@ -425,8 +448,8 @@ def test_newton_evaluator_matches_the_reference_functions(p, q, nx, ny):
 
 
 def test_newton_evaluator_at_a_wild_point_raises_no_warning():
-    # the ridge direction on the singular q = 3 block of a cracked-off piece
-    # reaches about 1e12; far beyond, the energy overflows (at 1e308 every
+    # the sparse LU of the singular q = 3 block of a cracked-off piece gives
+    # an undamped step of about 1e14; far beyond, the energy overflows (at 1e308 every
     # term does, and W - F - G would be NaN): an infinite energy, so a
     # rejected step, with no numpy warning on the way
     mesh = make_strip_mesh(labeling={"dirichlet": ("left",)})
@@ -488,29 +511,39 @@ def test_a_failed_solve_is_not_memoized(monkeypatch):
         assert evaluations
 
 
-def test_trust_region_hessian_assembles_once_per_iterate(monkeypatch):
-    # above the dense limit trust-ncg asks for a Hessian product at every CG
-    # step; the Hessian is assembled only when the iterate moves
+def test_newton_hessian_assembles_once_per_iterate(monkeypatch):
+    # above the dense limit the Hessian is assembled once per accepted
+    # iterate: a rejected step reuses it, and the returned iterate needs none
     mesh = build_structured_mesh(18, 14, 2.0, 1.0, labeling={"dirichlet": ("left", "right")},
                                  brittle=("rect", (1.0, 0.0, 1.0, 1.0)))
-    model = make_model(mesh, p=1.5, eps=1e-6, lam=1e-2)
-    crack = CrackSet.of(crackable_edges(mesh)[:7])
-    topo = build_topology(mesh, crack, model.boundary.value(0.9))
-    assert topo.n_free > minimize._DENSE_LIMIT
-    iterates = []
-    assemble = minimize._Evaluator._assemble_hessian
+    p15 = (mesh, make_model(mesh, p=1.5, eps=1e-6, lam=1e-2), CrackSet.of(crackable_edges(mesh)[:7]))
+    for mesh, model, crack in (p15, _singular_q3_case(18, 14)):
+        assert build_topology(mesh, crack, None).n_free > minimize._DENSE_LIMIT
+        iterates = []
+        hessian = minimize._Evaluator.hessian
+        monkeypatch.setattr(minimize._Evaluator, "hessian",
+                            lambda self, v: iterates.append(v.tobytes()) or hessian(self, v))
+        u, rep = ElasticSolver(model, mesh).solve(crack, 0.9)
+        monkeypatch.undo()
+        assert rep.residual <= 1e-10
+        assert len(iterates) == len(set(iterates)) >= 2
 
-    def counted(self):
-        iterates.append(self._v.tobytes())
-        return assemble(self)
 
-    monkeypatch.setattr(minimize._Evaluator, "_assemble_hessian", counted)
-    solver = ElasticSolver(model, mesh)
-    ev = minimize._Evaluator(model, mesh, topo, minimize._FreeBlock(topo), 0.9,
-                             solver._load_vector(topo, 0.9))
-    start = BrokenField.from_nodal(topo, topo.psi_nodal).values[topo.free_dofs]
-    solver._trust_region_start(ev, start, 1e-10)
-    assert len(iterates) == len(set(iterates)) >= 2
+def test_a_subquadratic_solve_does_not_load_scipy_optimize():
+    # the damped Newton loop is the only globalization: scipy.optimize,
+    # which the trust-region start used to import, stays unloaded
+    code = ("import sys\n"
+            "from qsfrac.broken import CrackSet\n"
+            "from qsfrac.corpus import build_config\n"
+            "from qsfrac.minimize import minimize_elastic\n"
+            "p = build_config('subquadratic', 5).build_problem()\n"
+            "u, rep = minimize_elastic(p.model, p.mesh, CrackSet.empty(), 0.9)\n"
+            "assert rep.method == 'newton' and rep.residual <= 1e-10\n"
+            "print('scipy.optimize' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=cli_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_fully_pinned_problem_scores_without_free_dofs():
