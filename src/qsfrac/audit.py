@@ -412,7 +412,7 @@ def dual_certificate(model: EnergyModel, mesh: Mesh, crack: CrackSet, t: float,
     # minimum-norm correction of (sig1, sig2) restoring exact annihilation
     use_mass = model.body.lam > 0.0
     gram = assemble_forms(mesh, topo, area**2, area**2 if use_mass else 0.0, _FreeBlock(topo))
-    y = _spd_solver(gram)(-rho) if len(free) else np.zeros(0)
+    y = _spd_solver(gram)(-rho)
     yfull = np.zeros(topo.n_dofs)
     yfull[free] = y
     yfield = BrokenField(topo, yfull)

@@ -197,7 +197,8 @@ def bulk_conjugate_density(law: BulkLaw, tri, sigma) -> np.ndarray:
     """Pointwise convex conjugate W*(x, sigma).
 
     Closed form for eps = 0; for eps > 0 the radial profile is strictly
-    monotone and the maximizer is found by a vectorized bisection.
+    monotone and the maximizer is found by a vectorized bisection of at most
+    200 steps, which stops once further steps cannot change the result.
     """
     sigma = np.asarray(sigma, dtype=float)
     smag = np.sqrt(np.sum(sigma * sigma, axis=-1))
@@ -217,9 +218,14 @@ def bulk_conjugate_density(law: BulkLaw, tri, sigma) -> np.ndarray:
         grow = h(hi) < smag
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        # once every mid rounds onto an end of its bracket, the result
+        # 0.5 (lo + hi) keeps its value whatever the remaining steps do
+        settled = np.all((mid == lo) | (mid == hi))
         below = h(mid) < smag
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
+        if settled:
+            break
     r = 0.5 * (lo + hi)
     w = mu / law.p * (r * r + law.epsilon**2) ** (law.p / 2.0)
     return smag * r - w

@@ -80,8 +80,9 @@ class Mesh:
     Derived tables include ``edge_corner``, an (n_edges, 2, 2) int array:
     entry ``[e, s, j]`` is the flat corner id ``3 * t + i`` at which endpoint
     ``edges[e, j]`` sits in the adjacent triangle ``t = edge_tris[e, s]``, or
-    -1 where the edge has no second triangle; and ``crackable_mask``, True on
-    the edges ``crackable_edges`` returns.
+    -1 where the edge has no second triangle; ``crackable_mask``, True on
+    the edges ``crackable_edges`` returns; and ``surface_edges``, the ids of
+    the surface-force edges in increasing order.
     """
 
     vertices: np.ndarray
@@ -100,6 +101,7 @@ class Mesh:
     edge_normal: np.ndarray = field(init=False, repr=False)
     edge_corner: np.ndarray = field(init=False, repr=False)
     crackable_mask: np.ndarray = field(init=False, repr=False)
+    surface_edges: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=float)
@@ -153,12 +155,13 @@ class Mesh:
         lbl = self.boundary_label
         eligible = (lbl == BoundaryLabel.INTERIOR) | (lbl == BoundaryLabel.DIRICHLET)
         self.crackable_mask = self.brittle & eligible
+        self.surface_edges = self.edges_with_label(BoundaryLabel.SURFACE_FORCE)
 
         for arr in (self.vertices, self.triangles, self.edges, self.edge_tris,
                     self.boundary_label, self.brittle, self.tri_area,
                     self.tri_centroid, self.grad_op, self.edge_length,
                     self.edge_midpoint, self.edge_normal, self.edge_corner,
-                    self.crackable_mask):
+                    self.crackable_mask, self.surface_edges):
             arr.setflags(write=False)
 
     # -- queries -----------------------------------------------------------
@@ -189,10 +192,6 @@ class Mesh:
     @property
     def dirichlet_edges(self) -> np.ndarray:
         return self.edges_with_label(BoundaryLabel.DIRICHLET)
-
-    @property
-    def surface_edges(self) -> np.ndarray:
-        return self.edges_with_label(BoundaryLabel.SURFACE_FORCE)
 
     def non_crackable(self, ids) -> list[int]:
         """The ids among ``ids`` that name no crackable edge, sorted."""

@@ -1,13 +1,15 @@
 """Inner convex solves: minimize the elastic energy at a fixed crack set.
 
 Every direct solve of a symmetric positive definite system goes through
-``_spd_solver``: dense Cholesky up to ``_DENSE_LIMIT`` unknowns, sparse LU
-above, a failed factorization raising ``SolveError``.  For the quadratic
-exponent pair (p = q = 2) each crack set's cached solve structure carries
-one ``solve(rhs, rtol)`` on its free block: the direct solve up to
-``_DENSE_LIMIT`` free DOFs, and diagonally preconditioned conjugate
-gradients (only for these per-crack-set solves) beyond that.  The elastic
-energy W - F - G of the solution is then the quadratic form itself,
+``_spd_solver``: dense Cholesky up to ``_DENSE_LIMIT`` unknowns, by LAPACK's
+``dpotrf`` and ``dpotrs`` called directly, sparse LU above.  A failed
+factorization, or a non-finite matrix or right-hand side of a dense solve,
+raises ``SolveError``.  For the quadratic exponent pair (p = q = 2) each
+crack set's cached solve structure carries one ``solve(rhs, rtol)`` on its
+free block: the direct solve up to ``_DENSE_LIMIT`` free DOFs, and
+diagonally preconditioned conjugate gradients (only for these per-crack-set
+solves) beyond that.  The elastic energy W - F - G of the solution is then
+the quadratic form itself,
 
     E_el(u) = 1/2 u.(K u) - b.u + c_eps,   c_eps = 1/2 eps^2 sum_T |T| mu_T,
 
@@ -20,13 +22,15 @@ evaluation order.  Each step solves (H + delta m I) d = -g through
 ``_spd_solver``, with m the mean of diag H; the ratio of actual to predicted
 decrease steers delta, which stays 0 while full Newton steps contract the
 gradient, and grows where the curvature of a power law below exponent 2
-decays or the Hessian of a cracked-off piece is singular.  Energy, gradient
-and Hessian come from one ``_Evaluator`` per solve, which fixes the loads at
-t and the per-triangle constants once and computes the gradients and
-midpoint means once per iterate.  The Hessian is scattered from the
-per-triangle 3x3 blocks straight onto the free DOFs (``_FreeBlock``, built
-once per crack set): a dense array up to ``_DENSE_LIMIT`` of them, CSR
-above, and a rejected step reuses it.  The reported energy is the quadrature
+decays or the Hessian of a cracked-off piece is singular; a non-finite
+gradient ends the solve with a ``SolveError``.  Energy, gradient and Hessian
+come from one ``_Evaluator`` per solve, which fixes the loads at t and the
+per-triangle constants once.  One pass per trial point gives the energy, the
+gradient and its norm; the Hessian is assembled only after a step is
+accepted, at the point evaluated last, so a rejected step reuses it.  It is
+scattered from the per-triangle 3x3 blocks straight onto the free DOFs
+(``_FreeBlock``, built once per crack set): a dense array up to
+``_DENSE_LIMIT`` of them, CSR above.  The reported energy is the quadrature
 of ``energy.elastic_energy`` at the returned field.
 
 Every crack set X of a quadratic problem is the all-open space (every
@@ -223,15 +227,33 @@ def _spd_solver(matrix):
     """Factor a symmetric positive definite matrix once and return
     ``solve(rhs)``: dense Cholesky up to ``_DENSE_LIMIT`` unknowns, sparse LU
     above (``matrix`` is then sparse; below it may be a dense array).  A
-    failed factorization raises ``SolveError``."""
-    try:
-        if matrix.shape[0] <= _DENSE_LIMIT:
-            dense = matrix if isinstance(matrix, np.ndarray) else matrix.toarray()
-            factor = scipy.linalg.cho_factor(dense)
-            return lambda rhs: scipy.linalg.cho_solve(factor, rhs)
-        return scipy.sparse.linalg.splu(matrix.tocsc()).solve
-    except (RuntimeError, scipy.linalg.LinAlgError) as exc:
-        raise SolveError(f"SPD factorization failed: {exc}") from exc
+    failed factorization raises ``SolveError``.
+
+    The dense branch calls LAPACK's ``dpotrf`` and ``dpotrs`` directly: the
+    calls scipy's Cholesky wrappers make after their per-call checks.  A
+    non-finite matrix or right-hand side is a ``SolveError`` too, and an
+    empty right-hand side (any of a 0 x 0 matrix) gets an empty answer."""
+    if matrix.shape[0] > _DENSE_LIMIT:
+        try:
+            return scipy.sparse.linalg.splu(matrix.tocsc()).solve
+        except RuntimeError as exc:
+            raise SolveError(f"SPD factorization failed: {exc}") from exc
+    dense = matrix if isinstance(matrix, np.ndarray) else matrix.toarray()
+    if not np.isfinite(dense).all():
+        raise SolveError("SPD factorization failed: the matrix is not finite")
+    if len(dense):
+        factor, info = scipy.linalg.lapack.dpotrf(dense, lower=False, clean=False)
+        if info > 0:
+            raise SolveError(f"SPD factorization failed: {info}-th leading minor "
+                             "of the array is not positive definite")
+
+    def solve(rhs):
+        if not np.isfinite(rhs).all():
+            raise SolveError("SPD solve failed: the right-hand side is not finite")
+        if rhs.size == 0:
+            return np.empty_like(rhs, dtype=float)
+        return scipy.linalg.lapack.dpotrs(factor, rhs, lower=False)[0]
+    return solve
 
 
 def assemble_pairing(mesh: Mesh, topo: DofTopology, sig: np.ndarray, body: np.ndarray,
@@ -276,13 +298,13 @@ class _Evaluator:
     with a I + b' xi xi^T the stress Jacobian and c the body curvature.
     Construction fixes what does not depend on the iterate: the embedding of
     the free values, b, |T| mu and G^T G; the block gives the free position
-    of each triangle corner, so the gradient is one ``np.bincount``.  Per
-    iterate ``v`` (the free values) xi, s and z are computed once, in a
-    one-entry memo on ``v``, and the energy, gradient and Hessian are
-    derived from them on demand.  A wild trial point gives an infinite
-    energy, never a numpy warning.  ``energy.elastic_energy``,
-    ``assemble_gradient`` and ``_free_hessian`` are the reference
-    implementations it is tested against.
+    of each triangle corner, so the gradient is one ``np.bincount``.
+    ``evaluate(v)`` gives the energy, the gradient and its norm at the free
+    values ``v`` from one pass, and keeps xi, s, z and the stress terms of
+    that point: ``hessian()`` assembles at the point evaluated last.  A wild
+    trial point gives an infinite energy, never a numpy warning.
+    ``energy.elastic_energy``, ``assemble_gradient`` and ``_free_hessian``
+    are the reference implementations it is tested against.
     """
 
     def __init__(self, model: EnergyModel, mesh: Mesh, topo: DofTopology, block: _FreeBlock,
@@ -295,7 +317,6 @@ class _Evaluator:
         self.area = mesh.tri_area
         self.area_mu = mesh.tri_area * model.bulk.mu_at(np.arange(mesh.n_triangles))
         self.gtg = np.einsum("tki,tkj->tij", g, g)
-        self._v = None          # the memoized iterate
 
     def values(self, v: np.ndarray) -> np.ndarray:
         """The DOF values with free values ``v``."""
@@ -303,66 +324,37 @@ class _Evaluator:
         vals[self.free] = v
         return vals
 
-    def _at(self, v: np.ndarray) -> None:
-        if self._v is not None and np.array_equal(self._v, v):
-            return
+    def evaluate(self, v: np.ndarray) -> tuple[float, np.ndarray, float]:
+        """(E, gradient g of E on the free DOFs, |g|) at the free values
+        ``v``; E is +inf where it is not finite."""
+        p, body = self.model.p, self.model.body
         vals = self.values(v)
         cv = vals[self.topo.corner_dof]
         with np.errstate(all="ignore"):
             xi = np.einsum("tki,ti->tk", self.grad_op, cv)
-            self._s = np.sum(xi * xi, axis=1) + self.model.bulk.epsilon**2
-            self._z = cv.sum(axis=1) / 3.0
-        self._v, self._vals, self._xi = v.copy(), vals, xi
-        self._energy = self._grad = self._stress = None
+            s = np.sum(xi * xi, axis=1) + self.model.bulk.epsilon**2
+            z = cv.sum(axis=1) / 3.0
+            a = self.area_mu if p == 2.0 else self.area_mu * s ** ((p - 2.0) / 2.0)
+            gx = np.einsum("tki,tk->ti", self.grad_op, xi)
+            e = float(self.area_mu @ s ** (p / 2.0)) / p - float(self.b @ vals)
+            local = a[:, None] * gx
+            if body.lam:
+                e += body.lam / body.q * float(self.area @ np.abs(z) ** body.q)
+                dz = z if body.q == 2.0 else np.abs(z) ** (body.q - 1.0) * np.sign(z)
+                local += (self.area * body.lam / 3.0 * dz)[:, None]
+            block = self.block
+            grad = np.bincount(block.corner_pos, local.ravel()[block.corners], block.n) - self.b_free
+            res = math.sqrt(grad @ grad)   # the ddot of np.linalg.norm, which can overflow
+        self._s, self._z, self._a, self._gx = s, z, a, gx
+        return (e if math.isfinite(e) else math.inf), grad, res
 
-    def _stress_terms(self):
-        """(|T| mu s^((p-2)/2), G^T xi) per triangle at the memoized iterate."""
-        if self._stress is None:
-            p = self.model.p
-            with np.errstate(all="ignore"):
-                a = self.area_mu if p == 2.0 else self.area_mu * self._s ** ((p - 2.0) / 2.0)
-                self._stress = a, np.einsum("tki,tk->ti", self.grad_op, self._xi)
-        return self._stress
-
-    def energy(self, v: np.ndarray) -> float:
-        """E at the free values ``v``; +inf where it is not finite."""
-        self._at(v)
-        if self._energy is None:
-            p, body = self.model.p, self.model.body
-            with np.errstate(all="ignore"):
-                e = float(self.area_mu @ self._s ** (p / 2.0)) / p - float(self.b @ self._vals)
-                if body.lam:
-                    e += body.lam / body.q * float(self.area @ np.abs(self._z) ** body.q)
-            self._energy = e if math.isfinite(e) else math.inf
-        return self._energy
-
-    def gradient(self, v: np.ndarray) -> np.ndarray:
-        """The gradient of E on the free DOFs at ``v``."""
-        self._at(v)
-        if self._grad is None:
-            a, gx = self._stress_terms()
-            body = self.model.body
-            with np.errstate(all="ignore"):
-                local = a[:, None] * gx
-                if body.lam:
-                    z = self._z
-                    dz = z if body.q == 2.0 else np.abs(z) ** (body.q - 1.0) * np.sign(z)
-                    local += (self.area * body.lam / 3.0 * dz)[:, None]
-                block = self.block
-                self._grad = np.bincount(block.corner_pos, local.ravel()[block.corners],
-                                         block.n) - self.b_free
-        return self._grad
-
-    def hessian(self, v: np.ndarray):
-        """The Hessian of E on the free block at ``v``: dense up to
-        ``_DENSE_LIMIT`` free DOFs, CSR above."""
-        self._at(v)
-        a, gx = self._stress_terms()
-        p = self.model.p
+    def hessian(self):
+        """The Hessian of E on the free block at the point evaluated last:
+        dense up to ``_DENSE_LIMIT`` free DOFs, CSR above."""
+        p, s, gx = self.model.p, self._s, self._gx
         with np.errstate(all="ignore"):
-            local = a[:, None, None] * self.gtg
+            local = self._a[:, None, None] * self.gtg
             if p != 2.0:
-                s = self._s
                 rank_one = np.where(s > 0.0, self.area_mu * (p - 2.0) * s ** ((p - 4.0) / 2.0), 0.0)
                 local += rank_one[:, None, None] * gx[:, :, None] * gx[:, None, :]
             c = self.area * body_hessian_coeff(self.model.body, self.t, self._z)
@@ -697,36 +689,46 @@ class ElasticSolver:
             return field, 0, 0.0, "newton", elastic_energy(model, mesh, t, field)[0]
         ev = _Evaluator(model, mesh, topo, block, t, self._load_vector(topo, t))
         x = field.values[free]
-        energy, g = ev.energy(x), ev.gradient(x)
-        res = float(np.linalg.norm(g))
+        energy, g, res = ev.evaluate(x)
         h, delta = None, 0.0
-        for it in range(_NEWTON_CAP):
-            if res <= tol:
-                field = BrokenField(topo, ev.values(x))
-                return field, it, res, "newton", elastic_energy(model, mesh, t, field)[0]
-            if h is None:
-                h = ev.hessian(x)
-                eye = np.eye if isinstance(h, np.ndarray) else scipy.sparse.identity
-                scale = float(np.mean(h.diagonal())) or 1.0
-            try:
-                d = _spd_solver(h + delta * scale * eye(len(x)) if delta else h)(-g)
-            except SolveError:
-                delta = max(10.0 * delta, 1.0)
-                continue
-            with np.errstate(all="ignore"):   # a wild step is rejected, with no warning
+        # a wild step is rejected and an overflowing Hessian fails to factor,
+        # with no warning
+        with np.errstate(all="ignore"):
+            for it in range(_NEWTON_CAP):
+                if res <= tol:
+                    break
+                if not math.isfinite(res):   # no step can solve for a non-finite -g
+                    raise SolveError(f"non-finite gradient at t={t}")
+                if h is None:   # x is the point evaluated last: the start or an accepted step
+                    h = ev.hessian()
+                try:
+                    d = _spd_solver(_damped(h, delta))(-g)
+                except SolveError:
+                    delta = max(10.0 * delta, 1.0)
+                    continue
                 trial = x + d
-                e_new, g_new = ev.energy(trial), ev.gradient(trial)
-                res_new = float(np.linalg.norm(g_new))
                 predicted = -float(g @ d) - 0.5 * float(d @ (h @ d))
-            rho = (energy - e_new) / predicted if predicted > 0.0 else -math.inf
-            contracted = res_new <= 0.5 * res
-            if contracted or rho > 0.75:
-                delta /= 10.0
-            elif rho < 0.25:
-                delta = max(10.0 * delta, 1.0)
-            if contracted or rho > 1e-4:
-                x, energy, g, res, h = trial, e_new, g_new, res_new, None
-        raise SolveError(f"Newton did not reach tol {tol:.3e} within {_NEWTON_CAP} steps")
+                e_new, g_new, res_new = ev.evaluate(trial)
+                rho = (energy - e_new) / predicted if predicted > 0.0 else -math.inf
+                contracted = res_new <= 0.5 * res
+                if contracted or rho > 0.75:
+                    delta /= 10.0
+                elif rho < 0.25:
+                    delta = max(10.0 * delta, 1.0)
+                if contracted or rho > 1e-4:
+                    x, energy, g, res, h = trial, e_new, g_new, res_new, None
+            else:
+                raise SolveError(f"Newton did not reach tol {tol:.3e} within {_NEWTON_CAP} steps")
+        field = BrokenField(topo, ev.values(x))
+        return field, it, res, "newton", elastic_energy(model, mesh, t, field)[0]
+
+
+def _damped(h, delta: float):
+    """h + delta m I, with m the mean of diag h (1 where that is 0)."""
+    if not delta:
+        return h
+    eye = np.eye if isinstance(h, np.ndarray) else scipy.sparse.identity
+    return h + delta * (float(np.mean(h.diagonal())) or 1.0) * eye(h.shape[0])
 
 
 def minimize_elastic(model: EnergyModel, mesh: Mesh, crack: CrackSet, t: float,

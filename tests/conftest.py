@@ -1,4 +1,11 @@
 import os
+
+# the BLAS thread cap of ``import qsfrac``: OpenBLAS reads these variables
+# once, when numpy loads, and numpy is imported below before qsfrac
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
 from pathlib import Path
 
 import numpy as np

@@ -24,6 +24,7 @@ from qsfrac.evolution import (
     TimeGrid,
     run_evolution,
 )
+from qsfrac.mesh import build_structured_mesh
 from qsfrac.minimize import minimize_elastic
 
 from conftest import make_model, make_strip_mesh
@@ -276,6 +277,20 @@ def test_dual_certificate_zero_state():
     cert = dual_certificate(model, mesh, CrackSet.empty(), 0.5, u)
     assert cert.annihilation_residual == 0.0
     assert cert.fenchel_gap == 0.0
+
+
+@pytest.mark.parametrize("p", [2.0, 4.0])
+def test_dual_certificate_without_free_dofs(p):
+    # every vertex pinned: the Gram solve of the projection is 0 x 0
+    mesh = build_structured_mesh(1, 1, 1.0, 1.0, brittle="none")
+    psi = TimeTable.build([(0.0, np.zeros(mesh.n_vertices)),
+                           (1.0, mesh.vertices[:, 0])], mesh.n_vertices)
+    model = make_model(mesh, psi=psi, lam=0.1, p=p)
+    u, rep = minimize_elastic(model, mesh, CrackSet.empty(), 0.5)
+    assert rep.n_free == 0
+    cert = dual_certificate(model, mesh, CrackSet.empty(), 0.5, u)
+    assert cert.annihilation_residual == 0.0 and cert.projection_norm == 0.0
+    assert abs(cert.fenchel_gap) <= 1e-15 * (1.0 + abs(cert.primal_value))
 
 
 def test_dual_certificate_at_solver_tolerance(strip_problem, strip_record):

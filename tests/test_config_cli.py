@@ -329,6 +329,24 @@ def test_cli_overflowing_load_is_a_numeric_failure_without_a_warning(tmp_path, f
     assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
 
 
+@pytest.mark.parametrize("flags", [[], ["-W", "error"]])
+def test_cli_newton_start_overflow_is_a_numeric_failure(tmp_path, flags):
+    # p = 4 with a datum of 1e200 from t = 0: the energy, gradient and Hessian
+    # of the first solve overflow.  The Newton loop stops at the non-finite
+    # gradient, so the run exits 3 with no warning and no traceback
+    cfg_path = tmp_path / "quartic.cfg"
+    cfg_path.write_text(config_text("quartic", 5).replace(
+        "boundary.psi = 0: 0; 1: x / 2", "boundary.psi = 0: 1e200 * x; 1: 1e200 * x"))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "qsfrac", "run", "--config", str(cfg_path),
+         "--out", str(tmp_path / "rec.json")],
+        capture_output=True, text=True, env=cli_env(), cwd=str(tmp_path),
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "numeric failure" in proc.stderr and "non-finite gradient" in proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
+
+
 @pytest.mark.parametrize("line", [
     "body.force = 0: 0; 1: log(x - 1.5)",
     "energy.lambda = nan",

@@ -83,6 +83,42 @@ def test_bulk_conjugate_closes_fenchel_young():
         assert np.max(np.abs(w + wstar - pairing)) <= 1e-10 * (1.0 + np.max(np.abs(pairing)))
 
 
+def _conjugate_200_steps(law, tri, sigma):
+    """``bulk_conjugate_density`` with its bisection always run for 200 steps."""
+    smag = np.sqrt(np.sum(sigma * sigma, axis=-1))
+    mu = np.broadcast_to(np.asarray(law.mu_at(tri), dtype=float), smag.shape)
+    lo = np.zeros_like(smag)
+    hi = np.maximum((smag / mu) ** (1.0 / (law.p - 1.0)), law.epsilon) + law.epsilon
+    def h(r):
+        return mu * r * (r * r + law.epsilon**2) ** ((law.p - 2.0) / 2.0)
+    grow = h(hi) < smag
+    while np.any(grow):
+        hi = np.where(grow, 2.0 * hi, hi)
+        grow = h(hi) < smag
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        below = h(mid) < smag
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    r = 0.5 * (lo + hi)
+    return smag * r - mu / law.p * (r * r + law.epsilon**2) ** (law.p / 2.0)
+
+
+@pytest.mark.parametrize("p", [1.2, 1.5, 3.0, 4.0])
+@pytest.mark.parametrize("eps", [1e-6, 1e-3, 0.5])
+def test_bulk_conjugate_bisection_stops_with_the_same_bits(p, eps):
+    # the bisection stops once every midpoint rounds onto an end of its
+    # bracket; the result equals that of all 200 steps, bit for bit, with or
+    # without a zero stress (which never settles)
+    rng = np.random.default_rng(12)
+    law = BulkLaw(p, 1.0, eps)
+    tri = np.arange(60)
+    sig = rng.normal(size=(60, 2)) * 10.0 ** rng.uniform(-8.0, 3.0, size=(60, 1))
+    assert np.array_equal(bulk_conjugate_density(law, tri, sig), _conjugate_200_steps(law, tri, sig))
+    sig[[0, 7]] = 0.0
+    assert np.array_equal(bulk_conjugate_density(law, tri, sig), _conjugate_200_steps(law, tri, sig))
+
+
 # ---------------------------------------------------------------------------
 # toughness
 # ---------------------------------------------------------------------------

@@ -70,6 +70,17 @@ def test_boundary_partition_property():
     assert labeled == boundary
 
 
+def test_surface_edges_are_stored_read_only():
+    m = build_structured_mesh(3, 2, 2.0, 1.0,
+                              labeling={"dirichlet": ("left",), "surface": ("right", "top")},
+                              brittle="none")
+    assert np.array_equal(m.surface_edges, m.edges_with_label(BoundaryLabel.SURFACE_FORCE))
+    assert len(m.surface_edges) == 5 and m.surface_edges is m.surface_edges
+    assert not m.surface_edges.flags.writeable
+    with pytest.raises(ValueError):
+        m.surface_edges[0] = 0
+
+
 def test_crackable_all_brittle_unit_square():
     m = build_structured_mesh(1, 1, 1.0, 1.0, brittle="all")
     # interior diagonal plus the four Dirichlet boundary edges

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 
 from qsfrac import minimize
@@ -326,6 +327,34 @@ def test_open_space_factorization_failure_is_a_solve_error(n):
         minimize._spd_solver(scipy.sparse.csr_matrix((n, n)))
 
 
+def test_dense_spd_solver_matches_scipy_cholesky_bit_for_bit():
+    rng = np.random.default_rng(13)
+    for n in (1, 5, minimize._DENSE_LIMIT):
+        a = rng.normal(size=(n, n))
+        a = a @ a.T + n * np.eye(n)
+        factor = scipy.linalg.cho_factor(a)
+        solve = minimize._spd_solver(a)
+        for rhs in (rng.normal(size=n), rng.normal(size=(n, 3))):
+            assert np.array_equal(solve(rhs), scipy.linalg.cho_solve(factor, rhs))
+
+
+def test_dense_spd_solver_refuses_non_finite_input():
+    # a SolveError, which the CLI reports with exit code 3
+    with pytest.raises(minimize.SolveError, match="not finite"):
+        minimize._spd_solver(np.array([[np.nan]]))
+    solve = minimize._spd_solver(np.array([[4.0]]))
+    with pytest.raises(minimize.SolveError, match="not finite"):
+        solve(np.array([np.inf]))
+    assert solve(np.array([2.0])).tolist() == [0.5]
+
+
+def test_empty_spd_solver_answers_with_an_empty_array():
+    solve = minimize._spd_solver(np.zeros((0, 0)))
+    for shape in ((0,), (0, 3)):
+        x = solve(np.zeros(shape))
+        assert x.shape == shape and x.dtype == float
+
+
 def _singular_q3_case(nx, ny):
     """A strip held on its left side only, with its x = 1 column cracked,
     q = 3 and a body load: the cracked-off right piece starts at z = 0, where
@@ -343,7 +372,8 @@ def _start_hessian(model, mesh, crack, t):
     topo = build_topology(mesh, crack, model.boundary.value(t))
     ev = minimize._Evaluator(model, mesh, topo, minimize._FreeBlock(topo), t,
                              solver._load_vector(topo, t))
-    return ev.hessian(BrokenField.from_nodal(topo, topo.psi_nodal).values[topo.free_dofs])
+    ev.evaluate(BrokenField.from_nodal(topo, topo.psi_nodal).values[topo.free_dofs])
+    return ev.hessian()
 
 
 def test_newton_on_a_singular_sparse_hessian_raises_no_warning():
@@ -438,10 +468,12 @@ def test_newton_evaluator_matches_the_reference_functions(p, q, nx, ny):
             v = rng.normal(size=topo.n_free)
             u = BrokenField(topo, ev.values(v))
             energy, _ = elastic_energy(model, mesh, t, u)
-            assert abs(ev.energy(v) - energy) <= 1e-13 * abs(energy)
+            e, g, res = ev.evaluate(v)
+            assert abs(e - energy) <= 1e-13 * abs(energy)
             grad = minimize.assemble_gradient(model, mesh, t, u)[topo.free_dofs]
-            assert np.max(np.abs(ev.gradient(v) - grad)) <= 1e-13 * np.max(np.abs(grad))
-            h, ref = ev.hessian(v), minimize._free_hessian(model, mesh, t, u, block)
+            assert np.max(np.abs(g - grad)) <= 1e-13 * np.max(np.abs(grad))
+            assert res == float(np.linalg.norm(g))   # the same bits
+            h, ref = ev.hessian(), minimize._free_hessian(model, mesh, t, u, block)
             assert isinstance(h, np.ndarray) is (topo.n_free <= minimize._DENSE_LIMIT)
             diff = h - ref if isinstance(h, np.ndarray) else (h - ref).toarray()
             assert np.max(np.abs(diff)) <= 1e-13 * np.max(np.abs(ref))
@@ -462,19 +494,19 @@ def test_newton_evaluator_at_a_wild_point_raises_no_warning():
         warnings.simplefilter("error")
         for scale, finite in ((1e12, True), (1e120, False), (1e308, False)):
             v = scale * (1.0 + 0.5 * np.linspace(-1.0, 1.0, topo.n_free))
-            assert math.isfinite(ev.energy(v)) is finite
-            assert ev.energy(v) > 0.0
-            ev.gradient(v)
-            ev.hessian(v)
+            energy, _, _ = ev.evaluate(v)
+            assert math.isfinite(energy) is finite
+            assert energy > 0.0
+            ev.hessian()
 
 
 def _count_energies(monkeypatch):
     """Record every energy evaluation of the Newton path: the evaluator's
     energies and the report energy of each solve."""
     evaluations = []
-    energy, report_energy = minimize._Evaluator.energy, minimize.elastic_energy
-    monkeypatch.setattr(minimize._Evaluator, "energy",
-                        lambda self, v: evaluations.append(1) or energy(self, v))
+    evaluate, report_energy = minimize._Evaluator.evaluate, minimize.elastic_energy
+    monkeypatch.setattr(minimize._Evaluator, "evaluate",
+                        lambda self, v: evaluations.append(1) or evaluate(self, v))
     monkeypatch.setattr(minimize, "elastic_energy",
                         lambda *a: evaluations.append(1) or report_energy(*a))
     return evaluations
@@ -519,10 +551,13 @@ def test_newton_hessian_assembles_once_per_iterate(monkeypatch):
     p15 = (mesh, make_model(mesh, p=1.5, eps=1e-6, lam=1e-2), CrackSet.of(crackable_edges(mesh)[:7]))
     for mesh, model, crack in (p15, _singular_q3_case(18, 14)):
         assert build_topology(mesh, crack, None).n_free > minimize._DENSE_LIMIT
-        iterates = []
-        hessian = minimize._Evaluator.hessian
+        # the Hessian is assembled at the point evaluated last
+        iterates, evaluated = [], []
+        evaluate, hessian = minimize._Evaluator.evaluate, minimize._Evaluator.hessian
+        monkeypatch.setattr(minimize._Evaluator, "evaluate",
+                            lambda self, v: evaluated.append(v.tobytes()) or evaluate(self, v))
         monkeypatch.setattr(minimize._Evaluator, "hessian",
-                            lambda self, v: iterates.append(v.tobytes()) or hessian(self, v))
+                            lambda self: iterates.append(evaluated[-1]) or hessian(self))
         u, rep = ElasticSolver(model, mesh).solve(crack, 0.9)
         monkeypatch.undo()
         assert rep.residual <= 1e-10
