@@ -10,12 +10,13 @@ isolated endpoint does not split the field.  Whole Dirichlet edges are either
 constrained or, when cracked, released; partial release of an edge is not
 representable with linear elements.
 
-Topologies and fields are immutable snapshots; all queries are pure.
+A layout depends on the crack set only, the datum psi(t) on time only, so
+every query that reads the datum takes it as an argument.  Layouts are frozen
+with read-only arrays, fields are snapshots; all queries are pure.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -75,7 +76,7 @@ class CrackSet:
         return float(np.sum(mesh.edge_length[list(self.edge_ids)])) if self.edge_ids else 0.0
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class DofTopology:
     """Degree-of-freedom layout of the broken space for one crack set.
 
@@ -90,38 +91,24 @@ class DofTopology:
     n_dofs: int
     dof_vertex: np.ndarray          # (n_dofs,) vertex id of each DOF
     constrained: np.ndarray         # (n_dofs,) bool
-    psi_nodal: np.ndarray           # (n_vertices,) boundary datum used for pinning
-
-    _free: np.ndarray = field(init=False, repr=False)
-    _cons: np.ndarray = field(init=False, repr=False)
+    free_dofs: np.ndarray = field(init=False, repr=False)
+    constrained_dofs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._free = np.flatnonzero(~self.constrained)
-        self._cons = np.flatnonzero(self.constrained)
+        object.__setattr__(self, "free_dofs", np.flatnonzero(~self.constrained))
+        object.__setattr__(self, "constrained_dofs", np.flatnonzero(self.constrained))
+        for arr in (self.corner_dof, self.dof_vertex, self.constrained, self.free_dofs,
+                    self.constrained_dofs):
+            arr.setflags(write=False)
 
-    def with_datum(self, psi) -> "DofTopology":
-        """The same layout pinned to the boundary datum ``psi`` (any form
-        ``build_topology`` accepts); the crack set is not checked again."""
-        out = copy.copy(self)
-        out.psi_nodal = _nodal_array(self.mesh, psi)
-        return out
-
-    @property
-    def dirichlet_values(self) -> np.ndarray:
-        """(n_dofs,) new array: the pinned value where constrained, else 0."""
-        return np.where(self.constrained, self.psi_nodal[self.dof_vertex], 0.0)
-
-    @property
-    def free_dofs(self) -> np.ndarray:
-        return self._free
-
-    @property
-    def constrained_dofs(self) -> np.ndarray:
-        return self._cons
+    def dirichlet_values(self, psi) -> np.ndarray:
+        """(n_dofs,) new array: the boundary datum ``psi`` (any form
+        ``BrokenField.from_nodal`` accepts) where constrained, else 0."""
+        return np.where(self.constrained, _nodal_array(self.mesh, psi)[self.dof_vertex], 0.0)
 
     @property
     def n_free(self) -> int:
-        return len(self._free)
+        return len(self.free_dofs)
 
 
 def _components(n_nodes: int, links: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -145,8 +132,7 @@ def _components(n_nodes: int, links: np.ndarray) -> tuple[np.ndarray, np.ndarray
 def _corner_structure(mesh: Mesh, crack: CrackSet):
     """Merge triangle corners through uncracked interior edges.
 
-    Returns (corner_dof, n_dofs, dof_vertex, constrained_mask); independent of
-    the boundary datum, which ``DofTopology.with_datum`` swaps.
+    Returns (corner_dof, n_dofs, dof_vertex, constrained_mask).
     """
     uncracked = np.ones(mesh.n_edges, dtype=bool)
     uncracked[list(crack.edge_ids)] = False
@@ -175,12 +161,9 @@ def _nodal_array(mesh: Mesh, psi) -> np.ndarray:
     return arr
 
 
-def build_topology(mesh: Mesh, crack: CrackSet, psi=None) -> DofTopology:
-    """Build the DOF layout for ``crack`` with boundary datum ``psi``.
-
-    ``psi`` may be a nodal array, a callable of (x, y), a scalar, or None
-    (zero datum).  Raises if the crack set leaves the crackable edge set.
-    """
+def build_topology(mesh: Mesh, crack: CrackSet) -> DofTopology:
+    """Build the DOF layout for ``crack``.  Raises if the crack set leaves
+    the crackable edge set."""
     extra = mesh.non_crackable(crack.edge_ids)
     if extra:
         raise ValueError(f"crack contains non-crackable edges {extra}")
@@ -193,7 +176,6 @@ def build_topology(mesh: Mesh, crack: CrackSet, psi=None) -> DofTopology:
         n_dofs=n_dofs,
         dof_vertex=dof_vertex,
         constrained=constrained,
-        psi_nodal=_nodal_array(mesh, psi),
     )
 
 
@@ -210,17 +192,16 @@ class BrokenField:
             raise ValueError("DOF value array does not match topology")
 
     @classmethod
-    def zeros(cls, topology: DofTopology) -> "BrokenField":
-        # free DOFs at zero, pinned DOFs at their boundary values
-        return cls(topology, topology.dirichlet_values)
+    def zeros(cls, topology: DofTopology, psi) -> "BrokenField":
+        """Free DOFs at zero, pinned DOFs at the boundary datum ``psi``."""
+        return cls(topology, topology.dirichlet_values(psi))
 
     @classmethod
     def from_nodal(cls, topology: DofTopology, nodal) -> "BrokenField":
+        """The field taking ``nodal`` at every DOF's vertex: a nodal array,
+        a callable of (x, y), a scalar, or None (zero)."""
         arr = _nodal_array(topology.mesh, nodal)
         return cls(topology, arr[topology.dof_vertex])
-
-    def with_values(self, values: np.ndarray) -> "BrokenField":
-        return BrokenField(self.topology, np.asarray(values, dtype=float))
 
     def corner_values(self) -> np.ndarray:
         return self.values[self.topology.corner_dof]
@@ -238,13 +219,13 @@ def gradient(u: BrokenField) -> np.ndarray:
     return u.gradients()
 
 
-def jump_across_edge(u: BrokenField, edge_id: int, psi_nodal=None) -> tuple[float, float]:
+def jump_across_edge(u: BrokenField, edge_id: int, psi) -> tuple[float, float]:
     """Jump of ``u`` across one edge at its two endpoints (sorted vertex order).
 
     Interior edges: trace from the higher-index adjacent triangle minus the
     trace from the lower-index one (the direction of the edge normal).
-    Dirichlet edges: single-sided trace minus the boundary datum.  Uncracked
-    interior edges return exactly (0, 0) because the corners share DOFs.
+    Dirichlet edges: single-sided trace minus the boundary datum ``psi``.
+    Uncracked interior edges return exactly (0, 0): the corners share DOFs.
     """
     mesh = u.topology.mesh
     if not 0 <= edge_id < mesh.n_edges:
@@ -256,26 +237,24 @@ def jump_across_edge(u: BrokenField, edge_id: int, psi_nodal=None) -> tuple[floa
     elif mesh.boundary_label[edge_id] != BoundaryLabel.DIRICHLET:
         raise ValueError(f"edge {edge_id} is not interior and not Dirichlet; jump undefined")
     else:
-        psi = u.topology.psi_nodal if psi_nodal is None else _nodal_array(mesh, psi_nodal)
-        ja, jb = u.values[cd[low]] - psi[mesh.edges[edge_id]]
+        ja, jb = u.values[cd[low]] - _nodal_array(mesh, psi)[mesh.edges[edge_id]]
     return float(ja), float(jb)
 
 
-def default_jump_tol(psi_nodal: np.ndarray) -> float:
+def default_jump_tol(psi: np.ndarray) -> float:
     """Separates exact-zero shared-DOF jumps from genuine opening."""
-    scale = float(np.max(np.abs(psi_nodal))) if len(psi_nodal) else 0.0
+    scale = float(np.max(np.abs(psi))) if len(psi) else 0.0
     return 1e-9 * (1.0 + scale)
 
 
-def jump_support(u: BrokenField, psi_nodal=None, tol: float | None = None) -> CrackSet:
+def jump_support(u: BrokenField, psi, tol: float | None = None) -> CrackSet:
     """Edges where the field actually jumps (or departs from the Dirichlet
-    datum on released boundary edges) by more than ``tol``.
+    datum ``psi`` on released boundary edges) by more than ``tol``.
 
     Only cracked edges can carry a nonzero jump, so the support is always a
     subset of the field's crack set.
     """
-    mesh = u.topology.mesh
-    psi = u.topology.psi_nodal if psi_nodal is None else _nodal_array(mesh, psi_nodal)
+    psi = _nodal_array(u.topology.mesh, psi)
     if tol is None:
         tol = default_jump_tol(psi)
     if tol < 0:

@@ -307,7 +307,8 @@ class EvolutionRecord:
     @classmethod
     def load(cls, path, mesh: Mesh, model: EnergyModel) -> "EvolutionRecord":
         """Rebuild a record against its mesh and model: each distinct crack
-        set's DOF layout is built once, and each knot pins it to its datum.
+        set's DOF layout is built once, and every knot of that crack set
+        shares it.  ``model`` is not read: a layout holds no datum.
 
         A file that is not a readable record for this mesh (bad JSON, a
         missing key, a DOF array of the wrong length, an edge that cannot
@@ -334,14 +335,13 @@ class EvolutionRecord:
                 crack = CrackSet.of(row["crack"])
                 if crack not in layouts:
                     layouts[crack] = build_topology(mesh, crack)
-                topo = layouts[crack].with_datum(model.boundary.value(grid.knots[i]))
                 values = _finite(np.asarray(row["dofs"], dtype=float), "DOF")
                 energy = {k: float(row["energy"][k]) for k in _ENERGY_KEYS}
                 power = {k: float(row["power"][k]) for k in _POWER_KEYS}
                 for k, v in {**energy, **power}.items():
                     _finite(v, k)
                 cracks.append(crack)
-                fields.append(BrokenField(topo, values))
+                fields.append(BrokenField(layouts[crack], values))
                 energies.append(energy)
                 powers.append(power)
             where = "record"

@@ -285,7 +285,7 @@ def _free_hessian(model: EnergyModel, mesh: Mesh, t: float, u: BrokenField, bloc
 
 class _Evaluator:
     """Energy, free gradient and free Hessian of the elastic energy for one
-    Newton solve: one topology with its datum, one time t, one free block.
+    Newton solve: one topology, one time t with its datum psi, one free block.
 
     The body and surface loads are linear in u, so with b the load vector at
     t (``ElasticSolver._load_vector``) and z the midpoint means,
@@ -308,10 +308,10 @@ class _Evaluator:
     """
 
     def __init__(self, model: EnergyModel, mesh: Mesh, topo: DofTopology, block: _FreeBlock,
-                 t: float, b: np.ndarray):
+                 t: float, psi: np.ndarray, b: np.ndarray):
         self.model, self.topo, self.block, self.t, self.b = model, topo, block, t, b
         self.free = topo.free_dofs
-        self.base = topo.dirichlet_values
+        self.base = topo.dirichlet_values(psi)
         self.b_free = b[self.free]
         self.grad_op = g = mesh.grad_op
         self.area = mesh.tri_area
@@ -369,28 +369,29 @@ class _Evaluator:
 class _CrackData:
     """Per-crack-set immutable solve structure, cached inside ElasticSolver.
 
-    For p = q = 2 it holds the stiffness matrix and the one linear solve on
-    its free block, ``solve(rhs, rtol) -> (x, iterations)``, labelled by
-    ``method``: the direct ``_spd_solver`` up to ``_cg_above`` free DOFs (one
-    iteration, ``rtol`` unused), Jacobi-preconditioned conjugate gradients
-    above (scipy's ``info`` as the count: 0 on convergence).  For any other
-    exponents it holds the ``_FreeBlock`` the Newton gradients and Hessians
-    scatter onto.
+    Its DOF layout holds no datum, so every field solved on the crack set
+    shares it.  For p = q = 2 it holds the stiffness matrix and the one
+    linear solve on its free block, ``solve(rhs, rtol) -> (x, iterations)``,
+    labelled by ``method``: the direct ``_spd_solver`` up to ``_cg_above``
+    free DOFs (one iteration, ``rtol`` unused), Jacobi-preconditioned
+    conjugate gradients above (scipy's ``info`` as the count: 0 on
+    convergence).  For any other exponents it holds the ``_FreeBlock`` the
+    Newton gradients and Hessians scatter onto.
     """
 
     __slots__ = ("topology", "matrix", "k_fc", "solve", "method", "floating", "block")
     _cg_above = _DENSE_LIMIT
 
     def __init__(self, model: EnergyModel, mesh: Mesh, crack: CrackSet, quadratic: bool):
-        # validated once here; solves only attach the datum at their time
-        topo = self.topology = build_topology(mesh, crack, None)
+        topo = self.topology = build_topology(mesh, crack)   # validated once here
         # only a run without confinement can float a piece of the body
         self.floating = _floating_message(topo) if model.body.lam == 0.0 else None
-        self.matrix = self.k_fc = self.solve = self.method = None
-        self.block = None if quadratic else _FreeBlock(topo)
-        if quadratic:
-            if self.floating:
-                raise FloatingComponentError(self.floating)
+        self.matrix = self.k_fc = self.solve = self.method = self.block = None
+        if not quadratic:
+            self.block = _FreeBlock(topo)
+        elif self.floating:
+            raise FloatingComponentError(self.floating)
+        else:
             self._factor(model, mesh)
 
     def _factor(self, model: EnergyModel, mesh: Mesh) -> None:
@@ -436,20 +437,23 @@ class _OpenSpace(_CrackData):
     keeps.  Ties around one vertex can be redundant, so G_X may be singular;
     ``excess`` solves it by pivoted Cholesky, which stops at its numerical
     rank (consistent rows lose nothing).  Only G is kept: the score needs
-    neither K^-1 R^T nor the open field.  A loaded piece of the open body
-    with no constrained DOF is refused with ``FloatingComponentError``: it
-    drifts to load / lambda, and the identity would cancel energies of that
-    size in rounding.  Above the row limit nothing is factored, no G is
-    formed (``gram`` is None) and the space does not score.
+    neither K^-1 R^T nor the open field.  A piece of the open body with no
+    constrained DOF is refused with ``FloatingComponentError`` where nothing
+    confines it, and where it is loaded: it drifts to load / lambda, and the
+    identity would cancel energies of that size in rounding.  Above the row
+    limit nothing is factored, no G is formed (``gram`` is None) and the
+    space does not score.
     """
 
     __slots__ = ("rows", "owner_edge", "owner_row", "gram")
     _cg_above = math.inf   # a direct solve at every size, for many right-hand sides at once
 
     def __init__(self, model: EnergyModel, mesh: Mesh):
-        super().__init__(model, mesh, CrackSet.of(crackable_edges(mesh)), False)
-        if self.floating:
-            raise FloatingComponentError(self.floating)
+        super().__init__(model, mesh, CrackSet.of(crackable_edges(mesh)), True)
+
+    def _factor(self, model: EnergyModel, mesh: Mesh) -> None:
+        """Carve out the rows; within the row limit, factor the stiffness and
+        form G."""
         topo = self.topology
         label, held = _pieces(topo)
         loose = ~held[label[topo.corner_dof[:, 0]]]       # per triangle
@@ -475,7 +479,7 @@ class _OpenSpace(_CrackData):
         n_free = mesh.n_vertices - len(np.unique(topo.dof_vertex[topo.constrained_dofs]))
         if n > (_SCORE_ROWS_DENSE if n_free <= _DENSE_LIMIT else _SCORE_ROWS_CG):
             return
-        self._factor(model, mesh)
+        super()._factor(model, mesh)
         # R^T on the free DOFs: +1 at the first DOF of each row, -1 at the second of a tie
         ties = np.flatnonzero(self.rows[:, 1] >= 0)
         rt = np.zeros((topo.n_dofs, n))
@@ -534,8 +538,9 @@ class ElasticSolver:
 
     Solve structures (DOF layout and linear solve) are cached per crack
     set, so sweeping many candidate cracks over many times reuses the
-    expensive parts.  The cache is an LRU of ``_CACHE_SIZE``.  The
-    loads of the last time solved are memoized, so the candidates of one
+    expensive parts; the fields of one crack set share its read-only layout.
+    The cache is an LRU of ``_CACHE_SIZE``.  The loads (boundary datum
+    included) of the last time solved are memoized, so the candidates of one
     knot interpolate the load tables once, and so is the last solve.  Where
     ``scores`` holds, ``score`` gives the energy of any crack set from the
     all-open space instead.
@@ -603,9 +608,8 @@ class ElasticSolver:
         memo = self._open_at
         with np.errstate(all="ignore"):   # an overflow is the SolveError below
             if memo is None or memo[0] != t:
-                topo = space.topology.with_datum(self._loads_at(t)[1])
-                u, _, _, _, e_open = self._solve_quadratic(topo, space, t, tol)
-                memo = self._open_at = (t, e_open, space.residual(u.values, topo.psi_nodal))
+                u, _, _, _, e_open = self._solve_quadratic(space, t, tol)
+                memo = self._open_at = (t, e_open, space.residual(u.values, self._loads_at(t)[1]))
             energy = memo[1] + space.excess(space.kept_rows(crack), memo[2])
         if not math.isfinite(energy):
             raise SolveError(f"non-finite energy score at t={t}")
@@ -628,26 +632,26 @@ class ElasticSolver:
             return self._last[1]
         start = time.perf_counter()
         data = self._data(crack)
-        topo = data.topology.with_datum(self._loads_at(t)[1])
         if data.floating:
             raise FloatingComponentError(data.floating)
         if self.quadratic:
-            field, iters, res, method, energy = self._solve_quadratic(topo, data, t, tol)
+            field, iters, res, method, energy = self._solve_quadratic(data, t, tol)
         else:
-            field, iters, res, method, energy = self._solve_newton(topo, data.block, t, tol)
+            field, iters, res, method, energy = self._solve_newton(data, t, tol)
         report = SolveReport(
             iterations=iters, residual=res, energy=energy,
             wall_time=time.perf_counter() - start, method=method,
-            n_free=topo.n_free,
+            n_free=data.topology.n_free,
         )
         field.values.setflags(write=False)
         self._last = (key, (field, report))
         return field, report
 
-    def _solve_quadratic(self, topo: DofTopology, data: _CrackData, t: float, tol: float):
+    def _solve_quadratic(self, data: _CrackData, t: float, tol: float):
+        topo = data.topology
         b = self._load_vector(topo, t)
         free, cons = topo.free_dofs, topo.constrained_dofs
-        u = topo.dirichlet_values
+        u = topo.dirichlet_values(self._loads_at(t)[1])
         # an overflow surfaces as the SolveError below, not as a numpy warning
         with np.errstate(all="ignore"):
             rhs = b[free] - (data.k_fc @ u[cons] if len(cons) else 0.0)
@@ -668,7 +672,7 @@ class ElasticSolver:
             raise SolveError(f"linear solve stalled at residual {res:.3e} > tol {tol:.3e}")
         return BrokenField(topo, u), iters, res, data.method, energy
 
-    def _solve_newton(self, topo: DofTopology, block: _FreeBlock, t: float, tol: float):
+    def _solve_newton(self, data: _CrackData, t: float, tol: float):
         """Damped Newton (Levenberg-Marquardt) on the free DOFs.
 
         Each step solves (H + delta m I) d = -g, with m the mean of diag H,
@@ -682,12 +686,13 @@ class ElasticSolver:
         does not).  delta starts at 0, so where full steps contract this is
         plain Newton.
         """
-        model, mesh = self.model, self.mesh
-        field = BrokenField.from_nodal(topo, topo.psi_nodal)
+        model, mesh, topo = self.model, self.mesh, data.topology
+        psi = self._loads_at(t)[1]
+        field = BrokenField.from_nodal(topo, psi)
         free = topo.free_dofs
         if len(free) == 0:
             return field, 0, 0.0, "newton", elastic_energy(model, mesh, t, field)[0]
-        ev = _Evaluator(model, mesh, topo, block, t, self._load_vector(topo, t))
+        ev = _Evaluator(model, mesh, topo, data.block, t, psi, self._load_vector(topo, t))
         x = field.values[free]
         energy, g, res = ev.evaluate(x)
         h, delta = None, 0.0

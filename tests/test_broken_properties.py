@@ -89,7 +89,7 @@ def _reference_structure(mesh, crack):
 
 def _random_field(topo, seed):
     rng = np.random.default_rng(seed)
-    values = np.where(topo.constrained, topo.dirichlet_values, rng.normal(size=topo.n_dofs))
+    values = np.where(topo.constrained, topo.dirichlet_values(_psi), rng.normal(size=topo.n_dofs))
     return BrokenField(topo, values)
 
 
@@ -101,7 +101,7 @@ def _psi(x, y):
 @given(cracked_meshes())
 def test_dof_ids_in_first_occurrence_order_and_at_their_vertex(case):
     mesh, _, crack = case
-    topo = build_topology(mesh, crack, _psi)
+    topo = build_topology(mesh, crack)
     ids, first = np.unique(topo.corner_dof.ravel(), return_index=True)
     assert np.array_equal(ids, np.arange(topo.n_dofs))
     assert np.all(np.diff(first) > 0)
@@ -124,12 +124,12 @@ def test_corner_structure_matches_loop_reference(case):
 @given(cracked_meshes(), st.integers(0, 2**32 - 1))
 def test_uncracked_edges_have_exact_zero_jump(case, seed):
     mesh, _, crack = case
-    topo = build_topology(mesh, crack, _psi)
+    topo = build_topology(mesh, crack)
     u = _random_field(topo, seed)
     dirichlet = mesh.boundary_label == BoundaryLabel.DIRICHLET
     for e in np.flatnonzero((mesh.edge_tris[:, 1] >= 0) | dirichlet):
         if int(e) not in crack:
-            assert jump_across_edge(u, int(e)) == (0.0, 0.0)
+            assert jump_across_edge(u, int(e), _psi) == (0.0, 0.0)
 
 
 @_PROPS
@@ -143,12 +143,12 @@ def test_dof_count_monotone_under_crack_inclusion(case):
 @given(cracked_meshes(), st.integers(0, 2**32 - 1))
 def test_embed_field_preserves_gradients_and_jumps(case, seed):
     mesh, small, large = case
-    u = _random_field(build_topology(mesh, small, _psi), seed)
-    w = embed_field(u, build_topology(mesh, large, _psi))
+    u = _random_field(build_topology(mesh, small), seed)
+    w = embed_field(u, build_topology(mesh, large))
     assert np.array_equal(u.gradients(), w.gradients())
     dirichlet = mesh.boundary_label == BoundaryLabel.DIRICHLET
     for e in np.flatnonzero((mesh.edge_tris[:, 1] >= 0) | dirichlet):
-        assert jump_across_edge(u, int(e)) == jump_across_edge(w, int(e))
+        assert jump_across_edge(u, int(e), _psi) == jump_across_edge(w, int(e), _psi)
 
 
 @_PROPS

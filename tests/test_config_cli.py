@@ -479,6 +479,24 @@ def test_cli_run_overrides(tmp_path, capsys):
     assert payload["strategy"]["certification"] == "single-edge-stable"
 
 
+def test_cli_run_tol_reaches_the_solver(tmp_path, monkeypatch):
+    import qsfrac.cli
+
+    cfg_path = tmp_path / "pair.cfg"
+    cfg_path.write_text(config_text("pair", 9))
+    seen = []
+
+    def recording_run(*args, **kwargs):
+        seen.append(kwargs["solver_tol"])
+        return run_evolution(*args, **kwargs)
+
+    monkeypatch.setattr(qsfrac.cli, "run_evolution", recording_run)
+    code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "r.json"),
+                 "--tol", "1e-6"])
+    assert code == 0
+    assert seen == [1e-6]
+
+
 @pytest.mark.parametrize("command, flag, value", [
     *(("run", "--dt", v) for v in ("nan", "1e-300", "-0.1", "inf", "0", "ten")),
     *(("run", "--tol", v) for v in ("0", "nan", "inf", "-1")),

@@ -202,9 +202,9 @@ def test_surface_energy_rejects_uncrackable_edges():
 # ---------------------------------------------------------------------------
 
 def _field(mesh, crack, values=None, psi=0.0):
-    topo = build_topology(mesh, crack, psi)
+    topo = build_topology(mesh, crack)
     if values is None:
-        return BrokenField.zeros(topo)
+        return BrokenField.zeros(topo, psi)
     return BrokenField(topo, np.asarray(values, dtype=float))
 
 
@@ -221,7 +221,7 @@ def test_body_constant_field_closed_form():
     mesh = make_strip_mesh()
     lam = 1e-6
     pot = BodyPotential(TimeTable.constant(1.0, mesh.n_triangles), lam=lam, q=2.0)
-    topo = build_topology(mesh, CrackSet.empty(), 3.0)
+    topo = build_topology(mesh, CrackSet.empty())
     u = BrokenField.from_nodal(topo, 3.0)
     value, dens = body_value_and_gradient(pot, 0.3, u)
     area = mesh.tri_area.sum()
@@ -236,7 +236,7 @@ def test_body_gradient_matches_finite_differences():
         TimeTable.build([(0.0, rng.normal(size=mesh.n_triangles)),
                          (1.0, rng.normal(size=mesh.n_triangles))], mesh.n_triangles),
         lam=0.8, q=3.0)
-    topo = build_topology(mesh, CrackSet.of([4]), 0.0)
+    topo = build_topology(mesh, CrackSet.of([4]))
     u = BrokenField(topo, rng.normal(size=topo.n_dofs))
     v = rng.normal(size=topo.n_dofs)
     t = 0.37
@@ -253,7 +253,7 @@ def test_body_gradient_matches_finite_differences():
 def test_body_rate_static_and_ramp():
     mesh = make_strip_mesh()
     static = BodyPotential(TimeTable.constant(2.0, mesh.n_triangles), lam=1.0)
-    topo = build_topology(mesh, CrackSet.empty(), 1.0)
+    topo = build_topology(mesh, CrackSet.empty())
     u = BrokenField.from_nodal(topo, 1.0)
     assert body_rate(static, 0.5, u) == 0.0
     ramp = BodyPotential(
@@ -270,7 +270,7 @@ def test_body_fundamental_theorem_in_time():
          (0.4, rng.normal(size=mesh.n_triangles)),
          (1.0, rng.normal(size=mesh.n_triangles))], mesh.n_triangles)
     pot = BodyPotential(table, lam=0.3, q=2.0)
-    topo = build_topology(mesh, CrackSet.empty(), 0.0)
+    topo = build_topology(mesh, CrackSet.empty())
     u = BrokenField(topo, rng.normal(size=topo.n_dofs))
     t1, t2 = 0.1, 0.9
     v1, _ = body_value_and_gradient(pot, t1, u)
@@ -295,7 +295,7 @@ def test_surface_examples_and_fd():
     mesh = surface_mesh()
     ns = len(mesh.surface_edges)
     zero = SurfacePotential(TimeTable.constant(0.0, ns), r=2.0)
-    topo = build_topology(mesh, CrackSet.empty(), 0.0)
+    topo = build_topology(mesh, CrackSet.empty())
     u = BrokenField.from_nodal(topo, 4.0)
     tr = trace_on_surface_part(u)
     v, dens = surface_value_and_gradient(zero, 0.2, tr, mesh)
@@ -414,7 +414,7 @@ def test_surface_fundamental_theorem_in_time():
     table = TimeTable.build(
         [(0.0, rng.normal(size=ns)), (0.3, rng.normal(size=ns)), (1.0, rng.normal(size=ns))], ns)
     pot = SurfacePotential(table, r=2.0)
-    topo = build_topology(mesh, CrackSet.empty(), 0.0)
+    topo = build_topology(mesh, CrackSet.empty())
     tr = trace_on_surface_part(BrokenField(topo, rng.normal(size=topo.n_dofs)))
     t1, t2 = 0.05, 0.85
     v1, _ = surface_value_and_gradient(pot, t1, tr, mesh)

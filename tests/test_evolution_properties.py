@@ -266,7 +266,11 @@ def test_save_load_save_is_byte_identical_and_loads_every_field_bit_exactly(case
     assert loaded.cracks == rec.cracks
     for got, saved in zip(loaded.fields, rec.fields, strict=True):
         assert _bits(got.values) == _bits(saved.values)
-        assert _bits(got.topology.psi_nodal) == _bits(saved.topology.psi_nodal)
+    # all knots of one crack set share one layout
+    layouts = {}
+    for crack, got in zip(loaded.cracks, loaded.fields, strict=True):
+        assert layouts.setdefault(crack, got.topology) is got.topology
+    assert len({id(topo) for topo in layouts.values()}) == len(set(loaded.cracks))
     for got, saved in zip(loaded.energies + loaded.powers, rec.energies + rec.powers, strict=True):
         keys = sorted(saved)
         assert sorted(got) == keys

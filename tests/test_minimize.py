@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import subprocess
 import sys
@@ -10,6 +11,8 @@ import scipy.sparse
 
 from qsfrac import minimize
 from qsfrac.broken import BrokenField, CrackSet, build_topology
+from qsfrac.config import parse_config
+from qsfrac.corpus import config_text
 from qsfrac.energy import TimeTable, body_hessian_coeff, elastic_energy, stress_jacobian
 from qsfrac.mesh import build_structured_mesh, crackable_edges
 from qsfrac.minimize import (
@@ -28,8 +31,8 @@ def dense_oracle(model, mesh, crack, t):
 
     Unit steps make the second differences exact for a quadratic energy.
     """
-    topo = build_topology(mesh, crack, model.boundary.value(t))
-    base = BrokenField.zeros(topo).values
+    topo = build_topology(mesh, crack)
+    base = BrokenField.zeros(topo, model.boundary.value(t)).values
     free = topo.free_dofs
     nf = len(free)
 
@@ -177,7 +180,7 @@ def test_euler_residual_behaviour():
 
     # at u = 0 with a pure body load the residual is the load vector norm,
     # checked against central differences of the assembled energy
-    zero = BrokenField.zeros(u.topology)
+    zero = BrokenField.zeros(u.topology, model.boundary.value(t))
     r0 = euler_residual(model, mesh, crack, t, zero)
     free = u.topology.free_dofs
     h = 1e-6
@@ -215,6 +218,41 @@ def test_floating_component_detected():
     assert rep.residual <= 1e-10
 
 
+def test_newton_path_at_zero_confinement():
+    # the quartic instance without confinement, clamped on the left only:
+    # the cracked interface floats the right piece, while the uncracked body
+    # solves by Newton with a zero body curvature
+    text = config_text("quartic", 9).replace("energy.lambda = 1e-2", "energy.lambda = 0")
+    text = text.replace("mesh.dirichlet = left, right", "mesh.dirichlet = left")
+    problem = parse_config(text).build_problem()
+    mesh = problem.mesh
+    assert problem.model.body.lam == 0.0 and len(mesh.dirichlet_edges) == 1
+    solver = ElasticSolver(problem.model, mesh)
+    with pytest.raises(FloatingComponentError, match=r"vertices \[1, 2, 4, 5\]"):
+        solver.solve(CrackSet.of(crackable_edges(mesh)), 0.5)
+    u, rep = solver.solve(CrackSet.empty(), 0.5, tol=1e-10)
+    assert rep.method == "newton"
+    assert rep.residual <= 1e-10
+
+
+@pytest.mark.parametrize("p", [2.0, 4.0])
+def test_solved_fields_share_one_read_only_layout(p):
+    # a layout holds no datum: every time solved on one crack set returns
+    # the cached layout itself, which no caller can change
+    mesh = make_strip_mesh()
+    solver = ElasticSolver(make_model(mesh, p=p), mesh)
+    crack = CrackSet.of([4])
+    u1, _ = solver.solve(crack, 0.3)
+    u2, _ = solver.solve(crack, 0.7)
+    assert u1.topology is u2.topology
+    for name in ("corner_dof", "constrained", "dof_vertex"):
+        arr = getattr(u1.topology, name)
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        u1.topology.n_dofs = 0
+
+
 def test_newton_path_quartic_against_scipy():
     import scipy.optimize
 
@@ -227,7 +265,7 @@ def test_newton_path_quartic_against_scipy():
     assert rep.residual <= 1e-11
 
     topo = u.topology
-    base = BrokenField.zeros(topo).values
+    base = BrokenField.zeros(topo, model.boundary.value(t)).values
     free = topo.free_dofs
 
     def fun(v):
@@ -369,10 +407,11 @@ def _singular_q3_case(nx, ny):
 
 def _start_hessian(model, mesh, crack, t):
     solver = ElasticSolver(model, mesh)
-    topo = build_topology(mesh, crack, model.boundary.value(t))
-    ev = minimize._Evaluator(model, mesh, topo, minimize._FreeBlock(topo), t,
+    topo = build_topology(mesh, crack)
+    psi = model.boundary.value(t)
+    ev = minimize._Evaluator(model, mesh, topo, minimize._FreeBlock(topo), t, psi,
                              solver._load_vector(topo, t))
-    ev.evaluate(BrokenField.from_nodal(topo, topo.psi_nodal).values[topo.free_dofs])
+    ev.evaluate(BrokenField.from_nodal(topo, psi).values[topo.free_dofs])
     return ev.hessian()
 
 
@@ -382,7 +421,7 @@ def test_newton_on_a_singular_sparse_hessian_raises_no_warning():
     mesh, model, crack = _singular_q3_case(18, 14)
     h = _start_hessian(model, mesh, crack, 0.5)
     assert not isinstance(h, np.ndarray) and h.shape[0] > minimize._DENSE_LIMIT
-    topo = build_topology(mesh, crack, None)
+    topo = build_topology(mesh, crack)
     label, pinned = minimize._pieces(topo)
     kernel = (~pinned[label])[topo.free_dofs].astype(float)   # constants on the loose piece
     assert np.max(np.abs(h @ kernel)) <= 1e-12 * abs(h).max()
@@ -435,7 +474,7 @@ def test_free_block_hessian_matches_the_sliced_full_assembly(p, q, nx, ny):
     model = make_model(mesh, p=p, q=q, eps=1e-6, lam=0.5)
     rng = np.random.default_rng(10)
     for crack in (CrackSet.empty(), CrackSet.of(crackable_edges(mesh))):
-        topo = build_topology(mesh, crack, model.boundary.value(0.6))
+        topo = build_topology(mesh, crack)
         u = BrokenField(topo, rng.normal(size=topo.n_dofs))
         h = minimize._free_hessian(model, mesh, 0.6, u, minimize._FreeBlock(topo))
         assert isinstance(h, np.ndarray) is (topo.n_free <= minimize._DENSE_LIMIT)
@@ -461,9 +500,10 @@ def test_newton_evaluator_matches_the_reference_functions(p, q, nx, ny):
     solver = ElasticSolver(model, mesh)
     t = 0.6
     for crack in (CrackSet.empty(), CrackSet.of(crackable_edges(mesh))):
-        topo = build_topology(mesh, crack, model.boundary.value(t))
+        topo = build_topology(mesh, crack)
         block = minimize._FreeBlock(topo)
-        ev = minimize._Evaluator(model, mesh, topo, block, t, solver._load_vector(topo, t))
+        ev = minimize._Evaluator(model, mesh, topo, block, t, model.boundary.value(t),
+                                 solver._load_vector(topo, t))
         for _ in range(3):
             v = rng.normal(size=topo.n_free)
             u = BrokenField(topo, ev.values(v))
@@ -487,9 +527,9 @@ def test_newton_evaluator_at_a_wild_point_raises_no_warning():
     mesh = make_strip_mesh(labeling={"dirichlet": ("left",)})
     model = make_model(mesh, q=3.0, lam=0.5, f=TimeTable.constant(10.0, mesh.n_triangles))
     solver = ElasticSolver(model, mesh)
-    topo = build_topology(mesh, CrackSet.of([4]), model.boundary.value(0.5))
+    topo = build_topology(mesh, CrackSet.of([4]))
     ev = minimize._Evaluator(model, mesh, topo, minimize._FreeBlock(topo), 0.5,
-                             solver._load_vector(topo, 0.5))
+                             model.boundary.value(0.5), solver._load_vector(topo, 0.5))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for scale, finite in ((1e12, True), (1e120, False), (1e308, False)):
@@ -550,7 +590,7 @@ def test_newton_hessian_assembles_once_per_iterate(monkeypatch):
                                  brittle=("rect", (1.0, 0.0, 1.0, 1.0)))
     p15 = (mesh, make_model(mesh, p=1.5, eps=1e-6, lam=1e-2), CrackSet.of(crackable_edges(mesh)[:7]))
     for mesh, model, crack in (p15, _singular_q3_case(18, 14)):
-        assert build_topology(mesh, crack, None).n_free > minimize._DENSE_LIMIT
+        assert build_topology(mesh, crack).n_free > minimize._DENSE_LIMIT
         # the Hessian is assembled at the point evaluated last
         iterates, evaluated = [], []
         evaluate, hessian = minimize._Evaluator.evaluate, minimize._Evaluator.hessian
@@ -597,15 +637,22 @@ def test_fully_pinned_problem_scores_without_free_dofs():
     (20, ("rect", (0.9, 0.0, 1.1, 1.0)), True),    # CG solves, 136 rows
     (20, "all", False),                            # CG solves, 1,180 rows
 ])
-def test_open_space_scores_only_up_to_the_row_limit(nx, brittle, scores):
+def test_open_space_scores_only_up_to_the_row_limit(nx, brittle, scores, monkeypatch):
     # strips loaded by their datum only: past the row limit of its solve
     # regime one score would cost more than a solve, so every candidate is
-    # solved
+    # solved.  The open space builds no free block, and past the limit it
+    # factors nothing
     from qsfrac.evolution import _Search
     mesh = build_structured_mesh(nx, nx // 2, 2.0, 1.0, labeling={"dirichlet": ("left", "right")},
                                  brittle=brittle)
+    built, factored = [], []
+    free_block, spd_solver = minimize._FreeBlock, minimize._spd_solver
+    monkeypatch.setattr(minimize, "_FreeBlock", lambda topo: built.append(topo) or free_block(topo))
+    monkeypatch.setattr(minimize, "_spd_solver", lambda m: factored.append(m) or spd_solver(m))
     search = _Search(make_model(mesh), mesh)
     assert search.solver.scores is scores
+    assert built == []
+    assert len(factored) == (1 if scores else 0)
     solves = []
     solve = search.solver.solve
     search.solver.solve = lambda *a: solves.append(a[0]) or solve(*a)
