@@ -5,11 +5,16 @@ Every direct solve of a symmetric positive definite system goes through
 ``dpotrf`` and ``dpotrs`` called directly, sparse LU above.  A failed
 factorization, or a non-finite matrix or right-hand side of a dense solve,
 raises ``SolveError``.  For the quadratic exponent pair (p = q = 2) each
-crack set's cached solve structure carries one ``solve(rhs, rtol)`` on its
-free block: the direct solve up to ``_DENSE_LIMIT`` free DOFs, and
-diagonally preconditioned conjugate gradients (only for these per-crack-set
-solves) beyond that.  The elastic energy W - F - G of the solution is then
-the quadratic form itself,
+crack set's cached solve structure carries one ``solve(rhs, atol)`` on its
+free block: the direct solve up to ``_DENSE_LIMIT`` free DOFs, and beyond
+that (only for these per-crack-set solves) a bare loop of
+Jacobi-preconditioned conjugate gradients, ``_jacobi_cg``, which follows
+scipy's ``cg`` recurrence step for step.  Its residual is minus the free
+gradient the solve checks against its tolerance, so one pass stops at half
+that tolerance; a refinement pass guards against drift between the
+recursive and the true residual, and a non-finite right-hand side is a
+``SolveError`` before any product with the matrix.  The elastic energy
+W - F - G of the solution is then the quadratic form itself,
 
     E_el(u) = 1/2 u.(K u) - b.u + c_eps,   c_eps = 1/2 eps^2 sum_T |T| mu_T,
 
@@ -116,8 +121,9 @@ _CACHE_SIZE = 8192   # crack sets whose solve structure ElasticSolver keeps
 # of their number; a candidate solve is a cached dense Cholesky solve when the
 # uncracked body has at most ``_DENSE_LIMIT`` free DOFs, a CG solve above.  On
 # greedy runs of brittle bands (run + audit), scores beat dense solves up to
-# about 100 rows and lose from about 170; they beat CG solves up to about 380
-# rows and lose at 484.
+# about 100 rows and lose from about 170.  On 20 x 10 strips (5 knots, one-edge
+# audit) they beat CG solves at 252 rows (1.5 s against 1.75 s) and lose at 368
+# (4.2-4.6 s against 2.0-2.4 s) and at 484 (10 s against 2.6 s).
 _SCORE_ROWS_DENSE = 96
 _SCORE_ROWS_CG = 320
 _NEWTON_CAP = 200
@@ -136,8 +142,9 @@ class SolveReport:
     """How a solve went.  ``energy`` is the elastic energy W - F - G of the
     returned field: the quadratic form 1/2 u.(K u) - b.u + c_eps for
     p = q = 2, the quadrature of ``energy.elastic_energy`` otherwise.
-    On the Newton path ``iterations`` counts every damped step, rejected
-    ones included."""
+    ``iterations`` counts the CG steps of a CG solve (a refinement pass
+    included), one per linear solve of a direct one, and on the Newton path
+    every damped step, rejected ones included."""
 
     iterations: int
     residual: float
@@ -256,6 +263,37 @@ def _spd_solver(matrix):
     return solve
 
 
+def _jacobi_cg(kff, inv_diag: np.ndarray, rhs: np.ndarray, atol: float):
+    """Conjugate gradients on ``kff x = rhs`` from x = 0, preconditioned by
+    ``inv_diag``, the inverse of the diagonal of ``kff``: scipy's ``cg``
+    recurrence step for step, without its per-call and per-step dispatch.
+    Stops once the norm of the recursive residual falls below ``atol`` (or
+    is 0, as for a zero ``rhs``) or after 10 n steps, and returns
+    (x, steps); a non-finite residual raises ``SolveError`` at once."""
+    x = np.zeros_like(rhs)
+    r = rhs.copy()
+    p = rho_prev = None
+    for step in range(10 * len(rhs)):
+        norm = math.sqrt(r @ r)
+        if norm < atol or norm == 0.0:
+            return x, step
+        if not math.isfinite(norm):
+            raise SolveError("CG failed: the residual is not finite")
+        z = inv_diag * r
+        rho = r @ z
+        if p is None:
+            p = z.copy()
+        else:
+            p *= rho / rho_prev
+            p += z
+        q = kff @ p
+        alpha = rho / (p @ q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    return x, 10 * len(rhs)
+
+
 def assemble_pairing(mesh: Mesh, topo: DofTopology, sig: np.ndarray, body: np.ndarray,
                      surf: np.ndarray) -> np.ndarray:
     """The DOF vector of v -> sum_T |T| (sig.grad v + body v) + sum_e |e| surf v,
@@ -371,12 +409,12 @@ class _CrackData:
 
     Its DOF layout holds no datum, so every field solved on the crack set
     shares it.  For p = q = 2 it holds the stiffness matrix and the one
-    linear solve on its free block, ``solve(rhs, rtol) -> (x, iterations)``,
+    linear solve on its free block, ``solve(rhs, atol) -> (x, iterations)``,
     labelled by ``method``: the direct ``_spd_solver`` up to ``_cg_above``
-    free DOFs (one iteration, ``rtol`` unused), Jacobi-preconditioned
-    conjugate gradients above (scipy's ``info`` as the count: 0 on
-    convergence).  For any other exponents it holds the ``_FreeBlock`` the
-    Newton gradients and Hessians scatter onto.
+    free DOFs (one iteration, ``atol`` unused), ``_jacobi_cg`` above, run
+    until its residual norm is below ``atol`` (its steps as the count).  For
+    any other exponents it holds the ``_FreeBlock`` the Newton gradients and
+    Hessians scatter onto.
     """
 
     __slots__ = ("topology", "matrix", "k_fc", "solve", "method", "floating", "block")
@@ -408,11 +446,10 @@ class _CrackData:
     def _linear_solve(self, kff: scipy.sparse.csr_matrix):
         if kff.shape[0] <= self._cg_above:
             solve = _spd_solver(kff)
-            return lambda rhs, rtol: (solve(rhs), 1), "direct"
+            return lambda rhs, atol: (solve(rhs), 1), "direct"
         diag = kff.diagonal()
-        precond = scipy.sparse.diags(1.0 / np.where(diag > 0, diag, 1.0))
-        return lambda rhs, rtol: scipy.sparse.linalg.cg(
-            kff, rhs, rtol=rtol, atol=0.0, M=precond), "cg"
+        inv_diag = 1.0 / np.where(diag > 0, diag, 1.0)
+        return lambda rhs, atol: _jacobi_cg(kff, inv_diag, rhs, atol), "cg"
 
 
 class _OpenSpace(_CrackData):
@@ -655,16 +692,21 @@ class ElasticSolver:
         # an overflow surfaces as the SolveError below, not as a numpy warning
         with np.errstate(all="ignore"):
             rhs = b[free] - (data.k_fc @ u[cons] if len(cons) else 0.0)
-            u[free], iters = data.solve(rhs, 1e-10)
+            # the CG residual is minus the free gradient checked below, so CG
+            # stops at a fixed fraction of ``tol`` (a direct solve ignores it)
+            target = 0.5 * tol
+            u[free], iters = data.solve(rhs, target)
             ku = data.matrix @ u
             grad = (ku - b)[free]
             res = float(np.linalg.norm(grad))
             if res > tol:
-                # one refinement pass, then give up honestly
-                u[free] += data.solve(-grad, 1e-14)[0]
+                # rounding, or CG's drift between its recursive and true
+                # residuals: one refinement pass, then give up honestly
+                step, more = data.solve(-grad, target)
+                u[free] += step
                 ku = data.matrix @ u
                 res = float(np.linalg.norm((ku - b)[free]))
-                iters += 1
+                iters += more
             energy = 0.5 * float(u @ ku) - float(b @ u) + self._c_eps
         if not (math.isfinite(res) and math.isfinite(energy)):
             raise SolveError(f"non-finite residual or energy at t={t}")

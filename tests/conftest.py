@@ -27,6 +27,26 @@ from qsfrac.evolution import run_evolution
 from qsfrac.mesh import build_structured_mesh
 
 
+# the notched strip of the greedy benchmark workload and of the exact-search
+# CI step; {kind} is brute_force or greedy
+NOTCHED = """
+version = 1
+mesh.nx = {nx}
+mesh.ny = {ny}
+mesh.width = 2.0
+mesh.height = 1.0
+mesh.dirichlet = left, right
+mesh.brittle = rect: 1, 0, 1, 1
+energy.lambda = 1e-3
+toughness.weight = 0.05
+boundary.psi = 0: 0; 1: x / 2
+time.horizon = 1.0
+time.knots = {knots}
+initial.crack = rect: 1, 0, 1, 0.3
+strategy.kind = {kind}
+"""
+
+
 def make_strip_mesh(ny=1, brittle=("rect", (1.0, 0.0, 1.0, 1.0)), labeling=None):
     """2-cell-wide strip [0,2]x[0,1] pulled apart through the x=1 column."""
     labeling = labeling or {"dirichlet": ("left", "right")}

@@ -34,7 +34,7 @@ from qsfrac.evolution import (
 from qsfrac.mesh import crackable_edges
 from qsfrac.minimize import ElasticSolver
 
-from conftest import make_model, make_strip_mesh
+from conftest import NOTCHED, make_model, make_strip_mesh
 
 
 def crossing_time(model, mesh, crack, lo=0.0, hi=1.0, tol=1e-10):
@@ -176,24 +176,6 @@ def test_brute_force_on_twelve_edges_solves_few_crack_sets(monkeypatch):
     res = check_global_stability(rec, p.model, p.mesh, level=ORACLE)
     assert rec.jump_knots() and res.result.verdict == "PASS", res.result.details
     assert n_run < 2 ** 12 and len(solved) - n_run < 2 ** 12
-
-
-NOTCHED = """
-version = 1
-mesh.nx = {nx}
-mesh.ny = {ny}
-mesh.width = 2.0
-mesh.height = 1.0
-mesh.dirichlet = left, right
-mesh.brittle = rect: 1, 0, 1, 1
-energy.lambda = 1e-3
-toughness.weight = 0.05
-boundary.psi = 0: 0; 1: x / 2
-time.horizon = 1.0
-time.knots = {knots}
-initial.crack = rect: 1, 0, 1, 0.3
-strategy.kind = {kind}
-"""
 
 
 def test_exact_search_on_the_notched_strip_scores_like_the_solve(tmp_path, monkeypatch):

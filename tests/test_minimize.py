@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 
 from qsfrac import minimize
 from qsfrac.broken import BrokenField, CrackSet, build_topology
@@ -22,7 +23,7 @@ from qsfrac.minimize import (
     minimize_elastic,
 )
 
-from conftest import cli_env, make_model, make_strip_mesh
+from conftest import NOTCHED, cli_env, make_model, make_strip_mesh
 
 
 def dense_oracle(model, mesh, crack, t):
@@ -308,17 +309,117 @@ def test_solver_cache_evicts_the_least_recent_crack_set(monkeypatch):
         assert list(solver._cache) == [c.edge_ids for c in cracks[2:]]
 
 
-def test_cg_path_beyond_dense_limit():
+class _CountingMatrix:
+    """A sparse matrix that counts its products with a vector."""
+
+    def __init__(self, matrix):
+        self.matrix, self.products = matrix, 0
+
+    def __matmul__(self, v):
+        self.products += 1
+        return self.matrix @ v
+
+
+def _count_cg(monkeypatch):
+    """Route every CG solve through a ``_CountingMatrix``; returns the list
+    of them, one per solve."""
+    calls = []
+    jacobi_cg = minimize._jacobi_cg
+
+    def counted(kff, inv_diag, rhs, atol):
+        calls.append(_CountingMatrix(kff))
+        return jacobi_cg(calls[-1], inv_diag, rhs, atol)
+
+    monkeypatch.setattr(minimize, "_jacobi_cg", counted)
+    return calls
+
+
+def _uncracked_square():
     mesh = build_structured_mesh(16, 16, 1.0, 1.0, brittle="none")
     psi = TimeTable.build([(0.0, np.zeros(mesh.n_vertices)),
                            (1.0, mesh.vertices[:, 0] * mesh.vertices[:, 1])],
                           mesh.n_vertices)
-    model = make_model(mesh, psi=psi, lam=1e-2)
+    return make_model(mesh, psi=psi, lam=1e-2), mesh
+
+
+def test_cg_path_beyond_dense_limit(monkeypatch):
+    # one CG pass reaches the tolerance the solve checks, with no refinement
+    # pass, and the report counts its steps: one product with the free block each
+    model, mesh = _uncracked_square()
+    calls = _count_cg(monkeypatch)
     u, rep = minimize_elastic(model, mesh, CrackSet.empty(), 0.7)
     assert rep.method == "cg"
     assert rep.n_free > 200
     assert rep.residual <= 1e-10
     assert euler_residual(model, mesh, CrackSet.empty(), 0.7, u) <= 1e-8
+    assert len(calls) == 1
+    assert rep.iterations == calls[0].products > 1
+
+
+def _free_blocks():
+    """The CG free blocks of the uncracked 16 x 16 square and of the notched
+    20 x 10 and 30 x 15 strips with their notch, each with a right-hand side
+    of its own loads."""
+    model, mesh = _uncracked_square()
+    cases = [(model, mesh, CrackSet.empty(), 0.7)]
+    for nx, ny in ((20, 10), (30, 15)):
+        p = parse_config(NOTCHED.format(nx=nx, ny=ny, knots=3, kind="greedy")).build_problem()
+        cases.append((p.model, p.mesh, p.initial_crack, 0.5))
+    for model, mesh, crack, t in cases:
+        solver = ElasticSolver(model, mesh)
+        data = solver._data(crack)
+        assert data.method == "cg"
+        topo = data.topology
+        free, cons = topo.free_dofs, topo.constrained_dofs
+        kff = data.matrix[free][:, free]
+        u = topo.dirichlet_values(model.boundary.value(t))
+        rhs = solver._load_vector(topo, t)[free] - data.k_fc @ u[cons]
+        yield kff, rhs
+
+
+def _scipy_cg(kff, rhs, atol):
+    """scipy's Jacobi-preconditioned CG to the absolute ``atol``: (x, steps, converged)."""
+    steps = []
+    x, info = scipy.sparse.linalg.cg(kff, rhs, rtol=0.0, atol=atol, M=scipy.sparse.diags(
+        1.0 / kff.diagonal()), callback=lambda xk: steps.append(0))
+    return x, len(steps), info == 0
+
+
+def test_jacobi_cg_follows_scipy_bit_for_bit():
+    # the bare loop is scipy's recurrence: the same bits of x, the same
+    # number of steps and the same outcome, converged or capped at 10 n
+    blocks = list(_free_blocks())
+    assert [len(rhs) for _, rhs in blocks] == [225, 212, 468]
+    for kff, rhs in blocks:
+        inv_diag = 1.0 / kff.diagonal()
+        for b, atol in ((rhs, 5e-11), (rhs, 1e-6 * np.linalg.norm(rhs)), (np.zeros_like(rhs), 5e-11)):
+            x, steps = minimize._jacobi_cg(kff, inv_diag, b, atol)
+            x_ref, steps_ref, converged = _scipy_cg(kff, b, atol)
+            assert np.array_equal(x, x_ref)
+            assert steps == steps_ref and converged and steps < 10 * len(b)
+            assert (steps == 0) == (not b.any())
+    # on the blocks above the residual underflows within about 2.5 n steps,
+    # long before the cap; a matrix with a skew part, on which CG never
+    # converges, reaches it
+    rng = np.random.default_rng(0)
+    a = rng.normal(size=(5, 5))
+    kff = scipy.sparse.csr_matrix(2.0 * np.eye(5) + 0.5 * (a - a.T))
+    rhs = rng.normal(size=5)
+    x, steps = minimize._jacobi_cg(kff, 1.0 / kff.diagonal(), rhs, 1e-12)
+    x_ref, steps_ref, converged = _scipy_cg(kff, rhs, 1e-12)
+    assert np.array_equal(x, x_ref)
+    assert steps == steps_ref == 50 and not converged
+
+
+def test_cg_refuses_a_non_finite_right_hand_side_at_once(monkeypatch):
+    # a datum of 1e300 overflows the residual of the notched strip's CG
+    # solve: a SolveError (CLI exit 3) before any product with the free block
+    p = parse_config(NOTCHED.format(nx=20, ny=10, knots=3, kind="greedy")
+                     .replace("1: x / 2", "1: 1e300 * x")).build_problem()
+    calls = _count_cg(monkeypatch)
+    with pytest.raises(minimize.SolveError, match="not finite"):
+        ElasticSolver(p.model, p.mesh).solve(p.initial_crack, 1.0)
+    assert [c.products for c in calls] == [0]
 
 
 def test_subquadratic_bulk_solves_to_tolerance():
