@@ -7,6 +7,10 @@ energy increment matches the integrated power of the external loadings) —
 plus the structure identity (the crack equals the initial crack united with
 all past jump supports) and two convex-duality certificates.
 
+The duality certificate projects onto a Gram matrix that depends only on the
+DOF layout of the crack set, so its factor is built once per layout and kept
+in a single cached entry that holds the layout weakly (``_gram_solver``).
+
 Stability is checked at three levels forming a hierarchy:
 
 * ``euler``    stationarity of each recorded field at its own crack set,
@@ -24,11 +28,12 @@ All checks are read-only over immutable records.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .broken import BrokenField, CrackSet, default_jump_tol, jump_support, trace_on_surface_part
+from .broken import BrokenField, CrackSet, DofTopology, default_jump_tol, jump_support, trace_on_surface_part
 from .energy import (
     BoundaryProgram,
     EnergyModel,
@@ -373,6 +378,30 @@ def check_structure(record: EvolutionRecord, boundary: BoundaryProgram,
 # duality certificates
 # ---------------------------------------------------------------------------
 
+# The last Gram factor built: (weak reference to its layout, weak reference
+# to its mesh, use_mass, solve).  A record's crack sets only grow, so the
+# knots of one crack set are consecutive and one entry factors each crack set
+# once per record.  The entry is replaced by a single assignment, so a
+# concurrent caller can at worst factor again.  The empty entry's references
+# are dead from the start.
+_gram_entry: tuple = (lambda: None, lambda: None, False, None)
+
+
+def _gram_solver(mesh: Mesh, topo: DofTopology, use_mass: bool):
+    """``solve(rhs)`` on the free block of the Gram matrix of the certificate
+    projection, sum_T area^2 (Gt G + [use_mass] ones(3,3) / 9), from the
+    cached entry when it was built for this layout, mesh and ``use_mass``."""
+    global _gram_entry
+    layout, grid, mass, solve = _gram_entry
+    if layout() is topo and grid() is mesh and mass == use_mass:
+        return solve
+    area = mesh.tri_area
+    gram = assemble_forms(mesh, topo, area**2, area**2 if use_mass else 0.0, _FreeBlock(topo))
+    solve = _spd_solver(gram)
+    _gram_entry = (weakref.ref(topo), weakref.ref(mesh), use_mass, solve)
+    return solve
+
+
 @dataclass
 class DualCertificate:
     annihilation_residual: float   # dual norm of the raw stress triple on the variations
@@ -397,6 +426,11 @@ def dual_certificate(model: EnergyModel, mesh: Mesh, crack: CrackSet, t: float,
 
     Both certificates vanish quadratically as the solver residual goes to
     zero.
+
+    The Gram matrix of the projection depends only on the DOF layout of
+    ``u``, the mesh and whether the body term is present; its factor is
+    cached for the last such triple (see ``_gram_solver``), so the knots of
+    one crack set cost one back-solve each.
     """
     if u.topology.crack != crack:
         raise ValueError("field was built on a different crack set")
@@ -411,8 +445,7 @@ def dual_certificate(model: EnergyModel, mesh: Mesh, crack: CrackSet, t: float,
 
     # minimum-norm correction of (sig1, sig2) restoring exact annihilation
     use_mass = model.body.lam > 0.0
-    gram = assemble_forms(mesh, topo, area**2, area**2 if use_mass else 0.0, _FreeBlock(topo))
-    y = _spd_solver(gram)(-rho)
+    y = _gram_solver(mesh, topo, use_mass)(-rho)
     yfull = np.zeros(topo.n_dofs)
     yfull[free] = y
     yfield = BrokenField(topo, yfull)

@@ -210,6 +210,12 @@ class RunConfig:
             raise ConfigError(f"{key}: expected a finite number, got {v!r}")
         return x
 
+    def _positive(self, key: str, default=None) -> float:
+        x = self._float(key, default)
+        if not x > 0.0:
+            raise ConfigError(f"{key}: expected a finite number > 0, got {self._get(key)!r}")
+        return x
+
     def _int(self, key: str, default=None) -> int:
         v = self._float(key, default)
         if v != int(v):
@@ -408,7 +414,7 @@ class RunConfig:
             grid=grid,
             strategy=self.build_strategy(),
             initial_crack=self.build_initial_crack(mesh),
-            solver_tol=self._float("solver.tolerance", 1e-10),
+            solver_tol=self._positive("solver.tolerance", 1e-10),
             require_initial_minimality=self._bool("run.require_initial_minimality", True),
             config_hash=self.hash,
         )

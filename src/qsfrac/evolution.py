@@ -299,10 +299,11 @@ class EvolutionRecord:
         }
 
     def save(self, path) -> None:
-        """Write the record; floats round-trip exactly through the JSON text."""
+        """Write the record in one write; floats round-trip exactly through
+        the JSON text."""
+        text = json.dumps(self.to_payload(), sort_keys=True, indent=1) + "\n"
         with open(path, "w") as fh:
-            json.dump(self.to_payload(), fh, sort_keys=True, indent=1)
-            fh.write("\n")
+            fh.write(text)
 
     @classmethod
     def load(cls, path, mesh: Mesh, model: EnergyModel) -> "EvolutionRecord":

@@ -1,6 +1,13 @@
+import dataclasses
+import gc
+import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from qsfrac import audit
 from qsfrac.audit import (
     EULER,
     ONE_EDGE,
@@ -13,21 +20,22 @@ from qsfrac.audit import (
     dual_certificate,
     stress_continuity_probe,
 )
-from qsfrac.broken import BrokenField, CrackSet
+from qsfrac.broken import BrokenField, CrackSet, build_topology
 from qsfrac.corpus import build_config, strip_crackfree
 from qsfrac.config import parse_config
 from qsfrac.energy import TimeTable, Toughness, elastic_energy
 from qsfrac.evolution import (
     BRUTE_FORCE,
     GREEDY,
+    EvolutionRecord,
     SearchStrategy,
     TimeGrid,
     run_evolution,
 )
 from qsfrac.mesh import build_structured_mesh
-from qsfrac.minimize import minimize_elastic
+from qsfrac.minimize import _FreeBlock, _spd_solver, assemble_forms, minimize_elastic
 
-from conftest import make_model, make_strip_mesh
+from conftest import NOTCHED, make_model, make_strip_mesh
 
 
 @pytest.fixture(scope="module")
@@ -351,6 +359,117 @@ def test_dual_certificate_newton_instance(corpus_runs):
                             rec.fields[i])
     assert cert.annihilation_residual <= 1e-8
     assert abs(cert.fenchel_gap) <= 1e-8 * (1.0 + abs(cert.primal_value))
+
+
+def _fresh_gram_solver(mesh, topo, use_mass):
+    area = mesh.tri_area
+    return _spd_solver(assemble_forms(mesh, topo, area**2, area**2 if use_mass else 0.0,
+                                      _FreeBlock(topo)))
+
+
+@pytest.fixture()
+def empty_gram_memo(monkeypatch):
+    monkeypatch.setattr(audit, "_gram_entry", (lambda: None, lambda: None, False, None))
+
+
+def _certify_all(p, rec):
+    return [dual_certificate(p.model, p.mesh, rec.cracks[i], float(rec.times[i]), rec.fields[i])
+            for i in range(len(rec))]
+
+
+def test_dual_certificate_through_the_gram_memo_is_bit_identical(monkeypatch, strip_problem,
+                                                                  strip_record):
+    # two knots of the cracked strip layout (dense Cholesky), two of a
+    # notched 20 x 10 layout (sparse LU, above the dense limit), two of the
+    # strip again, two under a model without the body term (lam = 0), one
+    # with it, and the uncracked strip layout
+    p, rec = strip_problem, strip_record
+    j = rec.jump_knots()[0]
+    no_body = dataclasses.replace(p.model, body=dataclasses.replace(p.model.body, lam=0.0))
+    notched = parse_config(NOTCHED.format(nx=20, ny=10, knots=3, kind="greedy")).build_problem()
+    topo = build_topology(notched.mesh, notched.initial_crack)
+    rng = np.random.default_rng(33)
+    notched_knots = []
+    for t in (0.5, 1.0):
+        vals = topo.dirichlet_values(notched.model.boundary.value(t))
+        vals[topo.free_dofs] = rng.normal(size=topo.n_free)
+        notched_knots.append((notched, notched.model, topo.crack, t, BrokenField(topo, vals)))
+    assert topo.n_free > 200
+
+    def knot(model, i):
+        return p, model, rec.cracks[i], rec.times[i], rec.fields[i]
+
+    calls = [knot(p.model, j), knot(p.model, j + 1), *notched_knots,
+             knot(p.model, j + 2), knot(p.model, j + 3), knot(no_body, j + 4),
+             knot(no_body, j + 5), knot(p.model, j + 6), knot(p.model, 0)]
+    factored = []
+
+    def certify():
+        return [repr(dual_certificate(model, q.mesh, crack, float(t), u))
+                for q, model, crack, t, u in calls]
+
+    def counting(matrix):
+        factored.append(matrix.shape)
+        return _spd_solver(matrix)
+
+    monkeypatch.setattr(audit, "_spd_solver", counting)
+    cached = certify()
+    assert len(factored) == 6
+    monkeypatch.setattr(audit, "_gram_solver", _fresh_gram_solver)
+    assert cached == certify()
+
+
+def test_dual_certificates_factor_the_gram_once_per_crack_set(tmp_path, monkeypatch, empty_gram_memo,
+                                                              strip_problem, strip_record):
+    factored = []
+
+    def counting(matrix):
+        factored.append(matrix.shape)
+        return _spd_solver(matrix)
+
+    strip_record.save(tmp_path / "rec.json")
+    loaded = EvolutionRecord.load(tmp_path / "rec.json", strip_problem.mesh, strip_problem.model)
+    monkeypatch.setattr(audit, "_spd_solver", counting)
+    for rec in (strip_record, loaded):
+        factored.clear()
+        _certify_all(strip_problem, rec)
+        assert len(factored) == len(set(rec.cracks)) == 2
+
+
+def test_the_gram_memo_keeps_no_layout_alive(tmp_path, strip_problem, strip_record):
+    strip_record.save(tmp_path / "rec.json")
+    rec = EvolutionRecord.load(tmp_path / "rec.json", strip_problem.mesh, strip_problem.model)
+    _certify_all(strip_problem, rec)
+    layout = weakref.ref(rec.fields[-1].topology)
+    assert audit._gram_entry[0]() is layout()
+    del rec
+    gc.collect()
+    assert layout() is None
+
+
+def test_dual_certificates_from_racing_threads_match_a_serial_pass(strip_problem, strip_record):
+    # four threads on two cores certify the knots of both layouts in four
+    # orders, so the one-entry memo is replaced under them; a lost or mixed
+    # entry would give some knot the other layout's factor
+    p, rec = strip_problem, strip_record
+    serial = [repr(c) for c in _certify_all(p, rec)]
+    n = len(rec)
+    orders = [range(n), range(n - 1, -1, -1), [*range(0, n, 2), *range(1, n, 2)],
+              np.random.default_rng(34).permutation(n).tolist()]
+
+    def certify(order):
+        return {i: repr(dual_certificate(p.model, p.mesh, rec.cracks[i], float(rec.times[i]),
+                                         rec.fields[i])) for i in order}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = [f.result(timeout=60) for f in [pool.submit(certify, o) for o in orders * 2]]
+    finally:
+        sys.setswitchinterval(interval)
+    for got in results:
+        assert all(got[i] == serial[i] for i in got)
 
 
 # ---------------------------------------------------------------------------

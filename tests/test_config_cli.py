@@ -256,6 +256,18 @@ def test_cli_bad_config_exit_2(tmp_path, capsys):
     assert "mesh.ny" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_cli_solver_tolerance_not_positive_is_a_config_error(tmp_path, capsys, value):
+    # a target the solver cannot reach is a config error (exit 2), not a
+    # stalled solve (exit 3)
+    cfg_path = tmp_path / "strip.cfg"
+    cfg_path.write_text(config_text("strip", 5) + f"solver.tolerance = {value}\n")
+    code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    assert "solver.tolerance: expected a finite number > 0" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_cli_audit_of_a_pinned_dof_off_the_datum_fails_naming_the_knot(strip_run, tmp_path):
     cfg_path, payload = strip_run
     payload = json.loads(json.dumps(payload))

@@ -452,6 +452,20 @@ def test_record_roundtrip_bit_exact(tmp_path, strip_problem, strip_record):
         assert rec.powers[i] == rec2.powers[i]
 
 
+def test_record_save_writes_the_sorted_indented_payload(tmp_path, strip_record):
+    import io
+    import json
+
+    path = tmp_path / "rec.json"
+    strip_record.save(path)
+    text = json.dumps(strip_record.to_payload(), sort_keys=True, indent=1) + "\n"
+    assert path.read_bytes() == text.encode()
+    # the same bytes as the streaming encoder writes chunk by chunk
+    stream = io.StringIO()
+    json.dump(strip_record.to_payload(), stream, sort_keys=True, indent=1)
+    assert stream.getvalue() + "\n" == text
+
+
 def test_record_load_builds_no_solve_structure(tmp_path, monkeypatch, strip_problem, strip_record):
     # loading reads DOF layouts only: no stiffness is assembled or factored
     def refuse(*args, **kwargs):
