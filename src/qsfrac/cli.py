@@ -186,6 +186,8 @@ def cmd_audit(args) -> int:
     unknown = set(wanted) - known
     if unknown:
         raise AuditError(f"unknown checks: {sorted(unknown)}; available: {sorted(known)}")
+    if not wanted:
+        raise AuditError(f"--checks names no check; available: {sorted(known)}")
 
     results = []
     if not record.complete:

@@ -43,6 +43,7 @@ from .energy import (
     SurfacePotential,
     TimeTable,
     Toughness,
+    _TOUGHNESS_KINDS,
 )
 from .evolution import SearchStrategy, TimeGrid
 from .mesh import Mesh, _resolve_brittle, build_structured_mesh
@@ -341,6 +342,8 @@ class RunConfig:
             raise ConfigError(f"energy: {exc}") from None
 
         kind = self._get("toughness.kind", "isotropic")
+        if kind not in _TOUGHNESS_KINDS:
+            raise ConfigError(f"toughness: unknown toughness kind {kind!r}")
         try:
             if kind == "isotropic":
                 tough = Toughness("isotropic", (self._float("toughness.weight", 1.0),))
@@ -354,6 +357,9 @@ class RunConfig:
             body = BodyPotential(self._table("body.force", mesh.tri_centroid, horizon),
                                  lam=lam, q=q)
             surf_pts = mesh.edge_midpoint[mesh.surface_edges]
+            if not len(surf_pts) and np.any(self._table(   # no side would carry the load
+                    "surface.force", mesh.edge_midpoint[mesh.boundary_edges], horizon).samples):
+                raise ConfigError("surface.force: nonzero load but mesh.surface names no side")
             surface = SurfacePotential(self._table("surface.force", surf_pts, horizon), r=r)
             boundary = BoundaryProgram(self._table("boundary.psi", mesh.vertices, horizon))
             model = EnergyModel(bulk=bulk, toughness=tough, body=body,

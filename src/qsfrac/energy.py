@@ -499,11 +499,8 @@ class EnergyModel:
             raise ValueError("per-triangle mu has the wrong length")
         if self.body.table.samples.shape[1] != mesh.n_triangles:
             raise ValueError("body load table does not match the triangle count")
-        n_surf = len(mesh.surface_edges)
-        if self.surface.table.samples.shape[1] != n_surf:
+        if self.surface.table.samples.shape[1] != len(mesh.surface_edges):
             raise ValueError("surface load table does not match the surface edge count")
-        if n_surf == 0 and np.any(self.surface.table.samples != 0.0):
-            raise ValueError("nonzero surface load but no surface-force boundary")
         if self.boundary.table.samples.shape[1] != mesh.n_vertices:
             raise ValueError("boundary program does not match the vertex count")
         horizons = {self.body.table.horizon, self.surface.table.horizon, self.boundary.horizon}

@@ -83,6 +83,10 @@ class Mesh:
     -1 where the edge has no second triangle; ``crackable_mask``, True on
     the edges ``crackable_edges`` returns; and ``surface_edges``, the ids of
     the surface-force edges in increasing order.
+
+    Construction checks every invariant and raises ``MeshError`` on the
+    first that fails: ``edges`` and ``edge_tris`` must be the edge table of
+    the triangles, exactly as described above, and ``validate`` runs last.
     """
 
     vertices: np.ndarray
@@ -111,7 +115,11 @@ class Mesh:
         self.boundary_label = np.asarray(self.boundary_label, dtype=int)
         self.brittle = np.asarray(self.brittle, dtype=bool)
 
-        p = self.vertices[self.triangles]  # (m, 3, 2)
+        tri, v = self.triangles, self.vertices
+        if (v.ndim != 2 or v.shape[1] != 2 or not np.isfinite(v).all() or tri.ndim != 2
+                or tri.shape[1] != 3 or not len(tri) or tri.min() < 0 or tri.max() >= len(v)):
+            raise MeshError("need finite (n, 2) vertices and a nonempty (m, 3) array of vertex ids")
+        p = v[tri]  # (m, 3, 2)
         d1 = p[:, 1] - p[:, 0]
         d2 = p[:, 2] - p[:, 0]
         self.tri_area = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
@@ -120,13 +128,16 @@ class Mesh:
             bad = np.flatnonzero(self.tri_area <= 0)
             raise MeshError(f"non-positive triangle areas at {bad.tolist()}")
 
+        edges, edge_tris, side_edge = _edge_table(tri)
+        if not (np.array_equal(self.edges, edges) and np.array_equal(self.edge_tris, edge_tris)):
+            raise MeshError("edges and edge_tris are not the edge table of the triangles")
+        if self.boundary_label.shape != (len(edges),) or self.brittle.shape != (len(edges),):
+            raise MeshError("boundary_label and brittle need one entry per edge")
+
         # P1 shape-function gradients: grad u|_T = grad_op[T] @ corner values
-        m = len(self.triangles)
-        g = np.empty((m, 2, 3))
-        for i in range(3):
-            e = p[:, (i + 2) % 3] - p[:, (i + 1) % 3]
-            g[:, 0, i] = -e[:, 1]
-            g[:, 1, i] = e[:, 0]
+        opposite = p[:, [2, 0, 1]] - p[:, [1, 2, 0]]   # the side facing each corner
+        g = np.empty((len(tri), 2, 3))
+        g[:, 0], g[:, 1] = -opposite[..., 1], opposite[..., 0]
         g /= (2.0 * self.tri_area)[:, None, None]
         self.grad_op = g
 
@@ -144,13 +155,15 @@ class Mesh:
         sign = np.where(self.edge_tris[:, 1] >= 0, sign, -sign)
         self.edge_normal = normal * sign[:, None]
 
-        # local corner of each edge endpoint in each adjacent triangle
-        hit = self.triangles[self.edge_tris][:, :, None, :] == self.edges[:, None, :, None]
-        present = (self.edge_tris >= 0)[:, :, None]
-        if np.any(present & ~hit.any(axis=3)):
-            raise MeshError("edge endpoints are not corners of the adjacent triangles")
-        corner = 3 * self.edge_tris[:, :, None] + hit.argmax(axis=3)
-        self.edge_corner = np.where(present, corner, -1)
+        # side i of triangle t joins corners i and i + 1; its edge lists the
+        # lower vertex first, and t is the edge's second triangle unless it
+        # is the first
+        t, i = np.divmod(np.arange(tri.size), 3)
+        ends = np.stack([i, (i + 1) % 3], axis=1)
+        ends = np.where((tri[t, ends[:, 0]] < tri[t, ends[:, 1]])[:, None], ends, ends[:, ::-1])
+        e = side_edge.ravel()
+        self.edge_corner = np.full((len(edges), 2, 2), -1)
+        self.edge_corner[e, (edge_tris[e, 0] != t).astype(int)] = 3 * t[:, None] + ends
 
         lbl = self.boundary_label
         eligible = (lbl == BoundaryLabel.INTERIOR) | (lbl == BoundaryLabel.DIRICHLET)
@@ -163,6 +176,7 @@ class Mesh:
                     self.edge_midpoint, self.edge_normal, self.edge_corner,
                     self.crackable_mask, self.surface_edges):
             arr.setflags(write=False)
+        self.validate()
 
     # -- queries -----------------------------------------------------------
 
@@ -200,26 +214,13 @@ class Mesh:
         return sorted({e for e in ids if not (0 <= e < n and mask[e])})
 
     def validate(self) -> None:
-        """Check all structural invariants; raise ``MeshError`` on failure."""
-        if np.any(self.tri_area <= 0):
-            bad = np.flatnonzero(self.tri_area <= 0)
-            raise MeshError(f"non-positive triangle areas at {bad.tolist()}")
+        """Check the invariants beyond the areas and the edge table; raise
+        ``MeshError``.  Construction calls it, so every ``Mesh`` passes it.
+        """
         if np.any(self.edge_length <= 0):
             raise MeshError("edge of zero length")
-
-        counts = np.where(self.edge_tris[:, 1] >= 0, 2, 1)
-        # every triangle side must appear exactly once in the edge table
-        side_count = np.zeros(self.n_edges, dtype=int)
-        lookup = {(int(a), int(b)): i for i, (a, b) in enumerate(self.edges)}
-        for t, tri in enumerate(self.triangles):
-            for i in range(3):
-                a, b = sorted((int(tri[i]), int(tri[(i + 1) % 3])))
-                eid = lookup.get((a, b))
-                if eid is None:
-                    raise MeshError(f"triangle {t} has side ({a},{b}) missing from edge table")
-                side_count[eid] += 1
-        if np.any(side_count != counts):
-            raise MeshError("edge/triangle adjacency counts are inconsistent")
+        if len(np.unique(np.sort(self.triangles, axis=1), axis=0)) < self.n_triangles:
+            raise MeshError("two triangles share all three vertices")
 
         interior = self.edge_tris[:, 1] >= 0
         lbl = self.boundary_label
@@ -239,11 +240,30 @@ class Mesh:
         if np.any(np.abs(norms - 1.0) > _GEOM_TOL):
             raise MeshError("edge normal not unit length")
 
-        for e in self.interior_edges:
-            t1, t2 = self.edge_tris[e]
-            shared = set(self.triangles[t1]) & set(self.triangles[t2])
-            if shared != set(self.edges[e]):
-                raise MeshError(f"triangles adjacent to edge {e} do not share exactly its endpoints")
+
+def _edge_table(triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The edge table of a triangle list: ``(edges, edge_tris, side_edge)``.
+
+    Side ``i`` of triangle ``t`` joins corners ``i`` and ``(i + 1) % 3``.
+    ``edges`` holds the sorted vertex pairs of the sides, rows in
+    lexicographic order, which fixes the edge ids; ``edge_tris`` the adjacent
+    triangles of each edge in increasing order, -1 for none; ``side_edge``
+    the (n_triangles, 3) edge id of every side.  An edge with a third
+    triangle raises ``MeshError``.
+    """
+    n = int(triangles.max()) + 1
+    ends = np.stack([triangles, np.roll(triangles, -1, axis=1)])
+    keys, side_edge = np.unique(ends.min(axis=0) * n + ends.max(axis=0), return_inverse=True)
+    side_edge = side_edge.reshape(triangles.shape)
+    count = np.bincount(side_edge.ravel())
+    if np.any(count > 2):
+        raise MeshError(f"edges {np.flatnonzero(count > 2).tolist()} meet more than two triangles")
+    tri_of_side = np.argsort(side_edge.ravel(), kind="stable") // 3   # grouped by edge
+    first = np.cumsum(count) - count
+    edge_tris = np.full((len(keys), 2), -1)
+    edge_tris[:, 0] = tri_of_side[first]
+    edge_tris[count == 2, 1] = tri_of_side[first[count == 2] + 1]
+    return np.stack(np.divmod(keys, n), axis=1), edge_tris, side_edge
 
 
 def _resolve_sides(value) -> tuple[str, ...]:
@@ -258,18 +278,6 @@ def _resolve_sides(value) -> tuple[str, ...]:
         if s not in _SIDES:
             raise MeshError(f"unknown boundary side {s!r}; expected one of {_SIDES}")
     return sides
-
-
-def _edge_side(mesh_pts: np.ndarray, width: float, height: float) -> dict[str, np.ndarray]:
-    """Classify boundary edges by the rectangle side both endpoints lie on."""
-    x, y = mesh_pts[..., 0], mesh_pts[..., 1]
-    tol = _GEOM_TOL * (1.0 + max(width, height))
-    return {
-        "left": np.all(np.abs(x) <= tol, axis=1),
-        "right": np.all(np.abs(x - width) <= tol, axis=1),
-        "bottom": np.all(np.abs(y) <= tol, axis=1),
-        "top": np.all(np.abs(y - height) <= tol, axis=1),
-    }
 
 
 def build_structured_mesh(
@@ -306,49 +314,20 @@ def build_structured_mesh(
     gx, gy = np.meshgrid(xs, ys, indexing="xy")
     verts = np.column_stack([gx.ravel(), gy.ravel()])
 
-    def vid(i, j):
-        return j * (nx + 1) + i
-
-    tris = []
+    # cells row by row; each cell's corners v00, v10, v11, v01 counterclockwise
+    j, i = np.divmod(np.arange(nx * ny), nx)
+    v00 = j * (nx + 1) + i
+    v10, v01 = v00 + 1, v00 + nx + 1
+    v11 = v01 + 1
     if diagonal == "main":
-        for j in range(ny):
-            for i in range(nx):
-                v00, v10 = vid(i, j), vid(i + 1, j)
-                v11, v01 = vid(i + 1, j + 1), vid(i, j + 1)
-                tris.append((v00, v10, v11))
-                tris.append((v00, v11, v01))
+        triangles = np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
     else:
-        centers = []
-        base = len(verts)
-        for j in range(ny):
-            for i in range(nx):
-                centers.append([(xs[i] + xs[i + 1]) / 2.0, (ys[j] + ys[j + 1]) / 2.0])
-                c = base + j * nx + i
-                v00, v10 = vid(i, j), vid(i + 1, j)
-                v11, v01 = vid(i + 1, j + 1), vid(i, j + 1)
-                tris.append((v00, v10, c))
-                tris.append((v10, v11, c))
-                tris.append((v11, v01, c))
-                tris.append((v01, v00, c))
-        verts = np.vstack([verts, np.asarray(centers)])
-
-    triangles = np.asarray(tris, dtype=int)
-
-    raw = np.sort(
-        np.concatenate([triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]]),
-        axis=1,
-    )
-    edges, inverse = np.unique(raw, axis=0, return_inverse=True)
-    edge_tris = np.full((len(edges), 2), -1, dtype=int)
-    for side_idx, eid in enumerate(inverse):
-        t = side_idx % len(triangles)
-        if edge_tris[eid, 0] < 0:
-            edge_tris[eid, 0] = t
-        elif edge_tris[eid, 1] < 0:
-            a, b = sorted((edge_tris[eid, 0], t))
-            edge_tris[eid, 0], edge_tris[eid, 1] = a, b
-        else:
-            raise MeshError(f"edge {eid} adjacent to more than two triangles")
+        c = len(verts) + np.arange(nx * ny)
+        triangles = np.stack([v00, v10, c, v10, v11, c, v11, v01, c, v01, v00, c],
+                             axis=1).reshape(-1, 3)
+        centers = np.column_stack([(xs[i] + xs[i + 1]) / 2.0, (ys[j] + ys[j + 1]) / 2.0])
+        verts = np.vstack([verts, centers])
+    edges, edge_tris, _ = _edge_table(triangles)
 
     labeling = dict(labeling or {"dirichlet": "all"})
     unknown = set(labeling) - {"dirichlet", "surface"}
@@ -360,27 +339,19 @@ def build_structured_mesh(
     if overlap:
         raise MeshError(f"sides {sorted(overlap)} listed both as dirichlet and surface")
 
+    # a boundary edge lies on the rectangle side both its endpoints lie on
+    x, y = verts[edges, 0], verts[edges, 1]
+    tol = _GEOM_TOL * (1.0 + max(width, height))
+    on_side = {"left": np.abs(x) <= tol, "right": np.abs(x - width) <= tol,
+               "bottom": np.abs(y) <= tol, "top": np.abs(y - height) <= tol}
     boundary = edge_tris[:, 1] < 0
-    side_of = _edge_side(verts[edges], width, height)
-    label = np.full(len(edges), int(BoundaryLabel.INTERIOR))
-    label[boundary] = int(BoundaryLabel.NEUMANN)
+    label = np.where(boundary, int(BoundaryLabel.NEUMANN), int(BoundaryLabel.INTERIOR))
     for s in dir_sides:
-        label[boundary & side_of[s]] = int(BoundaryLabel.DIRICHLET)
+        label[boundary & on_side[s].all(axis=1)] = int(BoundaryLabel.DIRICHLET)
     for s in surf_sides:
-        label[boundary & side_of[s]] = int(BoundaryLabel.SURFACE_FORCE)
-
-    brittle_mask = _resolve_brittle(brittle, verts, edges)
-
-    mesh = Mesh(
-        vertices=verts,
-        triangles=triangles,
-        edges=edges,
-        edge_tris=edge_tris,
-        boundary_label=label,
-        brittle=brittle_mask,
-    )
-    mesh.validate()
-    return mesh
+        label[boundary & on_side[s].all(axis=1)] = int(BoundaryLabel.SURFACE_FORCE)
+    return Mesh(vertices=verts, triangles=triangles, edges=edges, edge_tris=edge_tris,
+                boundary_label=label, brittle=_resolve_brittle(brittle, verts, edges))
 
 
 def _resolve_brittle(spec, verts: np.ndarray, edges: np.ndarray) -> np.ndarray:

@@ -268,6 +268,35 @@ def test_cli_solver_tolerance_not_positive_is_a_config_error(tmp_path, capsys, v
     assert not (tmp_path / "r.json").exists()
 
 
+def test_cli_surface_load_without_a_surface_side_is_a_config_error(tmp_path, capsys):
+    # the strip names no mesh.surface side, so no edge could carry the load
+    cfg_path = tmp_path / "strip.cfg"
+    cfg_path.write_text(config_text("strip", 5) + "surface.force = 0: 0; 1: 1\n")
+    code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    assert "surface.force" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+    # an all-zero table stays valid without a surface side
+    parse_config(config_text("strip", 5) + "surface.force = 0: 0; 1: 0\n").build_problem()
+
+
+def test_unknown_toughness_kind_named_before_its_weights():
+    with pytest.raises(ConfigError, match="unknown toughness kind 'bogus'"):
+        parse_config(BASE + "toughness.kind = bogus\n").build_problem()
+
+
+@pytest.mark.parametrize("checks", ["", ","])
+def test_cli_audit_without_a_check_is_a_usage_error(strip_run, tmp_path, capsys, checks):
+    cfg_path, payload = strip_run
+    rec_path = tmp_path / "rec.json"
+    rec_path.write_text(json.dumps(payload))
+    code = main(["audit", "--config", str(cfg_path), "--record", str(rec_path),
+                 "--checks", checks])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "no check" in err and "irreversibility" in err
+
+
 def test_cli_audit_of_a_pinned_dof_off_the_datum_fails_naming_the_knot(strip_run, tmp_path):
     cfg_path, payload = strip_run
     payload = json.loads(json.dumps(payload))
