@@ -48,7 +48,7 @@ from .energy import (
 )
 from .evolution import BRUTE_FORCE, GREEDY, EvolutionRecord, SearchStrategy, _Search, net_power, tie_tolerance
 from .mesh import Mesh
-from .minimize import _FreeBlock, _spd_solver, assemble_forms, assemble_pairing, euler_residual
+from .minimize import _FreeBlock, _local_forms, _spd_solver, assemble_pairing, euler_residual
 
 __all__ = [
     "AuditError",
@@ -396,7 +396,7 @@ def _gram_solver(mesh: Mesh, topo: DofTopology, use_mass: bool):
     if layout() is topo and grid() is mesh and mass == use_mass:
         return solve
     area = mesh.tri_area
-    gram = assemble_forms(mesh, topo, area**2, area**2 if use_mass else 0.0, _FreeBlock(topo))
+    gram = _FreeBlock(topo).matrix(_local_forms(mesh, area**2, area**2 if use_mass else 0.0))
     solve = _spd_solver(gram)
     _gram_entry = (weakref.ref(topo), weakref.ref(mesh), use_mass, solve)
     return solve

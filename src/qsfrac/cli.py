@@ -142,6 +142,9 @@ def _load_problem(args):
 
 def cmd_run(args) -> int:
     problem = _load_problem(args)
+    out = Path(args.out)
+    # before the run: a failed run saves its partial record there
+    out.parent.mkdir(parents=True, exist_ok=True)
     try:
         record = run_evolution(
             problem.model, problem.mesh, problem.grid, problem.initial_crack,
@@ -151,12 +154,9 @@ def cmd_run(args) -> int:
         )
     except EvolutionError as exc:
         if exc.partial_record is not None:
-            out = Path(args.out)
             exc.partial_record.save(out)
             print(f"partial (incomplete) record written to {out}", file=sys.stderr)
         raise
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     record.save(out)
     csv_path = Path(args.csv) if args.csv else out.with_suffix(".csv")
     record.write_csv(csv_path)

@@ -360,6 +360,13 @@ def _tri_values(u: BrokenField) -> tuple[Mesh, np.ndarray, np.ndarray]:
     return mesh, mesh.tri_area, u.tri_means()
 
 
+def _confinement_slope(lam: float, q: float, z: np.ndarray) -> np.ndarray:
+    """lam |z|^(q-2) z, the z-derivative of (lam/q) |z|^q; 0 at z = 0, even where q < 2."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = lam * np.abs(z) ** (q - 2.0) * z
+    return slope if q >= 2.0 else np.where(z == 0.0, 0.0, slope)
+
+
 def body_value_and_gradient(pot: BodyPotential, t: float, u: BrokenField):
     """Returns (F(t)(u), dF/dz as a per-triangle density).
 
@@ -369,7 +376,7 @@ def body_value_and_gradient(pot: BodyPotential, t: float, u: BrokenField):
     mesh, area, z = _tri_values(u)
     f = pot.table.value(t)
     value = float(np.sum(area * (f * z - pot.lam / pot.q * np.abs(z) ** pot.q)))
-    density = f - pot.lam * np.abs(z) ** (pot.q - 2.0) * z if pot.lam else f.copy()
+    density = f - _confinement_slope(pot.lam, pot.q, z) if pot.lam else f.copy()
     return value, density
 
 
@@ -698,7 +705,7 @@ def validate_growth(model: EnergyModel, mesh: Mesh, samples: int = 2000, seed: i
                 if lam > 0:
                     margins_lo.append(-fz - (a0f * uq**q - b0f))
                 margins_hi.append((a1f * uq**q + b1f) - (-fz))
-                dens = f - (lam * np.abs(z) ** (q - 2.0) * z if lam else 0.0)
+                dens = f - (_confinement_slope(lam, q, z) if lam else 0.0)
                 pairing = abs(float(np.sum(mesh.tri_area * dens * v)))
                 margins_gr.append((a2f * uq ** (q - 1.0) + b2f) * vq - pairing)
     if lam > 0:

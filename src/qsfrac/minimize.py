@@ -29,14 +29,19 @@ decrease steers delta, which stays 0 while full Newton steps contract the
 gradient, and grows where the curvature of a power law below exponent 2
 decays or the Hessian of a cracked-off piece is singular; a non-finite
 gradient ends the solve with a ``SolveError``.  Energy, gradient and Hessian
-come from one ``_Evaluator`` per solve, which fixes the loads at t and the
-per-triangle constants once.  One pass per trial point gives the energy, the
-gradient and its norm; the Hessian is assembled only after a step is
-accepted, at the point evaluated last, so a rejected step reuses it.  It is
-scattered from the per-triangle 3x3 blocks straight onto the free DOFs
-(``_FreeBlock``, built once per crack set): a dense array up to
-``_DENSE_LIMIT`` of them, CSR above.  The reported energy is the quadrature
-of ``energy.elastic_energy`` at the returned field.
+come from one ``_Evaluator`` per solve, which fixes the loads at t; its
+per-triangle constants, like the quadratic forms, are built once per
+``ElasticSolver``.  One pass per trial point gives the energy, the gradient
+and its norm; the Hessian is assembled only after a step is accepted, at the
+point evaluated last, so a rejected step reuses it.  The reported energy is
+the quadrature of ``energy.elastic_energy`` at the returned field.
+
+One map, the crack set's ``_FreeBlock``, says where a triangle corner lands
+among the free DOFs.  Its ``matrix`` scatters per-triangle 3x3 matrices (the
+solver's stiffness-plus-mass forms into K_ff, the Newton Hessians, the dual
+certificate's Gram matrix), its ``vector`` per-corner values (the Newton
+gradient, and K u as each form applied to its corner values), each by one
+``np.bincount``; so is each vector on all DOFs (loads, ``assemble_pairing``).
 
 Every crack set X of a quadratic problem is the all-open space (every
 crackable edge cracked) with time-independent rows added: a tie per endpoint
@@ -65,10 +70,10 @@ against, the Euler residual of the stability audit, and both residuals of
 the dual certificate.
 
 ``ElasticSolver`` keeps four caches: an LRU of at most ``_CACHE_SIZE``
-per-crack-set solve structures (DOF layout, and the linear solve or the
-free-block scatter), a one-entry memo of the loads at the last time solved
-(boundary datum, body load per corner, surface load per surface edge), which
-every candidate of a knot shares, a one-entry memo of the last successful
+per-crack-set solve structures (DOF layout and free-block scatter, with the
+linear solve for p = q = 2), a one-entry memo of the loads at the last time
+solved (boundary datum, body load per corner, surface load per surface edge),
+which every candidate of a knot shares, a one-entry memo of the last successful
 solve (crack set, time and tolerance, with its field and report), so the
 state a search has just chosen is not solved again, and, once ``scores`` is
 read, the open space with a one-entry memo of E_open and r at the last time
@@ -111,7 +116,6 @@ __all__ = [
     "euler_residual",
     "assemble_gradient",
     "assemble_pairing",
-    "assemble_forms",
 ]
 
 _DENSE_LIMIT = 200
@@ -141,7 +145,8 @@ class FloatingComponentError(SolveError):
 class SolveReport:
     """How a solve went.  ``energy`` is the elastic energy W - F - G of the
     returned field: the quadratic form 1/2 u.(K u) - b.u + c_eps for
-    p = q = 2, the quadrature of ``energy.elastic_energy`` otherwise.
+    p = q = 2 (K u formed per triangle), the quadrature of
+    ``energy.elastic_energy`` otherwise.
     ``iterations`` counts the CG steps of a CG solve (a refinement pass
     included), one per linear solve of a direct one, and on the Newton path
     every damped step, rejected ones included."""
@@ -158,76 +163,70 @@ class SolveReport:
 # assembly helpers
 # ---------------------------------------------------------------------------
 
-def assemble_forms(mesh: Mesh, topo: DofTopology, stiff_coef, mass_coef,
-                   block: _FreeBlock | None = None):
-    """Assemble sum_T stiff[T] * (Gt G) + mass[T]/9 * ones(3,3) on the DOFs,
-    or on the free block ``block`` (see ``_scatter_local``).
+def _local_forms(mesh: Mesh, stiff_coef, mass_coef) -> np.ndarray:
+    """The per-triangle 3x3 corner forms stiff[T] * (Gt G) + mass[T]/9 * ones(3,3).
 
-    With stiff = area * mu and mass = area * lam this is the Hessian of the
-    quadratic elastic energy; other coefficient choices reuse the same
-    scatter (e.g. the Gram operator of the dual-certificate projection).
-    """
+    With stiff = area * mu and mass = area * lam they sum to the Hessian of
+    the quadratic elastic energy; other coefficients give e.g. the Gram
+    operator of the dual-certificate projection."""
     m = mesh.n_triangles
     stiff = np.broadcast_to(np.asarray(stiff_coef, dtype=float), (m,))
     mass = np.broadcast_to(np.asarray(mass_coef, dtype=float), (m,))
     g = mesh.grad_op
     local = np.einsum("t,tki,tkj->tij", stiff, g, g)
-    return _scatter_local(topo, local + (mass / 9.0)[:, None, None] * np.ones((3, 3)), block)
+    return local + (mass / 9.0)[:, None, None] * np.ones((3, 3))
 
 
 class _FreeBlock:
-    """Where the per-triangle 3x3 corner entries of a topology land in its
-    free-DOF block: the raveled (triangle, row corner, column corner) entries
-    whose two DOFs are both free (``keep``), and their flat position
-    ``row * n + col`` among the ``n`` free DOFs.  Likewise for the raveled
-    (triangle, corner) entries of a per-corner vector: those on a free DOF
-    (``corners``) and their position among the free DOFs (``corner_pos``).
-    Built once per crack set."""
+    """Where the triangle corners of a topology land among its ``n`` free
+    DOFs: ``slot`` holds, per raveled (triangle, corner), the free position
+    of its DOF, or n where that DOF is constrained.  ``vector`` and
+    ``matrix`` are each one ``np.bincount`` in raveled order."""
 
-    __slots__ = ("n", "keep", "flat", "corners", "corner_pos")
+    __slots__ = ("n", "slot", "_entries")
 
     def __init__(self, topo: DofTopology):
-        pos = np.full(topo.n_dofs, -1)
-        pos[topo.free_dofs] = np.arange(topo.n_free)
-        corner = pos[topo.corner_dof]
-        rows = np.repeat(corner, 3, axis=1).ravel()
-        cols = np.tile(corner, (1, 3)).ravel()
-        self.n = topo.n_free
-        self.keep = np.flatnonzero((rows >= 0) & (cols >= 0))
-        self.flat = rows[self.keep] * self.n + cols[self.keep]
-        self.corners = np.flatnonzero(corner.ravel() >= 0)
-        self.corner_pos = corner.ravel()[self.corners]
+        self.n = n = topo.n_free
+        pos = np.full(topo.n_dofs, n)
+        pos[topo.free_dofs] = np.arange(n)
+        self.slot = pos[topo.corner_dof.ravel()]
+        self._entries = None
+
+    def vector(self, per_corner: np.ndarray) -> np.ndarray:
+        """The free-DOF vector summing ``per_corner``, one value per corner."""
+        return np.bincount(self.slot, per_corner.ravel(), self.n + 1)[:self.n]
+
+    def matrix(self, local: np.ndarray, keep: bool = True):
+        """Sum the per-triangle 3x3 corner matrices ``local`` onto the free block,
+        dense up to ``_DENSE_LIMIT`` free DOFs, CSR above; ``keep`` keeps the
+        entry positions for the next call (a quadratic block assembles once)."""
+        n, entries = self.n, self._entries
+        if entries is None:
+            corner = self.slot.reshape(-1, 3)
+            rows = np.repeat(corner, 3, axis=1).ravel()
+            cols = np.tile(corner, (1, 3)).ravel()
+            take = np.flatnonzero((rows < n) & (cols < n))
+            entries = take, rows[take] * n + cols[take]
+        self._entries = entries if keep else None
+        take, flat = entries
+        values = local.ravel()[take]
+        if n <= _DENSE_LIMIT:
+            return np.bincount(flat, values, n * n).reshape(n, n)
+        return scipy.sparse.csr_matrix((values, divmod(flat, n)), shape=(n, n))
 
 
-def _scatter_local(topo: DofTopology, local: np.ndarray, block: _FreeBlock | None = None):
-    """Sum the per-triangle 3x3 corner matrices ``local`` into a CSR matrix
-    on all DOFs or, given ``block``, straight onto the free DOFs: a dense
-    array up to ``_DENSE_LIMIT`` of them, CSR above."""
-    if block is None:
-        rows = np.repeat(topo.corner_dof, 3, axis=1).ravel()
-        cols = np.tile(topo.corner_dof, (1, 3)).ravel()
-        return scipy.sparse.coo_matrix(
-            (local.ravel(), (rows, cols)), shape=(topo.n_dofs, topo.n_dofs)
-        ).tocsr()
-    n = block.n
-    values = local.ravel()[block.keep]
-    if n <= _DENSE_LIMIT:
-        return np.bincount(block.flat, values, n * n).reshape(n, n)
-    return scipy.sparse.csr_matrix((values, divmod(block.flat, n)), shape=(n, n))
-
-
-def _scatter_corner(topo: DofTopology, per_corner: np.ndarray) -> np.ndarray:
-    out = np.zeros(topo.n_dofs)
-    np.add.at(out, topo.corner_dof.ravel(), per_corner.ravel())
-    return out
-
-
-def _scatter_surface(mesh: Mesh, topo: DofTopology, out: np.ndarray, w: np.ndarray) -> None:
-    """Add ``w[k]`` into ``out`` at both endpoint DOFs of surface-force edge k
-    (every first endpoint, then every second one)."""
-    dofs = topo.corner_dof.ravel()[mesh.edge_corner[mesh.surface_edges, 0]]
-    np.add.at(out, dofs[:, 0], w)
-    np.add.at(out, dofs[:, 1], w)
+def _scatter_corner(mesh: Mesh, topo: DofTopology, per_corner: np.ndarray,
+                    surf: np.ndarray) -> np.ndarray:
+    """The DOF vector summing ``per_corner`` (one value per triangle corner)
+    and ``surf[k]`` at both endpoint DOFs of surface-force edge k: one
+    ``np.bincount`` over the corners, then every first endpoint, then every
+    second one."""
+    index, weights = topo.corner_dof.ravel(), per_corner.ravel()
+    if len(surf):
+        ends = index[mesh.edge_corner[mesh.surface_edges, 0]]
+        index = np.concatenate([index, ends[:, 0], ends[:, 1]])
+        weights = np.concatenate([weights, surf, surf])
+    return np.bincount(index, weights, topo.n_dofs)
 
 
 def _spd_solver(matrix):
@@ -299,11 +298,9 @@ def assemble_pairing(mesh: Mesh, topo: DofTopology, sig: np.ndarray, body: np.nd
     """The DOF vector of v -> sum_T |T| (sig.grad v + body v) + sum_e |e| surf v,
     for a triple of densities per triangle (``sig``, ``body``) and per
     surface edge (``surf``), with midpoint quadrature."""
-    out = _scatter_corner(topo, mesh.tri_area[:, None] * np.einsum("tk,tki->ti", sig, mesh.grad_op))
-    out += _scatter_corner(topo, np.repeat((mesh.tri_area * body / 3.0)[:, None], 3, axis=1))
-    if len(surf):
-        _scatter_surface(mesh, topo, out, mesh.edge_length[mesh.surface_edges] * surf / 2.0)
-    return out
+    area = mesh.tri_area
+    per_corner = area[:, None] * np.einsum("tk,tki->ti", sig, mesh.grad_op) + (area * body / 3.0)[:, None]
+    return _scatter_corner(mesh, topo, per_corner, mesh.edge_length[mesh.surface_edges] * surf / 2.0)
 
 
 def assemble_gradient(model: EnergyModel, mesh: Mesh, t: float, u: BrokenField) -> np.ndarray:
@@ -318,7 +315,7 @@ def _free_hessian(model: EnergyModel, mesh: Mesh, t: float, u: BrokenField, bloc
     g = mesh.grad_op
     local = mesh.tri_area[:, None, None] * np.einsum("tki,tkl,tlj->tij", g, d, g)
     c = mesh.tri_area * body_hessian_coeff(model.body, t, u.tri_means())
-    return _scatter_local(u.topology, local + (c / 9.0)[:, None, None] * np.ones((3, 3)), block)
+    return block.matrix(local + (c / 9.0)[:, None, None] * np.ones((3, 3)))
 
 
 class _Evaluator:
@@ -326,7 +323,7 @@ class _Evaluator:
     Newton solve: one topology, one time t with its datum psi, one free block.
 
     The body and surface loads are linear in u, so with b the load vector at
-    t (``ElasticSolver._load_vector``) and z the midpoint means,
+    t (the body and surface loads by ``_scatter_corner``) and z the midpoint means,
 
         E(u)      = sum_T |T| (mu/p s^(p/2) + lam/q |z|^q) - b.u,
         s         = |xi|^2 + eps^2,   xi = G u the gradient on T,
@@ -334,9 +331,9 @@ class _Evaluator:
         hess E(u) = sum_T |T| (a G^T G + b' (G^T xi)(G^T xi)^T + c/9 ones(3, 3)),
 
     with a I + b' xi xi^T the stress Jacobian and c the body curvature.
-    Construction fixes what does not depend on the iterate: the embedding of
-    the free values, b, |T| mu and G^T G; the block gives the free position
-    of each triangle corner, so the gradient is one ``np.bincount``.
+    Construction fixes the embedding of the free values and b (|T| mu and
+    G^T G are the solver's); the crack set's ``_FreeBlock`` scatters the
+    gradient and the Hessian.
     ``evaluate(v)`` gives the energy, the gradient and its norm at the free
     values ``v`` from one pass, and keeps xi, s, z and the stress terms of
     that point: ``hessian()`` assembles at the point evaluated last.  A wild
@@ -345,16 +342,16 @@ class _Evaluator:
     are the reference implementations it is tested against.
     """
 
-    def __init__(self, model: EnergyModel, mesh: Mesh, topo: DofTopology, block: _FreeBlock,
-                 t: float, psi: np.ndarray, b: np.ndarray):
-        self.model, self.topo, self.block, self.t, self.b = model, topo, block, t, b
+    def __init__(self, solver: ElasticSolver, data: _CrackData, t: float):
+        topo = data.topology
+        self.model, self.topo, self.block, self.t = solver.model, topo, data.block, t
         self.free = topo.free_dofs
+        _, psi, body, surf = solver._loads_at(t)
         self.base = topo.dirichlet_values(psi)
-        self.b_free = b[self.free]
-        self.grad_op = g = mesh.grad_op
-        self.area = mesh.tri_area
-        self.area_mu = mesh.tri_area * model.bulk.mu_at(np.arange(mesh.n_triangles))
-        self.gtg = np.einsum("tki,tkj->tij", g, g)
+        self.b = _scatter_corner(solver.mesh, topo, body, surf)
+        self.b_free = self.b[self.free]
+        self.grad_op, self.area = solver.mesh.grad_op, solver.mesh.tri_area
+        self.area_mu, self.gtg = solver._area_mu, solver._gtg
 
     def values(self, v: np.ndarray) -> np.ndarray:
         """The DOF values with free values ``v``."""
@@ -380,8 +377,7 @@ class _Evaluator:
                 e += body.lam / body.q * float(self.area @ np.abs(z) ** body.q)
                 dz = z if body.q == 2.0 else np.abs(z) ** (body.q - 1.0) * np.sign(z)
                 local += (self.area * body.lam / 3.0 * dz)[:, None]
-            block = self.block
-            grad = np.bincount(block.corner_pos, local.ravel()[block.corners], block.n) - self.b_free
+            grad = self.block.vector(local) - self.b_free
             res = math.sqrt(grad @ grad)   # the ddot of np.linalg.norm, which can overflow
         self._s, self._z, self._a, self._gx = s, z, a, gx
         return (e if math.isfinite(e) else math.inf), grad, res
@@ -397,7 +393,7 @@ class _Evaluator:
                 local += rank_one[:, None, None] * gx[:, :, None] * gx[:, None, :]
             c = self.area * body_hessian_coeff(self.model.body, self.t, self._z)
             local += (c / 9.0)[:, None, None]
-            return _scatter_local(self.topo, local, self.block)
+            return self.block.matrix(local)
 
 
 # ---------------------------------------------------------------------------
@@ -408,48 +404,42 @@ class _CrackData:
     """Per-crack-set immutable solve structure, cached inside ElasticSolver.
 
     Its DOF layout holds no datum, so every field solved on the crack set
-    shares it.  For p = q = 2 it holds the stiffness matrix and the one
-    linear solve on its free block, ``solve(rhs, atol) -> (x, iterations)``,
-    labelled by ``method``: the direct ``_spd_solver`` up to ``_cg_above``
-    free DOFs (one iteration, ``atol`` unused), ``_jacobi_cg`` above, run
-    until its residual norm is below ``atol`` (its steps as the count).  For
-    any other exponents it holds the ``_FreeBlock`` the Newton gradients and
-    Hessians scatter onto.
+    shares it, and so does its ``_FreeBlock``.  For p = q = 2 the block
+    scatters the solver's per-triangle ``forms`` once into K_ff, for the one
+    linear solve, ``solve(rhs, atol) -> (x, iterations)``, labelled by
+    ``method``: the direct ``_spd_solver`` up to ``_cg_above`` free DOFs (one
+    iteration, ``atol`` unused), ``_jacobi_cg`` above, run until its residual
+    norm is below ``atol`` (its steps as the count).  Only for other
+    exponents (no forms) does the block keep its matrix positions, for the
+    Newton Hessians.
     """
 
-    __slots__ = ("topology", "matrix", "k_fc", "solve", "method", "floating", "block")
+    __slots__ = ("topology", "solve", "method", "floating", "block")
     _cg_above = _DENSE_LIMIT
 
-    def __init__(self, model: EnergyModel, mesh: Mesh, crack: CrackSet, quadratic: bool):
+    def __init__(self, model: EnergyModel, mesh: Mesh, crack: CrackSet, forms: np.ndarray | None):
         topo = self.topology = build_topology(mesh, crack)   # validated once here
         # only a run without confinement can float a piece of the body
         self.floating = _floating_message(topo) if model.body.lam == 0.0 else None
-        self.matrix = self.k_fc = self.solve = self.method = self.block = None
-        if not quadratic:
+        self.solve = self.method = self.block = None
+        if forms is None:
             self.block = _FreeBlock(topo)
         elif self.floating:
             raise FloatingComponentError(self.floating)
         else:
-            self._factor(model, mesh)
+            self._factor(model, mesh, forms)
 
-    def _factor(self, model: EnergyModel, mesh: Mesh) -> None:
-        """Assemble the stiffness and set up the solve on its free block."""
-        topo = self.topology
-        free, cons = topo.free_dofs, topo.constrained_dofs
-        stiff = mesh.tri_area * model.bulk.mu_at(np.arange(mesh.n_triangles))
-        mass = mesh.tri_area * model.body.lam
-        k = self.matrix = assemble_forms(mesh, topo, stiff, mass)
-        kff = k[free][:, free]
-        self.k_fc = k[free][:, cons]
-        self.solve, self.method = self._linear_solve(kff)
-
-    def _linear_solve(self, kff: scipy.sparse.csr_matrix):
+    def _factor(self, model: EnergyModel, mesh: Mesh, forms: np.ndarray) -> None:
+        """Scatter the stiffness onto the free block and set up its solve."""
+        self.block = _FreeBlock(self.topology)
+        kff = self.block.matrix(forms, keep=False)
         if kff.shape[0] <= self._cg_above:
             solve = _spd_solver(kff)
-            return lambda rhs, atol: (solve(rhs), 1), "direct"
-        diag = kff.diagonal()
-        inv_diag = 1.0 / np.where(diag > 0, diag, 1.0)
-        return lambda rhs, atol: _jacobi_cg(kff, inv_diag, rhs, atol), "cg"
+            self.solve, self.method = lambda rhs, atol: (solve(rhs), 1), "direct"
+        else:
+            diag = kff.diagonal()
+            inv_diag = 1.0 / np.where(diag > 0, diag, 1.0)
+            self.solve, self.method = lambda rhs, atol: _jacobi_cg(kff, inv_diag, rhs, atol), "cg"
 
 
 class _OpenSpace(_CrackData):
@@ -485,10 +475,10 @@ class _OpenSpace(_CrackData):
     __slots__ = ("rows", "owner_edge", "owner_row", "gram")
     _cg_above = math.inf   # a direct solve at every size, for many right-hand sides at once
 
-    def __init__(self, model: EnergyModel, mesh: Mesh):
-        super().__init__(model, mesh, CrackSet.of(crackable_edges(mesh)), True)
+    def __init__(self, model: EnergyModel, mesh: Mesh, forms: np.ndarray):
+        super().__init__(model, mesh, CrackSet.of(crackable_edges(mesh)), forms)
 
-    def _factor(self, model: EnergyModel, mesh: Mesh) -> None:
+    def _factor(self, model: EnergyModel, mesh: Mesh, forms: np.ndarray) -> None:
         """Carve out the rows; within the row limit, factor the stiffness and
         form G."""
         topo = self.topology
@@ -516,7 +506,7 @@ class _OpenSpace(_CrackData):
         n_free = mesh.n_vertices - len(np.unique(topo.dof_vertex[topo.constrained_dofs]))
         if n > (_SCORE_ROWS_DENSE if n_free <= _DENSE_LIMIT else _SCORE_ROWS_CG):
             return
-        super()._factor(model, mesh)
+        super()._factor(model, mesh, forms)
         # R^T on the free DOFs: +1 at the first DOF of each row, -1 at the second of a tie
         ties = np.flatnonzero(self.rows[:, 1] >= 0)
         rt = np.zeros((topo.n_dofs, n))
@@ -593,15 +583,19 @@ class ElasticSolver:
         self._open: _OpenSpace | bool | None = None   # built when ``scores`` is first read
         self._open_at: tuple | None = None     # (t, E_open, r) of the last time scored
         self._last: tuple | None = None        # ((edge ids, t, tol), (field, report)) of the last solve
+        # per-triangle constants: |T| mu and G^T G (Newton), the forms (p = q = 2)
+        self._area_mu = mesh.tri_area * model.bulk.mu_at(np.arange(mesh.n_triangles))
+        self._gtg = np.einsum("tki,tkj->tij", mesh.grad_op, mesh.grad_op)
+        self._forms = (_local_forms(mesh, self._area_mu, mesh.tri_area * model.body.lam)
+                       if self.quadratic else None)
         # the constant of the quadratic energy identity: the bulk energy at zero gradient
-        mu = model.bulk.mu_at(np.arange(mesh.n_triangles))
-        self._c_eps = 0.5 * model.bulk.epsilon**2 * float(np.sum(mesh.tri_area * mu))
+        self._c_eps = 0.5 * model.bulk.epsilon**2 * float(np.sum(self._area_mu))
 
     def _data(self, crack: CrackSet) -> _CrackData:
         key = crack.edge_ids
         data = self._cache.get(key)
         if data is None:
-            data = _CrackData(self.model, self.mesh, crack, self.quadratic)
+            data = _CrackData(self.model, self.mesh, crack, self._forms)
             self._cache[key] = data
             if len(self._cache) > _CACHE_SIZE:
                 self._cache.popitem(last=False)
@@ -630,7 +624,7 @@ class ElasticSolver:
         enough rows that a score costs less than a solve."""
         if self._open is None:
             try:
-                space = _OpenSpace(self.model, self.mesh) if self.quadratic else None
+                space = _OpenSpace(self.model, self.mesh, self._forms) if self.quadratic else None
             except FloatingComponentError:
                 space = None
             self._open = False if space is None or space.gram is None else space
@@ -651,13 +645,6 @@ class ElasticSolver:
         if not math.isfinite(energy):
             raise SolveError(f"non-finite energy score at t={t}")
         return energy
-
-    def _load_vector(self, topo: DofTopology, t: float) -> np.ndarray:
-        _, _, body, surf = self._loads_at(t)
-        b = _scatter_corner(topo, body)
-        if len(surf):
-            _scatter_surface(self.mesh, topo, b, surf)
-        return b
 
     def solve(self, crack: CrackSet, t: float, tol: float = 1e-10):
         """Return (field, report) with the free-DOF gradient norm at most tol.
@@ -685,29 +672,33 @@ class ElasticSolver:
         return field, report
 
     def _solve_quadratic(self, data: _CrackData, t: float, tol: float):
-        topo = data.topology
-        b = self._load_vector(topo, t)
-        free, cons = topo.free_dofs, topo.constrained_dofs
-        u = topo.dirichlet_values(self._loads_at(t)[1])
+        topo, block = data.topology, data.block
+        _, psi, body, surf = self._loads_at(t)
+        b = _scatter_corner(self.mesh, topo, body, surf)
+        free, corner_dof = topo.free_dofs, topo.corner_dof
+        b_free = b[free]
+        u = topo.dirichlet_values(psi)
         # an overflow surfaces as the SolveError below, not as a numpy warning
         with np.errstate(all="ignore"):
-            rhs = b[free] - (data.k_fc @ u[cons] if len(cons) else 0.0)
+            rhs = b_free - block.vector(np.einsum("tij,tj->ti", self._forms, u[corner_dof]))
             # the CG residual is minus the free gradient checked below, so CG
             # stops at a fixed fraction of ``tol`` (a direct solve ignores it)
             target = 0.5 * tol
             u[free], iters = data.solve(rhs, target)
-            ku = data.matrix @ u
-            grad = (ku - b)[free]
+            cv = u[corner_dof]
+            ku = np.einsum("tij,tj->ti", self._forms, cv)
+            grad = block.vector(ku) - b_free
             res = float(np.linalg.norm(grad))
             if res > tol:
                 # rounding, or CG's drift between its recursive and true
                 # residuals: one refinement pass, then give up honestly
                 step, more = data.solve(-grad, target)
                 u[free] += step
-                ku = data.matrix @ u
-                res = float(np.linalg.norm((ku - b)[free]))
+                cv = u[corner_dof]
+                ku = np.einsum("tij,tj->ti", self._forms, cv)
+                res = float(np.linalg.norm(block.vector(ku) - b_free))
                 iters += more
-            energy = 0.5 * float(u @ ku) - float(b @ u) + self._c_eps
+            energy = 0.5 * float(np.sum(cv * ku)) - float(b @ u) + self._c_eps
         if not (math.isfinite(res) and math.isfinite(energy)):
             raise SolveError(f"non-finite residual or energy at t={t}")
         if res > tol:
@@ -734,7 +725,7 @@ class ElasticSolver:
         free = topo.free_dofs
         if len(free) == 0:
             return field, 0, 0.0, "newton", elastic_energy(model, mesh, t, field)[0]
-        ev = _Evaluator(model, mesh, topo, data.block, t, psi, self._load_vector(topo, t))
+        ev = _Evaluator(self, data, t)
         x = field.values[free]
         energy, g, res = ev.evaluate(x)
         h, delta = None, 0.0

@@ -33,7 +33,7 @@ from qsfrac.evolution import (
     run_evolution,
 )
 from qsfrac.mesh import build_structured_mesh
-from qsfrac.minimize import _FreeBlock, _spd_solver, assemble_forms, minimize_elastic
+from qsfrac.minimize import _FreeBlock, _local_forms, _spd_solver, minimize_elastic
 
 from conftest import NOTCHED, make_model, make_strip_mesh
 
@@ -363,8 +363,7 @@ def test_dual_certificate_newton_instance(corpus_runs):
 
 def _fresh_gram_solver(mesh, topo, use_mass):
     area = mesh.tri_area
-    return _spd_solver(assemble_forms(mesh, topo, area**2, area**2 if use_mass else 0.0,
-                                      _FreeBlock(topo)))
+    return _spd_solver(_FreeBlock(topo).matrix(_local_forms(mesh, area**2, area**2 if use_mass else 0.0)))
 
 
 @pytest.fixture()

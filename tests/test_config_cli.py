@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -351,6 +352,42 @@ def test_cli_audit_of_a_partial_record_fails_naming_its_knots(tmp_path):
     report = json.loads(out.read_text(), parse_constant=_reject_constant)
     assert report["checks"][0]["name"] == "completeness"
     assert report["checks"][0]["verdict"] == "FAIL"
+
+
+def test_cli_failed_run_writes_its_partial_record_into_a_new_directory(tmp_path, capsys):
+    # the run stops after its first knot; the directory of --out does not
+    # exist yet and is made before the run, so the partial record is saved
+    cfg_path, rec_path = tmp_path / "strip.cfg", tmp_path / "new" / "dir" / "rec.json"
+    cfg_path.write_text(config_text("strip", 9).replace("1: x / 2", "1: 1e200 * x"))
+    assert main(["run", "--config", str(cfg_path), "--out", str(rec_path)]) == 3
+    err = capsys.readouterr().err
+    assert "partial (incomplete) record" in err and "numeric failure" in err, err
+    assert len(json.loads(rec_path.read_text())["knots"]) == 1
+
+
+@pytest.mark.parametrize("q", [1.5, 1.2])
+def test_cli_subquadratic_body_run_reads_back_and_passes_its_audit(tmp_path, q):
+    # the body density at the unloaded first knot is the load (0), not the
+    # NaN of 0 * inf: the record reads back, its oracle audit passes with
+    # warnings as errors, and the knot-0 certificate and Euler residual are
+    # finite
+    from qsfrac.audit import dual_certificate
+    from qsfrac.evolution import EvolutionRecord
+    from qsfrac.minimize import euler_residual
+
+    cfg_path, rec_path = tmp_path / "strip.cfg", tmp_path / "rec.json"
+    cfg_path.write_text(config_text("strip", 9) + f"energy.q = {q}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", str(cfg_path), "--out", str(rec_path)]) == 0
+        assert main(["audit", "--config", str(cfg_path), "--record", str(rec_path), "--level", "oracle",
+                     "--checks", "irreversibility,stability,structure"]) == 0
+        p = parse_config(cfg_path.read_text()).build_problem()
+        rec = EvolutionRecord.load(rec_path, p.mesh, p.model)
+        cert = dual_certificate(p.model, p.mesh, rec.cracks[0], float(rec.times[0]), rec.fields[0])
+        residual = euler_residual(p.model, p.mesh, rec.cracks[0], float(rec.times[0]), rec.fields[0])
+    assert cert.annihilation_residual <= 1e-10 and abs(cert.fenchel_gap) <= 1e-10
+    assert residual <= 1e-10
 
 
 @pytest.mark.parametrize("flags", [[], ["-W", "error"]])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -248,6 +250,28 @@ def test_body_gradient_matches_finite_differences():
     vm, _ = body_value_and_gradient(pot, t, BrokenField(topo, u.values - h * v))
     fd = (vp - vm) / (2 * h)
     assert abs(fd - analytic) <= 1e-6 * (1.0 + abs(analytic))
+
+
+@pytest.mark.parametrize("q", [1.2, 1.5, 2.0, 3.0])
+def test_body_density_is_the_load_where_the_midpoint_mean_vanishes(q):
+    # lam |z|^(q-2) z is continuous for q > 1 and 0 at z = 0, where the
+    # power of a q < 2 is infinite: the density there is f, with no warning,
+    # and every other entry keeps the bits of the plain expression
+    mesh = make_strip_mesh()
+    rng = np.random.default_rng(12)
+    f = rng.normal(size=mesh.n_triangles)
+    pot = BodyPotential(TimeTable.constant(f, mesh.n_triangles), lam=0.7, q=q)
+    topo = build_topology(mesh, CrackSet.of([4]))
+    values = rng.normal(size=topo.n_dofs)
+    values[topo.corner_dof[:2]] = 0.0   # z = 0 on the first two triangles
+    u = BrokenField(topo, values)
+    z = u.tri_means()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, dens = body_value_and_gradient(pot, 0.5, u)
+    assert np.array_equal(dens[:2], f[:2])
+    z = z[2:]
+    assert dens[2:].tobytes() == (f[2:] - 0.7 * np.abs(z) ** (q - 2.0) * z).tobytes()
 
 
 def test_body_rate_static_and_ramp():

@@ -16,6 +16,11 @@ then cancels and the identity misses the quadrature by up to about
 4 eps |u|.|K||u|, which was 2.4e-12 (1 + |E|) in the worst of 3,000 random
 cases tried.
 
+The quadratic solve scatters every stiffness product straight onto the free
+DOFs from the per-triangle forms; its free stiffness, right-hand side,
+residual and energy must agree with a stiffness assembled here on all DOFs by
+COO and then sliced, to the same rounding.
+
 The open-space score of a crack set (the all-open minimum plus a Schur
 complement over the tie rows the set keeps, plus its surface energy) must
 agree with the solve of that crack set to the same rounding, for every
@@ -27,15 +32,17 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsfrac import minimize
 from qsfrac.broken import CrackSet
 from qsfrac.config import parse_config
 from qsfrac.energy import TimeTable, Toughness, elastic_energy, surface_energy, total_energy
 from qsfrac.evolution import _Search
 from qsfrac.mesh import crackable_edges
-from qsfrac.minimize import ElasticSolver, FloatingComponentError, assemble_forms
+from qsfrac.minimize import ElasticSolver, FloatingComponentError
 
 from conftest import make_model, make_strip_mesh
 from test_evolution_properties import _mesh, _mesh_choices
@@ -48,11 +55,32 @@ _LABELINGS = (
 )
 
 
+def _coo_stiffness(mesh, model, topo):
+    """The stiffness-plus-confinement matrix K on all DOFs of ``topo``:
+    sum_T |T| (mu Gt G + lam/9 ones(3, 3)), assembled by COO."""
+    g = mesh.grad_op
+    stiff = mesh.tri_area * model.bulk.mu_at(np.arange(mesh.n_triangles))
+    local = (np.einsum("t,tki,tkj->tij", stiff, g, g)
+             + (mesh.tri_area * model.body.lam / 9.0)[:, None, None])
+    rows = np.repeat(topo.corner_dof, 3, axis=1).ravel()
+    cols = np.tile(topo.corner_dof, (1, 3)).ravel()
+    return scipy.sparse.coo_matrix((local.ravel(), (rows, cols)),
+                                   shape=(topo.n_dofs, topo.n_dofs)).tocsr()
+
+
+def _load_vector(mesh, model, topo, t):
+    """The load vector b on all DOFs: |T| f / 3 at each corner of T and
+    |e| g / 2 at both endpoints of each surface-force edge e."""
+    b = np.zeros(topo.n_dofs)
+    np.add.at(b, topo.corner_dof, (mesh.tri_area * model.body.table.value(t) / 3.0)[:, None])
+    ends = topo.corner_dof.ravel()[mesh.edge_corner[mesh.surface_edges, 0]]
+    np.add.at(b, ends, (mesh.edge_length[mesh.surface_edges] * model.surface.table.value(t) / 2.0)[:, None])
+    return b
+
+
 def _close(p, u, a: float, b: float) -> bool:
     """``a`` and ``b`` agree to rounding (see the module docstring)."""
-    mesh = p.mesh
-    mu = p.model.bulk.mu_at(np.arange(mesh.n_triangles))
-    k = abs(assemble_forms(mesh, u.topology, mesh.tri_area * mu, mesh.tri_area * p.model.body.lam))
+    k = abs(_coo_stiffness(p.mesh, p.model, u.topology))
     scale = np.abs(u.values) @ (k @ np.abs(u.values))
     return abs(a - b) <= 1e-12 * (1.0 + abs(b)) + 1e-14 * scale
 
@@ -99,6 +127,39 @@ def test_solve_energy_identity_matches_the_quadrature(case):
     u, report = ElasticSolver(p.model, p.mesh).solve(crack, t)
     quadrature, _ = elastic_energy(p.model, p.mesh, t, u)
     assert _close(p, u, report.energy, quadrature), (report.energy, quadrature)
+
+
+@given(quadratic_cases())
+@settings(max_examples=40, deadline=None)
+def test_quadratic_solve_matches_a_coo_assembly(case):
+    # the free stiffness the solve factors, its right-hand side at the
+    # boundary interpolant, and the residual and energy it reports
+    p, crack, t = case
+    mesh, model = p.mesh, p.model
+    solver = ElasticSolver(model, mesh)
+    factored, rhs = [], []
+    with pytest.MonkeyPatch.context() as patch:
+        spd_solver = minimize._spd_solver
+        patch.setattr(minimize, "_spd_solver", lambda m: factored.append(m) or spd_solver(m))
+        data = solver._data(crack)
+    solve = data.solve
+    data.solve = lambda b, atol: rhs.append(b) or solve(b, atol)
+    u, report = solver.solve(crack, t)
+    topo = u.topology
+    free, cons = topo.free_dofs, topo.constrained_dofs
+    k = _coo_stiffness(mesh, model, topo).toarray()   # at most 3 x 2 cells
+    b = _load_vector(mesh, model, topo, t)
+    ku = k @ u.values
+    scale = 1.0 + np.max(np.abs(k) @ np.abs(u.values)) + np.max(np.abs(b))
+    assert len(factored) == 1 and len(rhs) >= 1
+    kff = k[np.ix_(free, free)]
+    assert np.max(np.abs(factored[0] - kff), initial=0.0) <= 1e-14 * np.max(np.abs(k))
+    expected_rhs = b[free] - k[np.ix_(free, cons)] @ u.values[cons]
+    assert np.max(np.abs(rhs[0] - expected_rhs), initial=0.0) <= 1e-14 * scale
+    assert abs(report.residual - np.linalg.norm((ku - b)[free])) <= 1e-14 * scale
+    c_eps = 0.5 * model.bulk.epsilon**2 * float(mesh.tri_area @ model.bulk.mu_at(np.arange(mesh.n_triangles)))
+    expected = 0.5 * float(u.values @ ku) - float(b @ u.values) + c_eps
+    assert _close(p, u, report.energy, expected), (report.energy, expected)
 
 
 @given(quadratic_cases())
