@@ -57,6 +57,17 @@ def _positive(text: str) -> float:
     return value
 
 
+def _count(text: str) -> int:
+    """An argparse type: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qsfrac",
@@ -82,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="comma list of checks to run")
     aud.add_argument("--level", choices=("euler", "one_edge", "oracle", "auto"), default="auto",
                      help="global-stability level (auto: oracle when small enough)")
-    aud.add_argument("--max-edges", type=int, default=12,
+    aud.add_argument("--max-edges", type=_count, default=12,
                      help="candidate-edge cap for the oracle stability level")
     aud.add_argument("--tol", type=_positive, default=None, help="energy-balance gap tolerance")
     aud.add_argument("--inconclusive", choices=("pass", "fail"), default="pass",
@@ -96,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cmp_ = sub.add_parser("oracle-compare", help="brute force vs greedy strategies, end to end")
     cmp_.add_argument("--config", required=True)
-    cmp_.add_argument("--max-edges", type=int, default=12,
+    cmp_.add_argument("--max-edges", type=_count, default=12,
                       help="refuse instances with more crackable edges than this (cap 20)")
     return parser
 

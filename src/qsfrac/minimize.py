@@ -13,8 +13,19 @@ scipy's ``cg`` recurrence step for step.  Its residual is minus the free
 gradient the solve checks against its tolerance, so one pass stops at half
 that tolerance; a refinement pass guards against drift between the
 recursive and the true residual, and a non-finite right-hand side is a
-``SolveError`` before any product with the matrix.  The elastic energy
-W - F - G of the solution is then the quadratic form itself,
+``SolveError`` before any product with the matrix.  The loads are affine in t
+between the breakpoints of their tables, and so is the minimizer over a fixed
+crack set.  A CG solve at t therefore takes the load segment [tau_a, tau_b]
+holding t (the left-interval rule of ``TimeTable``), solves the crack set
+from zero at both ends, keeps the two solutions on its cache entry and
+returns (1 - w) x_a + w x_b; the residual check at t and its refinement pass
+follow as above.  An end of weight 0 is not solved, and one whose right-hand
+side is zero is 0.  A field thus depends on the crack set, t and the
+tolerance alone, never on the order of solves, and re-solving a crack set at
+a later knot of the same segment costs no CG step.  Where the tables have
+several breakpoints between two knots, a knot can cost two CG solves instead
+of one.  The elastic energy W - F - G of the solution is then the quadratic
+form itself,
 
     E_el(u) = 1/2 u.(K u) - b.u + c_eps,   c_eps = 1/2 eps^2 sum_T |T| mu_T,
 
@@ -71,7 +82,8 @@ the dual certificate.
 
 ``ElasticSolver`` keeps four caches: an LRU of at most ``_CACHE_SIZE``
 per-crack-set solve structures (DOF layout and free-block scatter, with the
-linear solve for p = q = 2), a one-entry memo of the loads at the last time
+linear solve for p = q = 2 and, on the CG path, the solutions at the two load
+breakpoints used last), a one-entry memo of the loads at the last time
 solved (boundary datum, body load per corner, surface load per surface edge),
 which every candidate of a knot shares, a one-entry memo of the last successful
 solve (crack set, time and tolerance, with its field and report), so the
@@ -147,9 +159,10 @@ class SolveReport:
     returned field: the quadratic form 1/2 u.(K u) - b.u + c_eps for
     p = q = 2 (K u formed per triangle), the quadrature of
     ``energy.elastic_energy`` otherwise.
-    ``iterations`` counts the CG steps of a CG solve (a refinement pass
-    included), one per linear solve of a direct one, and on the Newton path
-    every damped step, rejected ones included."""
+    ``iterations`` counts the CG steps a CG solve spent in this call (at
+    the load breakpoints it had not solved yet, and in a refinement pass),
+    so 0 when both ends were cached; one per linear solve of a direct one;
+    and on the Newton path every damped step, rejected ones included."""
 
     iterations: int
     residual: float
@@ -409,19 +422,21 @@ class _CrackData:
     linear solve, ``solve(rhs, atol) -> (x, iterations)``, labelled by
     ``method``: the direct ``_spd_solver`` up to ``_cg_above`` free DOFs (one
     iteration, ``atol`` unused), ``_jacobi_cg`` above, run until its residual
-    norm is below ``atol`` (its steps as the count).  Only for other
-    exponents (no forms) does the block keep its matrix positions, for the
-    Newton Hessians.
+    norm is below ``atol`` (its steps as the count).  On the CG path ``ends``
+    maps (load breakpoint index, ``atol``) to the free solution there, for
+    at most the two ends used last (``ElasticSolver._end``); it is None on
+    the direct path.  Only for other exponents (no forms) does the block keep
+    its matrix positions, for the Newton Hessians.
     """
 
-    __slots__ = ("topology", "solve", "method", "floating", "block")
+    __slots__ = ("topology", "solve", "method", "floating", "block", "ends")
     _cg_above = _DENSE_LIMIT
 
     def __init__(self, model: EnergyModel, mesh: Mesh, crack: CrackSet, forms: np.ndarray | None):
         topo = self.topology = build_topology(mesh, crack)   # validated once here
         # only a run without confinement can float a piece of the body
         self.floating = _floating_message(topo) if model.body.lam == 0.0 else None
-        self.solve = self.method = self.block = None
+        self.solve = self.method = self.block = self.ends = None
         if forms is None:
             self.block = _FreeBlock(topo)
         elif self.floating:
@@ -440,6 +455,7 @@ class _CrackData:
             diag = kff.diagonal()
             inv_diag = 1.0 / np.where(diag > 0, diag, 1.0)
             self.solve, self.method = lambda rhs, atol: _jacobi_cg(kff, inv_diag, rhs, atol), "cg"
+            self.ends = {}
 
 
 class _OpenSpace(_CrackData):
@@ -579,7 +595,7 @@ class ElasticSolver:
         self.mesh = mesh
         self.quadratic = model.p == 2.0 and model.q == 2.0
         self._cache: OrderedDict[tuple, _CrackData] = OrderedDict()
-        self._loads: tuple | None = None
+        self._loads_memo: tuple | None = None  # the loads at the last time solved
         self._open: _OpenSpace | bool | None = None   # built when ``scores`` is first read
         self._open_at: tuple | None = None     # (t, E_open, r) of the last time scored
         self._last: tuple | None = None        # ((edge ids, t, tol), (field, report)) of the last solve
@@ -590,6 +606,9 @@ class ElasticSolver:
                        if self.quadratic else None)
         # the constant of the quadratic energy identity: the bulk energy at zero gradient
         self._c_eps = 0.5 * model.bulk.epsilon**2 * float(np.sum(self._area_mu))
+        # the load breakpoints: every load is affine in t between two of them
+        self._breaks = np.unique(np.concatenate(
+            [model.boundary.table.times, model.body.table.times, model.surface.table.times]))
 
     def _data(self, crack: CrackSet) -> _CrackData:
         key = crack.edge_ids
@@ -603,18 +622,22 @@ class ElasticSolver:
             self._cache.move_to_end(key)
         return data
 
+    def _loads(self, t: float) -> tuple:
+        """(boundary datum, body load per corner, surface load per surface
+        edge) at time ``t``."""
+        mesh, model = self.mesh, self.model
+        psi = model.boundary.value(t)
+        body = np.repeat(mesh.tri_area * model.body.table.value(t) / 3.0, 3)
+        surf = mesh.edge_length[mesh.surface_edges] * model.surface.table.value(t) / 2.0
+        return psi, body, surf
+
     def _loads_at(self, t: float) -> tuple:
-        """(t, boundary datum, body load per corner, surface load per
-        surface edge) at time ``t``, read-only; a one-entry memo."""
-        loads = self._loads
+        """(t, *``_loads(t)``), read-only; a one-entry memo."""
+        loads = self._loads_memo
         if loads is None or loads[0] != t:
-            mesh, model = self.mesh, self.model
-            psi = model.boundary.value(t)
-            body = np.repeat(mesh.tri_area * model.body.table.value(t) / 3.0, 3)
-            surf = mesh.edge_length[mesh.surface_edges] * model.surface.table.value(t) / 2.0
-            for arr in (psi, body, surf):
+            loads = self._loads_memo = (t, *self._loads(t))
+            for arr in loads[1:]:
                 arr.setflags(write=False)
-            loads = self._loads = (t, psi, body, surf)
         return loads
 
     @property
@@ -671,27 +694,68 @@ class ElasticSolver:
         self._last = (key, (field, report))
         return field, report
 
+    def _system(self, data: _CrackData, psi: np.ndarray, body: np.ndarray, surf: np.ndarray):
+        """(DOF values u holding the datum ``psi``, 0 on the free DOFs, load
+        vector b) of ``data`` under the given loads."""
+        topo = data.topology
+        return topo.dirichlet_values(psi), _scatter_corner(self.mesh, topo, body, surf)
+
+    def _rhs(self, data: _CrackData, u: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The free right-hand side b_f - K_fc u_c of ``_system``'s (u, b)."""
+        topo = data.topology
+        return b[topo.free_dofs] - data.block.vector(np.einsum("tij,tj->ti", self._forms, u[topo.corner_dof]))
+
+    def _end(self, data: _CrackData, j: int, target: float):
+        """(free solution at load breakpoint ``j`` by CG to ``target``, CG
+        steps this call spent): a cached end costs none, and so does a zero
+        right-hand side (its solution is 0).  The entry keeps the two ends
+        used last."""
+        ends, key = data.ends, (j, target)
+        x = ends.pop(key, None)
+        steps = 0
+        if x is None:
+            rhs = self._rhs(data, *self._system(data, *self._loads(float(self._breaks[j]))))
+            x, steps = data.solve(rhs, target) if rhs.any() else (np.zeros_like(rhs), 0)
+        ends[key] = x
+        if len(ends) > 2:
+            del ends[next(iter(ends))]
+        return x, steps
+
+    def _interpolated(self, data: _CrackData, t: float, target: float):
+        """(free solution at ``t``, CG steps spent) from the ends of the load
+        segment [tau_a, tau_b] holding ``t`` (left-interval rule, as
+        ``TimeTable``): (1 - w) x_a + w x_b.  An end of weight 0 is not
+        solved."""
+        ts = self._breaks
+        i = min(max(int(np.searchsorted(ts, t, side="left")) - 1, 0), len(ts) - 2)
+        w = (t - ts[i]) / (ts[i + 1] - ts[i])
+        if w == 0.0 or w == 1.0:
+            return self._end(data, i + int(w), target)
+        (xa, na), (xb, nb) = self._end(data, i, target), self._end(data, i + 1, target)
+        return (1.0 - w) * xa + w * xb, na + nb
+
     def _solve_quadratic(self, data: _CrackData, t: float, tol: float):
         topo, block = data.topology, data.block
-        _, psi, body, surf = self._loads_at(t)
-        b = _scatter_corner(self.mesh, topo, body, surf)
         free, corner_dof = topo.free_dofs, topo.corner_dof
-        b_free = b[free]
-        u = topo.dirichlet_values(psi)
         # an overflow surfaces as the SolveError below, not as a numpy warning
         with np.errstate(all="ignore"):
-            rhs = b_free - block.vector(np.einsum("tij,tj->ti", self._forms, u[corner_dof]))
+            u, b = self._system(data, *self._loads_at(t)[1:])
+            b_free = b[free]
             # the CG residual is minus the free gradient checked below, so CG
             # stops at a fixed fraction of ``tol`` (a direct solve ignores it)
             target = 0.5 * tol
-            u[free], iters = data.solve(rhs, target)
+            if data.method == "cg":
+                u[free], iters = self._interpolated(data, t, target)
+            else:
+                u[free], iters = data.solve(self._rhs(data, u, b), target)
             cv = u[corner_dof]
             ku = np.einsum("tij,tj->ti", self._forms, cv)
             grad = block.vector(ku) - b_free
             res = float(np.linalg.norm(grad))
             if res > tol:
-                # rounding, or CG's drift between its recursive and true
-                # residuals: one refinement pass, then give up honestly
+                # rounding, CG's drift between its recursive and true
+                # residuals, or an interpolation off by rounding: one
+                # refinement pass, then give up honestly
                 step, more = data.solve(-grad, target)
                 u[free] += step
                 cv = u[corner_dof]

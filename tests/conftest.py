@@ -46,6 +46,13 @@ initial.crack = rect: 1, 0, 1, 0.3
 strategy.kind = {kind}
 """
 
+# the notched strip with its datum nonzero at t = 0 and kinked at the load
+# breakpoint t = 0.4, plus a body force: its CG solves interpolate between
+# two nonzero ends
+KINKED = (NOTCHED.replace("boundary.psi = 0: 0; 1: x / 2",
+                          "boundary.psi = 0: 0.05 * x; 0.4: x / 4; 1: 0.6 * x")
+          + "body.force = 0: 0.2; 1: 0\n")
+
 
 def make_strip_mesh(ny=1, brittle=("rect", (1.0, 0.0, 1.0, 1.0)), labeling=None):
     """2-cell-wide strip [0,2]x[0,1] pulled apart through the x=1 column."""

@@ -579,18 +579,24 @@ def test_cli_run_tol_reaches_the_solver(tmp_path, monkeypatch):
     *(("run", "--dt", v) for v in ("nan", "1e-300", "-0.1", "inf", "0", "ten")),
     *(("run", "--tol", v) for v in ("0", "nan", "inf", "-1")),
     *(("audit", "--tol", v) for v in ("nan", "0", "-1", "inf")),
+    *(("audit", "--max-edges", v) for v in ("-3", "-1", "1.5", "ten")),
+    *(("oracle-compare", "--max-edges", v) for v in ("-1", "2.0", "")),
 ])
 def test_cli_numeric_flag_out_of_range_is_a_usage_error(strip_run, tmp_path, capsys, command, flag,
                                                         value):
     # each must be finite and > 0; --dt 1e-300 is, but its knot count is more
-    # than numpy can allocate
+    # than numpy can allocate.  --max-edges must be an integer >= 0: a
+    # negative cap would quietly turn the audit's oracle level into the
+    # one-edge one
     cfg_path, payload = strip_run
     if command == "run":
         argv = ["run", "--config", str(cfg_path), "--out", str(tmp_path / "r.json")]
-    else:
+    elif command == "audit":
         rec_path = tmp_path / "rec.json"
         rec_path.write_text(json.dumps(payload))
         argv = ["audit", "--config", str(cfg_path), "--record", str(rec_path)]
+    else:
+        argv = [command, "--config", str(cfg_path)]
     try:
         code = main(argv + [flag, value])
     except SystemExit as exc:   # argparse's usage error

@@ -23,7 +23,7 @@ from qsfrac.minimize import (
     minimize_elastic,
 )
 
-from conftest import NOTCHED, cli_env, make_model, make_strip_mesh
+from conftest import KINKED, NOTCHED, cli_env, make_model, make_strip_mesh
 
 
 def dense_oracle(model, mesh, crack, t):
@@ -371,7 +371,7 @@ def _free_blocks():
             calls = _count_cg(patch)
             _, rep = ElasticSolver(model, mesh).solve(crack, t)
         assert rep.method == "cg"
-        yield calls[0].matrix, calls[0].rhs   # the first pass, from the boundary interpolant
+        yield calls[0].matrix, calls[0].rhs   # the solve at the load breakpoint t = 1
 
 
 def _scipy_cg(kff, rhs, atol):
@@ -417,6 +417,28 @@ def test_cg_refuses_a_non_finite_right_hand_side_at_once(monkeypatch):
     with pytest.raises(minimize.SolveError, match="not finite"):
         ElasticSolver(p.model, p.mesh).solve(p.initial_crack, 1.0)
     assert [c.products for c in calls] == [0]
+
+
+def test_cg_interpolates_across_a_load_breakpoint():
+    # the datum of the notched strip is nonzero at t = 0 and kinked at the
+    # breakpoint 0.4, with a body force: on both sides of it and at it, the
+    # field interpolated between the CG solves at the segment ends is the
+    # sparse LU solution of the same free block, to rounding
+    p = parse_config(KINKED.format(nx=20, ny=10, knots=3, kind="greedy")).build_problem()
+    solver = ElasticSolver(p.model, p.mesh)
+    assert list(solver._breaks) == [0.0, 0.4, 1.0]
+    data = solver._data(p.initial_crack)
+    lu = minimize._spd_solver(data.block.matrix(solver._forms, keep=False))
+    free = data.topology.free_dofs
+    for t in (0.3, 0.4, 0.45, 0.7):
+        u, rep = solver.solve(p.initial_crack, t)
+        exact = lu(solver._rhs(data, *solver._system(data, *solver._loads(t))))
+        assert rep.method == "cg" and rep.residual <= 1e-10
+        assert np.max(np.abs(u.values[free] - exact)) <= 1e-10 * (1.0 + np.max(np.abs(u.values)))
+        # 0.3 solves both ends of [0, 0.4], 0.4 has them, 0.45 solves 1.0,
+        # and 0.7 lies in the same segment
+        assert (rep.iterations > 0) == (t in (0.3, 0.45)), (t, rep.iterations)
+    assert sorted(data.ends) == [(1, 5e-11), (2, 5e-11)]
 
 
 def test_subquadratic_bulk_solves_to_tolerance():

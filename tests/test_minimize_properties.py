@@ -25,6 +25,12 @@ The open-space score of a crack set (the all-open minimum plus a Schur
 complement over the tie rows the set keeps, plus its surface energy) must
 agree with the solve of that crack set to the same rounding, for every
 subset of the crackable edges, wherever the solver offers the score.
+
+Above the dense limit a quadratic solve interpolates, within the load
+segment holding t, the CG solutions at its two ends, which the crack set's
+cache entry keeps.  On the notched 20 x 10 strip with a kinked datum, any
+order of solves, and any evictions, must give every field bit for bit as a
+fresh solver does.
 """
 
 import itertools
@@ -44,7 +50,7 @@ from qsfrac.evolution import _Search
 from qsfrac.mesh import crackable_edges
 from qsfrac.minimize import ElasticSolver, FloatingComponentError
 
-from conftest import make_model, make_strip_mesh
+from conftest import KINKED, make_model, make_strip_mesh
 from test_evolution_properties import _mesh, _mesh_choices
 
 _LABELINGS = (
@@ -268,3 +274,38 @@ def test_zero_confinement_with_a_floating_open_piece_keeps_the_solve_path():
     assert search.total(CrackSet.empty(), 0.5) == search._scored(CrackSet.empty(), 0.5)[1]
     with pytest.raises(FloatingComponentError):
         search.energies([CrackSet.empty(), CrackSet.of([4])], 0.5)
+
+
+_KINKED_TIMES = (0.0, 0.25, 0.4, 0.5, 0.8, 1.0)
+
+
+@pytest.fixture(scope="module")
+def kinked():
+    """(the kinked notched 20 x 10 strip, where every crack set solves by
+    CG; four crack sets: the notch, it grown by one and two column edges,
+    none; the fields of a fresh solver, filled on demand)."""
+    p = parse_config(KINKED.format(nx=20, ny=10, knots=3, kind="greedy")).build_problem()
+    x, y = p.mesh.edge_midpoint.T
+    column = sorted((e for e in crackable_edges(p.mesh) if abs(x[e] - 1.0) < 1e-9), key=lambda e: y[e])
+    notch = len(p.initial_crack.edge_ids)
+    cracks = [CrackSet.of(column[:k]) for k in (notch, notch + 1, notch + 2, 0)]
+    assert cracks[0] == p.initial_crack
+    return p, cracks, {}
+
+
+@given(st.lists(st.tuples(st.integers(0, 3), st.sampled_from(_KINKED_TIMES)), min_size=1, max_size=8),
+       st.sampled_from([None, 1]))
+@settings(max_examples=25, deadline=None)
+def test_cg_fields_do_not_depend_on_solve_order(kinked, order, cache_size):
+    p, cracks, fresh = kinked
+    with pytest.MonkeyPatch.context() as patch:
+        if cache_size:
+            patch.setattr(minimize, "_CACHE_SIZE", cache_size)
+        solver = ElasticSolver(p.model, p.mesh)
+        for k, t in order:
+            u, report = solver.solve(cracks[k], t)
+            assert report.method == "cg"
+            if (k, t) not in fresh:
+                fresh[k, t] = ElasticSolver(p.model, p.mesh).solve(cracks[k], t)[0].values
+            assert np.array_equal(u.values, fresh[k, t])
+            assert len(solver._cache) <= (cache_size or minimize._CACHE_SIZE)
