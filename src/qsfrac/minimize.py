@@ -39,13 +39,16 @@ evaluation order.  Each step solves (H + delta m I) d = -g through
 decrease steers delta, which stays 0 while full Newton steps contract the
 gradient, and grows where the curvature of a power law below exponent 2
 decays or the Hessian of a cracked-off piece is singular; a non-finite
-gradient ends the solve with a ``SolveError``.  Energy, gradient and Hessian
-come from one ``_Evaluator`` per solve, which fixes the loads at t; its
-per-triangle constants, like the quadratic forms, are built once per
+gradient ends the solve with a ``SolveError``.  Full Newton steps of a
+power law converge only linearly on a cracked-off piece that relaxes to
+zero gradient, so a taken step that lowered the energy is followed by one
+trial at its secant step length.  Energy, gradient and Hessian come from
+one ``_Evaluator`` per solve, which fixes the loads at t; its per-triangle
+constants, like the quadratic forms, are built once per
 ``ElasticSolver``.  One pass per trial point gives the energy, the gradient
-and its norm; the Hessian is assembled only after a step is accepted, at the
-point evaluated last, so a rejected step reuses it.  The reported energy is
-the quadrature of ``energy.elastic_energy`` at the returned field.
+and its norm; the Hessian is assembled only after a step is accepted, at
+the point kept, so a rejected step reuses it.  The reported energy is the
+quadrature of ``energy.elastic_energy`` at the returned field.
 
 One map, the crack set's ``_FreeBlock``, says where a triangle corner lands
 among the free DOFs.  Its ``matrix`` scatters per-triangle 3x3 matrices (the
@@ -143,6 +146,18 @@ _CACHE_SIZE = 8192   # crack sets whose solve structure ElasticSolver keeps
 _SCORE_ROWS_DENSE = 96
 _SCORE_ROWS_CG = 320
 _NEWTON_CAP = 200
+# The secant trial of a Newton step (``ElasticSolver._solve_newton``) is
+# skipped where its step length alpha is within _SECANT_SKIP of 1; alpha is
+# capped at _SECANT_MAX.  Measured on 630 strip solves (2 x 1 and 2 x 3,
+# 1.1 <= p <= 20, q in {2, 3}) and the seed-0 Newton instances of the
+# benchmark (2,094 steps without secant trials): 1/4 and 4 take 4,540 sweep
+# steps (5,722 without) and 1,343 instance steps, the worst solve slowing
+# from 32 to 48 steps.  A skip of 1/10 saves 64 more steps but costs 79 more
+# evaluations and slows one solve from 43 to 95 steps; 1/2 leaves 1,599
+# instance steps; a cap of 2 slows one solve from 83 to 159 steps, and no
+# cap takes 4,596 sweep steps.
+_SECANT_SKIP = 0.25
+_SECANT_MAX = 4.0
 
 
 class SolveError(RuntimeError):
@@ -162,7 +177,8 @@ class SolveReport:
     ``iterations`` counts the CG steps a CG solve spent in this call (at
     the load breakpoints it had not solved yet, and in a refinement pass),
     so 0 when both ends were cached; one per linear solve of a direct one;
-    and on the Newton path every damped step, rejected ones included."""
+    and on the Newton path every damped step, rejected ones included, with
+    the secant trial of a step counted in that step."""
 
     iterations: int
     residual: float
@@ -348,8 +364,9 @@ class _Evaluator:
     G^T G are the solver's); the crack set's ``_FreeBlock`` scatters the
     gradient and the Hessian.
     ``evaluate(v)`` gives the energy, the gradient and its norm at the free
-    values ``v`` from one pass, and keeps xi, s, z and the stress terms of
-    that point: ``hessian()`` assembles at the point evaluated last.  A wild
+    values ``v`` from one pass, and keeps s, z, the stress coefficient and
+    G^T xi of that point as ``terms``: ``hessian()`` assembles at the point
+    evaluated last, or at the one whose ``terms`` were put back.  A wild
     trial point gives an infinite energy, never a numpy warning.
     ``energy.elastic_energy``, ``assemble_gradient`` and ``_free_hessian``
     are the reference implementations it is tested against.
@@ -392,19 +409,20 @@ class _Evaluator:
                 local += (self.area * body.lam / 3.0 * dz)[:, None]
             grad = self.block.vector(local) - self.b_free
             res = math.sqrt(grad @ grad)   # the ddot of np.linalg.norm, which can overflow
-        self._s, self._z, self._a, self._gx = s, z, a, gx
+        self.terms = s, z, a, gx
         return (e if math.isfinite(e) else math.inf), grad, res
 
     def hessian(self):
-        """The Hessian of E on the free block at the point evaluated last:
-        dense up to ``_DENSE_LIMIT`` free DOFs, CSR above."""
-        p, s, gx = self.model.p, self._s, self._gx
+        """The Hessian of E on the free block at the point whose ``terms``
+        it holds: dense up to ``_DENSE_LIMIT`` free DOFs, CSR above."""
+        p = self.model.p
+        s, z, a, gx = self.terms
         with np.errstate(all="ignore"):
-            local = self._a[:, None, None] * self.gtg
+            local = a[:, None, None] * self.gtg
             if p != 2.0:
                 rank_one = np.where(s > 0.0, self.area_mu * (p - 2.0) * s ** ((p - 4.0) / 2.0), 0.0)
                 local += rank_one[:, None, None] * gx[:, :, None] * gx[:, None, :]
-            c = self.area * body_hessian_coeff(self.model.body, self.t, self._z)
+            c = self.area * body_hessian_coeff(self.model.body, self.t, z)
             local += (c / 9.0)[:, None, None]
             return self.block.matrix(local)
 
@@ -782,6 +800,17 @@ class ElasticSolver:
         rounding while the step still contracts the gradient; a NaN norm
         does not).  delta starts at 0, so where full steps contract this is
         plain Newton.
+
+        A taken step that lowered the energy also gives the secant step
+        length alpha = phi'(0) / (phi'(0) - phi'(1)) of
+        phi(alpha) = E(x + alpha d), from the slopes g.d and g_new.d at both
+        ends.  Where alpha > 0 and |alpha - 1| > ``_SECANT_SKIP``, the point
+        x + min(alpha, ``_SECANT_MAX``) d is evaluated once and replaces the
+        full step only if both its energy and its gradient norm are lower
+        (a cracked-off piece relaxing to zero gradient keeps 2/3 of its
+        error per full step at p = 4, and overshoots by half at p = 1.5).
+        delta follows the full step alone, the Hessian is assembled at the
+        point kept, and the secant evaluation counts with its step.
         """
         model, mesh, topo = self.model, self.mesh, data.topology
         psi = self._loads_at(t)[1]
@@ -809,7 +838,8 @@ class ElasticSolver:
                     delta = max(10.0 * delta, 1.0)
                     continue
                 trial = x + d
-                predicted = -float(g @ d) - 0.5 * float(d @ (h @ d))
+                slope = float(g @ d)   # phi'(0) of phi(alpha) = E(x + alpha d)
+                predicted = -slope - 0.5 * float(d @ (h @ d))
                 e_new, g_new, res_new = ev.evaluate(trial)
                 rho = (energy - e_new) / predicted if predicted > 0.0 else -math.inf
                 contracted = res_new <= 0.5 * res
@@ -818,6 +848,17 @@ class ElasticSolver:
                 elif rho < 0.25:
                     delta = max(10.0 * delta, 1.0)
                 if contracted or rho > 1e-4:
+                    # the secant step length from phi'(0) and phi'(1) = g_new.d
+                    drop = slope - float(g_new @ d)
+                    alpha = slope / drop if drop < 0.0 else 0.0
+                    if e_new < energy and alpha > 0.0 and abs(alpha - 1.0) > _SECANT_SKIP:
+                        terms = ev.terms
+                        point = x + min(alpha, _SECANT_MAX) * d
+                        e_sec, g_sec, res_sec = ev.evaluate(point)
+                        if e_sec < e_new and res_sec < res_new:
+                            trial, e_new, g_new, res_new = point, e_sec, g_sec, res_sec
+                        else:   # the next Hessian is the full step's
+                            ev.terms = terms
                     x, energy, g, res, h = trial, e_new, g_new, res_new, None
             else:
                 raise SolveError(f"Newton did not reach tol {tol:.3e} within {_NEWTON_CAP} steps")

@@ -31,6 +31,14 @@ segment holding t, the CG solutions at its two ends, which the crack set's
 cache entry keeps.  On the notched 20 x 10 strip with a kinked datum, any
 order of solves, and any evictions, must give every field bit for bit as a
 fresh solver does.
+
+For other exponents the damped Newton loop, with the secant trial after each
+full step that lowers the energy, must reach its tolerance on the 2 x 1 and
+2 x 3 strips for p from 1.1 to 20 (epsilon = 1e-6 below 2), q in {2, 3},
+lambda in {0, 1e-2, 0.5}, any t in (0, 1] and no crack, the first crackable
+edge or all of them.  The dual certificate of each field, which does not use
+the solver, must close: an annihilation residual of at most 1e-8 and a gap
+of at most 1e-8 (1 + |primal|).
 """
 
 import itertools
@@ -39,10 +47,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qsfrac import minimize
+from qsfrac.audit import dual_certificate
 from qsfrac.broken import CrackSet
 from qsfrac.config import parse_config
 from qsfrac.energy import TimeTable, Toughness, elastic_energy, surface_energy, total_energy
@@ -309,3 +318,23 @@ def test_cg_fields_do_not_depend_on_solve_order(kinked, order, cache_size):
                 fresh[k, t] = ElasticSolver(p.model, p.mesh).solve(cracks[k], t)[0].values
             assert np.array_equal(u.values, fresh[k, t])
             assert len(solver._cache) <= (cache_size or minimize._CACHE_SIZE)
+
+
+_STRIPS = {ny: make_strip_mesh(ny) for ny in (1, 3)}
+
+
+@given(st.sampled_from((1, 3)), st.sampled_from((1.1, 1.3, 1.5, 2.0, 2.5, 3.0, 4.0, 6.0, 8.0, 12.0, 20.0)),
+       st.sampled_from((2.0, 3.0)), st.sampled_from((0.0, 1e-2, 0.5)),
+       st.floats(0.0, 1.0, exclude_min=True), st.integers(0, 2))
+@settings(max_examples=60, deadline=None)
+def test_newton_solve_closes_its_dual_certificate(ny, p, q, lam, t, which):
+    assume(not p == q == 2.0)
+    mesh = _STRIPS[ny]
+    edges = [int(e) for e in crackable_edges(mesh)]
+    crack = CrackSet.of([[], edges[:1], edges][which])
+    model = make_model(mesh, p=p, q=q, lam=lam, eps=1e-6 if p < 2.0 else 0.0)
+    u, rep = ElasticSolver(model, mesh).solve(crack, t)
+    assert rep.method == "newton" and rep.residual <= 1e-10
+    c = dual_certificate(model, mesh, crack, t, u)
+    assert c.annihilation_residual <= 1e-8
+    assert abs(c.fenchel_gap) <= 1e-8 * (1.0 + abs(c.primal_value))
