@@ -41,7 +41,6 @@ from .broken import (
 from .config import ConfigError, RunConfig, config_hash, load_config, parse_config
 from .energy import (
     BodyPotential,
-    BoundaryProgram,
     BulkLaw,
     EnergyModel,
     SurfacePotential,

@@ -35,8 +35,8 @@ import numpy as np
 
 from .broken import BrokenField, CrackSet, DofTopology, default_jump_tol, jump_support, trace_on_surface_part
 from .energy import (
-    BoundaryProgram,
     EnergyModel,
+    TimeTable,
     body_conjugate_density,
     bulk_conjugate_density,
     elastic_energy,
@@ -336,7 +336,7 @@ class StructureResult:
     result: CheckResult
 
 
-def check_structure(record: EvolutionRecord, boundary: BoundaryProgram,
+def check_structure(record: EvolutionRecord, boundary: TimeTable,
                     tol: float | None = None) -> StructureResult:
     """Verify that each crack set equals the initial crack united with all
     past jump supports, as exact edge sets.

@@ -238,6 +238,9 @@ def cmd_envelope(args) -> int:
     problem = _load_problem(args)
     record = EvolutionRecord.load(args.record, problem.mesh, problem.model)
     _verify_hashes(record, problem)
+    if not record.complete:
+        raise RecordError(f"{args.record} is an incomplete record, which has no envelope: the "
+                          f"run stopped after {len(record)} of {len(problem.grid)} configured knots")
     jumps = record.jump_knots()
     fn = left_envelope if args.side == "left" else right_envelope
     out_record = fn(record, problem.model, problem.mesh)

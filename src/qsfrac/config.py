@@ -4,7 +4,7 @@ A config is plain text, one ``key = value`` per line, ``#`` comments allowed.
 Load tables are written as ``time: value; time: value; ...`` knot lists and
 interpolated linearly in time; each value is a number or an expression in the
 spatial coordinates ``x`` and ``y`` (evaluated at mesh vertices for the
-boundary program, triangle midpoints for the body load, and surface-edge
+boundary datum, triangle midpoints for the body load, and surface-edge
 midpoints for the surface load).
 
 The config hash is taken over the canonically sorted, whitespace-normalized
@@ -37,7 +37,6 @@ import numpy as np
 from .broken import CrackSet
 from .energy import (
     BodyPotential,
-    BoundaryProgram,
     BulkLaw,
     EnergyModel,
     SurfacePotential,
@@ -237,8 +236,9 @@ class RunConfig:
         version = self._int("version")
         if version != CONFIG_VERSION:
             raise ConfigError(f"version: unsupported config version {version}")
-        for key in ("mesh.nx", "mesh.ny", "mesh.width", "mesh.height", "time.horizon"):
+        for key in ("mesh.nx", "mesh.ny", "mesh.width", "mesh.height"):
             self._float(key)
+        self._positive("time.horizon")
         if "time.knots" not in self.raw and "time.grid" not in self.raw:
             raise ConfigError("missing required key 'time.knots' (or 'time.grid')")
 
@@ -271,8 +271,6 @@ class RunConfig:
 
     def _table(self, key: str, points: np.ndarray, horizon: float) -> TimeTable:
         pairs = self._table_pairs(key)
-        if pairs[0][0] != 0.0:
-            raise ConfigError(f"{key}: the first table knot must be at time 0")
         if len(pairs) == 1:
             # single entry: constant-in-time load over the whole horizon
             pairs = [pairs[0], (horizon, pairs[0][1])]
@@ -281,7 +279,10 @@ class RunConfig:
                 f"{key}: table ends at {pairs[-1][0]} before time.horizon = {horizon}"
             )
         rows = [(t, _eval_at(expr, key, points)) for t, expr in pairs]
-        return TimeTable.build(rows, len(points))
+        try:
+            return TimeTable.build(rows, len(points))
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from None
 
     def build_mesh(self) -> Mesh:
         labeling = {}
@@ -361,7 +362,7 @@ class RunConfig:
                     "surface.force", mesh.edge_midpoint[mesh.boundary_edges], horizon).samples):
                 raise ConfigError("surface.force: nonzero load but mesh.surface names no side")
             surface = SurfacePotential(self._table("surface.force", surf_pts, horizon), r=r)
-            boundary = BoundaryProgram(self._table("boundary.psi", mesh.vertices, horizon))
+            boundary = self._table("boundary.psi", mesh.vertices, horizon)
             model = EnergyModel(bulk=bulk, toughness=tough, body=body,
                                 surface=surface, boundary=boundary)
             model.validate(mesh)
@@ -388,8 +389,12 @@ class RunConfig:
 
     def build_strategy(self) -> SearchStrategy:
         kind = self._get("strategy.kind", "brute_force")
+        max_edges = self._int("strategy.max_edges", 20)
+        if max_edges < 0:
+            raise ConfigError(f"strategy.max_edges: expected an integer >= 0, "
+                              f"got {self._get('strategy.max_edges')!r}")
         try:
-            return SearchStrategy(kind=kind, max_bruteforce_edges=self._int("strategy.max_edges", 20))
+            return SearchStrategy(kind=kind, max_bruteforce_edges=max_edges)
         except ValueError as exc:
             raise ConfigError(f"strategy: {exc}") from None
 

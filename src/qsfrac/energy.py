@@ -11,12 +11,15 @@ hypothesis of the model:
   convex whenever the confinement lam is positive,
 * surface potential G(t, x, z) = g(t, x) z on the surface-force boundary.
 
-All loads and the boundary program are piecewise linear in time ("time
-tables"), which makes the time-regularity hypotheses exact: rates are
-piecewise constant, and at a grid knot the rate takes the left-interval
-value.  Quadrature is one-point (midpoint) per triangle and per boundary
-edge; with linear elements this is exact for every integrand that is linear
-on the element, and it *defines* the discrete functionals elsewhere.
+The loads and the boundary datum psi are ``TimeTable``s, piecewise linear in
+time, which makes the time-regularity hypotheses exact: rates are piecewise
+constant, and at a grid knot the rate takes the left-interval value.  This
+module owns the time axis: the knot check (``check_knots``), the segment
+rule (``segment``) and the load breakpoints (``EnergyModel.breakpoints``).
+
+Quadrature is one-point (midpoint) per triangle and per boundary edge; with
+linear elements this is exact for every integrand that is linear on the
+element, and it *defines* the discrete functionals elsewhere.
 
 All operations are pure functions of immutable inputs.
 """
@@ -33,11 +36,12 @@ from .mesh import Mesh
 
 __all__ = [
     "TimeTable",
+    "check_knots",
+    "segment",
     "BulkLaw",
     "Toughness",
     "BodyPotential",
     "SurfacePotential",
-    "BoundaryProgram",
     "EnergyModel",
     "bulk_energy_density",
     "stress",
@@ -68,13 +72,33 @@ _TOUGHNESS_KINDS = ("isotropic", "weighted_l1", "elliptic")
 # piecewise-linear-in-time tables
 # ---------------------------------------------------------------------------
 
+def check_knots(times) -> np.ndarray:
+    """``times`` as a float array, checked to start at 0 and to increase
+    strictly: the knots of every ``TimeTable`` and of an evolution's grid."""
+    times = np.asarray(times, dtype=float)
+    if not len(times) or times[0] != 0.0:
+        raise ValueError("time knots must start at t = 0")
+    if np.any(np.diff(times) <= 0):
+        raise ValueError("time knots must be strictly increasing")
+    return times
+
+
+def segment(times: np.ndarray, t: float) -> tuple[int, float]:
+    """(i, w): ``t`` = (1 - w) times[i] + w times[i+1], with t in the interval
+    ending at it when it is a knot (left-interval rule), except at the first
+    knot, which only the first interval holds."""
+    if t < times[0] - 1e-12 or t > times[-1] + 1e-12:
+        raise ValueError(f"time {t} outside table range [{times[0]}, {times[-1]}]")
+    i = min(max(int(np.searchsorted(times, t, side="left")) - 1, 0), len(times) - 2)
+    return i, (t - times[i]) / (times[i + 1] - times[i])
+
+
 @dataclass(frozen=True)
 class TimeTable:
     """Piecewise-linear interpolation of spatial arrays over time knots.
 
     Rates are piecewise constant; at a knot the rate is taken from the
-    interval ending there (left-interval convention), except at t = 0 where
-    only the first interval exists.
+    interval ending there (``segment``).
     """
 
     times: np.ndarray    # (k,)
@@ -82,17 +106,11 @@ class TimeTable:
 
     @classmethod
     def build(cls, pairs: Sequence[tuple[float, object]], size: int) -> "TimeTable":
-        """From [(t, value)] pairs; each value is a scalar or an (size,) array."""
-        if not pairs:
-            raise ValueError("time table needs at least one (t, value) pair")
-        times = np.asarray([float(t) for t, _ in pairs])
-        if len(times) == 1:
-            times = np.array([times[0], times[0] + 1.0])
-            pairs = [pairs[0], pairs[0]]
-        if times[0] != 0.0:
-            raise ValueError("time tables must start at t = 0")
-        if np.any(np.diff(times) <= 0):
-            raise ValueError("time table knots must be strictly increasing")
+        """From [(t, value)] pairs, at least two; each value is a scalar or an
+        (size,) array."""
+        if len(pairs) < 2:
+            raise ValueError("a time table needs at least two (t, value) pairs")
+        times = check_knots([float(t) for t, _ in pairs])
         rows = []
         for _, v in pairs:
             arr = np.asarray(v, dtype=float)
@@ -105,20 +123,12 @@ class TimeTable:
     def constant(cls, value, size: int, horizon: float = 1.0) -> "TimeTable":
         return cls.build([(0.0, value), (float(horizon), value)], size)
 
-    def _segment(self, t: float) -> int:
-        ts = self.times
-        if t < ts[0] - 1e-12 or t > ts[-1] + 1e-12:
-            raise ValueError(f"time {t} outside table range [{ts[0]}, {ts[-1]}]")
-        i = int(np.searchsorted(ts, t, side="left")) - 1
-        return min(max(i, 0), len(ts) - 2)
-
     def value(self, t: float) -> np.ndarray:
-        i = self._segment(t)
-        w = (t - self.times[i]) / (self.times[i + 1] - self.times[i])
+        i, w = segment(self.times, t)
         return (1.0 - w) * self.samples[i] + w * self.samples[i + 1]
 
     def rate(self, t: float) -> np.ndarray:
-        i = self._segment(t)
+        i, _ = segment(self.times, t)
         return (self.samples[i + 1] - self.samples[i]) / (self.times[i + 1] - self.times[i])
 
     @property
@@ -328,7 +338,7 @@ def edge_surface_energies(tough: Toughness, mesh: Mesh, edge_ids) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# body and surface potentials, boundary program
+# body and surface potentials
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -446,41 +456,24 @@ def surface_rate(pot: SurfacePotential, t: float, trace: np.ndarray, mesh: Mesh)
     return float(np.sum(mesh.edge_length[ids] * pot.table.rate(t) * np.asarray(trace)))
 
 
-@dataclass(frozen=True)
-class BoundaryProgram:
-    """Imposed boundary deformation and its extension to the whole mesh.
-
-    Stored as a time table of nodal arrays: piecewise linear in space (the
-    usual hat-function interpolant) and piecewise linear in time, hence
-    Lipschitz with a rate defined on every subinterval.
-    """
-
-    table: TimeTable     # per-vertex samples
-
-    def value(self, t: float) -> np.ndarray:
-        return self.table.value(t)
-
-    def rate(self, t: float) -> np.ndarray:
-        return self.table.rate(t)
-
-    @property
-    def horizon(self) -> float:
-        return self.table.horizon
-
-
 # ---------------------------------------------------------------------------
 # the assembled model
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class EnergyModel:
-    """Bundle of bulk law, toughness, load potentials and boundary program."""
+    """Bundle of bulk law, toughness, load potentials and boundary datum.
+
+    The boundary datum psi(t) is a table of nodal arrays: piecewise linear in
+    space (the usual hat-function interpolant) and in time, hence Lipschitz
+    with a rate on every interval.
+    """
 
     bulk: BulkLaw
     toughness: Toughness
     body: BodyPotential
     surface: SurfacePotential
-    boundary: BoundaryProgram
+    boundary: TimeTable   # per-vertex samples of psi
 
     @property
     def p(self) -> float:
@@ -493,6 +486,14 @@ class EnergyModel:
     @property
     def r(self) -> float:
         return self.surface.r
+
+    @property
+    def breakpoints(self) -> np.ndarray:
+        """The load breakpoints: the sorted union of the knots of psi and of
+        the body and surface loads.  Every load is affine in t between two
+        of them."""
+        return np.unique(np.concatenate(
+            [self.boundary.times, self.body.table.times, self.surface.table.times]))
 
     def validate(self, mesh: Mesh) -> list[str]:
         """Shape checks against the mesh; returns non-conformance warnings.
@@ -508,8 +509,8 @@ class EnergyModel:
             raise ValueError("body load table does not match the triangle count")
         if self.surface.table.samples.shape[1] != len(mesh.surface_edges):
             raise ValueError("surface load table does not match the surface edge count")
-        if self.boundary.table.samples.shape[1] != mesh.n_vertices:
-            raise ValueError("boundary program does not match the vertex count")
+        if self.boundary.samples.shape[1] != mesh.n_vertices:
+            raise ValueError("boundary datum does not match the vertex count")
         horizons = {self.body.table.horizon, self.surface.table.horizon, self.boundary.horizon}
         if len(horizons) > 1:
             raise ValueError(f"load tables cover different time horizons: {sorted(horizons)}")
@@ -616,9 +617,10 @@ def validate_growth(model: EnergyModel, mesh: Mesh, samples: int = 2000, seed: i
     """Certify the growth and bound hypotheses of the model on sampled data.
 
     Every inequality of the model family is evaluated on deterministic plus
-    seeded random samples; each check reports the constants used and the worst
-    margin (left side minus right side, oriented so nonnegative means the
-    bound holds).  A zero confinement makes the coercivity check fail, which
+    seeded random samples, at the load breakpoints (where every load norm and
+    rate norm takes its maximum) and at 5 random times; each check reports
+    the constants used and the worst margin (left side minus right side,
+    oriented so nonnegative means the bound holds).  A zero confinement makes the coercivity check fail, which
     marks the model non-conforming without blocking its use.
     """
     if samples < 1:
@@ -674,10 +676,7 @@ def validate_growth(model: EnergyModel, mesh: Mesh, samples: int = 2000, seed: i
     checks.append(_margin_check("toughness_upper", {"K2": k2}, k2 - kv, scale=k2))
 
     # body potential bounds; norms and functionals share the same quadrature
-    t_samples = np.unique(np.concatenate([
-        model.boundary.table.times,
-        rng.uniform(0.0, model.boundary.horizon, 5),
-    ]))
+    t_samples = np.unique(np.concatenate([model.breakpoints, rng.uniform(0.0, model.boundary.horizon, 5)]))
     t_samples = t_samples[(t_samples >= 0) & (t_samples <= model.boundary.horizon)]
     f_dual = max(
         lq_norm_tri(mesh, body.table.value(t), body.q_conj) for t in t_samples

@@ -44,6 +44,7 @@ from .broken import BrokenField, CrackSet, build_topology
 from .energy import (
     EnergyModel,
     body_rate,
+    check_knots,
     edge_surface_energies,
     stress_triple,
     surface_rate,
@@ -130,14 +131,7 @@ class TimeGrid:
     knots: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "knots", np.asarray(self.knots, dtype=float))
-        k = self.knots
-        if len(k) < 1:
-            raise ValueError("time grid needs at least one knot")
-        if k[0] != 0.0:
-            raise ValueError("time grid must start at 0")
-        if np.any(np.diff(k) <= 0):
-            raise ValueError("time grid knots must be strictly increasing")
+        object.__setattr__(self, "knots", check_knots(self.knots))
 
     @classmethod
     def uniform(cls, horizon: float, n_knots: int) -> "TimeGrid":
@@ -184,7 +178,7 @@ _ENERGY_KEYS = ("W", "Es", "F", "G", "total")
 def sample_power_terms(model: EnergyModel, mesh: Mesh, t: float, u: BrokenField) -> dict:
     """The five power terms driving the energy balance, sampled at time t.
 
-    Rates of the boundary program and of the loads take their left-interval
+    Rates of the boundary datum and of the loads take their left-interval
     values at knots.  The net external power is
     stress_power - body_coupling - body_rate - surface_coupling - surface_rate.
     """

@@ -14,9 +14,9 @@ gradient the solve checks against its tolerance, so one pass stops at half
 that tolerance; a refinement pass guards against drift between the
 recursive and the true residual, and a non-finite right-hand side is a
 ``SolveError`` before any product with the matrix.  The loads are affine in t
-between the breakpoints of their tables, and so is the minimizer over a fixed
-crack set.  A CG solve at t therefore takes the load segment [tau_a, tau_b]
-holding t (the left-interval rule of ``TimeTable``), solves the crack set
+between the load breakpoints (``EnergyModel.breakpoints``), and so is the
+minimizer over a fixed crack set.  A CG solve at t therefore takes the load
+segment [tau_a, tau_b] holding t (``energy.segment``), solves the crack set
 from zero at both ends, keeps the two solutions on its cache entry and
 returns (1 - w) x_a + w x_b; the residual check at t and its refinement pass
 follow as above.  An end of weight 0 is not solved, and one whose right-hand
@@ -117,6 +117,7 @@ from .energy import (
     EnergyModel,
     body_hessian_coeff,
     elastic_energy,
+    segment,
     stress_jacobian,
     stress_triple,
 )
@@ -624,9 +625,7 @@ class ElasticSolver:
                        if self.quadratic else None)
         # the constant of the quadratic energy identity: the bulk energy at zero gradient
         self._c_eps = 0.5 * model.bulk.epsilon**2 * float(np.sum(self._area_mu))
-        # the load breakpoints: every load is affine in t between two of them
-        self._breaks = np.unique(np.concatenate(
-            [model.boundary.table.times, model.body.table.times, model.surface.table.times]))
+        self._breaks = model.breakpoints
 
     def _data(self, crack: CrackSet) -> _CrackData:
         key = crack.edge_ids
@@ -741,12 +740,9 @@ class ElasticSolver:
 
     def _interpolated(self, data: _CrackData, t: float, target: float):
         """(free solution at ``t``, CG steps spent) from the ends of the load
-        segment [tau_a, tau_b] holding ``t`` (left-interval rule, as
-        ``TimeTable``): (1 - w) x_a + w x_b.  An end of weight 0 is not
-        solved."""
-        ts = self._breaks
-        i = min(max(int(np.searchsorted(ts, t, side="left")) - 1, 0), len(ts) - 2)
-        w = (t - ts[i]) / (ts[i + 1] - ts[i])
+        segment [tau_a, tau_b] holding ``t`` (``segment``): (1 - w) x_a +
+        w x_b.  An end of weight 0 is not solved."""
+        i, w = segment(self._breaks, t)
         if w == 0.0 or w == 1.0:
             return self._end(data, i + int(w), target)
         (xa, na), (xb, nb) = self._end(data, i, target), self._end(data, i + 1, target)

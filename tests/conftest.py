@@ -16,7 +16,6 @@ from qsfrac.broken import CrackSet
 from qsfrac.corpus import CORPUS, build_config
 from qsfrac.energy import (
     BodyPotential,
-    BoundaryProgram,
     BulkLaw,
     EnergyModel,
     SurfacePotential,
@@ -96,7 +95,7 @@ def make_model(mesh, *, p=2.0, q=2.0, r=2.0, mu=1.0, eps=0.0, lam=1e-3,
         toughness=kappa,
         body=BodyPotential(f, lam=lam, q=q),
         surface=SurfacePotential(g, r=r),
-        boundary=BoundaryProgram(psi),
+        boundary=psi,
     )
 
 

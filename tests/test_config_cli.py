@@ -462,6 +462,35 @@ def test_non_finite_config_value_names_its_key(line):
         parse_config(BASE + line + "\n").build_problem()
 
 
+@pytest.mark.parametrize("key", ["boundary.psi", "body.force", "surface.force"])
+@pytest.mark.parametrize("table, message", [
+    ("0: 0; 0.5: 0; 0.5: 0; 1: 0", "time knots must be strictly increasing"),
+    ("0: 0; 0.6: 0; 0.5: 0; 1: 0", "time knots must be strictly increasing"),
+    ("0.2: 0; 1: 0", "time knots must start at t = 0"),
+])
+def test_a_bad_table_names_its_key(key, table, message):
+    text = "".join(line + "\n" for line in BASE.splitlines() if not line.startswith(key))
+    with pytest.raises(ConfigError, match=f"^{key}: {message}$"):
+        parse_config(text + f"{key} = {table}\n").build_problem()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("time.horizon = 0", "time.horizon: expected a finite number > 0"),
+    ("time.horizon = -1", "time.horizon: expected a finite number > 0"),
+    ("strategy.max_edges = -1", "strategy.max_edges: expected an integer >= 0"),
+    ("strategy.max_edges = 1.5", "strategy.max_edges: expected an integer"),
+])
+@pytest.mark.parametrize("kind", ["brute_force", "greedy"])
+def test_time_and_search_inputs_fail_at_the_boundary_naming_their_key(line, message, kind):
+    # on the corpus strip a horizon of 0 used to fail only inside the
+    # implicit one-entry surface.force table, and a negative edge cap only
+    # once a brute-force search ran (a greedy run accepted it)
+    key = line.split(" = ")[0]
+    text = "".join(l + "\n" for l in config_text("strip", 9).splitlines() if not l.startswith(key))
+    with pytest.raises(ConfigError, match=message):
+        parse_config(text + f"{line}\nstrategy.kind = {kind}\n").build_problem()
+
+
 def test_brittle_edge_ids_select_the_same_crackable_edges_as_a_rectangle(tmp_path, capsys):
     by_rect = parse_config(BASE).build_problem()
     by_ids = parse_config(BASE.replace("rect: 1, 0, 1, 1", "edges: 4")).build_problem()
@@ -542,6 +571,21 @@ def test_cli_envelope(tmp_path, capsys):
                  "--side", "right", "--out", str(both_path)])
     assert code == 0
     assert "sandwich: input inside the right envelope at every knot: True" in capsys.readouterr().out
+
+
+def test_cli_envelope_of_a_partial_record_is_a_usage_error(strip_run, tmp_path, capsys):
+    # what a failed run writes: the first knots of the grid, marked incomplete
+    cfg_path, payload = strip_run
+    payload = dict(payload, complete=False, grid=payload["grid"][:3], knots=payload["knots"][:3])
+    rec_path = tmp_path / "partial.json"
+    rec_path.write_text(json.dumps(payload))
+    for side in ("left", "right"):
+        assert main(["envelope", "--config", str(cfg_path), "--record", str(rec_path),
+                     "--side", side, "--out", str(tmp_path / "env.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {rec_path} is an incomplete record, which has no envelope"), err
+        assert "stopped after 3 of 5 configured knots" in err
+    assert not (tmp_path / "env.json").exists()
 
 
 def test_cli_run_overrides(tmp_path, capsys):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from qsfrac.broken import BrokenField, CrackSet, build_topology, trace_on_surface_part
-from qsfrac.corpus import CORPUS, build_config
+from qsfrac.config import parse_config
+from qsfrac.corpus import CORPUS, build_config, config_text
 from qsfrac.energy import (
     BodyPotential,
     BulkLaw,
@@ -15,13 +16,18 @@ from qsfrac.energy import (
     body_value_and_gradient,
     bulk_conjugate_density,
     bulk_energy_density,
+    lq_norm_tri,
+    lr_norm_surface,
+    segment,
     stress,
     surface_energy,
     surface_rate,
     surface_value_and_gradient,
     validate_growth,
 )
+from qsfrac.evolution import TimeGrid
 from qsfrac.mesh import build_structured_mesh
+from qsfrac.minimize import ElasticSolver
 
 from conftest import make_model, make_strip_mesh
 
@@ -390,6 +396,50 @@ def test_time_table_left_interval_rates():
         TimeTable.build([(0.1, 0.0), (1.0, 1.0)], 1)
 
 
+@pytest.mark.parametrize("knots, message", [
+    ([0.1, 0.5], "must start at t = 0"),
+    ([-1.0, 0.0], "must start at t = 0"),
+    ([0.0, 0.5, 0.5], "strictly increasing"),
+    ([0.0, 0.6, 0.5], "strictly increasing"),
+])
+def test_time_grid_and_time_table_check_their_knots_alike(knots, message):
+    with pytest.raises(ValueError, match=message) as grid_err:
+        TimeGrid(np.array(knots))
+    with pytest.raises(ValueError, match=message) as table_err:
+        TimeTable.build([(t, 0.0) for t in knots], 1)
+    assert str(grid_err.value) == str(table_err.value)
+
+
+def test_a_one_pair_time_table_raises():
+    # a single entry has no horizon of its own: the config extends it to
+    # time.horizon before it builds the table
+    with pytest.raises(ValueError, match="at least two"):
+        TimeTable.build([(0.0, 1.0)], 3)
+
+
+def test_segment_is_the_left_interval_rule_of_every_table():
+    tab = TimeTable.build([(0.0, 0.0), (0.5, 1.0), (1.0, 3.0)], 1)
+    assert segment(tab.times, 0.0) == (0, 0.0)
+    assert segment(tab.times, 0.5) == (0, 1.0)     # a knot ends its interval
+    assert segment(tab.times, 0.75) == (1, 0.5)
+    assert segment(tab.times, 1.0) == (1, 1.0)
+    for t in (0.0, 0.2, 0.5, 0.9, 1.0):
+        i, w = segment(tab.times, t)
+        assert tab.value(t)[0] == (1.0 - w) * tab.samples[i, 0] + w * tab.samples[i + 1, 0]
+    with pytest.raises(ValueError, match="outside table range"):
+        segment(tab.times, -0.1)
+
+
+def test_breakpoints_are_the_sorted_union_of_the_table_knots():
+    mesh = make_strip_mesh()
+    nv, nt = mesh.n_vertices, mesh.n_triangles
+    model = make_model(
+        mesh, psi=TimeTable.build([(0.0, 0.0), (0.4, 1.0), (1.0, 1.0)], nv),
+        f=TimeTable.build([(0.0, 0.0), (0.7, 1.0), (0.9, 1.0), (1.0, 0.0)], nt))
+    assert model.breakpoints.tolist() == [0.0, 0.4, 0.7, 0.9, 1.0]
+    assert ElasticSolver(model, mesh)._breaks.tolist() == model.breakpoints.tolist()
+
+
 # ---------------------------------------------------------------------------
 # growth validation
 # ---------------------------------------------------------------------------
@@ -419,6 +469,37 @@ def test_growth_zero_confinement_flagged():
     check = report["body_coercivity"]
     assert not check.passed
     assert "lam" in check.note
+
+
+@pytest.mark.parametrize("name, key", [("strip", "body.force"), ("surface_pull", "surface.force")])
+def test_growth_constants_are_the_load_maxima_over_the_breakpoints(name, key):
+    # a load that jumps on [0.7, 0.75] and nowhere else: the rate constants
+    # must see that segment, whatever the seed draws.  Each rate is constant
+    # on a segment and taken at the knot ending it, and each value norm is
+    # largest at a knot, so the maxima over the breakpoints are exact
+    text = "\n".join(line for line in config_text(name, 9).splitlines()
+                     if not line.startswith(key))
+    p = parse_config(text + f"\n{key} = 0: 0; 0.7: 0.1; 0.75: 5; 1: 5\n").build_problem()
+    model, mesh = p.model, p.mesh
+    ts = model.breakpoints
+    assert ts.tolist() == [0.0, 0.7, 0.75, 1.0]
+    body, surf = model.body, model.surface
+    qdot = (1.0 + body.q) / 2.0
+    f_dual = max(lq_norm_tri(mesh, body.table.value(t), body.q_conj) for t in ts)
+    fdot_dual = max(lq_norm_tri(mesh, body.table.rate(t), qdot / (qdot - 1.0)) for t in ts)
+    g_dual = max(lr_norm_surface(mesh, surf.table.value(t), surf.r_conj) for t in ts)
+    gdot_dual = max(lr_norm_surface(mesh, surf.table.rate(t), surf.r_conj) for t in ts)
+    for seed in range(6):
+        report = validate_growth(model, mesh, seed=seed)
+        assert report.passed, report.summary()
+        assert report["body_gradient_bound"].constants["b2_F"] == f_dual
+        assert report["body_rate_bound"].constants["a3_F"] == fdot_dual
+        if len(mesh.surface_edges):
+            assert report["surface_gradient_bound"].constants["b2_G"] == g_dual
+            assert report["surface_rate_bound"].constants["a3_G"] == gdot_dual
+    # the steep segment sets the rate constant of the jumping load
+    rate = fdot_dual if key == "body.force" else gdot_dual
+    assert rate > 50.0
 
 
 def test_growth_passes_on_the_corpus():
