@@ -33,17 +33,26 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .broken import BrokenField, CrackSet, DofTopology, default_jump_tol, jump_support, trace_on_surface_part
+from .broken import (
+    BrokenField,
+    CrackSet,
+    DofTopology,
+    corner_gradients,
+    corner_trace,
+    default_jump_tol,
+    jump_support,
+    trace_on_surface_part,
+)
 from .energy import (
     EnergyModel,
     TimeTable,
+    _elastic_energy,
+    _stress_triple,
     body_conjugate_density,
     bulk_conjugate_density,
-    elastic_energy,
     lq_norm_tri,
     lr_norm_surface,
     stress,
-    stress_triple,
     total_energy,
 )
 from .evolution import BRUTE_FORCE, GREEDY, EvolutionRecord, SearchStrategy, _Search, net_power, tie_tolerance
@@ -439,7 +448,9 @@ def dual_certificate(model: EnergyModel, mesh: Mesh, crack: CrackSet, t: float,
     area = mesh.tri_area
     tri = np.arange(mesh.n_triangles)
 
-    sig1, sig2, sig3 = stress_triple(model, mesh, t, u)
+    cv = u.corner_values()
+    grads, z, trace = corner_gradients(mesh, cv), cv.mean(axis=1), corner_trace(mesh, cv)
+    sig1, sig2, sig3 = _stress_triple(model, mesh, t, grads, z)
     rho = assemble_pairing(mesh, topo, sig1, sig2, sig3)[free]
     residual = float(np.linalg.norm(rho))
 
@@ -458,16 +469,16 @@ def dual_certificate(model: EnergyModel, mesh: Mesh, crack: CrackSet, t: float,
     post = assemble_pairing(mesh, topo, sig1_hat, sig2_hat, sig3)[free]
     post_residual = float(np.linalg.norm(post))
 
-    primal, _ = elastic_energy(model, mesh, t, u)
+    primal, _ = _elastic_energy(model, mesh, t, grads, z, trace)
     # the surface potential is linear, so its conjugate is the indicator of
     # {sigma3 = -g}; sig3 is left uncorrected and contributes 0
     conj = float(np.sum(area * bulk_conjugate_density(model.bulk, tri, sig1_hat)))
     conj += float(np.sum(area * body_conjugate_density(model.body, t, sig2_hat)))
-    pairing = float(np.sum(area * np.einsum("tk,tk->t", sig1_hat, u.gradients())))
-    pairing += float(np.sum(area * sig2_hat * u.tri_means()))
+    pairing = float(np.sum(area * np.einsum("tk,tk->t", sig1_hat, grads)))
+    pairing += float(np.sum(area * sig2_hat * z))
     ids = mesh.surface_edges
     if len(ids):
-        pairing += float(np.sum(mesh.edge_length[ids] * sig3 * trace_on_surface_part(u)))
+        pairing += float(np.sum(mesh.edge_length[ids] * sig3 * trace))
     gap = primal + conj - pairing
 
     return DualCertificate(

@@ -31,6 +31,8 @@ __all__ = [
     "DofTopology",
     "BrokenField",
     "build_topology",
+    "corner_gradients",
+    "corner_trace",
     "gradient",
     "jump_across_edge",
     "jump_support",
@@ -210,8 +212,19 @@ class BrokenField:
         return self.corner_values().mean(axis=1)
 
     def gradients(self) -> np.ndarray:
-        cv = self.corner_values()
-        return np.einsum("tki,ti->tk", self.topology.mesh.grad_op, cv)
+        return corner_gradients(self.topology.mesh, self.corner_values())
+
+
+def corner_gradients(mesh: Mesh, cv: np.ndarray) -> np.ndarray:
+    """Per-triangle gradients of the linear interpolants of the
+    (n_triangles, 3) corner values ``cv``."""
+    return np.einsum("tki,ti->tk", mesh.grad_op, cv)
+
+
+def corner_trace(mesh: Mesh, cv: np.ndarray) -> np.ndarray:
+    """Midpoint traces on the surface-force edges of the (n_triangles, 3)
+    corner values ``cv``, ordered like ``mesh.surface_edges``."""
+    return cv.ravel()[mesh.edge_corner[mesh.surface_edges, 0]].mean(axis=1)
 
 
 def gradient(u: BrokenField) -> np.ndarray:
@@ -273,9 +286,7 @@ def trace_on_surface_part(u: BrokenField) -> np.ndarray:
     Surface-force edges are never crackable, so the trace is unambiguous.
     Ordered like ``mesh.surface_edges``.
     """
-    mesh = u.topology.mesh
-    corners = mesh.edge_corner[mesh.surface_edges, 0]           # (n_surf, 2)
-    return u.values[u.topology.corner_dof.ravel()[corners]].mean(axis=1)
+    return corner_trace(u.topology.mesh, u.corner_values())
 
 
 def embed_field(u: BrokenField, target: DofTopology) -> BrokenField:

@@ -21,17 +21,21 @@ Quadrature is one-point (midpoint) per triangle and per boundary edge; with
 linear elements this is exact for every integrand that is linear on the
 element, and it *defines* the discrete functionals elsewhere.
 
-All operations are pure functions of immutable inputs.
+All operations are pure: their inputs are immutable, and the arrays a
+``TimeTable`` memoizes (its last value and its last rate) are read-only, so
+a memoized answer is bit for bit what a fresh table computes.  The elastic
+energy and the stress triple read a field's corner values once and derive
+its gradients, midpoint means and surface trace from them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .broken import BrokenField, CrackSet, trace_on_surface_part
+from .broken import BrokenField, CrackSet, corner_gradients, corner_trace
 from .mesh import Mesh
 
 __all__ = [
@@ -93,16 +97,27 @@ def segment(times: np.ndarray, t: float) -> tuple[int, float]:
     return i, (t - times[i]) / (times[i + 1] - times[i])
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class TimeTable:
     """Piecewise-linear interpolation of spatial arrays over time knots.
 
     Rates are piecewise constant; at a knot the rate is taken from the
-    interval ending there (``segment``).
+    interval ending there (``segment``).  ``value`` and ``rate`` return
+    read-only arrays, and each keeps its last time and array (a one-entry
+    memo), so the queries of all callers at one time share one
+    interpolation.  The memo is neither compared nor shown in the repr, and
+    a copy of the table (``dataclasses.replace``) starts without it.
     """
 
     times: np.ndarray    # (k,)
     samples: np.ndarray  # (k, n)
+    _value_at: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _rate_at: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def build(cls, pairs: Sequence[tuple[float, object]], size: int) -> "TimeTable":
@@ -124,12 +139,21 @@ class TimeTable:
         return cls.build([(0.0, value), (float(horizon), value)], size)
 
     def value(self, t: float) -> np.ndarray:
-        i, w = segment(self.times, t)
-        return (1.0 - w) * self.samples[i] + w * self.samples[i + 1]
+        memo = self._value_at
+        if memo is None or memo[0] != t:
+            i, w = segment(self.times, t)
+            memo = (t, _read_only((1.0 - w) * self.samples[i] + w * self.samples[i + 1]))
+            object.__setattr__(self, "_value_at", memo)
+        return memo[1]
 
     def rate(self, t: float) -> np.ndarray:
-        i, _ = segment(self.times, t)
-        return (self.samples[i + 1] - self.samples[i]) / (self.times[i + 1] - self.times[i])
+        memo = self._rate_at
+        if memo is None or memo[0] != t:
+            i, _ = segment(self.times, t)
+            rate = (self.samples[i + 1] - self.samples[i]) / (self.times[i + 1] - self.times[i])
+            memo = (t, _read_only(rate))
+            object.__setattr__(self, "_rate_at", memo)
+        return memo[1]
 
     @property
     def horizon(self) -> float:
@@ -365,16 +389,26 @@ class BodyPotential:
         return self.q / (self.q - 1.0)
 
 
-def _tri_values(u: BrokenField) -> tuple[Mesh, np.ndarray, np.ndarray]:
-    mesh = u.topology.mesh
-    return mesh, mesh.tri_area, u.tri_means()
-
-
 def _confinement_slope(lam: float, q: float, z: np.ndarray) -> np.ndarray:
     """lam |z|^(q-2) z, the z-derivative of (lam/q) |z|^q; 0 at z = 0, even where q < 2."""
     with np.errstate(divide="ignore", invalid="ignore"):
         slope = lam * np.abs(z) ** (q - 2.0) * z
     return slope if q >= 2.0 else np.where(z == 0.0, 0.0, slope)
+
+
+def _body_value(pot: BodyPotential, f: np.ndarray, area: np.ndarray, z: np.ndarray) -> float:
+    """F(t)(u) from the load ``f`` = f(t) and the midpoint means ``z``."""
+    return float(np.sum(area * (f * z - pot.lam / pot.q * np.abs(z) ** pot.q)))
+
+
+def _body_density(pot: BodyPotential, f: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """dF/dz per triangle (a new array) from f(t) and the midpoint means."""
+    return f - _confinement_slope(pot.lam, pot.q, z) if pot.lam else f.copy()
+
+
+def _body_rate(pot: BodyPotential, t: float, area: np.ndarray, z: np.ndarray) -> float:
+    """Integral of fdot(t) u from the midpoint means ``z``."""
+    return float(np.sum(area * pot.table.rate(t) * z))
 
 
 def body_value_and_gradient(pot: BodyPotential, t: float, u: BrokenField):
@@ -383,17 +417,13 @@ def body_value_and_gradient(pot: BodyPotential, t: float, u: BrokenField):
     The value integrates F at triangle midpoints; the density is the exact
     derivative of that discrete value with respect to the midpoint values.
     """
-    mesh, area, z = _tri_values(u)
-    f = pot.table.value(t)
-    value = float(np.sum(area * (f * z - pot.lam / pot.q * np.abs(z) ** pot.q)))
-    density = f - _confinement_slope(pot.lam, pot.q, z) if pot.lam else f.copy()
-    return value, density
+    z, f = u.tri_means(), pot.table.value(t)
+    return _body_value(pot, f, u.topology.mesh.tri_area, z), _body_density(pot, f, z)
 
 
 def body_rate(pot: BodyPotential, t: float, u: BrokenField) -> float:
     """Time derivative of the body potential at fixed field: integral of fdot u."""
-    mesh, area, z = _tri_values(u)
-    return float(np.sum(area * pot.table.rate(t) * z))
+    return _body_rate(pot, t, u.topology.mesh.tri_area, u.tri_means())
 
 
 def body_conjugate_density(pot: BodyPotential, t: float, sigma) -> np.ndarray:
@@ -447,8 +477,12 @@ def surface_value_and_gradient(pot: SurfacePotential, t: float, trace: np.ndarra
     if trace.shape != (len(ids),):
         raise ValueError("trace length does not match the surface-force edge count")
     g = pot.table.value(t)
-    lengths = mesh.edge_length[ids]
-    return float(np.sum(lengths * g * trace)), g.copy()
+    return _surface_value(g, mesh.edge_length[ids], trace), g.copy()
+
+
+def _surface_value(g: np.ndarray, lengths: np.ndarray, trace: np.ndarray) -> float:
+    """G(t)(u) from the load ``g`` = g(t), the edge lengths and the trace."""
+    return float(np.sum(lengths * g * trace))
 
 
 def surface_rate(pot: SurfacePotential, t: float, trace: np.ndarray, mesh: Mesh) -> float:
@@ -525,10 +559,18 @@ class EnergyModel:
 
 def elastic_energy(model: EnergyModel, mesh: Mesh, t: float, u: BrokenField):
     """Elastic part W - F - G at time t; returns (value, parts dict)."""
-    grads = u.gradients()
+    cv = u.corner_values()
+    return _elastic_energy(model, mesh, t, corner_gradients(mesh, cv), cv.mean(axis=1),
+                           corner_trace(mesh, cv))
+
+
+def _elastic_energy(model: EnergyModel, mesh: Mesh, t: float, grads: np.ndarray,
+                    z: np.ndarray, trace: np.ndarray):
+    """``elastic_energy`` from the gradients, midpoint means and surface
+    trace of the field."""
     w_val = float(np.sum(mesh.tri_area * bulk_energy_density(model.bulk, np.arange(mesh.n_triangles), grads)))
-    f_val, _ = body_value_and_gradient(model.body, t, u)
-    g_val, _ = surface_value_and_gradient(model.surface, t, trace_on_surface_part(u), mesh)
+    f_val = _body_value(model.body, model.body.table.value(t), mesh.tri_area, z)
+    g_val = _surface_value(model.surface.table.value(t), mesh.edge_length[mesh.surface_edges], trace)
     parts = {"W": w_val, "F": f_val, "G": g_val}
     return w_val - f_val - g_val, parts
 
@@ -540,12 +582,16 @@ def stress_triple(model: EnergyModel, mesh: Mesh, t: float, u: BrokenField):
     Paired with (grad v, v, v) it is the first variation of the elastic
     energy W - F - G in the direction v (``minimize.assemble_pairing``).
     """
-    sig = stress(model.bulk, np.arange(mesh.n_triangles), u.gradients())
-    _, body = body_value_and_gradient(model.body, t, u)
-    surf = np.zeros(0)
-    if len(mesh.surface_edges):
-        _, surf = surface_value_and_gradient(model.surface, t, trace_on_surface_part(u), mesh)
-    return sig, -body, -surf
+    cv = u.corner_values()
+    return _stress_triple(model, mesh, t, corner_gradients(mesh, cv), cv.mean(axis=1))
+
+
+def _stress_triple(model: EnergyModel, mesh: Mesh, t: float, grads: np.ndarray, z: np.ndarray):
+    """``stress_triple`` from the gradients and midpoint means of the field;
+    G is linear, so its part needs no trace."""
+    sig = stress(model.bulk, np.arange(mesh.n_triangles), grads)
+    body = _body_density(model.body, model.body.table.value(t), z)
+    return sig, -body, -model.surface.table.value(t)
 
 
 def total_energy(model: EnergyModel, mesh: Mesh, t: float, u: BrokenField, crack: CrackSet):

@@ -35,21 +35,21 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._util import parallel_map
-from .broken import BrokenField, CrackSet, build_topology
+from .broken import BrokenField, CrackSet, build_topology, corner_gradients, corner_trace
 from .energy import (
     EnergyModel,
-    body_rate,
+    _body_rate,
+    _stress_triple,
     check_knots,
     edge_surface_energies,
-    stress_triple,
     surface_rate,
     total_energy,
-    trace_on_surface_part,
 )
 from .mesh import Mesh, crackable_edges, mesh_fingerprint
 from .minimize import ElasticSolver
@@ -183,19 +183,21 @@ def sample_power_terms(model: EnergyModel, mesh: Mesh, t: float, u: BrokenField)
     stress_power - body_coupling - body_rate - surface_coupling - surface_rate.
     """
     psi_dot = model.boundary.rate(t)
-    grads_psi_dot = np.einsum("tki,ti->tk", mesh.grad_op, psi_dot[mesh.triangles])
-    sig, body, surf = stress_triple(model, mesh, t, u)
+    psi_dot_corner = psi_dot[mesh.triangles]
+    grads_psi_dot = corner_gradients(mesh, psi_dot_corner)
+    cv = u.corner_values()
+    z = cv.mean(axis=1)
+    sig, body, surf = _stress_triple(model, mesh, t, corner_gradients(mesh, cv), z)
     p_stress = float(np.sum(mesh.tri_area * np.einsum("tk,tk->t", sig, grads_psi_dot)))
 
-    psi_dot_tri = psi_dot[mesh.triangles].mean(axis=1)
-    p_body_coupling = float(np.sum(mesh.tri_area * -body * psi_dot_tri))
-    p_body_rate = body_rate(model.body, t, u)
+    p_body_coupling = float(np.sum(mesh.tri_area * -body * psi_dot_corner.mean(axis=1)))
+    p_body_rate = _body_rate(model.body, t, mesh.tri_area, z)
 
     ids = mesh.surface_edges
     if len(ids):
         psi_dot_edge = psi_dot[mesh.edges[ids]].mean(axis=1)
         p_surf_coupling = float(np.sum(mesh.edge_length[ids] * -surf * psi_dot_edge))
-        p_surf_rate = surface_rate(model.surface, t, trace_on_surface_part(u), mesh)
+        p_surf_rate = surface_rate(model.surface, t, corner_trace(mesh, cv), mesh)
     else:
         p_surf_coupling = 0.0
         p_surf_rate = 0.0
@@ -334,7 +336,8 @@ class EvolutionRecord:
                 energy = {k: float(row["energy"][k]) for k in _ENERGY_KEYS}
                 power = {k: float(row["power"][k]) for k in _POWER_KEYS}
                 for k, v in {**energy, **power}.items():
-                    _finite(v, k)
+                    if not math.isfinite(v):
+                        raise ValueError(f"non-finite {k} value")
                 cracks.append(crack)
                 fields.append(BrokenField(layouts[crack], values))
                 energies.append(energy)

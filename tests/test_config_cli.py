@@ -224,13 +224,24 @@ def _nan_dof(payload):
     payload["knots"][2]["dofs"][0] = float("nan")
 
 
+def _inf_energy(payload):
+    payload["knots"][4]["energy"]["W"] = float("inf")
+
+
+def _nan_power(payload):
+    payload["knots"][1]["power"]["stress_power"] = float("nan")
+
+
 @pytest.mark.parametrize("tamper, message", [
     (None, "not a JSON record"),
     (_drop_energy_key, "knot 2: missing key 'W'"),
     (_shorten_dofs, "knot 1: DOF value array does not match"),
     (_crack_a_pinned_edge, "knot 3: crack contains non-crackable edges [0]"),
     (_nan_dof, "knot 2: non-finite DOF value"),
-], ids=["invalid_json", "missing_energy_key", "short_dof_array", "uncrackable_edge", "nan_dof"])
+    (_inf_energy, "knot 4: non-finite W value"),
+    (_nan_power, "knot 1: non-finite stress_power value"),
+], ids=["invalid_json", "missing_energy_key", "short_dof_array", "uncrackable_edge", "nan_dof",
+        "inf_energy", "nan_power"])
 def test_cli_audit_of_a_malformed_record_exits_2_naming_the_knot(strip_run, tmp_path, tamper, message):
     cfg_path, payload = strip_run
     rec_path = tmp_path / "rec.json"

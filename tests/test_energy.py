@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -25,7 +26,7 @@ from qsfrac.energy import (
     surface_value_and_gradient,
     validate_growth,
 )
-from qsfrac.evolution import TimeGrid
+from qsfrac.evolution import TimeGrid, run_evolution
 from qsfrac.mesh import build_structured_mesh
 from qsfrac.minimize import ElasticSolver
 
@@ -438,6 +439,72 @@ def test_breakpoints_are_the_sorted_union_of_the_table_knots():
         f=TimeTable.build([(0.0, 0.0), (0.7, 1.0), (0.9, 1.0), (1.0, 0.0)], nt))
     assert model.breakpoints.tolist() == [0.0, 0.4, 0.7, 0.9, 1.0]
     assert ElasticSolver(model, mesh)._breaks.tolist() == model.breakpoints.tolist()
+
+
+def _memo_table():
+    rng = np.random.default_rng(3)
+    return TimeTable.build([(t, rng.normal(size=4)) for t in (0.0, 0.3, 0.7, 1.0)], 4)
+
+
+def test_memoized_queries_equal_a_fresh_table_bit_for_bit():
+    tab = _memo_table()
+    queries = [("value", 0.0), ("rate", 0.0), ("value", 0.0), ("rate", 0.3), ("value", 0.3),
+               ("value", 0.5), ("rate", 0.5), ("rate", 0.5), ("value", 0.7), ("value", 1.0),
+               ("rate", 1.0), ("value", 0.5), ("rate", 0.0), ("value", 0.0)]
+    for name, t in queries:
+        fresh = TimeTable(tab.times, tab.samples)
+        assert getattr(tab, name)(t).tobytes() == getattr(fresh, name)(t).tobytes(), (name, t)
+
+
+def test_memoized_arrays_are_read_only():
+    tab = _memo_table()
+    for arr in (tab.value(0.5), tab.rate(0.5), tab.value(0.5)):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
+def test_equal_tables_share_no_memo():
+    a = _memo_table()
+    b = TimeTable(a.times, a.samples)
+    assert a == b
+    va, ra = a.value(0.2), a.rate(0.2)
+    assert a.value(0.2) is va and a.rate(0.2) is ra   # the memo answers a repeated time
+    vb = b.value(0.2)
+    assert vb is not va and vb.tobytes() == va.tobytes()
+    b.value(0.9)
+    b.rate(0.9)
+    assert a.value(0.2) is va and a.rate(0.2) is ra
+    copy = dataclasses.replace(a)
+    assert copy.value(0.2) is not va
+
+
+def test_the_memo_changes_neither_equality_nor_repr():
+    a = _memo_table()
+    b = TimeTable(a.times, a.samples)
+    before = repr(a)
+    assert before == f"TimeTable(times={a.times!r}, samples={a.samples!r})"
+    a.value(0.4)
+    a.rate(0.4)
+    assert repr(a) == before
+    assert a == b and b == a
+    assert [f.name for f in dataclasses.fields(TimeTable) if f.compare] == ["times", "samples"]
+
+
+def test_a_run_between_two_runs_of_a_config_leaves_its_record_unchanged(tmp_path):
+    first = build_config("surface_pull", 9).build_problem()
+    other = build_config("body_pull", 9).build_problem()
+
+    def record_bytes(p, name):
+        rec = run_evolution(p.model, p.mesh, p.grid, p.initial_crack, p.strategy,
+                            config_hash=p.config_hash)
+        rec.save(tmp_path / name)
+        return (tmp_path / name).read_bytes()
+
+    a1 = record_bytes(first, "a1.json")
+    record_bytes(other, "b.json")
+    assert record_bytes(first, "a2.json") == a1
+    assert record_bytes(build_config("surface_pull", 9).build_problem(), "a3.json") == a1
 
 
 # ---------------------------------------------------------------------------
