@@ -248,8 +248,7 @@ class StabilityResult:
 
 
 def check_global_stability(record: EvolutionRecord, model: EnergyModel, mesh: Mesh,
-                           level: str = ORACLE, residual_tol: float = _RESIDUAL_TOL,
-                           max_oracle_edges: int = 12) -> StabilityResult:
+                           level: str = ORACLE, max_oracle_edges: int = 12) -> StabilityResult:
     """Check the minimality of every recorded state at its own time.
 
     The margin of a candidate extension is (candidate total energy) minus the
@@ -276,7 +275,7 @@ def check_global_stability(record: EvolutionRecord, model: EnergyModel, mesh: Me
             inadmissible = inadmissible or f"knot {i}: {exc}"
         if r > max_resid or not np.isfinite(r):   # a NaN residual is the worst
             max_resid, worst_resid_knot = r, i
-    euler_ok = max_resid <= residual_tol
+    euler_ok = max_resid <= _RESIDUAL_TOL
 
     violations: list[tuple[int, tuple, float]] = []
     worst_margin = np.inf
@@ -312,7 +311,7 @@ def check_global_stability(record: EvolutionRecord, model: EnergyModel, mesh: Me
     if inadmissible:
         detail = inadmissible
     elif not euler_ok:
-        detail = f"euler residual {max_resid:.3e} at knot {worst_resid_knot} exceeds {residual_tol:.1e}"
+        detail = f"euler residual {max_resid:.3e} at knot {worst_resid_knot} exceeds {_RESIDUAL_TOL:.1e}"
     elif violations:
         k, ids, m = violations[0]
         detail = f"knot {k}: extending to {list(ids)} lowers the energy by {-m:.3e}"
@@ -323,7 +322,7 @@ def check_global_stability(record: EvolutionRecord, model: EnergyModel, mesh: Me
         f"global_stability[{level}]", verdict,
         margins={"worst_margin": float(worst_margin if worst_margin < np.inf else 0.0),
                  "max_euler_residual": max_resid},
-        tolerances={"residual": residual_tol, "tie": tie_tolerance(record.total_energy(0)) if n else 0.0},
+        tolerances={"residual": _RESIDUAL_TOL, "tie": tie_tolerance(record.total_energy(0)) if n else 0.0},
         details=detail,
     )
     return StabilityResult(

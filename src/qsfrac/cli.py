@@ -154,8 +154,11 @@ def _load_problem(args):
 def cmd_run(args) -> int:
     problem = _load_problem(args)
     out = Path(args.out)
-    # before the run: a failed run saves its partial record there
+    csv_path = Path(args.csv) if args.csv else out.with_suffix(".csv")
+    # before the run: a failed run saves its partial record there, and a
+    # finished one its trace
     out.parent.mkdir(parents=True, exist_ok=True)
+    csv_path.parent.mkdir(parents=True, exist_ok=True)
     try:
         record = run_evolution(
             problem.model, problem.mesh, problem.grid, problem.initial_crack,
@@ -169,7 +172,6 @@ def cmd_run(args) -> int:
             print(f"partial (incomplete) record written to {out}", file=sys.stderr)
         raise
     record.save(out)
-    csv_path = Path(args.csv) if args.csv else out.with_suffix(".csv")
     record.write_csv(csv_path)
     jumps = record.jump_knots()
     print(f"record: {out}")
@@ -199,6 +201,8 @@ def cmd_audit(args) -> int:
         raise AuditError(f"unknown checks: {sorted(unknown)}; available: {sorted(known)}")
     if not wanted:
         raise AuditError(f"--checks names no check; available: {sorted(known)}")
+    if args.out:   # before the audit, so its report has somewhere to go
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
 
     results = []
     if not record.complete:

@@ -111,7 +111,9 @@ class TimeTable:
     read-only arrays, and each keeps its last time and array (a one-entry
     memo), so the queries of all callers at one time share one
     interpolation.  The memo is neither compared nor shown in the repr, and
-    a copy of the table (``dataclasses.replace``) starts without it.
+    a copy of the table (``dataclasses.replace``) starts without it.  Two
+    tables are equal when their times and samples are (``np.array_equal``);
+    a table is not hashable.
     """
 
     times: np.ndarray    # (k,)
@@ -155,6 +157,11 @@ class TimeTable:
             object.__setattr__(self, "_rate_at", memo)
         return memo[1]
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return np.array_equal(self.times, other.times) and np.array_equal(self.samples, other.samples)
+
     @property
     def horizon(self) -> float:
         return float(self.times[-1])
@@ -166,7 +173,10 @@ class TimeTable:
 
 @dataclass(frozen=True)
 class BulkLaw:
-    """Power-law bulk density W(x, xi) = (mu(x)/p) (|xi|^2 + eps^2)^(p/2)."""
+    """Power-law bulk density W(x, xi) = (mu(x)/p) (|xi|^2 + eps^2)^(p/2).
+
+    Two laws are equal when p, epsilon and mu are, a per-triangle mu by
+    value (``np.array_equal``)."""
 
     p: float
     mu: object = 1.0         # scalar or per-triangle array
@@ -182,6 +192,11 @@ class BulkLaw:
             raise ValueError("p < 2 requires a positive regularization epsilon")
         if self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p, self.epsilon) == (other.p, other.epsilon) and np.array_equal(self.mu, other.mu)
 
     def mu_at(self, tri) -> np.ndarray:
         mu = np.asarray(self.mu, dtype=float)
@@ -744,13 +759,13 @@ def validate_growth(model: EnergyModel, mesh: Mesh, samples: int = 2000, seed: i
             for _ in range(n_fields):
                 z = scale * rng.normal(size=mesh.n_triangles)
                 v = rng.normal(size=mesh.n_triangles)
-                fz = float(np.sum(mesh.tri_area * (f * z - lam / q * np.abs(z) ** q)))
+                fz = _body_value(body, f, mesh.tri_area, z)
                 uq = lq_norm_tri(mesh, z, q)
                 vq = lq_norm_tri(mesh, v, q)
                 if lam > 0:
                     margins_lo.append(-fz - (a0f * uq**q - b0f))
                 margins_hi.append((a1f * uq**q + b1f) - (-fz))
-                dens = f - (_confinement_slope(lam, q, z) if lam else 0.0)
+                dens = _body_density(body, f, z)
                 pairing = abs(float(np.sum(mesh.tri_area * dens * v)))
                 margins_gr.append((a2f * uq ** (q - 1.0) + b2f) * vq - pairing)
     if lam > 0:
@@ -773,10 +788,9 @@ def validate_growth(model: EnergyModel, mesh: Mesh, samples: int = 2000, seed: i
     )
     margins_rate = []
     for t in t_samples:
-        fd = body.table.rate(t)
         for _ in range(n_fields):
             z = rng.normal(size=mesh.n_triangles) * 10.0 ** rng.uniform(-2, 2)
-            rate_val = abs(float(np.sum(mesh.tri_area * fd * z)))
+            rate_val = abs(_body_rate(body, t, mesh.tri_area, z))
             margins_rate.append(fdot_dual * (lq_norm_tri(mesh, z, qdot) ** qdot + 1.0) - rate_val)
     checks.append(_margin_check("body_rate_bound", {"a3_F": fdot_dual, "b3_F": fdot_dual, "qdot": qdot},
                                 np.asarray(margins_rate), scale=fdot_dual + 1))
@@ -786,20 +800,20 @@ def validate_growth(model: EnergyModel, mesh: Mesh, samples: int = 2000, seed: i
     if n_surf:
         g_dual = max(lr_norm_surface(mesh, surf.table.value(t), surf.r_conj) for t in t_samples)
         gdot_dual = max(lr_norm_surface(mesh, surf.table.rate(t), surf.r_conj) for t in t_samples)
+        lengths = mesh.edge_length[mesh.surface_edges]
         m_lo, m_hi, m_gr, m_rt = [], [], [], []
         for t in t_samples:
             g = surf.table.value(t)
-            gd = surf.table.rate(t)
             for _ in range(n_fields):
                 z = rng.normal(size=n_surf) * 10.0 ** rng.uniform(-2, 2)
                 v = rng.normal(size=n_surf)
-                gz = float(np.sum(mesh.edge_length[mesh.surface_edges] * g * z))
+                gz = _surface_value(g, lengths, z)
                 ur = lr_norm_surface(mesh, z, r)
                 m_lo.append(-gz + g_dual * ur + 0.0)
                 m_hi.append((ur**r / r + g_dual**surf.r_conj / surf.r_conj) - (-gz))
-                pairing = abs(float(np.sum(mesh.edge_length[mesh.surface_edges] * g * v)))
+                pairing = abs(_surface_value(g, lengths, v))
                 m_gr.append(g_dual * lr_norm_surface(mesh, v, r) - pairing)
-                rate_val = abs(float(np.sum(mesh.edge_length[mesh.surface_edges] * gd * z)))
+                rate_val = abs(surface_rate(surf, t, z, mesh))
                 m_rt.append(gdot_dual * (ur**r + 1.0) - rate_val)
         checks.append(_margin_check("surface_lower", {"a0_G": g_dual, "b0_G": 0.0},
                                     np.asarray(m_lo), scale=g_dual + 1))

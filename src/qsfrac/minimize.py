@@ -83,16 +83,16 @@ reference gradient (``assemble_gradient``) the Newton evaluator is tested
 against, the Euler residual of the stability audit, and both residuals of
 the dual certificate.
 
-``ElasticSolver`` keeps four caches: an LRU of at most ``_CACHE_SIZE``
+``ElasticSolver`` keeps three caches: an LRU of at most ``_CACHE_SIZE``
 per-crack-set solve structures (DOF layout and free-block scatter, with the
 linear solve for p = q = 2 and, on the CG path, the solutions at the two load
-breakpoints used last), a one-entry memo of the loads at the last time
-solved (boundary datum, body load per corner, surface load per surface edge),
-which every candidate of a knot shares, a one-entry memo of the last successful
-solve (crack set, time and tolerance, with its field and report), so the
-state a search has just chosen is not solved again, and, once ``scores`` is
-read, the open space with a one-entry memo of E_open and r at the last time
-scored.
+breakpoints used last), a one-entry memo of the last successful solve (crack
+set, time and tolerance, with its field and report), so the state a search
+has just chosen is not solved again, and, once ``scores`` is read, the open
+space with a one-entry memo of E_open and r at the last time scored.  It
+keeps no loads: ``_system`` builds a crack set's datum and load vector at t
+from psi(t), f(t) and g(t), which each ``TimeTable`` memoizes, so the
+candidates of one knot share one interpolation per table.
 
 A run with zero confinement and a crack that isolates a piece of the body
 from the Dirichlet boundary has no bounded minimizer; this surfaces as a
@@ -353,7 +353,7 @@ class _Evaluator:
     Newton solve: one topology, one time t with its datum psi, one free block.
 
     The body and surface loads are linear in u, so with b the load vector at
-    t (the body and surface loads by ``_scatter_corner``) and z the midpoint means,
+    t (``ElasticSolver._system``, with the datum) and z the midpoint means,
 
         E(u)      = sum_T |T| (mu/p s^(p/2) + lam/q |z|^q) - b.u,
         s         = |xi|^2 + eps^2,   xi = G u the gradient on T,
@@ -377,9 +377,7 @@ class _Evaluator:
         topo = data.topology
         self.model, self.topo, self.block, self.t = solver.model, topo, data.block, t
         self.free = topo.free_dofs
-        _, psi, body, surf = solver._loads_at(t)
-        self.base = topo.dirichlet_values(psi)
-        self.b = _scatter_corner(solver.mesh, topo, body, surf)
+        self.base, self.b = solver._system(data, t)
         self.b_free = self.b[self.free]
         self.grad_op, self.area = solver.mesh.grad_op, solver.mesh.tri_area
         self.area_mu, self.gtg = solver._area_mu, solver._gtg
@@ -601,11 +599,11 @@ class ElasticSolver:
     Solve structures (DOF layout and linear solve) are cached per crack
     set, so sweeping many candidate cracks over many times reuses the
     expensive parts; the fields of one crack set share its read-only layout.
-    The cache is an LRU of ``_CACHE_SIZE``.  The loads (boundary datum
-    included) of the last time solved are memoized, so the candidates of one
-    knot interpolate the load tables once, and so is the last solve.  Where
-    ``scores`` holds, ``score`` gives the energy of any crack set from the
-    all-open space instead.
+    The cache is an LRU of ``_CACHE_SIZE``, and the last solve is memoized.
+    Every solve path (direct, the CG breakpoint ends, Newton) takes its
+    datum and load vector from ``_system``.  Where ``scores`` holds,
+    ``score`` gives the energy of any crack set from the all-open space
+    instead.
     """
 
     def __init__(self, model: EnergyModel, mesh: Mesh):
@@ -614,7 +612,6 @@ class ElasticSolver:
         self.mesh = mesh
         self.quadratic = model.p == 2.0 and model.q == 2.0
         self._cache: OrderedDict[tuple, _CrackData] = OrderedDict()
-        self._loads_memo: tuple | None = None  # the loads at the last time solved
         self._open: _OpenSpace | bool | None = None   # built when ``scores`` is first read
         self._open_at: tuple | None = None     # (t, E_open, r) of the last time scored
         self._last: tuple | None = None        # ((edge ids, t, tol), (field, report)) of the last solve
@@ -639,24 +636,6 @@ class ElasticSolver:
             self._cache.move_to_end(key)
         return data
 
-    def _loads(self, t: float) -> tuple:
-        """(boundary datum, body load per corner, surface load per surface
-        edge) at time ``t``."""
-        mesh, model = self.mesh, self.model
-        psi = model.boundary.value(t)
-        body = np.repeat(mesh.tri_area * model.body.table.value(t) / 3.0, 3)
-        surf = mesh.edge_length[mesh.surface_edges] * model.surface.table.value(t) / 2.0
-        return psi, body, surf
-
-    def _loads_at(self, t: float) -> tuple:
-        """(t, *``_loads(t)``), read-only; a one-entry memo."""
-        loads = self._loads_memo
-        if loads is None or loads[0] != t:
-            loads = self._loads_memo = (t, *self._loads(t))
-            for arr in loads[1:]:
-                arr.setflags(write=False)
-        return loads
-
     @property
     def scores(self) -> bool:
         """Whether ``score`` applies: p = q = 2, some confinement or no piece
@@ -680,7 +659,7 @@ class ElasticSolver:
         with np.errstate(all="ignore"):   # an overflow is the SolveError below
             if memo is None or memo[0] != t:
                 u, _, _, _, e_open = self._solve_quadratic(space, t, tol)
-                memo = self._open_at = (t, e_open, space.residual(u.values, self._loads_at(t)[1]))
+                memo = self._open_at = (t, e_open, space.residual(u.values, self.model.boundary.value(t)))
             energy = memo[1] + space.excess(space.kept_rows(crack), memo[2])
         if not math.isfinite(energy):
             raise SolveError(f"non-finite energy score at t={t}")
@@ -711,11 +690,14 @@ class ElasticSolver:
         self._last = (key, (field, report))
         return field, report
 
-    def _system(self, data: _CrackData, psi: np.ndarray, body: np.ndarray, surf: np.ndarray):
-        """(DOF values u holding the datum ``psi``, 0 on the free DOFs, load
-        vector b) of ``data`` under the given loads."""
-        topo = data.topology
-        return topo.dirichlet_values(psi), _scatter_corner(self.mesh, topo, body, surf)
+    def _system(self, data: _CrackData, t: float):
+        """(DOF values u holding the datum psi(t), 0 on the free DOFs, load
+        vector b at ``t``) of ``data``: the body load a third of |T| f(t) at
+        each corner, the surface load half of |e| g(t) at each endpoint."""
+        mesh, model, topo = self.mesh, self.model, data.topology
+        body = np.repeat(mesh.tri_area * model.body.table.value(t) / 3.0, 3)
+        surf = mesh.edge_length[mesh.surface_edges] * model.surface.table.value(t) / 2.0
+        return topo.dirichlet_values(model.boundary.value(t)), _scatter_corner(mesh, topo, body, surf)
 
     def _rhs(self, data: _CrackData, u: np.ndarray, b: np.ndarray) -> np.ndarray:
         """The free right-hand side b_f - K_fc u_c of ``_system``'s (u, b)."""
@@ -731,7 +713,7 @@ class ElasticSolver:
         x = ends.pop(key, None)
         steps = 0
         if x is None:
-            rhs = self._rhs(data, *self._system(data, *self._loads(float(self._breaks[j]))))
+            rhs = self._rhs(data, *self._system(data, float(self._breaks[j])))
             x, steps = data.solve(rhs, target) if rhs.any() else (np.zeros_like(rhs), 0)
         ends[key] = x
         if len(ends) > 2:
@@ -753,7 +735,7 @@ class ElasticSolver:
         free, corner_dof = topo.free_dofs, topo.corner_dof
         # an overflow surfaces as the SolveError below, not as a numpy warning
         with np.errstate(all="ignore"):
-            u, b = self._system(data, *self._loads_at(t)[1:])
+            u, b = self._system(data, t)
             b_free = b[free]
             # the CG residual is minus the free gradient checked below, so CG
             # stops at a fixed fraction of ``tol`` (a direct solve ignores it)
@@ -809,8 +791,7 @@ class ElasticSolver:
         point kept, and the secant evaluation counts with its step.
         """
         model, mesh, topo = self.model, self.mesh, data.topology
-        psi = self._loads_at(t)[1]
-        field = BrokenField.from_nodal(topo, psi)
+        field = BrokenField.from_nodal(topo, model.boundary.value(t))
         free = topo.free_dofs
         if len(free) == 0:
             return field, 0, 0.0, "newton", elastic_energy(model, mesh, t, field)[0]

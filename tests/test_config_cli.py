@@ -376,6 +376,26 @@ def test_cli_failed_run_writes_its_partial_record_into_a_new_directory(tmp_path,
     assert len(json.loads(rec_path.read_text())["knots"]) == 1
 
 
+def test_cli_run_writes_its_trace_into_a_new_directory(tmp_path, capsys):
+    cfg_path, rec_path = tmp_path / "strip.cfg", tmp_path / "rec.json"
+    csv_path = tmp_path / "new" / "dir" / "t.csv"
+    cfg_path.write_text(config_text("strip", 5))
+    assert main(["run", "--config", str(cfg_path), "--out", str(rec_path), "--csv", str(csv_path)]) == 0
+    assert f"trace:  {csv_path}" in capsys.readouterr().out
+    assert len(csv_path.read_text().splitlines()) == 6
+
+
+def test_cli_audit_writes_its_report_into_a_new_directory(tmp_path, capsys):
+    cfg_path, rec_path = tmp_path / "strip.cfg", tmp_path / "rec.json"
+    report_path = tmp_path / "new" / "dir" / "r.json"
+    cfg_path.write_text(config_text("strip", 5))
+    assert main(["run", "--config", str(cfg_path), "--out", str(rec_path)]) == 0
+    assert main(["audit", "--config", str(cfg_path), "--record", str(rec_path),
+                 "--checks", "irreversibility,structure", "--out", str(report_path)]) == 0
+    assert f"report: {report_path}" in capsys.readouterr().out
+    assert json.loads(report_path.read_text())
+
+
 @pytest.mark.parametrize("q", [1.5, 1.2])
 def test_cli_subquadratic_body_run_reads_back_and_passes_its_audit(tmp_path, q):
     # the body density at the unloaded first knot is the load (0), not the

@@ -491,6 +491,33 @@ def test_the_memo_changes_neither_equality_nor_repr():
     assert [f.name for f in dataclasses.fields(TimeTable) if f.compare] == ["times", "samples"]
 
 
+def test_models_built_twice_from_a_config_are_equal():
+    # tables and a per-triangle mu compare by value, so two builds of one
+    # config hold equal but distinct arrays and still compare equal; a model
+    # stays unhashable
+    for name in CORPUS:
+        a, b = (build_config(name, 5).build_problem().model for _ in range(2))
+        assert a.boundary.samples is not b.boundary.samples
+        assert (a == b) is True and (a != b) is False, name
+        with pytest.raises(TypeError):
+            hash(a)
+    model = build_config("crossed", 5).build_problem().model
+    mu = np.asarray(model.bulk.mu)
+    assert mu.ndim == 1
+    samples = model.body.table.samples.copy()
+    samples[-1, 0] += 1.0
+    changed = [
+        dataclasses.replace(model, bulk=dataclasses.replace(model.bulk, mu=mu * np.r_[2.0, np.ones(len(mu) - 1)])),
+        dataclasses.replace(model, bulk=dataclasses.replace(model.bulk, mu=1.0)),
+        dataclasses.replace(model, body=dataclasses.replace(
+            model.body, table=TimeTable(model.body.table.times, samples))),
+        dataclasses.replace(model, boundary=TimeTable(model.boundary.times / 2.0, model.boundary.samples)),
+    ]
+    for other in changed:
+        assert (model == other) is False and (other == model) is False
+    assert model.bulk != "bulk" and model.boundary != "psi"
+
+
 def test_a_run_between_two_runs_of_a_config_leaves_its_record_unchanged(tmp_path):
     first = build_config("surface_pull", 9).build_problem()
     other = build_config("body_pull", 9).build_problem()

@@ -1,12 +1,14 @@
-"""Property tests of the quadratic solve's energy identity and load memo.
+"""Property tests of the quadratic solve's energy identity and load vector.
 
 For p = q = 2 a candidate's elastic energy comes from its own linear solve,
-E_el(u) = 1/2 u.(K u) - b.u + c_eps, instead of a quadrature pass, and the
-loads of the last time solved are memoized.  Over random small quadratic
-problems built from config texts (epsilon >= 0, a stiffness expression,
-positive confinement, body and surface load tables) and random crack sets and
-times, the identity must agree with the quadrature of ``elastic_energy``, the
-search score with ``total_energy``, and a reused solver with a fresh one.
+E_el(u) = 1/2 u.(K u) - b.u + c_eps, instead of a quadrature pass.  Over
+random small quadratic problems built from config texts (epsilon >= 0, a
+stiffness expression, positive confinement, body and surface load tables)
+and random crack sets and times, the identity must agree with the quadrature
+of ``elastic_energy``, the search score with ``total_energy``, and a reused
+solver with a fresh one.  Every solve path takes its datum and load vector b
+from ``ElasticSolver._system``, which must equal the boundary interpolant
+and ``assemble_pairing`` of a zero stress with the loads, bit for bit.
 
 Agreement is to rounding: 1e-12 (1 + |E|), widened by 1e-14 |u|.|K||u|,
 the scale of the rounding error of the quadratic form u.(K u).  The second
@@ -41,6 +43,8 @@ the solver, must close: an annihilation residual of at most 1e-8 and a gap
 of at most 1e-8 (1 + |primal|).
 """
 
+import dataclasses
+import functools
 import itertools
 from types import SimpleNamespace
 
@@ -190,15 +194,60 @@ def test_search_total_matches_total_energy(case):
 
 @given(quadratic_cases(), st.floats(0.0, 1.0))
 @settings(max_examples=40, deadline=None)
-def test_load_memo_does_not_leak_between_times(case, t2):
+def test_a_reused_solver_solves_like_a_fresh_one_at_t1_t2_t1(case, t2):
     p, crack, t1 = case
     reused = ElasticSolver(p.model, p.mesh)
     for t in (t1, t2, t1):
         u, report = reused.solve(crack, t)
         fresh_u, fresh = ElasticSolver(p.model, p.mesh).solve(crack, t)
         assert u.values.tobytes() == fresh_u.values.tobytes()
-        assert reused._loads_at(t)[1].tobytes() == p.model.boundary.value(t).tobytes()
         assert report.energy == fresh.energy
+
+
+@functools.cache
+def _kinked_strip():
+    return parse_config(KINKED.format(nx=20, ny=10, knots=3, kind="greedy")).build_problem()
+
+
+@st.composite
+def system_cases(draw):
+    """(model, mesh, crack set, times) for ``ElasticSolver._system``: a
+    problem of ``quadratic_cases`` (signed body loads, a surface load on two
+    labelings) solved directly, or with p = 3 by Newton, or the kinked
+    notched strip, solved by CG; the times mix its load breakpoints and
+    points between them, in a drawn order."""
+    kind = draw(st.sampled_from(["dense", "newton", "cg"]))
+    if kind == "cg":
+        p = _kinked_strip()
+        crack = draw(st.sampled_from([p.initial_crack, CrackSet.empty()]))
+    else:
+        p, crack, _ = draw(quadratic_cases())
+    model = p.model
+    if kind == "newton":
+        model = dataclasses.replace(model, bulk=dataclasses.replace(model.bulk, p=3.0))
+    breaks = [float(t) for t in model.breakpoints]
+    times = draw(st.lists(st.one_of(st.sampled_from(breaks), st.floats(0.0, 1.0)), min_size=2, max_size=6))
+    return model, p.mesh, crack, times
+
+
+@given(system_cases())
+@settings(max_examples=40, deadline=None)
+def test_system_is_the_datum_and_the_pairing_of_the_loads_bit_for_bit(case):
+    # the solver's load vector and the pairing of a zero stress with f(t)
+    # and g(t) are two quadratures of one functional: they must not drift
+    # apart by a bit, at any time and in any order of times
+    model, mesh, crack, times = case
+    solver = ElasticSolver(model, mesh)
+    data = solver._data(crack)
+    topo = data.topology
+    assert (data.method == "cg") == (mesh.n_triangles == 400)
+    zeros = np.zeros((mesh.n_triangles, 2))
+    for t in times:
+        u, b = solver._system(data, t)
+        assert u.tobytes() == topo.dirichlet_values(model.boundary.value(t)).tobytes()
+        pairing = minimize.assemble_pairing(mesh, topo, zeros, model.body.table.value(t),
+                                            model.surface.table.value(t))
+        assert b.tobytes() == pairing.tobytes(), t
 
 
 @st.composite
