@@ -48,7 +48,8 @@ constants, like the quadratic forms, are built once per
 ``ElasticSolver``.  One pass per trial point gives the energy, the gradient
 and its norm; the Hessian is assembled only after a step is accepted, at
 the point kept, so a rejected step reuses it.  The reported energy is the
-quadrature of ``energy.elastic_energy`` at the returned field.
+evaluator's at the returned field, from the pass that evaluated it: the
+midpoint quadrature of ``energy.elastic_energy``, summed in another order.
 
 One map, the crack set's ``_FreeBlock``, says where a triangle corner lands
 among the free DOFs.  Its ``matrix`` scatters per-triangle 3x3 matrices (the
@@ -116,7 +117,6 @@ from .broken import BrokenField, CrackSet, DofTopology, _components, build_topol
 from .energy import (
     EnergyModel,
     body_hessian_coeff,
-    elastic_energy,
     segment,
     stress_jacobian,
     stress_triple,
@@ -173,8 +173,10 @@ class FloatingComponentError(SolveError):
 class SolveReport:
     """How a solve went.  ``energy`` is the elastic energy W - F - G of the
     returned field: the quadratic form 1/2 u.(K u) - b.u + c_eps for
-    p = q = 2 (K u formed per triangle), the quadrature of
-    ``energy.elastic_energy`` otherwise.
+    p = q = 2 (K u formed per triangle), otherwise the Newton evaluator's
+    energy there (``_Evaluator.evaluate``), which agrees with the quadrature
+    of ``energy.elastic_energy`` up to rounding.  Stored totals come from
+    ``energy.total_energy`` either way.
     ``iterations`` counts the CG steps a CG solve spent in this call (at
     the load breakpoints it had not solved yet, and in a refinement pass),
     so 0 when both ends were cached; one per linear solve of a direct one;
@@ -396,7 +398,7 @@ class _Evaluator:
         cv = vals[self.topo.corner_dof]
         with np.errstate(all="ignore"):
             xi = np.einsum("tki,ti->tk", self.grad_op, cv)
-            s = np.sum(xi * xi, axis=1) + self.model.bulk.epsilon**2
+            s = np.add.reduce(xi * xi, axis=1) + self.model.bulk.epsilon**2
             z = cv.sum(axis=1) / 3.0
             a = self.area_mu if p == 2.0 else self.area_mu * s ** ((p - 2.0) / 2.0)
             gx = np.einsum("tki,tk->ti", self.grad_op, xi)
@@ -789,21 +791,22 @@ class ElasticSolver:
         error per full step at p = 4, and overshoots by half at p = 1.5).
         delta follows the full step alone, the Hessian is assembled at the
         point kept, and the secant evaluation counts with its step.
+
+        The start is the interpolant of psi(t), read at the free DOFs'
+        vertices.  The energy reported is the one the evaluator gave at the
+        point returned, so a solve evaluates no energy beyond its steps; one
+        with no free DOF returns at its first evaluation.
         """
-        model, mesh, topo = self.model, self.mesh, data.topology
-        field = BrokenField.from_nodal(topo, model.boundary.value(t))
-        free = topo.free_dofs
-        if len(free) == 0:
-            return field, 0, 0.0, "newton", elastic_energy(model, mesh, t, field)[0]
+        topo = data.topology
         ev = _Evaluator(self, data, t)
-        x = field.values[free]
+        x = self.model.boundary.value(t)[topo.dof_vertex[ev.free]]
         energy, g, res = ev.evaluate(x)
         h, delta = None, 0.0
         # a wild step is rejected and an overflowing Hessian fails to factor,
         # with no warning
         with np.errstate(all="ignore"):
             for it in range(_NEWTON_CAP):
-                if res <= tol:
+                if res <= tol:   # at once where no DOF is free
                     break
                 if not math.isfinite(res):   # no step can solve for a non-finite -g
                     raise SolveError(f"non-finite gradient at t={t}")
@@ -839,16 +842,21 @@ class ElasticSolver:
                     x, energy, g, res, h = trial, e_new, g_new, res_new, None
             else:
                 raise SolveError(f"Newton did not reach tol {tol:.3e} within {_NEWTON_CAP} steps")
-        field = BrokenField(topo, ev.values(x))
-        return field, it, res, "newton", elastic_energy(model, mesh, t, field)[0]
+        return BrokenField(topo, ev.values(x)), it, res, "newton", energy
 
 
 def _damped(h, delta: float):
-    """h + delta m I, with m the mean of diag h (1 where that is 0)."""
+    """h + delta m I, with m the mean of diag h (1 where that is 0).  A dense
+    h is copied and its copy's diagonal shifted; ``h`` itself is unchanged."""
     if not delta:
         return h
-    eye = np.eye if isinstance(h, np.ndarray) else scipy.sparse.identity
-    return h + delta * (float(np.mean(h.diagonal())) or 1.0) * eye(h.shape[0])
+    diag = h.diagonal()
+    shift = delta * (float(np.add.reduce(diag)) / len(diag) or 1.0)
+    if not isinstance(h, np.ndarray):
+        return h + shift * scipy.sparse.identity(len(diag))
+    out = h.copy()
+    out.flat[::len(diag) + 1] += shift
+    return out
 
 
 def minimize_elastic(model: EnergyModel, mesh: Mesh, crack: CrackSet, t: float,

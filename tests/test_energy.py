@@ -126,6 +126,15 @@ def test_bulk_conjugate_bisection_stops_with_the_same_bits(p, eps):
     assert np.array_equal(bulk_conjugate_density(law, tri, sig), _conjugate_200_steps(law, tri, sig))
     sig[[0, 7]] = 0.0
     assert np.array_equal(bulk_conjugate_density(law, tri, sig), _conjugate_200_steps(law, tri, sig))
+    # elements that settle at different steps in one call, with and without
+    # a zero stress among them, and one-element calls
+    ramp = 10.0 ** np.linspace(-12.0, 3.0, 46)[:, None] * np.array([0.6, -0.8])
+    for sig in (ramp, np.insert(ramp, 20, 0.0, axis=0)):
+        tri = np.arange(len(sig))
+        assert np.array_equal(bulk_conjugate_density(law, tri, sig), _conjugate_200_steps(law, tri, sig))
+    for sig in ramp[[0, 17, 45]]:
+        one = sig[None, :]
+        assert np.array_equal(bulk_conjugate_density(law, [0], one), _conjugate_200_steps(law, [0], one))
 
 
 # ---------------------------------------------------------------------------

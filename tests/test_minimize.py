@@ -484,13 +484,18 @@ def test_subquadratic_body_kink_raises_honestly():
 
 
 def test_fully_pinned_problem_returns_the_interpolant():
+    # the direct solve, and the Newton loop, which returns at its first
+    # evaluation with that evaluation's energy
     mesh = build_structured_mesh(1, 1, 1.0, 1.0, brittle="none")  # all Dirichlet, no interior vertex
     psi = TimeTable.build([(0.0, np.zeros(mesh.n_vertices)),
                            (1.0, mesh.vertices[:, 0])], mesh.n_vertices)
-    model = make_model(mesh, psi=psi, lam=0.1)
-    u, rep = minimize_elastic(model, mesh, CrackSet.empty(), 0.5)
-    assert rep.n_free == 0
-    assert np.allclose(u.values, 0.5 * mesh.vertices[:, 0][u.topology.dof_vertex])
+    for p in (2.0, 4.0):
+        model = make_model(mesh, psi=psi, lam=0.1, p=p)
+        u, rep = minimize_elastic(model, mesh, CrackSet.empty(), 0.5)
+        assert rep.n_free == 0 and rep.residual == 0.0
+        assert np.allclose(u.values, 0.5 * mesh.vertices[:, 0][u.topology.dof_vertex])
+        energy, _ = elastic_energy(model, mesh, 0.5, u)
+        assert abs(rep.energy - energy) <= 1e-13 * abs(energy)
 
 
 @pytest.mark.parametrize("n", [2, minimize._DENSE_LIMIT + 1])
@@ -617,20 +622,27 @@ def test_free_block_hessian_matches_the_sliced_full_assembly(p, q, nx, ny):
         assert np.max(np.abs(dense - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("p, q", [(4.0, 2.0), (1.5, 2.0), (2.0, 3.0), (2.0, 1.5)])
-@pytest.mark.parametrize("nx, ny", [(2, 1), (18, 14)])
-def test_newton_evaluator_matches_the_reference_functions(p, q, nx, ny):
-    # random fields under body and surface loads, on the uncracked body and
-    # on one with a cracked-off piece, on both sides of the dense limit
+def _loaded_strip(nx, ny, p, q, rng):
+    """(mesh, model) of an nx x ny strip pinned on the left, under random
+    body and surface loads (drawn from ``rng``) and a random mu."""
     mesh = build_structured_mesh(nx, ny, 2.0, 1.0,
                                  labeling={"dirichlet": ("left",), "surface": ("right",)},
                                  brittle=("rect", (1.0, 0.0, 1.0, 1.0)))
-    rng = np.random.default_rng(11)
     f = TimeTable.build([(0.0, 0.0), (1.0, rng.normal(size=mesh.n_triangles))], mesh.n_triangles)
     g = TimeTable.build([(0.0, 0.0), (1.0, rng.normal(size=len(mesh.surface_edges)))],
                         len(mesh.surface_edges))
     model = make_model(mesh, p=p, q=q, eps=1e-6, lam=0.5, f=f, g=g,
                        mu=rng.uniform(0.5, 2.0, mesh.n_triangles))
+    return mesh, model
+
+
+@pytest.mark.parametrize("p, q", [(4.0, 2.0), (1.5, 2.0), (2.0, 3.0), (2.0, 1.5)])
+@pytest.mark.parametrize("nx, ny", [(2, 1), (18, 14)])
+def test_newton_evaluator_matches_the_reference_functions(p, q, nx, ny):
+    # random fields under body and surface loads, on the uncracked body and
+    # on one with a cracked-off piece, on both sides of the dense limit
+    rng = np.random.default_rng(11)
+    mesh, model = _loaded_strip(nx, ny, p, q, rng)
     solver = ElasticSolver(model, mesh)
     t = 0.6
     for crack in (CrackSet.empty(), CrackSet.of(crackable_edges(mesh))):
@@ -650,6 +662,46 @@ def test_newton_evaluator_matches_the_reference_functions(p, q, nx, ny):
             assert isinstance(h, np.ndarray) is (topo.n_free <= minimize._DENSE_LIMIT)
             diff = h - ref if isinstance(h, np.ndarray) else (h - ref).toarray()
             assert np.max(np.abs(diff)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("p, q", [(1.5, 2.0), (1.5, 3.0), (3.0, 2.0), (3.0, 3.0), (4.0, 2.0), (4.0, 3.0)])
+@pytest.mark.parametrize("nx, ny", [(2, 1), (18, 14)])
+def test_newton_report_energy_is_the_evaluators_at_the_returned_field(p, q, nx, ny):
+    # the loaded strips of the evaluator test above: the report energy is the
+    # last evaluation, bit for bit the evaluator's energy at the returned
+    # field, and the quadrature of elastic_energy there up to rounding
+    mesh, model = _loaded_strip(nx, ny, p, q, np.random.default_rng(11))
+    solver = ElasticSolver(model, mesh)
+    t = 0.6
+    for crack in (CrackSet.empty(), CrackSet.of(crackable_edges(mesh))):
+        u, rep = solver.solve(crack, t)
+        assert rep.method == "newton" and rep.residual <= 1e-10
+        assert (rep.n_free <= minimize._DENSE_LIMIT) is (nx == 2)
+        ev = minimize._Evaluator(solver, solver._data(crack), t)
+        assert rep.energy == ev.evaluate(u.values[u.topology.free_dofs])[0]
+        energy, _ = elastic_energy(model, mesh, t, u)
+        assert abs(rep.energy - energy) <= 1e-13 * abs(energy)
+
+
+def test_damping_shifts_a_copy_of_the_hessian_diagonal():
+    # h + delta m I entry for entry, m the mean of diag h (1 where it is 0),
+    # dense and CSR; a write-protected h is left as it was, and delta = 0
+    # gives h itself
+    rng = np.random.default_rng(13)
+    a = rng.normal(size=(7, 7))
+    for dense in (a @ a.T + np.eye(7), a - np.diag(np.diag(a))):
+        for h in (dense.copy(), scipy.sparse.csr_matrix(dense)):
+            values = h if isinstance(h, np.ndarray) else h.data
+            values.setflags(write=False)
+            before = values.tobytes()
+            m = float(np.mean(dense.diagonal())) or 1.0
+            for delta in (1e-4, 1.0, 1e3):
+                damped = minimize._damped(h, delta)
+                assert isinstance(damped, np.ndarray) is isinstance(h, np.ndarray)
+                out = damped if isinstance(damped, np.ndarray) else damped.toarray()
+                assert np.array_equal(out, dense + delta * m * np.eye(7))
+                assert values.tobytes() == before
+            assert minimize._damped(h, 0.0) is h
 
 
 def test_newton_evaluator_at_a_wild_point_raises_no_warning():
@@ -674,13 +726,11 @@ def test_newton_evaluator_at_a_wild_point_raises_no_warning():
 
 def _count_energies(monkeypatch):
     """Record every energy evaluation of the Newton path: the evaluator's
-    energies and the report energy of each solve."""
+    passes, whose last one also gives the report energy of a solve."""
     evaluations = []
-    evaluate, report_energy = minimize._Evaluator.evaluate, minimize.elastic_energy
+    evaluate = minimize._Evaluator.evaluate
     monkeypatch.setattr(minimize._Evaluator, "evaluate",
                         lambda self, v: evaluations.append(1) or evaluate(self, v))
-    monkeypatch.setattr(minimize, "elastic_energy",
-                        lambda *a: evaluations.append(1) or report_energy(*a))
     return evaluations
 
 
