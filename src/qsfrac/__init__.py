@@ -33,7 +33,6 @@ from .broken import (
     DofTopology,
     build_topology,
     embed_field,
-    gradient,
     jump_across_edge,
     jump_support,
     trace_on_surface_part,

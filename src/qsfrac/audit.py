@@ -344,16 +344,15 @@ class StructureResult:
     result: CheckResult
 
 
-def check_structure(record: EvolutionRecord, boundary: TimeTable,
-                    tol: float | None = None) -> StructureResult:
+def check_structure(record: EvolutionRecord, boundary: TimeTable) -> StructureResult:
     """Verify that each crack set equals the initial crack united with all
     past jump supports, as exact edge sets.
 
     Jumps outside the crack set are impossible by construction of the broken
     space and are asserted; the informative failure mode is an edge that was
-    cracked but never opened.  Without ``tol`` each knot separates opening
-    from rounding at 1e-9 * (1 + max |psi(t_i)|), the datum of its own time;
-    the report gives the largest tolerance used.
+    cracked but never opened.  Each knot separates opening from rounding at
+    1e-9 * (1 + max |psi(t_i)|), the datum of its own time; the report gives
+    the largest tolerance used.
     """
     cum = record.cracks[0].as_set()
     never: dict[int, tuple] = {}
@@ -361,7 +360,7 @@ def check_structure(record: EvolutionRecord, boundary: TimeTable,
     used = 0.0
     for i in range(len(record)):
         psi = boundary.value(float(record.times[i]))
-        tol_i = default_jump_tol(psi) if tol is None else tol
+        tol_i = default_jump_tol(psi)
         used = max(used, tol_i)
         s = jump_support(record.fields[i], psi, tol_i)
         jump_sets.append(s)
@@ -497,7 +496,6 @@ def dual_certificate(model: EnergyModel, mesh: Mesh, crack: CrackSet, t: float,
 class ProbeResult:
     verdict: str                 # PASS / FAIL / INCONCLUSIVE
     rows: list[dict]             # per window knot: s, gap, and the four distances
-    fitted_rates: dict
     result: CheckResult
 
 
@@ -520,7 +518,8 @@ def stress_continuity_probe(record: EvolutionRecord, model: EnergyModel, mesh: M
 
     and checks each column is dominated by C |t - s| with C fitted from the
     two knots nearest to t; this is the discrete counterpart of Lipschitz
-    loads driving a continuously varying minimizer on a frozen crack.
+    loads driving a continuously varying minimizer on a frozen crack.  The
+    fitted C of each column is the result's margin ``rate_<column>``.
     """
     n = len(record)
     if not 0 <= t_index < n:
@@ -530,7 +529,7 @@ def stress_continuity_probe(record: EvolutionRecord, model: EnergyModel, mesh: M
     if len(s_indices) < 2:
         res = CheckResult("stress_continuity", "INCONCLUSIVE",
                           details="window has fewer than two earlier knots")
-        return ProbeResult("INCONCLUSIVE", [], {}, res)
+        return ProbeResult("INCONCLUSIVE", [], res)
 
     base_crack = record.cracks[t_index]
     for s in s_indices:
@@ -540,7 +539,7 @@ def stress_continuity_probe(record: EvolutionRecord, model: EnergyModel, mesh: M
                 details=(f"crack set changes inside the window (knot {s}); "
                          "the one-sided limit hypothesis fails"),
             )
-            return ProbeResult("INCONCLUSIVE", [], {}, res)
+            return ProbeResult("INCONCLUSIVE", [], res)
 
     p, q, r = model.p, model.q, model.r
     pc = p / (p - 1.0)
@@ -579,4 +578,4 @@ def stress_continuity_probe(record: EvolutionRecord, model: EnergyModel, mesh: M
         tolerances={"atol": atol},
         details=f"window knots {s_indices} against knot {t_index}",
     )
-    return ProbeResult(verdict, rows, rates, res)
+    return ProbeResult(verdict, rows, res)

@@ -33,7 +33,6 @@ __all__ = [
     "build_topology",
     "corner_gradients",
     "corner_trace",
-    "gradient",
     "jump_across_edge",
     "jump_support",
     "trace_on_surface_part",
@@ -212,6 +211,7 @@ class BrokenField:
         return self.corner_values().mean(axis=1)
 
     def gradients(self) -> np.ndarray:
+        """Per-triangle constant gradient vectors of the broken field."""
         return corner_gradients(self.topology.mesh, self.corner_values())
 
 
@@ -225,11 +225,6 @@ def corner_trace(mesh: Mesh, cv: np.ndarray) -> np.ndarray:
     """Midpoint traces on the surface-force edges of the (n_triangles, 3)
     corner values ``cv``, ordered like ``mesh.surface_edges``."""
     return cv.ravel()[mesh.edge_corner[mesh.surface_edges, 0]].mean(axis=1)
-
-
-def gradient(u: BrokenField) -> np.ndarray:
-    """Per-triangle constant gradient vectors of the broken field."""
-    return u.gradients()
 
 
 def jump_across_edge(u: BrokenField, edge_id: int, psi) -> tuple[float, float]:

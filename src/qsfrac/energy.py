@@ -51,7 +51,6 @@ __all__ = [
     "stress",
     "stress_jacobian",
     "bulk_conjugate_density",
-    "toughness_values",
     "surface_energy",
     "edge_surface_energies",
     "body_value_and_gradient",
@@ -348,14 +347,6 @@ class Toughness:
         return lo, hi
 
 
-def toughness_values(tough: Toughness, mesh: Mesh, edge_ids) -> np.ndarray:
-    """kappa at edge midpoints with the edge normals, for the given edges."""
-    ids = np.asarray(list(edge_ids), dtype=int)
-    if len(ids) == 0:
-        return np.zeros(0)
-    return tough.kappa(mesh.edge_midpoint[ids], mesh.edge_normal[ids])
-
-
 def surface_energy(tough: Toughness, mesh: Mesh, crack: CrackSet) -> float:
     """Total crack energy: sum of kappa(midpoint, normal) * length over the set.
 
@@ -376,7 +367,9 @@ def edge_surface_energies(tough: Toughness, mesh: Mesh, edge_ids) -> np.ndarray:
     """kappa(midpoint, normal) * length of each given edge: the terms of
     ``surface_energy``."""
     ids = np.asarray(list(edge_ids), dtype=int)
-    return toughness_values(tough, mesh, ids) * mesh.edge_length[ids]
+    if len(ids) == 0:
+        return np.zeros(0)
+    return tough.kappa(mesh.edge_midpoint[ids], mesh.edge_normal[ids]) * mesh.edge_length[ids]
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +453,7 @@ def body_conjugate_density(pot: BodyPotential, t: float, sigma) -> np.ndarray:
     return pot.lam ** (-qc / pot.q) / qc * np.abs(shifted) ** qc
 
 
-def body_hessian_coeff(pot: BodyPotential, t: float, z: np.ndarray) -> np.ndarray:
+def body_hessian_coeff(pot: BodyPotential, z: np.ndarray) -> np.ndarray:
     """Per-triangle curvature of -F in z: lam (q-1) |z|^(q-2)."""
     if pot.lam == 0.0:
         return np.zeros_like(z)

@@ -377,12 +377,16 @@ class EvolutionRecord:
 # ---------------------------------------------------------------------------
 
 class _Search:
+    """The search of one run: its strategy, its own ``ElasticSolver``, the
+    tolerance of every solve and score it makes, the crackable edges and
+    their surface energies.  A run's initial check and every knot share it."""
+
     def __init__(self, model: EnergyModel, mesh: Mesh, strategy: SearchStrategy = SearchStrategy(),
-                 solver: ElasticSolver | None = None, tol: float = 1e-10):
+                 tol: float = 1e-10):
         self.model = model
         self.mesh = mesh
         self.strategy = strategy
-        self.solver = solver or ElasticSolver(model, mesh)
+        self.solver = ElasticSolver(model, mesh)
         self.tol = tol
         self.crackable = [int(e) for e in crackable_edges(mesh)]
         self._edge_es = np.zeros(mesh.n_edges)   # surface energy per crackable edge
@@ -498,6 +502,13 @@ class _Search:
         cracks = extensions(base, self.candidates(base), sizes)
         return cracks, self.energies(cracks, t, stored)
 
+    def step(self, crack_prev: CrackSet, t: float) -> tuple[BrokenField, CrackSet]:
+        """One knot of the incremental scheme: the best superset of
+        ``crack_prev`` at time t and its field, solved to the search's
+        tolerance."""
+        crack = self.best_superset(crack_prev, t)
+        return self.solver.solve(crack, t, self.tol)[0], crack
+
     def best_superset(self, crack_prev: CrackSet, t: float) -> CrackSet:
         if self.strategy.kind == BRUTE_FORCE:
             return self._brute(crack_prev, t)
@@ -541,14 +552,15 @@ class InitialMinimality:
 
 def check_initial_minimality(model: EnergyModel, mesh: Mesh, crack0: CrackSet,
                              u0: BrokenField, strategy: SearchStrategy,
-                             t: float = 0.0, _solver: ElasticSolver | None = None) -> InitialMinimality:
+                             t: float = 0.0, _search: _Search | None = None) -> InitialMinimality:
     """Is (u0, crack0) minimal at the initial time among crack extensions?
 
     Brute force gives an exact verdict over every superset of the initial
     crack; greedy strategies certify only that no single-edge (or pair)
-    extension improves, which is a necessary condition.
+    extension improves, which is a necessary condition.  The rivals are
+    scored and solved by ``_search`` (the run's), else by a new search.
     """
-    search = _Search(model, mesh, strategy, solver=_solver)
+    search = _search or _Search(model, mesh, strategy)
     e0, _ = total_energy(model, mesh, t, u0, crack0)
     subsets, energies = search.rivals(crack0, t, e0)
     worst = int(np.argmin(energies))
@@ -564,11 +576,9 @@ def check_initial_minimality(model: EnergyModel, mesh: Mesh, crack0: CrackSet,
 def incremental_step(model: EnergyModel, mesh: Mesh, crack_prev: CrackSet, t: float,
                      strategy: SearchStrategy, tol: float = 1e-10):
     """One knot of the incremental scheme: the minimizing (field, crack) with
-    the crack containing ``crack_prev``."""
-    search = _Search(model, mesh, strategy, tol=tol)
-    crack = search.best_superset(crack_prev, t)
-    field, _ = search.solver.solve(crack, t, tol)
-    return field, crack
+    the crack containing ``crack_prev``, from a new search at ``tol``
+    (``_Search.step``)."""
+    return _Search(model, mesh, strategy, tol=tol).step(crack_prev, t)
 
 
 def run_evolution(model: EnergyModel, mesh: Mesh, grid: TimeGrid, crack0: CrackSet,
@@ -581,17 +591,18 @@ def run_evolution(model: EnergyModel, mesh: Mesh, grid: TimeGrid, crack0: CrackS
     knot; it must be globally minimal there (checked with the declared
     strategy) unless ``require_initial_minimality=False``, in which case the
     record is annotated instead.  Subsequent knots apply the incremental
-    step, which preserves crack inclusion by construction.
+    step, which preserves crack inclusion by construction.  One search
+    serves the whole run: the initial solve, the initial check and every
+    step solve and score at ``solver_tol``.
     """
     if grid.horizon > model.boundary.horizon + 1e-12:
         raise EvolutionError("time grid extends beyond the load tables")
     annotations = list(model.validate(mesh))
-    solver = ElasticSolver(model, mesh)
-    search = _Search(model, mesh, strategy, solver=solver, tol=solver_tol)
+    search = _Search(model, mesh, strategy, tol=solver_tol)
 
     t0 = float(grid.knots[0])
-    u0, _ = solver.solve(crack0, t0, solver_tol)
-    init = check_initial_minimality(model, mesh, crack0, u0, strategy, t=t0, _solver=solver)
+    u0, _ = search.solver.solve(crack0, t0, solver_tol)
+    init = check_initial_minimality(model, mesh, crack0, u0, strategy, t=t0, _search=search)
     if not init.passed:
         msg = (f"initial state is not minimal: extending to {list(init.witness_crack or ())} "
                f"lowers the energy by {-init.margin:.3e}")
@@ -604,35 +615,29 @@ def run_evolution(model: EnergyModel, mesh: Mesh, grid: TimeGrid, crack0: CrackS
     energies = [total_energy(model, mesh, t0, u0, crack0)[1]]
     powers = [sample_power_terms(model, mesh, t0, u0)]
 
-    def partial() -> EvolutionRecord:
+    def record(complete: bool) -> EvolutionRecord:
         return EvolutionRecord(
-            grid=TimeGrid(grid.knots[: len(cracks)]), cracks=cracks, fields=fields,
-            energies=energies, powers=powers, strategy=strategy,
+            grid=grid if complete else TimeGrid(grid.knots[: len(cracks)]), cracks=cracks,
+            fields=fields, energies=energies, powers=powers, strategy=strategy,
             certification=strategy.certification, config_hash=config_hash,
-            mesh_hash=mesh_fingerprint(mesh), complete=False, annotations=annotations,
+            mesh_hash=mesh_fingerprint(mesh), complete=complete, annotations=annotations,
         )
 
     for i in range(1, len(grid)):
         t = float(grid.knots[i])
         try:
-            crack = search.best_superset(cracks[-1], t)
-            u, _ = solver.solve(crack, t, solver_tol)
+            u, crack = search.step(cracks[-1], t)
         except SearchLimitError as exc:
-            raise SearchLimitError(str(exc), partial()) from exc
+            raise SearchLimitError(str(exc), record(False)) from exc
         except Exception as exc:  # solver failure: abort with partial record
-            raise EvolutionError(f"step at knot {i} (t={t}) failed: {exc}", partial()) from exc
+            raise EvolutionError(f"step at knot {i} (t={t}) failed: {exc}", record(False)) from exc
         assert cracks[-1].issubset(crack)
         cracks.append(crack)
         fields.append(u)
         energies.append(total_energy(model, mesh, t, u, crack)[1])
         powers.append(sample_power_terms(model, mesh, t, u))
 
-    return EvolutionRecord(
-        grid=grid, cracks=cracks, fields=fields, energies=energies, powers=powers,
-        strategy=strategy, certification=strategy.certification,
-        config_hash=config_hash, mesh_hash=mesh_fingerprint(mesh),
-        complete=True, annotations=annotations,
-    )
+    return record(True)
 
 
 # ---------------------------------------------------------------------------

@@ -89,11 +89,12 @@ per-crack-set solve structures (DOF layout and free-block scatter, with the
 linear solve for p = q = 2 and, on the CG path, the solutions at the two load
 breakpoints used last), a one-entry memo of the last successful solve (crack
 set, time and tolerance, with its field and report), so the state a search
-has just chosen is not solved again, and, once ``scores`` is read, the open
-space with a one-entry memo of E_open and r at the last time scored.  It
-keeps no loads: ``_system`` builds a crack set's datum and load vector at t
-from psi(t), f(t) and g(t), which each ``TimeTable`` memoizes, so the
-candidates of one knot share one interpolation per table.
+has just chosen is not solved again, and, from the first ``scores`` or
+``score``, the open space with a one-entry memo of E_open and r at the time
+and tolerance scored last.  It keeps no loads: ``_system`` builds a crack
+set's datum and load vector at t from psi(t), f(t) and g(t), which each
+``TimeTable`` memoizes, so the candidates of one knot share one
+interpolation per table.
 
 A run with zero confinement and a crack that isolates a piece of the body
 from the Dirichlet boundary has no bounded minimizer; this surfaces as a
@@ -104,7 +105,6 @@ solution, keeping the coercivity requirement of the model visible.
 from __future__ import annotations
 
 import math
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -186,7 +186,6 @@ class SolveReport:
     iterations: int
     residual: float
     energy: float
-    wall_time: float
     method: str
     n_free: int
 
@@ -341,12 +340,12 @@ def assemble_gradient(model: EnergyModel, mesh: Mesh, t: float, u: BrokenField) 
     return assemble_pairing(mesh, u.topology, *stress_triple(model, mesh, t, u))
 
 
-def _free_hessian(model: EnergyModel, mesh: Mesh, t: float, u: BrokenField, block: _FreeBlock):
+def _free_hessian(model: EnergyModel, mesh: Mesh, u: BrokenField, block: _FreeBlock):
     """Hessian of the elastic energy at ``u`` on the free block ``block``."""
     d = stress_jacobian(model.bulk, np.arange(mesh.n_triangles), u.gradients())   # (m, 2, 2)
     g = mesh.grad_op
     local = mesh.tri_area[:, None, None] * np.einsum("tki,tkl,tlj->tij", g, d, g)
-    c = mesh.tri_area * body_hessian_coeff(model.body, t, u.tri_means())
+    c = mesh.tri_area * body_hessian_coeff(model.body, u.tri_means())
     return block.matrix(local + (c / 9.0)[:, None, None] * np.ones((3, 3)))
 
 
@@ -377,7 +376,7 @@ class _Evaluator:
 
     def __init__(self, solver: ElasticSolver, data: _CrackData, t: float):
         topo = data.topology
-        self.model, self.topo, self.block, self.t = solver.model, topo, data.block, t
+        self.model, self.topo, self.block = solver.model, topo, data.block
         self.free = topo.free_dofs
         self.base, self.b = solver._system(data, t)
         self.b_free = self.b[self.free]
@@ -423,7 +422,7 @@ class _Evaluator:
             if p != 2.0:
                 rank_one = np.where(s > 0.0, self.area_mu * (p - 2.0) * s ** ((p - 4.0) / 2.0), 0.0)
                 local += rank_one[:, None, None] * gx[:, :, None] * gx[:, None, :]
-            c = self.area * body_hessian_coeff(self.model.body, self.t, z)
+            c = self.area * body_hessian_coeff(self.model.body, z)
             local += (c / 9.0)[:, None, None]
             return self.block.matrix(local)
 
@@ -615,7 +614,7 @@ class ElasticSolver:
         self.quadratic = model.p == 2.0 and model.q == 2.0
         self._cache: OrderedDict[tuple, _CrackData] = OrderedDict()
         self._open: _OpenSpace | bool | None = None   # built when ``scores`` is first read
-        self._open_at: tuple | None = None     # (t, E_open, r) of the last time scored
+        self._open_at: tuple | None = None     # ((t, tol), E_open, r) of the last score
         self._last: tuple | None = None        # ((edge ids, t, tol), (field, report)) of the last solve
         # per-triangle constants: |T| mu and G^T G (Newton), the forms (p = q = 2)
         self._area_mu = mesh.tri_area * model.bulk.mu_at(np.arange(mesh.n_triangles))
@@ -654,14 +653,21 @@ class ElasticSolver:
     def score(self, crack: CrackSet, t: float, tol: float = 1e-10) -> float:
         """Elastic energy of the minimizer over ``crack`` at time ``t`` from
         the all-open space (see ``_OpenSpace``): no topology, no assembly and
-        no linear solve per crack set.  Only where ``scores`` holds; the open
-        minimizer is solved once per time, to ``tol``."""
+        no linear solve per crack set.  The open minimizer is solved to
+        ``tol`` once per (t, tol), so a score depends on the crack set, t and
+        ``tol`` alone, as a solve does.  Where ``scores`` does not hold
+        (p or q is not 2, or the all-open space is refused) it raises
+        ``ValueError``."""
+        if not self.scores:
+            why = "the all-open space is refused" if self.quadratic else "p or q is not 2"
+            raise ValueError(f"no open-space score: {why}")
         space = self._open
         memo = self._open_at
         with np.errstate(all="ignore"):   # an overflow is the SolveError below
-            if memo is None or memo[0] != t:
+            if memo is None or memo[0] != (t, tol):
                 u, _, _, _, e_open = self._solve_quadratic(space, t, tol)
-                memo = self._open_at = (t, e_open, space.residual(u.values, self.model.boundary.value(t)))
+                memo = self._open_at = ((t, tol), e_open,
+                                        space.residual(u.values, self.model.boundary.value(t)))
             energy = memo[1] + space.excess(space.kept_rows(crack), memo[2])
         if not math.isfinite(energy):
             raise SolveError(f"non-finite energy score at t={t}")
@@ -675,7 +681,6 @@ class ElasticSolver:
         key = (crack.edge_ids, t, tol)
         if self._last is not None and self._last[0] == key:
             return self._last[1]
-        start = time.perf_counter()
         data = self._data(crack)
         if data.floating:
             raise FloatingComponentError(data.floating)
@@ -683,11 +688,8 @@ class ElasticSolver:
             field, iters, res, method, energy = self._solve_quadratic(data, t, tol)
         else:
             field, iters, res, method, energy = self._solve_newton(data, t, tol)
-        report = SolveReport(
-            iterations=iters, residual=res, energy=energy,
-            wall_time=time.perf_counter() - start, method=method,
-            n_free=data.topology.n_free,
-        )
+        report = SolveReport(iterations=iters, residual=res, energy=energy, method=method,
+                             n_free=data.topology.n_free)
         field.values.setflags(write=False)
         self._last = (key, (field, report))
         return field, report

@@ -223,6 +223,46 @@ def test_greedy_solves_only_the_state_and_the_tie_window(monkeypatch):
     assert len(solves) == 1 + 2 * (len(p.grid) - 1) + len(window)
 
 
+@pytest.mark.parametrize("name", ["strip", "quartic"])
+def test_one_search_solves_and_scores_at_the_run_tolerance(name, monkeypatch):
+    # the run builds one solver, and its initial solve, its initial check and
+    # every step solve and score at the run's tolerance
+    p = build_config(name, 9).build_problem()
+    calls, solvers = [], []
+    init, solve, score = ElasticSolver.__init__, ElasticSolver.solve, ElasticSolver.score
+
+    def counted_init(self, *args):
+        solvers.append(self)
+        init(self, *args)
+
+    def counted(kind, method):
+        return lambda self, crack, t, tol=1e-10: calls.append((kind, tol)) or method(self, crack, t, tol)
+
+    monkeypatch.setattr(ElasticSolver, "__init__", counted_init)
+    monkeypatch.setattr(ElasticSolver, "solve", counted("solve", solve))
+    monkeypatch.setattr(ElasticSolver, "score", counted("score", score))
+    run_evolution(p.model, p.mesh, p.grid, p.initial_crack, p.strategy, solver_tol=1e-7)
+    assert len(solvers) == 1
+    assert {tol for _, tol in calls} == {1e-7}
+    assert {kind for kind, _ in calls} == ({"solve", "score"} if name == "strip" else {"solve"})
+
+
+def test_brute_force_run_solves_the_initial_state_the_rivals_and_each_step(monkeypatch):
+    # one solve of the initial state, one per candidate the searches send
+    # through ``parallel_map``, and one per later knot, of the chosen state
+    # (``test_greedy_solves_only_the_state_and_the_tie_window`` pins the
+    # greedy count: two per later knot)
+    p = build_config("lattice", 9).build_problem()
+    assert p.strategy.kind == BRUTE_FORCE
+    solves, items = [], []
+    solve = ElasticSolver.solve
+    monkeypatch.setattr(ElasticSolver, "solve", lambda self, *a: solves.append(a) or solve(self, *a))
+    monkeypatch.setattr(evolution, "parallel_map", lambda fn, xs: items.extend(xs) or [fn(x) for x in xs])
+    rec = run_evolution(p.model, p.mesh, p.grid, p.initial_crack, p.strategy)
+    assert rec.jump_knots() and items
+    assert len(solves) == 1 + len(items) + (len(p.grid) - 1)
+
+
 # ---------------------------------------------------------------------------
 # full runs
 # ---------------------------------------------------------------------------

@@ -593,7 +593,7 @@ def full_hessian_reference(model, mesh, t, u):
     d = stress_jacobian(model.bulk, np.arange(mesh.n_triangles), u.gradients())
     g = mesh.grad_op
     local = mesh.tri_area[:, None, None] * np.einsum("tki,tkl,tlj->tij", g, d, g)
-    c = mesh.tri_area * body_hessian_coeff(model.body, t, u.tri_means())
+    c = mesh.tri_area * body_hessian_coeff(model.body, u.tri_means())
     local = local + (c / 9.0)[:, None, None] * np.ones((3, 3))
     topo = u.topology
     rows = np.repeat(topo.corner_dof, 3, axis=1).ravel()
@@ -615,7 +615,7 @@ def test_free_block_hessian_matches_the_sliced_full_assembly(p, q, nx, ny):
     for crack in (CrackSet.empty(), CrackSet.of(crackable_edges(mesh))):
         topo = build_topology(mesh, crack)
         u = BrokenField(topo, rng.normal(size=topo.n_dofs))
-        h = minimize._free_hessian(model, mesh, 0.6, u, minimize._FreeBlock(topo))
+        h = minimize._free_hessian(model, mesh, u, minimize._FreeBlock(topo))
         assert isinstance(h, np.ndarray) is (topo.n_free <= minimize._DENSE_LIMIT)
         dense = h if isinstance(h, np.ndarray) else h.toarray()
         ref = full_hessian_reference(model, mesh, 0.6, u)
@@ -658,7 +658,7 @@ def test_newton_evaluator_matches_the_reference_functions(p, q, nx, ny):
             grad = minimize.assemble_gradient(model, mesh, t, u)[topo.free_dofs]
             assert np.max(np.abs(g - grad)) <= 1e-13 * np.max(np.abs(grad))
             assert res == float(np.linalg.norm(g))   # the same bits
-            h, ref = ev.hessian(), minimize._free_hessian(model, mesh, t, u, block)
+            h, ref = ev.hessian(), minimize._free_hessian(model, mesh, u, block)
             assert isinstance(h, np.ndarray) is (topo.n_free <= minimize._DENSE_LIMIT)
             diff = h - ref if isinstance(h, np.ndarray) else (h - ref).toarray()
             assert np.max(np.abs(diff)) <= 1e-13 * np.max(np.abs(ref))
@@ -812,7 +812,7 @@ def test_newton_hessian_assembles_once_per_iterate(monkeypatch):
         iterates = [points[starts[k].tobytes()] for k in range(len(hessians))]
         assert len({x.tobytes() for x in iterates}) == len(iterates) >= 2
         for (ev, h, _), x in zip(hessians, iterates):
-            ref = minimize._free_hessian(model, mesh, 0.9, BrokenField(ev.topo, ev.values(x)), ev.block)
+            ref = minimize._free_hessian(model, mesh, BrokenField(ev.topo, ev.values(x)), ev.block)
             diff = h - ref if isinstance(h, np.ndarray) else (h - ref).toarray()
             assert np.max(np.abs(diff)) <= 1e-13 * np.max(np.abs(ref))
         if mesh is strip:   # a secant trial was evaluated after a full step and rejected
@@ -844,6 +844,35 @@ def test_fully_pinned_problem_scores_without_free_dofs():
     solver = ElasticSolver(make_model(mesh, psi=psi, lam=0.1), mesh)
     assert solver.scores
     assert solver.score(CrackSet.empty(), 0.5) == solver.solve(CrackSet.empty(), 0.5)[1].energy
+
+
+def test_score_on_a_fresh_solver_reads_scores_itself():
+    # a score needs no prior read of ``scores``: on the lattice it equals the
+    # score of a solver that read it first, and where the exponents are not
+    # both 2 it names the precondition instead of failing on a missing space
+    p = parse_config(config_text("lattice", 9)).build_problem()
+    crack = CrackSet.of(crackable_edges(p.mesh)[:2])
+    read = ElasticSolver(p.model, p.mesh)
+    assert read.scores
+    for c in (CrackSet.empty(), crack):
+        assert ElasticSolver(p.model, p.mesh).score(c, 0.5) == read.score(c, 0.5)
+    q = parse_config(config_text("quartic", 9)).build_problem()
+    with pytest.raises(ValueError, match="p or q is not 2"):
+        ElasticSolver(q.model, q.mesh).score(CrackSet.empty(), 0.5)
+
+
+def test_score_depends_on_its_tolerance():
+    # the open-space memo is keyed by (t, tol): a tolerance no solve reaches
+    # fails after a score at 1e-10 as it does on a fresh solver
+    p = parse_config(config_text("lattice", 9)).build_problem()
+    crack = CrackSet.of(crackable_edges(p.mesh)[:1])
+    solver, fresh = ElasticSolver(p.model, p.mesh), ElasticSolver(p.model, p.mesh)
+    assert solver.scores and fresh.scores
+    e = solver.score(crack, 0.5, 1e-10)
+    for s in (solver, fresh):
+        with pytest.raises(minimize.SolveError, match="stalled"):
+            s.score(crack, 0.5, 1e-300)
+    assert solver.score(crack, 0.5, 1e-10) == fresh.score(crack, 0.5, 1e-10) == e
 
 
 @pytest.mark.parametrize("nx, brittle, scores", [
