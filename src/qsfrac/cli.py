@@ -16,7 +16,7 @@ from numpy.linalg import LinAlgError
 
 from . import audit as audit_mod
 from .audit import AuditError, AuditReport, CheckResult
-from .config import ConfigError, load_config
+from .config import MAX_KNOTS, ConfigError, load_config
 from .evolution import (
     BRUTE_FORCE,
     GREEDY,
@@ -140,12 +140,11 @@ def _load_problem(args):
             max_bruteforce_edges=problem.strategy.max_bruteforce_edges,
         )
     if getattr(args, "dt", None) is not None:
-        try:
-            n = int(round(problem.grid.horizon / args.dt)) + 1
-            problem.grid = TimeGrid.uniform(problem.grid.horizon, max(n, 2))
-        except (OverflowError, ValueError, MemoryError) as exc:
-            raise ConfigError(f"--dt {args.dt!r} is too small for the horizon "
-                              f"{problem.grid.horizon!r}: {exc}") from exc
+        steps = problem.grid.horizon / args.dt   # inf where it overflows
+        if not steps < MAX_KNOTS - 0.5:   # else round(steps) + 1 knots exceed the cap
+            raise ConfigError(f"--dt {args.dt!r} is too small for the horizon {problem.grid.horizon!r}: "
+                              f"it needs more than {MAX_KNOTS} knots")
+        problem.grid = TimeGrid.uniform(problem.grid.horizon, max(int(round(steps)) + 1, 2))
     if args.command == "run" and args.tol is not None:
         problem.solver_tol = args.tol
     return problem

@@ -24,6 +24,7 @@ __all__ = [
     "EdgeGeometry",
     "Mesh",
     "MeshError",
+    "MeshGeometryError",
     "build_structured_mesh",
     "crackable_edges",
     "edge_geometry",
@@ -36,6 +37,10 @@ _GEOM_TOL = 1e-12
 
 class MeshError(ValueError):
     """Raised when mesh construction or validation fails."""
+
+
+class MeshGeometryError(MeshError):
+    """Raised when the derived geometry of a mesh is not finite and normal."""
 
 
 class BoundaryLabel(IntEnum):
@@ -86,7 +91,9 @@ class Mesh:
 
     Construction checks every invariant and raises ``MeshError`` on the
     first that fails: ``edges`` and ``edge_tris`` must be the edge table of
-    the triangles, exactly as described above, and ``validate`` runs last.
+    the triangles, exactly as described above, triangle areas and edge
+    lengths must be finite normal floats and the other derived geometry
+    finite (``MeshGeometryError``), and ``validate`` runs last.
     """
 
     vertices: np.ndarray
@@ -119,41 +126,48 @@ class Mesh:
         if (v.ndim != 2 or v.shape[1] != 2 or not np.isfinite(v).all() or tri.ndim != 2
                 or tri.shape[1] != 3 or not len(tri) or tri.min() < 0 or tri.max() >= len(v)):
             raise MeshError("need finite (n, 2) vertices and a nonempty (m, 3) array of vertex ids")
-        p = v[tri]  # (m, 3, 2)
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        self.tri_area = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-        self.tri_centroid = p.mean(axis=1)
-        if np.any(self.tri_area <= 0):
-            bad = np.flatnonzero(self.tri_area <= 0)
-            raise MeshError(f"non-positive triangle areas at {bad.tolist()}")
-
         edges, edge_tris, side_edge = _edge_table(tri)
         if not (np.array_equal(self.edges, edges) and np.array_equal(self.edge_tris, edge_tris)):
             raise MeshError("edges and edge_tris are not the edge table of the triangles")
         if self.boundary_label.shape != (len(edges),) or self.brittle.shape != (len(edges),):
             raise MeshError("boundary_label and brittle need one entry per edge")
 
-        # P1 shape-function gradients: grad u|_T = grad_op[T] @ corner values
-        opposite = p[:, [2, 0, 1]] - p[:, [1, 2, 0]]   # the side facing each corner
-        g = np.empty((len(tri), 2, 3))
-        g[:, 0], g[:, 1] = -opposite[..., 1], opposite[..., 0]
-        g /= (2.0 * self.tri_area)[:, None, None]
-        self.grad_op = g
+        p = v[tri]  # (m, 3, 2)
+        with np.errstate(all="ignore"):   # a degenerate geometry fails below
+            d1 = p[:, 1] - p[:, 0]
+            d2 = p[:, 2] - p[:, 0]
+            self.tri_area = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+            self.tri_centroid = p.mean(axis=1)
 
-        ep = self.vertices[self.edges]  # (E, 2, 2)
-        tangent = ep[:, 1] - ep[:, 0]
-        self.edge_length = np.hypot(tangent[:, 0], tangent[:, 1])
-        self.edge_midpoint = ep.mean(axis=1)
+            # P1 shape-function gradients: grad u|_T = grad_op[T] @ corner values
+            opposite = p[:, [2, 0, 1]] - p[:, [1, 2, 0]]   # the side facing each corner
+            g = np.empty((len(tri), 2, 3))
+            g[:, 0], g[:, 1] = -opposite[..., 1], opposite[..., 0]
+            g /= (2.0 * self.tri_area)[:, None, None]
+            self.grad_op = g
 
-        normal = np.stack([tangent[:, 1], -tangent[:, 0]], axis=1)
-        normal /= self.edge_length[:, None]
-        # orient: interior edges low->high adjacent triangle, boundary outward
-        ref_tri = np.where(self.edge_tris[:, 1] >= 0, self.edge_tris[:, 1], self.edge_tris[:, 0])
-        toward = self.tri_centroid[ref_tri] - self.edge_midpoint
-        sign = np.sign(np.einsum("ij,ij->i", toward, normal))
-        sign = np.where(self.edge_tris[:, 1] >= 0, sign, -sign)
-        self.edge_normal = normal * sign[:, None]
+            ep = self.vertices[self.edges]  # (E, 2, 2)
+            tangent = ep[:, 1] - ep[:, 0]
+            self.edge_length = np.hypot(tangent[:, 0], tangent[:, 1])
+            self.edge_midpoint = ep.mean(axis=1)
+
+            normal = np.stack([tangent[:, 1], -tangent[:, 0]], axis=1)
+            normal /= self.edge_length[:, None]
+            # orient: interior edges low->high adjacent triangle, boundary outward
+            ref_tri = np.where(self.edge_tris[:, 1] >= 0, self.edge_tris[:, 1], self.edge_tris[:, 0])
+            toward = self.tri_centroid[ref_tri] - self.edge_midpoint
+            sign = np.sign(np.einsum("ij,ij->i", toward, normal))
+            sign = np.where(self.edge_tris[:, 1] >= 0, sign, -sign)
+            self.edge_normal = normal * sign[:, None]
+        if np.any(self.tri_area <= 0):
+            bad = np.flatnonzero(self.tri_area <= 0)
+            raise MeshError(f"non-positive triangle areas at {bad.tolist()}")
+        tiny = np.finfo(float).tiny
+        if not (np.all(self.tri_area >= tiny) and np.all(self.edge_length >= tiny) and all(
+                np.isfinite(a).all() for a in (self.tri_area, self.tri_centroid, self.grad_op,
+                                               self.edge_length, self.edge_midpoint, self.edge_normal))):
+            raise MeshGeometryError("triangle areas and edge lengths must be finite normal floats, "
+                                    "and centroids, midpoints, normals and gradients finite")
 
         # side i of triangle t joins corners i and i + 1; its edge lists the
         # lower vertex first, and t is the edge's second triangle unless it
@@ -217,8 +231,6 @@ class Mesh:
         """Check the invariants beyond the areas and the edge table; raise
         ``MeshError``.  Construction calls it, so every ``Mesh`` passes it.
         """
-        if np.any(self.edge_length <= 0):
-            raise MeshError("edge of zero length")
         if len(np.unique(np.sort(self.triangles, axis=1), axis=0)) < self.n_triangles:
             raise MeshError("two triangles share all three vertices")
 
@@ -325,7 +337,8 @@ def build_structured_mesh(
         c = len(verts) + np.arange(nx * ny)
         triangles = np.stack([v00, v10, c, v10, v11, c, v11, v01, c, v01, v00, c],
                              axis=1).reshape(-1, 3)
-        centers = np.column_stack([(xs[i] + xs[i + 1]) / 2.0, (ys[j] + ys[j + 1]) / 2.0])
+        # halved before the sum: the bits of (a + b) / 2 where that does not overflow
+        centers = np.column_stack([xs[i] / 2.0 + xs[i + 1] / 2.0, ys[j] / 2.0 + ys[j + 1] / 2.0])
         verts = np.vstack([verts, centers])
     edges, edge_tris, _ = _edge_table(triangles)
 

@@ -96,6 +96,20 @@ def test_balance_detects_tampered_energies(strip_problem, strip_record):
     assert "knot 5" in bal.result.details
 
 
+def test_balance_fails_when_the_recomputed_total_overflows(strip_problem, strip_record):
+    # a guard scaled by the recomputed total passed an infinite one, since
+    # inf <= inf; the audit then reported only the ordinary trapezoid gap
+    bad = doctor(strip_record)
+    u = bad.fields[2]
+    vals = u.values.copy()
+    vals[1] = 1e308
+    bad.fields[2] = BrokenField(u.topology, vals)
+    res = check_energy_balance(bad, strip_problem.model, strip_problem.mesh).result
+    assert res.verdict == "FAIL"
+    assert res.details == "stored total energy at knot 2 does not match the model"
+    assert res.margins["recompute_mismatch"] == np.inf
+
+
 def test_balance_first_order_gap_halves_under_refinement():
     gaps = {}
     for knots in (64, 128):

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsfrac.cli import main
-from qsfrac.config import ConfigError, compile_expr, config_hash, parse_config
+from qsfrac.config import (
+    _KEYS,
+    MAX_CELLS,
+    MAX_KNOTS,
+    ConfigError,
+    compile_expr,
+    config_hash,
+    parse_config,
+)
 from qsfrac.corpus import CORPUS, build_config, config_text
 from qsfrac.evolution import run_evolution
 from qsfrac.mesh import crackable_edges
@@ -326,6 +335,26 @@ def test_cli_audit_of_a_pinned_dof_off_the_datum_fails_naming_the_knot(strip_run
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("flags", [[], ["-W", "error"]])
+def test_cli_audit_of_a_dof_whose_energy_overflows_fails_naming_the_knot(strip_run, tmp_path, flags):
+    # the recomputed total is inf: the balance guard and the Euler residual
+    # fail at knot 2, with no numpy warning and no traceback
+    cfg_path, payload = strip_run
+    payload = json.loads(json.dumps(payload))
+    payload["knots"][2]["dofs"][1] = 1e308
+    rec_path = tmp_path / "rec.json"
+    rec_path.write_text(json.dumps(payload))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "qsfrac", "audit", "--config", str(cfg_path), "--record",
+         str(rec_path)],
+        capture_output=True, text=True, env=cli_env(), cwd=str(tmp_path),
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "    stored total energy at knot 2 does not match the model" in proc.stdout
+    assert "    euler residual inf at knot 2 exceeds" in proc.stdout
+    assert proc.stderr == ""
+
+
 def _reject_constant(token):
     raise ValueError(f"non-standard JSON token {token}")
 
@@ -463,19 +492,43 @@ def test_cli_newton_start_overflow_is_a_numeric_failure(tmp_path, flags):
     # imaginary part silently dropped
     "body.force = 0: 0; 1: (-8) ** 0.5",
     "body.force = 0: 0; 1: x ** 0.5 * (-1) ** 0.5",
+    # finite, but the triangle areas underflow or the centroids overflow
+    "mesh.height = 1e-320",
+    "mesh.width = 1e308",
 ])
 def test_cli_non_finite_config_value_exit_2(tmp_path, line):
     key = line.split(" = ")[0]
     cfg_path = tmp_path / "bad.cfg"
-    cfg_path.write_text(BASE + line + "\n")
+    cfg_path.write_text("".join(l + "\n" for l in BASE.splitlines() if not l.startswith(key + " "))
+                        + line + "\n")
     proc = subprocess.run(
-        [sys.executable, "-m", "qsfrac", "run", "--config", str(cfg_path),
+        [sys.executable, "-W", "error", "-m", "qsfrac", "run", "--config", str(cfg_path),
          "--out", str(tmp_path / "r.json")],
         capture_output=True, text=True, env=cli_env(), cwd=str(tmp_path),
     )
     assert proc.returncode == 2, proc.stderr
     assert key in proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
+
+
+@pytest.mark.parametrize("line, message", [
+    ("mesh.nx = 10000000", f"mesh.nx: expected an integer in [1, {MAX_CELLS}], got '10000000'"),
+    ("mesh.ny = 1e6", f"mesh.ny: expected an integer in [1, {MAX_CELLS}], got '1e6'"),
+    ("mesh.nx = 2.5", f"mesh.nx: expected an integer in [1, {MAX_CELLS}], got '2.5'"),
+    ("mesh.ny = 60000", f"mesh.nx * mesh.ny: expected at most {MAX_CELLS} cells, got 120000"),
+    ("time.knots = 1e9", f"time.knots: expected an integer in [2, {MAX_KNOTS}], got '1e9'"),
+])
+def test_cli_mesh_and_grid_sizes_are_checked_when_the_config_is_parsed(tmp_path, capsys, line, message):
+    # each used to end in a numpy MemoryError traceback, or for 2.5 in a
+    # message that named its key twice
+    key = line.split(" = ")[0]
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text("".join(l + "\n" for l in config_text("strip", 5).splitlines()
+                                if not l.startswith(key + " ")) + line + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("line", [
@@ -520,6 +573,42 @@ def test_time_and_search_inputs_fail_at_the_boundary_naming_their_key(line, mess
     text = "".join(l + "\n" for l in config_text("strip", 9).splitlines() if not l.startswith(key))
     with pytest.raises(ConfigError, match=message):
         parse_config(text + f"{line}\nstrategy.kind = {kind}\n").build_problem()
+
+
+# values that are not numbers, not finite, out of range, too large for a
+# mesh or a grid, subnormal, or bad tables and regions
+_FUZZ_TOKENS = ["nan", "inf", "-1", "0", "1.5", "1e308", "1e-320", "10000000", "x",
+                "0: 0; 0.5", "0: 0; 0: 1", "0.5: 0; 1: 0", "0: 1e308 * 1e308", "0: 0; 1: nan",
+                "rect: 1, 0", "rect: nan, 0, 1, 1", "edges: 99", "edges: x", "all", "none"]
+
+
+@pytest.fixture(scope="module")
+def largest_corpus_mesh():
+    return max(parse_config(config_text(name, 3)).build_mesh().n_triangles for name in CORPUS)
+
+
+@given(st.sampled_from(sorted(CORPUS)), st.data())
+@settings(max_examples=200, deadline=None)
+def test_a_fuzzed_config_builds_or_raises_a_config_error(largest_corpus_mesh, name, data):
+    # one or two values of a corpus text replaced: the problem builds, or
+    # the config is refused with a ConfigError, never with a warning, another
+    # exception or a mesh beyond the corpus sizes
+    lines = [line for line in config_text(name, 3).splitlines() if " = " in line]
+    for i in data.draw(st.lists(st.integers(0, len(lines) - 1), min_size=1, max_size=2, unique=True)):
+        lines[i] = lines[i].split(" = ")[0] + " = " + data.draw(st.sampled_from(_FUZZ_TOKENS))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            problem = parse_config("\n".join(lines)).build_problem()
+        except ConfigError:
+            return
+    assert problem.mesh.n_triangles <= largest_corpus_mesh
+
+
+def test_readme_config_section_lists_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Config format", 1)[1].split("\n## ", 1)[0]
+    assert [key for key in _KEYS if f"`{key}`" not in section] == []
 
 
 def test_brittle_edge_ids_select_the_same_crackable_edges_as_a_rectangle(tmp_path, capsys):
@@ -659,8 +748,8 @@ def test_cli_run_tol_reaches_the_solver(tmp_path, monkeypatch):
 ])
 def test_cli_numeric_flag_out_of_range_is_a_usage_error(strip_run, tmp_path, capsys, command, flag,
                                                         value):
-    # each must be finite and > 0; --dt 1e-300 is, but its knot count is more
-    # than numpy can allocate.  --max-edges must be an integer >= 0: a
+    # each must be finite and > 0; --dt 1e-300 is, but its knot count is above
+    # the knot cap MAX_KNOTS.  --max-edges must be an integer >= 0: a
     # negative cap would quietly turn the audit's oracle level into the
     # one-edge one
     cfg_path, payload = strip_run
