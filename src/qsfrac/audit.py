@@ -213,15 +213,17 @@ def check_energy_balance(record: EvolutionRecord, model: EnergyModel, mesh: Mesh
 
     powers = np.asarray([net_power(p) for p in record.powers])
     totals = np.asarray([record.total_energy(i) for i in range(n)])
-    dt = np.diff(times)
-    trap = 0.5 * dt * (powers[:-1] + powers[1:])
-    mismatch = np.diff(totals) - trap
-    mask = np.ones(len(mismatch), dtype=bool)
+    mask = np.ones(max(n - 1, 0), dtype=bool)
     for i in exclude_intervals:
-        if 0 <= i < len(mismatch):
+        if 0 <= i < len(mask):
             mask[i] = False
-    deviations = np.concatenate([[0.0], np.cumsum(np.where(mask, mismatch, 0.0))])
-    gap = float(np.max(np.abs(deviations))) if n else 0.0
+    # stored values near the largest float can overflow an increment or a
+    # trapezoid: the gap is then not finite, and fails as NaN does
+    with np.errstate(over="ignore", invalid="ignore"):
+        trap = 0.5 * np.diff(times) * (powers[:-1] + powers[1:])
+        mismatch = np.diff(totals) - trap
+        deviations = np.concatenate([[0.0], np.cumsum(np.where(mask, mismatch, 0.0))])
+        gap = float(np.max(np.abs(deviations))) if n else 0.0
 
     if tol is None:
         tol = 5e-3 * (1.0 + abs(totals[-1])) if n else 5e-3

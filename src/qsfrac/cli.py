@@ -183,10 +183,15 @@ def cmd_run(args) -> int:
 
 
 def _verify_hashes(record: EvolutionRecord, problem) -> None:
+    """Refuse a record of another config or mesh, or one whose grid runs past
+    the config's horizon (its loads are not defined there)."""
     if record.config_hash != problem.config_hash:
         raise AuditError("record was produced from a different config (hash mismatch)")
     if record.mesh_hash != mesh_fingerprint(problem.mesh):
         raise AuditError("record mesh fingerprint does not match the config's mesh")
+    if record.grid.horizon > problem.grid.horizon:
+        raise RecordError(f"the record's grid ends at {record.grid.horizon!r}, "
+                          f"after time.horizon = {problem.grid.horizon!r}")
 
 
 def cmd_audit(args) -> int:

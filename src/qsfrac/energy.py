@@ -123,7 +123,7 @@ class TimeTable:
     @classmethod
     def build(cls, pairs: Sequence[tuple[float, object]], size: int) -> "TimeTable":
         """From [(t, value)] pairs, at least two; each value is a scalar or an
-        (size,) array."""
+        (size,) array.  The rate over every interval must be finite."""
         if len(pairs) < 2:
             raise ValueError("a time table needs at least two (t, value) pairs")
         times = check_knots([float(t) for t, _ in pairs])
@@ -133,7 +133,14 @@ class TimeTable:
             rows.append(np.full(size, float(arr)) if arr.ndim == 0 else arr)
             if rows[-1].shape != (size,):
                 raise ValueError(f"table value has shape {rows[-1].shape}, expected ({size},)")
-        return cls(times, np.vstack(rows))
+        samples = np.vstack(rows)
+        with np.errstate(all="ignore"):   # an overflowing rate is the ValueError below
+            rates = np.diff(samples, axis=0) / np.diff(times)[:, None]
+        bad = np.flatnonzero(~np.isfinite(rates).all(axis=1))
+        if len(bad):
+            i = int(bad[0])
+            raise ValueError(f"the rate over [{float(times[i])!r}, {float(times[i + 1])!r}] is not finite")
+        return cls(times, samples)
 
     @classmethod
     def constant(cls, value, size: int, horizon: float = 1.0) -> "TimeTable":

@@ -14,12 +14,13 @@ and the initial-minimality check and the oracle stability audit use it too.
 
 Candidates are scored, states are solved.  Where the solver offers the
 open-space score (p = q = 2 and few enough tie rows, see ``minimize``), a
-candidate's total energy is that score plus its surface energy from the
-per-edge table every total of the search uses: no topology, no assembly and
-no solve per candidate.  The crack set a knot records, the greedy's current
-state, and every candidate within the tie window of a stored total (these
-decide a minimality verdict) are solved, so records and verdicts take their
-energies from solves.  Elsewhere every candidate is solved.
+candidate's total energy is that score plus its surface energy, summed once
+per crack set from the per-edge table every total of the search uses: no
+topology, no assembly and no solve per candidate.  The crack set a knot
+records, the greedy's current state, and every candidate within the tie
+window of a stored total (these decide a minimality verdict) are solved, so
+records and verdicts take their energies from solves.  Elsewhere every
+candidate is solved.
 
 Energy ties within 1e-9 * (1 + |E|) are broken toward fewer cracked edges,
 then toward the lexicographically smallest edge-id set: a crack only appears
@@ -40,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import parallel_map
+from ._util import LRU, parallel_map
 from .broken import BrokenField, CrackSet, build_topology, corner_gradients, corner_trace
 from .energy import (
     EnergyModel,
@@ -52,7 +53,7 @@ from .energy import (
     total_energy,
 )
 from .mesh import Mesh, crackable_edges, mesh_fingerprint
-from .minimize import ElasticSolver
+from .minimize import _CACHE_SIZE, ElasticSolver
 
 __all__ = [
     "TimeGrid",
@@ -379,7 +380,9 @@ class EvolutionRecord:
 class _Search:
     """The search of one run: its strategy, its own ``ElasticSolver``, the
     tolerance of every solve and score it makes, the crackable edges and
-    their surface energies.  A run's initial check and every knot share it."""
+    their surface energies.  A run's initial check and every knot share it,
+    and so they share the surface energy of each crack set it totals, kept
+    in an LRU of at most ``_CACHE_SIZE`` crack sets."""
 
     def __init__(self, model: EnergyModel, mesh: Mesh, strategy: SearchStrategy = SearchStrategy(),
                  tol: float = 1e-10):
@@ -391,9 +394,10 @@ class _Search:
         self.crackable = [int(e) for e in crackable_edges(mesh)]
         self._edge_es = np.zeros(mesh.n_edges)   # surface energy per crackable edge
         self._edge_es[self.crackable] = edge_surface_energies(model.toughness, mesh, self.crackable)
+        self._surfaces = LRU(_CACHE_SIZE)   # edge ids -> surface energy
 
     def _surface(self, crack: CrackSet) -> float:
-        return float(np.sum(self._edge_es[list(crack.edge_ids)]))
+        return self._surfaces.get(crack.edge_ids, lambda: float(np.sum(self._edge_es[list(crack.edge_ids)])))
 
     def _scored(self, crack: CrackSet, t: float) -> tuple[BrokenField, float]:
         u, report = self.solver.solve(crack, t, self.tol)

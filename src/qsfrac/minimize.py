@@ -73,9 +73,12 @@ when the open stiffness is positive definite and no loaded piece of the open
 body floats: such a piece drifts to load / lambda, and the identity would
 then cancel two energies of that size in rounding.  It also needs few
 enough rows (``_SCORE_ROWS_DENSE`` where the uncracked body solves densely,
-``_SCORE_ROWS_CG`` above): each score factors the rows its crack set keeps,
-at a cost cubic in their number, while a solve grows with the DOFs, so a
-wide brittle region is solved candidate by candidate as before.
+``_SCORE_ROWS_CG`` above): the first score of a crack set factors the rows
+it keeps, at a cost cubic in their number, while a solve grows with the
+DOFs, so a wide brittle region is solved candidate by candidate as before.
+G and the kept rows do not depend on t, so that factor serves every later
+score of the crack set, at any time: a score then costs one triangular
+solve.
 
 The first variation of the elastic energy is the stress triple of
 ``energy.stress_triple`` paired with (grad v, v, v); ``assemble_pairing`` is
@@ -84,17 +87,19 @@ reference gradient (``assemble_gradient``) the Newton evaluator is tested
 against, the Euler residual of the stability audit, and both residuals of
 the dual certificate.
 
-``ElasticSolver`` keeps three caches: an LRU of at most ``_CACHE_SIZE``
+``ElasticSolver`` keeps four caches: an LRU of at most ``_CACHE_SIZE``
 per-crack-set solve structures (DOF layout and free-block scatter, with the
 linear solve for p = q = 2 and, on the CG path, the solutions at the two load
 breakpoints used last), a one-entry memo of the last successful solve (crack
 set, time and tolerance, with its field and report), so the state a search
 has just chosen is not solved again, and, from the first ``scores`` or
 ``score``, the open space with a one-entry memo of E_open and r at the time
-and tolerance scored last.  It keeps no loads: ``_system`` builds a crack
-set's datum and load vector at t from psi(t), f(t) and g(t), which each
-``TimeTable`` memoizes, so the candidates of one knot share one
-interpolation per table.
+and tolerance scored last, and its LRU of kept-row factors, at most
+``_CACHE_SIZE`` crack sets and ``_FACTOR_BYTES`` bytes.  Each holds a pure
+function of its key, so no cache changes a bit of a result.  It keeps no
+loads: ``_system`` builds a crack set's datum and load vector at t from
+psi(t), f(t) and g(t), which each ``TimeTable`` memoizes, so the candidates
+of one knot share one interpolation per table.
 
 A run with zero confinement and a crack that isolates a piece of the body
 from the Dirichlet boundary has no bounded minimizer; this surfaces as a
@@ -104,8 +109,8 @@ solution, keeping the coercivity requirement of the model visible.
 
 from __future__ import annotations
 
+import functools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,6 +118,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
+from ._util import LRU
 from .broken import BrokenField, CrackSet, DofTopology, _components, build_topology
 from .energy import (
     EnergyModel,
@@ -136,10 +142,16 @@ __all__ = [
 
 _DENSE_LIMIT = 200
 _CACHE_SIZE = 8192   # crack sets whose solve structure ElasticSolver keeps
-# most rows of the all-open space that ``ElasticSolver.score`` takes on.  A
-# score factors the rows its crack set keeps, at a cost growing with the cube
-# of their number; a candidate solve is a cached dense Cholesky solve when the
-# uncracked body has at most ``_DENSE_LIMIT`` free DOFs, a CG solve above.  On
+# bytes of the kept-row factors the open space keeps (``_OpenSpace.kept_factor``):
+# a factor over the 320 rows ``_SCORE_ROWS_CG`` allows takes 0.8 MB, so the
+# one-edge moves of a wide brittle band cannot fill memory; about 40 of the
+# largest fit
+_FACTOR_BYTES = 32 << 20
+# most rows of the all-open space that ``ElasticSolver.score`` takes on.  The
+# first score of a crack set factors the rows it keeps, at a cost growing with
+# the cube of their number; a candidate solve is a cached dense Cholesky solve
+# when the uncracked body has at most ``_DENSE_LIMIT`` free DOFs, a CG solve
+# above.  Measured before scores kept their factors: on
 # greedy runs of brittle bands (run + audit), scores beat dense solves up to
 # about 100 rows and lose from about 170.  On 20 x 10 strips (5 knots, one-edge
 # audit) they beat CG solves at 252 rows (1.5 s against 1.75 s) and lose at 368
@@ -349,6 +361,19 @@ def _free_hessian(model: EnergyModel, mesh: Mesh, u: BrokenField, block: _FreeBl
     return block.matrix(local + (c / 9.0)[:, None, None] * np.ones((3, 3)))
 
 
+def _quiet(method):
+    """``method`` of an ``_Evaluator`` with numpy's floating-point warnings
+    off: under its own ``np.errstate``, or under the caller's where the
+    evaluator is ``guarded``."""
+    @functools.wraps(method)
+    def call(self, *args):
+        if self.guarded:
+            return method(self, *args)
+        with np.errstate(all="ignore"):
+            return method(self, *args)
+    return call
+
+
 class _Evaluator:
     """Energy, free gradient and free Hessian of the elastic energy for one
     Newton solve: one topology, one time t with its datum psi, one free block.
@@ -369,12 +394,15 @@ class _Evaluator:
     values ``v`` from one pass, and keeps s, z, the stress coefficient and
     G^T xi of that point as ``terms``: ``hessian()`` assembles at the point
     evaluated last, or at the one whose ``terms`` were put back.  A wild
-    trial point gives an infinite energy, never a numpy warning.
+    trial point gives an infinite energy, never a numpy warning: each call
+    opens its own ``np.errstate``, except where ``guarded`` says that the
+    caller holds one around all its calls (``ElasticSolver._solve_newton``).
     ``energy.elastic_energy``, ``assemble_gradient`` and ``_free_hessian``
     are the reference implementations it is tested against.
     """
 
-    def __init__(self, solver: ElasticSolver, data: _CrackData, t: float):
+    def __init__(self, solver: ElasticSolver, data: _CrackData, t: float, guarded: bool = False):
+        self.guarded = guarded
         topo = data.topology
         self.model, self.topo, self.block = solver.model, topo, data.block
         self.free = topo.free_dofs
@@ -389,42 +417,42 @@ class _Evaluator:
         vals[self.free] = v
         return vals
 
+    @_quiet
     def evaluate(self, v: np.ndarray) -> tuple[float, np.ndarray, float]:
         """(E, gradient g of E on the free DOFs, |g|) at the free values
         ``v``; E is +inf where it is not finite."""
         p, body = self.model.p, self.model.body
         vals = self.values(v)
         cv = vals[self.topo.corner_dof]
-        with np.errstate(all="ignore"):
-            xi = np.einsum("tki,ti->tk", self.grad_op, cv)
-            s = np.add.reduce(xi * xi, axis=1) + self.model.bulk.epsilon**2
-            z = cv.sum(axis=1) / 3.0
-            a = self.area_mu if p == 2.0 else self.area_mu * s ** ((p - 2.0) / 2.0)
-            gx = np.einsum("tki,tk->ti", self.grad_op, xi)
-            e = float(self.area_mu @ s ** (p / 2.0)) / p - float(self.b @ vals)
-            local = a[:, None] * gx
-            if body.lam:
-                e += body.lam / body.q * float(self.area @ np.abs(z) ** body.q)
-                dz = z if body.q == 2.0 else np.abs(z) ** (body.q - 1.0) * np.sign(z)
-                local += (self.area * body.lam / 3.0 * dz)[:, None]
-            grad = self.block.vector(local) - self.b_free
-            res = math.sqrt(grad @ grad)   # the ddot of np.linalg.norm, which can overflow
+        xi = np.einsum("tki,ti->tk", self.grad_op, cv)
+        s = np.add.reduce(xi * xi, axis=1) + self.model.bulk.epsilon**2
+        z = cv.sum(axis=1) / 3.0
+        a = self.area_mu if p == 2.0 else self.area_mu * s ** ((p - 2.0) / 2.0)
+        gx = np.einsum("tki,tk->ti", self.grad_op, xi)
+        e = float(self.area_mu @ s ** (p / 2.0)) / p - float(self.b @ vals)
+        local = a[:, None] * gx
+        if body.lam:
+            e += body.lam / body.q * float(self.area @ np.abs(z) ** body.q)
+            dz = z if body.q == 2.0 else np.abs(z) ** (body.q - 1.0) * np.sign(z)
+            local += (self.area * body.lam / 3.0 * dz)[:, None]
+        grad = self.block.vector(local) - self.b_free
+        res = math.sqrt(grad @ grad)   # the ddot of np.linalg.norm, which can overflow
         self.terms = s, z, a, gx
         return (e if math.isfinite(e) else math.inf), grad, res
 
+    @_quiet
     def hessian(self):
         """The Hessian of E on the free block at the point whose ``terms``
         it holds: dense up to ``_DENSE_LIMIT`` free DOFs, CSR above."""
         p = self.model.p
         s, z, a, gx = self.terms
-        with np.errstate(all="ignore"):
-            local = a[:, None, None] * self.gtg
-            if p != 2.0:
-                rank_one = np.where(s > 0.0, self.area_mu * (p - 2.0) * s ** ((p - 4.0) / 2.0), 0.0)
-                local += rank_one[:, None, None] * gx[:, :, None] * gx[:, None, :]
-            c = self.area * body_hessian_coeff(self.model.body, z)
-            local += (c / 9.0)[:, None, None]
-            return self.block.matrix(local)
+        local = a[:, None, None] * self.gtg
+        if p != 2.0:
+            rank_one = np.where(s > 0.0, self.area_mu * (p - 2.0) * s ** ((p - 4.0) / 2.0), 0.0)
+            local += rank_one[:, None, None] * gx[:, :, None] * gx[:, None, :]
+        c = self.area * body_hessian_coeff(self.model.body, z)
+        local += (c / 9.0)[:, None, None]
+        return self.block.matrix(local)
 
 
 # ---------------------------------------------------------------------------
@@ -496,20 +524,25 @@ class _OpenSpace(_CrackData):
     with E_open(t) and u_open(t) the open minimum and minimizer, and
     r(t) = R u_open(t) - d(t) the row residual, restricted to the rows X
     keeps.  Ties around one vertex can be redundant, so G_X may be singular;
-    ``excess`` solves it by pivoted Cholesky, which stops at its numerical
-    rank (consistent rows lose nothing).  Only G is kept: the score needs
-    neither K^-1 R^T nor the open field.  A piece of the open body with no
-    constrained DOF is refused with ``FloatingComponentError`` where nothing
-    confines it, and where it is loaded: it drifts to load / lambda, and the
-    identity would cancel energies of that size in rounding.  Above the row
+    ``kept_factor`` factors it by pivoted Cholesky, which stops at its
+    numerical rank (consistent rows lose nothing).  G_X does not depend on t,
+    so the factor is kept per crack set, in an LRU of at most
+    ``_CACHE_SIZE`` crack sets whose factors hold at most ``_FACTOR_BYTES``
+    bytes, and ``excess`` is one triangular solve with it.  Only G and these
+    factors are kept: the score needs neither K^-1 R^T nor the open field.
+    A piece of the open body with no constrained DOF is refused with
+    ``FloatingComponentError`` where nothing confines it, and where it is
+    loaded: it drifts to load / lambda, and the identity would cancel
+    energies of that size in rounding.  Above the row
     limit nothing is factored, no G is formed (``gram`` is None) and the
     space does not score.
     """
 
-    __slots__ = ("rows", "owner_edge", "owner_row", "gram")
+    __slots__ = ("rows", "owner_edge", "owner_row", "gram", "_factors")
     _cg_above = math.inf   # a direct solve at every size, for many right-hand sides at once
 
     def __init__(self, model: EnergyModel, mesh: Mesh, forms: np.ndarray):
+        self._factors = LRU(_CACHE_SIZE, _FACTOR_BYTES, _factor_bytes)   # edge ids -> kept_factor
         super().__init__(model, mesh, CrackSet.of(crackable_edges(mesh)), forms)
 
     def _factor(self, model: EnergyModel, mesh: Mesh, forms: np.ndarray) -> None:
@@ -562,13 +595,36 @@ class _OpenSpace(_CrackData):
         cracked[list(crack.edge_ids)] = True
         return np.flatnonzero(np.bincount(self.owner_row, ~cracked[self.owner_edge], len(self.rows)))
 
-    def excess(self, rows: np.ndarray, r: np.ndarray) -> float:
-        """1/2 r_X.G_X^+ r_X over ``rows``, by pivoted Cholesky."""
-        if not len(rows):
+    def kept_factor(self, crack: CrackSet) -> tuple[np.ndarray, np.ndarray] | None:
+        """(U, rows) of the rows ``crack`` keeps, from the pivoted Cholesky
+        factorization P^T G_X P = U^T U: U cut at its numerical rank, and the
+        rows in pivot order, the first rank of them; None where ``crack``
+        keeps no row."""
+        return self._factors.get(crack.edge_ids, lambda: _pivoted_factor(self.gram, self.kept_rows(crack)))
+
+    def excess(self, crack: CrackSet, r: np.ndarray) -> float:
+        """1/2 r_X.G_X^+ r_X over the rows ``crack`` keeps: one triangular
+        solve with its ``kept_factor``."""
+        kept = self.kept_factor(crack)
+        if kept is None:
             return 0.0
-        c, piv, rank, _ = scipy.linalg.lapack.dpstrf(self.gram[np.ix_(rows, rows)])
-        w, _ = scipy.linalg.lapack.dtrtrs(c[:rank, :rank], r[rows[piv[:rank] - 1]][:, None], trans=1)
+        c, rows = kept
+        w, _ = scipy.linalg.lapack.dtrtrs(c, r[rows][:, None], trans=1)
         return 0.5 * float(w[:, 0] @ w[:, 0])
+
+
+def _pivoted_factor(gram: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """``_OpenSpace.kept_factor`` of ``rows``, by LAPACK's ``dpstrf``; U is a
+    Fortran-ordered copy, so it holds no more than its rank x rank block."""
+    if not len(rows):
+        return None
+    c, piv, rank, _ = scipy.linalg.lapack.dpstrf(gram[np.ix_(rows, rows)])
+    return c[:rank, :rank].copy(order="F"), rows[piv[:rank] - 1]
+
+
+def _factor_bytes(kept: tuple[np.ndarray, np.ndarray] | None) -> int:
+    """The bytes a ``kept_factor`` holds."""
+    return 0 if kept is None else kept[0].nbytes + kept[1].nbytes
 
 
 def _pieces(topo: DofTopology) -> tuple[np.ndarray, np.ndarray]:
@@ -612,7 +668,7 @@ class ElasticSolver:
         self.model = model
         self.mesh = mesh
         self.quadratic = model.p == 2.0 and model.q == 2.0
-        self._cache: OrderedDict[tuple, _CrackData] = OrderedDict()
+        self._cache = LRU(_CACHE_SIZE)   # edge ids -> _CrackData
         self._open: _OpenSpace | bool | None = None   # built when ``scores`` is first read
         self._open_at: tuple | None = None     # ((t, tol), E_open, r) of the last score
         self._last: tuple | None = None        # ((edge ids, t, tol), (field, report)) of the last solve
@@ -626,16 +682,7 @@ class ElasticSolver:
         self._breaks = model.breakpoints
 
     def _data(self, crack: CrackSet) -> _CrackData:
-        key = crack.edge_ids
-        data = self._cache.get(key)
-        if data is None:
-            data = _CrackData(self.model, self.mesh, crack, self._forms)
-            self._cache[key] = data
-            if len(self._cache) > _CACHE_SIZE:
-                self._cache.popitem(last=False)
-        else:
-            self._cache.move_to_end(key)
-        return data
+        return self._cache.get(crack.edge_ids, lambda: _CrackData(self.model, self.mesh, crack, self._forms))
 
     @property
     def scores(self) -> bool:
@@ -668,7 +715,7 @@ class ElasticSolver:
                 u, _, _, _, e_open = self._solve_quadratic(space, t, tol)
                 memo = self._open_at = ((t, tol), e_open,
                                         space.residual(u.values, self.model.boundary.value(t)))
-            energy = memo[1] + space.excess(space.kept_rows(crack), memo[2])
+            energy = memo[1] + space.excess(crack, memo[2])
         if not math.isfinite(energy):
             raise SolveError(f"non-finite energy score at t={t}")
         return energy
@@ -800,13 +847,13 @@ class ElasticSolver:
         with no free DOF returns at its first evaluation.
         """
         topo = data.topology
-        ev = _Evaluator(self, data, t)
+        ev = _Evaluator(self, data, t, guarded=True)
         x = self.model.boundary.value(t)[topo.dof_vertex[ev.free]]
-        energy, g, res = ev.evaluate(x)
-        h, delta = None, 0.0
-        # a wild step is rejected and an overflowing Hessian fails to factor,
-        # with no warning
+        # one guard from the first evaluation on: a wild step is rejected and
+        # an overflowing Hessian fails to factor, with no warning
         with np.errstate(all="ignore"):
+            energy, g, res = ev.evaluate(x)
+            h, delta = None, 0.0
             for it in range(_NEWTON_CAP):
                 if res <= tol:   # at once where no DOF is free
                     break

@@ -1,3 +1,6 @@
+import contextlib
+import functools
+import io
 import json
 import subprocess
 import sys
@@ -511,8 +514,99 @@ def test_cli_non_finite_config_value_exit_2(tmp_path, line):
     assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
 
 
+@pytest.mark.parametrize("lines, key", [
+    (["boundary.psi = 0: 0; 1e-320: x / 2; 1: x / 2"], "boundary.psi"),
+    (["time.horizon = 1e-320", "boundary.psi = 0: 0; 1e-320: x / 2",
+      "body.force = 0: 0; 1e-320: 0.1"], "body.force"),
+])
+def test_cli_load_table_whose_rate_overflows_exit_2(tmp_path, lines, key):
+    # a table interval of 1e-320 over which the load changes: its rate
+    # overflows, which used to end the run in a RuntimeWarning traceback from
+    # TimeTable.rate; the table is refused when it is built, naming its key
+    keys = [line.split(" = ")[0] for line in lines]
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text("".join(l + "\n" for l in config_text("strip", 5).splitlines()
+                                if l.split(" = ")[0] not in keys) + "\n".join(lines) + "\n")
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "qsfrac", "run", "--config", str(cfg_path),
+         "--out", str(tmp_path / "r.json")],
+        capture_output=True, text=True, env=cli_env(), cwd=str(tmp_path),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == f"error: {key}: the rate over [0.0, 1e-320] is not finite\n"
+
+
+# replacement values of the record fuzzer; a drawn index past the end deletes
+_RECORD_FUZZ_VALUES = [None, 1e308, 1e-320, -1e308, "", "x", [], [0.0], [1e308], True, False, {}]
+
+
+def _record_paths(node, path=()):
+    """The path of every value under ``node``, a loaded JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    out = []
+    for key, value in items:
+        out.append(path + (key,))
+        out.extend(_record_paths(value, path + (key,)))
+    return out
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_a_fuzzed_record_audits_to_an_exit_code(strip_run, data):
+    # one or two values of a strip record replaced by null, a huge or a
+    # subnormal number, a string, a list, a bool or an object, or deleted:
+    # the audit exits 0-3, never with a warning or another exception
+    cfg_path, payload = strip_run
+    doc = json.loads(json.dumps(payload))
+    for _ in range(data.draw(st.integers(1, 2))):
+        path = data.draw(st.sampled_from(_record_paths(doc)))
+        parent = functools.reduce(lambda node, key: node[key], path[:-1], doc)
+        choice = data.draw(st.integers(0, len(_RECORD_FUZZ_VALUES)))
+        if choice == len(_RECORD_FUZZ_VALUES):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = _RECORD_FUZZ_VALUES[choice]
+    rec_path = cfg_path.with_name("fuzzed.json")
+    rec_path.write_text(json.dumps(doc))
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["audit", "--config", str(cfg_path), "--record", str(rec_path)])
+    assert code in (0, 1, 2, 3)
+
+
+def test_cli_audit_of_overflowing_powers_fails_the_balance_without_a_warning(strip_run, tmp_path, capsys):
+    # two neighbouring power samples of 1e308 overflow the trapezoid, which
+    # used to end the audit in a RuntimeWarning traceback under -W error
+    cfg_path, payload = strip_run
+    doc = json.loads(json.dumps(payload))
+    for knot in doc["knots"][1:3]:
+        knot["power"]["surface_coupling"] = 1e308
+    rec_path = tmp_path / "rec.json"
+    rec_path.write_text(json.dumps(doc))
+    report_path = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["audit", "--config", str(cfg_path), "--record", str(rec_path), "--checks", "balance",
+                     "--out", str(report_path)]) == 1
+    (check,) = json.loads(report_path.read_text())["checks"]
+    assert check["verdict"] == "FAIL" and check["margins"]["gap"] == "inf"
+
+
+@pytest.mark.parametrize("grid", [[0.0, 0.25, 0.5, 0.75, 1e308], [0.0, 0.5, 1.0, 2.0, 3.0]])
+def test_cli_audit_refuses_a_record_grid_beyond_the_horizon(strip_run, tmp_path, capsys, grid):
+    # a grid past time.horizon used to end the audit in a ValueError
+    # traceback from the load tables
+    cfg_path, payload = strip_run
+    rec_path = tmp_path / "rec.json"
+    rec_path.write_text(json.dumps(dict(payload, grid=grid)))
+    assert main(["audit", "--config", str(cfg_path), "--record", str(rec_path)]) == 2
+    assert capsys.readouterr().err == (f"error: the record's grid ends at {grid[-1]!r}, "
+                                       "after time.horizon = 1.0\n")
+
+
 @pytest.mark.parametrize("line, message", [
-    ("mesh.nx = 10000000", f"mesh.nx: expected an integer in [1, {MAX_CELLS}], got '10000000'"),
+    ("mesh.nx = 10000000",f"mesh.nx: expected an integer in [1, {MAX_CELLS}], got '10000000'"),
     ("mesh.ny = 1e6", f"mesh.ny: expected an integer in [1, {MAX_CELLS}], got '1e6'"),
     ("mesh.nx = 2.5", f"mesh.nx: expected an integer in [1, {MAX_CELLS}], got '2.5'"),
     ("mesh.ny = 60000", f"mesh.nx * mesh.ny: expected at most {MAX_CELLS} cells, got 120000"),

@@ -50,14 +50,16 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qsfrac import minimize
+from qsfrac import evolution, minimize
 from qsfrac.audit import dual_certificate
 from qsfrac.broken import CrackSet
 from qsfrac.config import parse_config
+from qsfrac.corpus import config_text
 from qsfrac.energy import TimeTable, Toughness, elastic_energy, surface_energy, total_energy
 from qsfrac.evolution import _Search
 from qsfrac.mesh import crackable_edges
@@ -367,6 +369,87 @@ def test_cg_fields_do_not_depend_on_solve_order(kinked, order, cache_size):
                 fresh[k, t] = ElasticSolver(p.model, p.mesh).solve(cracks[k], t)[0].values
             assert np.array_equal(u.values, fresh[k, t])
             assert len(solver._cache) <= (cache_size or minimize._CACHE_SIZE)
+
+
+@functools.cache
+def _corpus9(name):
+    p = parse_config(config_text(name, 9)).build_problem()
+    return p.model, p.mesh, [int(e) for e in crackable_edges(p.mesh)], p.grid.knots
+
+
+def _reference_score(model, mesh, crack, t, tol=1e-10):
+    """The open-space score of ``crack`` at ``t`` from a fresh solver, with
+    its kept rows factored here by ``dpstrf``."""
+    fresh = ElasticSolver(model, mesh)
+    assert fresh.scores
+    space = fresh._open
+    with np.errstate(all="ignore"):
+        u, _, _, _, e_open = fresh._solve_quadratic(space, t, tol)
+        r = space.residual(u.values, model.boundary.value(t))
+        rows = space.kept_rows(crack)
+        if not len(rows):
+            return e_open
+        c, piv, rank, _ = scipy.linalg.lapack.dpstrf(space.gram[np.ix_(rows, rows)])
+        w, _ = scipy.linalg.lapack.dtrtrs(c[:rank, :rank], r[rows[piv[:rank] - 1]][:, None], trans=1)
+        return e_open + 0.5 * float(w[:, 0] @ w[:, 0])
+
+
+def _assert_factor_cache_within_budget(space):
+    factors = space._factors
+    assert factors.held == sum(minimize._factor_bytes(kept) for kept in factors._entries.values())
+    assert factors.held <= minimize._FACTOR_BYTES
+    assert len(factors) <= minimize._CACHE_SIZE
+
+
+@given(st.sampled_from(("lattice", "pair")), st.data(), st.sampled_from((None, 0, 600, 4000)))
+@settings(max_examples=30, deadline=None)
+def test_a_cached_score_is_the_fresh_factorization_bit_for_bit(name, data, budget):
+    # each crack set scored cold, then warm at other times; a tiny budget
+    # evicts (0 keeps no factor, 600 bytes keeps few), so a crack set is
+    # factored again after its eviction
+    model, mesh, edges, knots = _corpus9(name)
+    cracks = data.draw(st.lists(st.sets(st.sampled_from(edges)).map(CrackSet.of), min_size=1, max_size=6))
+    times = data.draw(st.lists(st.sampled_from(knots.tolist()), min_size=2, max_size=4))
+    with pytest.MonkeyPatch.context() as patch:
+        if budget is not None:
+            patch.setattr(minimize, "_FACTOR_BYTES", budget)
+        solver = ElasticSolver(model, mesh)
+        for t in times:
+            for crack in cracks:
+                assert solver.score(crack, t) == _reference_score(model, mesh, crack, t), (crack, t)
+                _assert_factor_cache_within_budget(solver._open)
+
+
+def test_the_factor_cache_holds_at_most_its_byte_budget(monkeypatch):
+    # every subset of the lattice's crackable edges at two times, through a
+    # budget of three of its largest factors: entries are evicted all along
+    model, mesh, edges, knots = _corpus9("lattice")
+    probe = ElasticSolver(model, mesh)
+    assert probe.scores
+    largest = minimize._factor_bytes(probe._open.kept_factor(CrackSet.empty()))
+    monkeypatch.setattr(minimize, "_FACTOR_BYTES", 3 * largest)
+    solver = ElasticSolver(model, mesh)
+    subsets = [CrackSet.of(c) for k in range(len(edges) + 1) for c in itertools.combinations(edges, k)]
+    for t in knots[1::4]:
+        for crack in subsets:
+            solver.score(crack, t)
+            _assert_factor_cache_within_budget(solver._open)
+    assert 1 < len(solver._open._factors) < len(subsets)
+
+
+@given(st.sampled_from(("lattice", "pair")), st.data(), st.sampled_from((None, 1)))
+@settings(max_examples=20, deadline=None)
+def test_a_memoized_surface_energy_is_the_numpy_sum_bit_for_bit(name, data, cache_size):
+    model, mesh, edges, _ = _corpus9(name)
+    cracks = data.draw(st.lists(st.sets(st.sampled_from(edges)).map(CrackSet.of), min_size=1, max_size=6))
+    with pytest.MonkeyPatch.context() as patch:
+        if cache_size:
+            patch.setattr(evolution, "_CACHE_SIZE", cache_size)
+        search = _Search(model, mesh)
+        for crack in cracks + cracks:
+            expected = float(np.sum(search._edge_es[list(crack.edge_ids)]))
+            assert search._surface(crack) == expected
+            assert len(search._surfaces) <= (cache_size or minimize._CACHE_SIZE)
 
 
 _STRIPS = {ny: make_strip_mesh(ny) for ny in (1, 3)}
