@@ -255,8 +255,9 @@ def bulk_conjugate_density(law: BulkLaw, tri, sigma) -> np.ndarray:
     monotone and the maximizer is found by a vectorized bisection of at most
     200 steps.  Every 8 steps it tests whether each midpoint has rounded onto
     an end of its bracket, and stops if so: no later step could change the
-    result, which has the bits of all 200 steps.  A zero stress never
-    settles, so a call holding one runs all 200.
+    result, which has the bits of all 200 steps.  A zero stress starts
+    settled, with the bracket [0, 0]: its 200 steps would leave r^2 below
+    the rounding of eps^2, and |sigma| r is 0 either way.
     """
     sigma = np.asarray(sigma, dtype=float)
     smag = np.sqrt(np.sum(sigma * sigma, axis=-1))
@@ -274,6 +275,7 @@ def bulk_conjugate_density(law: BulkLaw, tri, sigma) -> np.ndarray:
     while np.any(grow):
         hi = np.where(grow, 2.0 * hi, hi)
         grow = h(hi) < smag
+    hi = np.where(smag == 0.0, 0.0, hi)
     for step in range(200):
         mid = 0.5 * (lo + hi)
         # once every mid rounds onto an end of its bracket, no later step

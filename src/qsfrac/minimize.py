@@ -32,9 +32,18 @@ form itself,
 with K the stiffness-plus-confinement matrix and b the load vector; the
 residual check already forms K u, so scoring a candidate crack set costs no
 quadrature.  For any other exponents one damped Newton loop
-(Levenberg-Marquardt, a trust-region method) runs on the free DOFs,
-cold-started from the boundary interpolant so results do not depend on
-evaluation order.  Each step solves (H + delta m I) d = -g through
+(Levenberg-Marquardt, a trust-region method) runs on the free DOFs.  The
+minimizer is no longer affine in t, but it moves little along a load
+segment, so the loop starts from the same interpolation, a secant predictor
+in the load parameter: (1 - w) x_a + w x_b, with x_a and x_b the crack set's
+Newton solutions at the two ends, each solved to the same tolerance from the
+interpolant of psi there and kept on the cache entry.  At w = 0 or 1 the
+start is that end.  An end that fails leaves the start at the interpolant of
+psi(t), and a loop that fails from an interpolated start runs once more from
+that interpolant, so every solve that succeeds from it still succeeds.  A
+field thus depends on the crack set, t and the tolerance alone here too, and
+a knot between two breakpoints costs two more solves where its ends are not
+kept yet.  Each step solves (H + delta m I) d = -g through
 ``_spd_solver``, with m the mean of diag H; the ratio of actual to predicted
 decrease steers delta, which stays 0 while full Newton steps contract the
 gradient, and grows where the curvature of a power law below exponent 2
@@ -43,7 +52,7 @@ gradient ends the solve with a ``SolveError``.  Full Newton steps of a
 power law converge only linearly on a cracked-off piece that relaxes to
 zero gradient, so a taken step that lowered the energy is followed by one
 trial at its secant step length.  Energy, gradient and Hessian come from
-one ``_Evaluator`` per solve, which fixes the loads at t; its per-triangle
+one ``_Evaluator`` per loop, which fixes the loads at t; its per-triangle
 constants, like the quadratic forms, are built once per
 ``ElasticSolver``.  One pass per trial point gives the energy, the gradient
 and its norm; the Hessian is assembled only after a step is accepted, at
@@ -89,15 +98,15 @@ the dual certificate.
 
 ``ElasticSolver`` keeps four caches: an LRU of at most ``_CACHE_SIZE``
 per-crack-set solve structures (DOF layout and free-block scatter, with the
-linear solve for p = q = 2 and, on the CG path, the solutions at the two load
-breakpoints used last), a one-entry memo of the last successful solve (crack
-set, time and tolerance, with its field and report), so the state a search
-has just chosen is not solved again, and, from the first ``scores`` or
-``score``, the open space with a one-entry memo of E_open and r at the time
-and tolerance scored last, and its LRU of kept-row factors, at most
-``_CACHE_SIZE`` crack sets and ``_FACTOR_BYTES`` bytes.  Each holds a pure
-function of its key, so no cache changes a bit of a result.  It keeps no
-loads: ``_system`` builds a crack set's datum and load vector at t from
+linear solve for p = q = 2 and, on the CG and Newton paths, the solutions at
+the two load breakpoints used last), a one-entry memo of the last successful
+solve (crack set, time and tolerance, with its field and report), so the
+state a search has just chosen is not solved again, and, from the first
+``scores`` or ``score``, the open space with a one-entry memo of E_open and
+r at the time and tolerance scored last, and its LRU of kept-row factors, at
+most ``_CACHE_SIZE`` crack sets and ``_FACTOR_BYTES`` bytes.  Each holds a
+pure function of its key, so no cache changes a bit of a result.  It keeps
+no loads: ``_system`` builds a crack set's datum and load vector at t from
 psi(t), f(t) and g(t), which each ``TimeTable`` memoizes, so the candidates
 of one knot share one interpolation per table.
 
@@ -159,16 +168,20 @@ _FACTOR_BYTES = 32 << 20
 _SCORE_ROWS_DENSE = 96
 _SCORE_ROWS_CG = 320
 _NEWTON_CAP = 200
-# The secant trial of a Newton step (``ElasticSolver._solve_newton``) is
+# The secant trial of a Newton step (``ElasticSolver._newton``) is
 # skipped where its step length alpha is within _SECANT_SKIP of 1; alpha is
-# capped at _SECANT_MAX.  Measured on 630 strip solves (2 x 1 and 2 x 3,
+# capped at _SECANT_MAX.  Measured with every solve started from the
+# interpolant of psi(t), on 630 strip solves (2 x 1 and 2 x 3,
 # 1.1 <= p <= 20, q in {2, 3}) and the seed-0 Newton instances of the
 # benchmark (2,094 steps without secant trials): 1/4 and 4 take 4,540 sweep
 # steps (5,722 without) and 1,343 instance steps, the worst solve slowing
 # from 32 to 48 steps.  A skip of 1/10 saves 64 more steps but costs 79 more
 # evaluations and slows one solve from 43 to 95 steps; 1/2 leaves 1,599
 # instance steps; a cap of 2 slows one solve from 83 to 159 steps, and no
-# cap takes 4,596 sweep steps.
+# cap takes 4,596 sweep steps.  Started from the solutions at the load
+# breakpoints, the instances take 868 steps and 1,265 evaluations with 1/4
+# and 4 (their 36 end solves included); a skip of 1/10 takes 835 and 1,292,
+# 1/2 918 and 1,243, a cap of 2 865 and 1,269, no cap 871 and 1,271.
 _SECANT_SKIP = 0.25
 _SECANT_MAX = 4.0
 
@@ -192,8 +205,10 @@ class SolveReport:
     ``iterations`` counts the CG steps a CG solve spent in this call (at
     the load breakpoints it had not solved yet, and in a refinement pass),
     so 0 when both ends were cached; one per linear solve of a direct one;
-    and on the Newton path every damped step, rejected ones included, with
-    the secant trial of a step counted in that step."""
+    and on the Newton path every damped step of every loop the call ran (at
+    the load breakpoints it had not solved yet, at t, and a retry from the
+    interpolant), rejected ones included, with the secant trial of a step
+    counted in that step, so 0 at a breakpoint whose end was cached."""
 
     iterations: int
     residual: float
@@ -376,7 +391,7 @@ def _quiet(method):
 
 class _Evaluator:
     """Energy, free gradient and free Hessian of the elastic energy for one
-    Newton solve: one topology, one time t with its datum psi, one free block.
+    Newton loop: one topology, one time t with its datum psi, one free block.
 
     The body and surface loads are linear in u, so with b the load vector at
     t (``ElasticSolver._system``, with the datum) and z the midpoint means,
@@ -468,11 +483,12 @@ class _CrackData:
     linear solve, ``solve(rhs, atol) -> (x, iterations)``, labelled by
     ``method``: the direct ``_spd_solver`` up to ``_cg_above`` free DOFs (one
     iteration, ``atol`` unused), ``_jacobi_cg`` above, run until its residual
-    norm is below ``atol`` (its steps as the count).  On the CG path ``ends``
-    maps (load breakpoint index, ``atol``) to the free solution there, for
-    at most the two ends used last (``ElasticSolver._end``); it is None on
-    the direct path.  Only for other exponents (no forms) does the block keep
-    its matrix positions, for the Newton Hessians.
+    norm is below ``atol`` (its steps as the count).  On the CG and Newton
+    paths ``ends`` maps (load breakpoint index, tolerance) to the free
+    solution there, None for a Newton end that failed, for at most the two
+    ends used last (``ElasticSolver._end``); it is None on the direct path.
+    Only for other exponents (no forms) does the block keep its matrix
+    positions, for the Newton Hessians.
     """
 
     __slots__ = ("topology", "solve", "method", "floating", "block", "ends")
@@ -484,7 +500,7 @@ class _CrackData:
         self.floating = _floating_message(topo) if model.body.lam == 0.0 else None
         self.solve = self.method = self.block = self.ends = None
         if forms is None:
-            self.block = _FreeBlock(topo)
+            self.block, self.ends = _FreeBlock(topo), {}
         elif self.floating:
             raise FloatingComponentError(self.floating)
         else:
@@ -657,8 +673,8 @@ class ElasticSolver:
     set, so sweeping many candidate cracks over many times reuses the
     expensive parts; the fields of one crack set share its read-only layout.
     The cache is an LRU of ``_CACHE_SIZE``, and the last solve is memoized.
-    Every solve path (direct, the CG breakpoint ends, Newton) takes its
-    datum and load vector from ``_system``.  Where ``scores`` holds,
+    Every solve path (direct, CG, Newton, and their breakpoint ends) takes
+    its datum and load vector from ``_system``.  Where ``scores`` holds,
     ``score`` gives the energy of any crack set from the all-open space
     instead.
     """
@@ -755,31 +771,45 @@ class ElasticSolver:
         topo = data.topology
         return b[topo.free_dofs] - data.block.vector(np.einsum("tij,tj->ti", self._forms, u[topo.corner_dof]))
 
-    def _end(self, data: _CrackData, j: int, target: float):
-        """(free solution at load breakpoint ``j`` by CG to ``target``, CG
-        steps this call spent): a cached end costs none, and so does a zero
-        right-hand side (its solution is 0).  The entry keeps the two ends
-        used last."""
-        ends, key = data.ends, (j, target)
-        x = ends.pop(key, None)
-        steps = 0
-        if x is None:
-            rhs = self._rhs(data, *self._system(data, float(self._breaks[j])))
-            x, steps = data.solve(rhs, target) if rhs.any() else (np.zeros_like(rhs), 0)
+    def _end(self, data: _CrackData, j: int, tol: float, solve_end):
+        """(free solution at load breakpoint ``j`` to ``tol``, steps this call
+        spent): the one ``data.ends`` keeps, at no step, or else
+        ``solve_end(data, j, tol)``'s, which it keeps.  The entry keeps the
+        two ends used last; a Newton end that failed is kept as None."""
+        ends, key = data.ends, (j, tol)
+        if key in ends:
+            x, steps = ends.pop(key), 0
+        else:
+            x, steps = solve_end(data, j, tol)
         ends[key] = x
         if len(ends) > 2:
             del ends[next(iter(ends))]
         return x, steps
 
-    def _interpolated(self, data: _CrackData, t: float, target: float):
-        """(free solution at ``t``, CG steps spent) from the ends of the load
+    def _interpolated(self, data: _CrackData, t: float, tol: float, solve_end):
+        """(free solution at ``t``, steps spent) from the ends of the load
         segment [tau_a, tau_b] holding ``t`` (``segment``): (1 - w) x_a +
-        w x_b.  An end of weight 0 is not solved."""
+        w x_b.  An end of weight 0 is not solved; the solution is None where
+        an end it needs is."""
         i, w = segment(self._breaks, t)
         if w == 0.0 or w == 1.0:
-            return self._end(data, i + int(w), target)
-        (xa, na), (xb, nb) = self._end(data, i, target), self._end(data, i + 1, target)
+            return self._end(data, i + int(w), tol, solve_end)
+        (xa, na), (xb, nb) = self._end(data, i, tol, solve_end), self._end(data, i + 1, tol, solve_end)
+        if xa is None or xb is None:
+            return None, na + nb
         return (1.0 - w) * xa + w * xb, na + nb
+
+    def _cg_end(self, data: _CrackData, j: int, target: float):
+        """``_end``'s CG solve from zero; a zero right-hand side costs no
+        step (its solution is 0)."""
+        rhs = self._rhs(data, *self._system(data, float(self._breaks[j])))
+        return data.solve(rhs, target) if rhs.any() else (np.zeros_like(rhs), 0)
+
+    def _newton_end(self, data: _CrackData, j: int, tol: float):
+        """``_end``'s Newton solve from the interpolant of psi there; None
+        where it fails."""
+        _, x, steps, _, _ = self._newton(data, float(self._breaks[j]), tol)
+        return x, steps
 
     def _solve_quadratic(self, data: _CrackData, t: float, tol: float):
         topo, block = data.topology, data.block
@@ -792,7 +822,7 @@ class ElasticSolver:
             # stops at a fixed fraction of ``tol`` (a direct solve ignores it)
             target = 0.5 * tol
             if data.method == "cg":
-                u[free], iters = self._interpolated(data, t, target)
+                u[free], iters = self._interpolated(data, t, target, self._cg_end)
             else:
                 u[free], iters = data.solve(self._rhs(data, u, b), target)
             cv = u[corner_dof]
@@ -817,7 +847,43 @@ class ElasticSolver:
         return BrokenField(topo, u), iters, res, data.method, energy
 
     def _solve_newton(self, data: _CrackData, t: float, tol: float):
-        """Damped Newton (Levenberg-Marquardt) on the free DOFs.
+        """Damped Newton (``_newton``) on the free DOFs from the crack set's
+        Newton solutions at the load breakpoints.
+
+        The loads are affine in t on the load segment [tau_a, tau_b] holding
+        t, and the minimizer moves little along it, so the loop starts from
+        (1 - w) x_a + w x_b (``_interpolated``): a secant predictor in the
+        load parameter.  Each end is solved by ``_newton`` from the
+        interpolant of psi there, to the same ``tol``, and kept on
+        ``data.ends``.  At w = 0 or 1 the start is that end alone, and where
+        t is the breakpoint itself the loop returns it at its first
+        evaluation, with that evaluation's energy.  An end that fails leaves
+        the start at the interpolant of psi(t), and a loop that fails from
+        an interpolated start runs once more from that interpolant.  The
+        start thus depends on the crack set, t and ``tol`` alone, never on
+        the order of solves.  The iterations reported are every step of
+        this call: the ends it solved, the loop and its retry.
+        """
+        # one guard from the first evaluation on: a wild step is rejected and
+        # an overflowing Hessian fails to factor, with no warning
+        with np.errstate(all="ignore"):
+            start, steps = self._interpolated(data, t, tol, self._newton_end)
+            ev, x, more, res, energy = self._newton(data, t, tol, start)
+            if x is None and start is not None:   # once more from the interpolant of psi(t)
+                steps += more
+                ev, x, more, res, energy = self._newton(data, t, tol)
+        if x is None:
+            raise SolveError(f"Newton did not reach tol {tol:.3e} within {_NEWTON_CAP} steps"
+                             if more == _NEWTON_CAP else f"non-finite gradient at t={t}")
+        return BrokenField(data.topology, ev.values(x)), steps + more, res, "newton", energy
+
+    def _newton(self, data: _CrackData, t: float, tol: float, x: np.ndarray | None = None):
+        """Damped Newton (Levenberg-Marquardt) on the free DOFs at ``t`` from
+        the free values ``x``, or the interpolant of psi(t) where None; run
+        under the caller's ``np.errstate``.  Returns (evaluator, free
+        solution, steps, residual, energy); the solution is None where the
+        gradient turns non-finite or ``_NEWTON_CAP`` steps do not reach
+        ``tol``.
 
         Each step solves (H + delta m I) d = -g, with m the mean of diag H,
         and the ratio rho of the actual to the predicted decrease of the
@@ -841,57 +907,52 @@ class ElasticSolver:
         delta follows the full step alone, the Hessian is assembled at the
         point kept, and the secant evaluation counts with its step.
 
-        The start is the interpolant of psi(t), read at the free DOFs'
-        vertices.  The energy reported is the one the evaluator gave at the
-        point returned, so a solve evaluates no energy beyond its steps; one
-        with no free DOF returns at its first evaluation.
+        The energy reported is the one the evaluator gave at the point
+        returned, so a loop evaluates no energy beyond its steps; one
+        with no free DOF, or started at the solution, returns at its first
+        evaluation.
         """
-        topo = data.topology
         ev = _Evaluator(self, data, t, guarded=True)
-        x = self.model.boundary.value(t)[topo.dof_vertex[ev.free]]
-        # one guard from the first evaluation on: a wild step is rejected and
-        # an overflowing Hessian fails to factor, with no warning
-        with np.errstate(all="ignore"):
-            energy, g, res = ev.evaluate(x)
-            h, delta = None, 0.0
-            for it in range(_NEWTON_CAP):
-                if res <= tol:   # at once where no DOF is free
-                    break
-                if not math.isfinite(res):   # no step can solve for a non-finite -g
-                    raise SolveError(f"non-finite gradient at t={t}")
-                if h is None:   # x is the point evaluated last: the start or an accepted step
-                    h = ev.hessian()
-                try:
-                    d = _spd_solver(_damped(h, delta))(-g)
-                except SolveError:
-                    delta = max(10.0 * delta, 1.0)
-                    continue
-                trial = x + d
-                slope = float(g @ d)   # phi'(0) of phi(alpha) = E(x + alpha d)
-                predicted = -slope - 0.5 * float(d @ (h @ d))
-                e_new, g_new, res_new = ev.evaluate(trial)
-                rho = (energy - e_new) / predicted if predicted > 0.0 else -math.inf
-                contracted = res_new <= 0.5 * res
-                if contracted or rho > 0.75:
-                    delta /= 10.0
-                elif rho < 0.25:
-                    delta = max(10.0 * delta, 1.0)
-                if contracted or rho > 1e-4:
-                    # the secant step length from phi'(0) and phi'(1) = g_new.d
-                    drop = slope - float(g_new @ d)
-                    alpha = slope / drop if drop < 0.0 else 0.0
-                    if e_new < energy and alpha > 0.0 and abs(alpha - 1.0) > _SECANT_SKIP:
-                        terms = ev.terms
-                        point = x + min(alpha, _SECANT_MAX) * d
-                        e_sec, g_sec, res_sec = ev.evaluate(point)
-                        if e_sec < e_new and res_sec < res_new:
-                            trial, e_new, g_new, res_new = point, e_sec, g_sec, res_sec
-                        else:   # the next Hessian is the full step's
-                            ev.terms = terms
-                    x, energy, g, res, h = trial, e_new, g_new, res_new, None
-            else:
-                raise SolveError(f"Newton did not reach tol {tol:.3e} within {_NEWTON_CAP} steps")
-        return BrokenField(topo, ev.values(x)), it, res, "newton", energy
+        if x is None:
+            x = self.model.boundary.value(t)[data.topology.dof_vertex[ev.free]]
+        energy, g, res = ev.evaluate(x)
+        h, delta = None, 0.0
+        for it in range(_NEWTON_CAP):
+            if res <= tol:   # at once where no DOF is free
+                return ev, x, it, res, energy
+            if not math.isfinite(res):   # no step can solve for a non-finite -g
+                return ev, None, it, res, energy
+            if h is None:   # x is the point evaluated last: the start or an accepted step
+                h = ev.hessian()
+            try:
+                d = _spd_solver(_damped(h, delta))(-g)
+            except SolveError:
+                delta = max(10.0 * delta, 1.0)
+                continue
+            trial = x + d
+            slope = float(g @ d)   # phi'(0) of phi(alpha) = E(x + alpha d)
+            predicted = -slope - 0.5 * float(d @ (h @ d))
+            e_new, g_new, res_new = ev.evaluate(trial)
+            rho = (energy - e_new) / predicted if predicted > 0.0 else -math.inf
+            contracted = res_new <= 0.5 * res
+            if contracted or rho > 0.75:
+                delta /= 10.0
+            elif rho < 0.25:
+                delta = max(10.0 * delta, 1.0)
+            if contracted or rho > 1e-4:
+                # the secant step length from phi'(0) and phi'(1) = g_new.d
+                drop = slope - float(g_new @ d)
+                alpha = slope / drop if drop < 0.0 else 0.0
+                if e_new < energy and alpha > 0.0 and abs(alpha - 1.0) > _SECANT_SKIP:
+                    terms = ev.terms
+                    point = x + min(alpha, _SECANT_MAX) * d
+                    e_sec, g_sec, res_sec = ev.evaluate(point)
+                    if e_sec < e_new and res_sec < res_new:
+                        trial, e_new, g_new, res_new = point, e_sec, g_sec, res_sec
+                    else:   # the next Hessian is the full step's
+                        ev.terms = terms
+                x, energy, g, res, h = trial, e_new, g_new, res_new, None
+        return ev, None, _NEWTON_CAP, res, energy
 
 
 def _damped(h, delta: float):

@@ -118,7 +118,7 @@ def _conjugate_200_steps(law, tri, sigma):
 def test_bulk_conjugate_bisection_stops_with_the_same_bits(p, eps):
     # the bisection stops once every midpoint rounds onto an end of its
     # bracket; the result equals that of all 200 steps, bit for bit, with or
-    # without a zero stress (which never settles)
+    # without a zero stress (whose bracket [0, 0] is settled from the start)
     rng = np.random.default_rng(12)
     law = BulkLaw(p, 1.0, eps)
     tri = np.arange(60)
@@ -135,6 +135,10 @@ def test_bulk_conjugate_bisection_stops_with_the_same_bits(p, eps):
     for sig in ramp[[0, 17, 45]]:
         one = sig[None, :]
         assert np.array_equal(bulk_conjugate_density(law, [0], one), _conjugate_200_steps(law, [0], one))
+    # a call whose every stress is zero, as at an unloaded knot
+    zero = np.zeros((5, 2))
+    assert np.array_equal(bulk_conjugate_density(law, np.arange(5), zero),
+                          _conjugate_200_steps(law, np.arange(5), zero))
 
 
 # ---------------------------------------------------------------------------

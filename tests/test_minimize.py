@@ -453,7 +453,10 @@ def test_subquadratic_bulk_solves_to_tolerance():
     # The cracked-off half relaxes to zero gradient, where full Newton steps
     # of a power law converge only linearly: the secant step length brings
     # the cracked p = 1.5 solves to at most 12 steps, and costs no solve of
-    # the table a step
+    # the table a step.  The steps counted are those of the loop from the
+    # interpolant of psi(t) (``ElasticSolver._newton``), which a solve at a
+    # load breakpoint runs as it is; a solve between two breakpoints also
+    # counts the steps of its ends
     mesh = make_strip_mesh()
     for p, plain in _PLAIN_NEWTON_STEPS.items():
         model = make_model(mesh, p=p, eps=1e-6, lam=1e-2)
@@ -463,7 +466,11 @@ def test_subquadratic_bulk_solves_to_tolerance():
                 u, rep = minimize_elastic(model, mesh, crack, t, tol=1e-10)
                 assert rep.residual <= 1e-10
                 assert euler_residual(model, mesh, crack, t, u) <= 1e-8
-                steps.append(rep.iterations)
+                solver = ElasticSolver(model, mesh)
+                with np.errstate(all="ignore"):
+                    _, x, n, res, _ = solver._newton(solver._data(crack), t, 1e-10)
+                assert x is not None and res <= 1e-10
+                steps.append(n)
         assert all(n <= m for n, m in zip(steps, plain)), (p, steps)
         if p == 1.5:
             assert max(steps[1], steps[3]) <= 12, steps
@@ -770,9 +777,11 @@ def test_newton_hessian_assembles_once_per_iterate(monkeypatch):
     # rejected step reuses it, the returned iterate needs none, and after a
     # rejected secant trial it is the full step's Hessian, not the trial's.
     # Each accepted iterate x is the point whose gradient g gives the
-    # right-hand side -g of the Newton directions solved from x.  Two cases
-    # above the dense limit, and the dense cracked 2 x 1 strip at p = 1.5,
-    # whose solve rejects secant trials
+    # right-hand side -g of the Newton directions solved from x.  A solve
+    # runs one loop per evaluator (the ends at the load breakpoints 0 and 1,
+    # then the loop at t), so the points are grouped per evaluator and every
+    # loop is checked.  Two cases above the dense limit, and the dense
+    # cracked 2 x 1 strip at p = 1.5, whose solve rejects secant trials
     mesh = build_structured_mesh(18, 14, 2.0, 1.0, labeling={"dirichlet": ("left", "right")},
                                  brittle=("rect", (1.0, 0.0, 1.0, 1.0)))
     p15 = (mesh, make_model(mesh, p=1.5, eps=1e-6, lam=1e-2), CrackSet.of(crackable_edges(mesh)[:7]))
@@ -780,22 +789,26 @@ def test_newton_hessian_assembles_once_per_iterate(monkeypatch):
     dense = (strip, make_model(strip, p=1.5, eps=1e-6, lam=1e-2), CrackSet.of([4]))
     for mesh, model, crack in (p15, _singular_q3_case(18, 14), dense):
         assert (build_topology(mesh, crack).n_free > minimize._DENSE_LIMIT) is (mesh is not strip)
-        points, evaluated, hessians, starts = {}, [], [], {}
+        loops, last = {}, []   # evaluator -> (points, evaluated, hessians, starts); its last Hessian's
         evaluate, hessian = minimize._Evaluator.evaluate, minimize._Evaluator.hessian
         spd_solver = minimize._spd_solver
 
         def on_evaluate(self, v):
             out = evaluate(self, v)
+            points, evaluated, _, _ = loops.setdefault(self, ({}, [], [], {}))
             points[out[1].tobytes()] = v.copy()
             evaluated.append(v.tobytes())
             return out
 
         def on_hessian(self):
-            hessians.append((self, hessian(self), evaluated[-1]))
-            return hessians[-1][1]
+            _, evaluated, hessians, _ = loops[self]
+            hessians.append((hessian(self), evaluated[-1]))
+            last[:] = [self]
+            return hessians[-1][0]
 
         def on_spd_solver(matrix):
             solve = spd_solver(matrix)
+            _, _, hessians, starts = loops[last[0]]
 
             def direction(rhs):   # -g at the iterate of the last Hessian
                 starts.setdefault(len(hessians) - 1, -rhs)
@@ -808,15 +821,101 @@ def test_newton_hessian_assembles_once_per_iterate(monkeypatch):
         u, rep = ElasticSolver(model, mesh).solve(crack, 0.9)
         monkeypatch.undo()
         assert rep.residual <= 1e-10
-        assert sorted(starts) == list(range(len(hessians)))
-        iterates = [points[starts[k].tobytes()] for k in range(len(hessians))]
-        assert len({x.tobytes() for x in iterates}) == len(iterates) >= 2
-        for (ev, h, _), x in zip(hessians, iterates):
-            ref = minimize._free_hessian(model, mesh, BrokenField(ev.topo, ev.values(x)), ev.block)
-            diff = h - ref if isinstance(h, np.ndarray) else (h - ref).toarray()
-            assert np.max(np.abs(diff)) <= 1e-13 * np.max(np.abs(ref))
+        assert len(loops) == 3
+        longest, rejected = 0, False
+        for ev, (points, _, hessians, starts) in loops.items():
+            assert sorted(starts) == list(range(len(hessians)))
+            iterates = [points[starts[k].tobytes()] for k in range(len(hessians))]
+            assert len({x.tobytes() for x in iterates}) == len(iterates)
+            longest = max(longest, len(iterates))
+            for (h, _), x in zip(hessians, iterates):
+                ref = minimize._free_hessian(model, mesh, BrokenField(ev.topo, ev.values(x)), ev.block)
+                diff = h - ref if isinstance(h, np.ndarray) else (h - ref).toarray()
+                assert np.max(np.abs(diff)) <= 1e-13 * np.max(np.abs(ref))
+            rejected |= any(seen != x.tobytes() for (_, seen), x in zip(hessians, iterates))
+        assert longest >= 2
         if mesh is strip:   # a secant trial was evaluated after a full step and rejected
-            assert any(last != x.tobytes() for (_, _, last), x in zip(hessians, iterates))
+            assert rejected
+
+
+def _cold_newton(model, mesh, crack, t):
+    """(free solution or None, steps, energy) of the Newton loop from the
+    interpolant of psi(t) alone, on a fresh solver."""
+    solver = ElasticSolver(model, mesh)
+    with np.errstate(all="ignore"):
+        _, x, steps, _, energy = solver._newton(solver._data(crack), t, 1e-10)
+    return x, steps, energy
+
+
+def test_newton_starts_from_the_solutions_at_the_load_breakpoints():
+    # between the breakpoints 0 and 1 the loop starts from (1 - w) x_0 + w x_1,
+    # each end solved once from its own interpolant; at a breakpoint the
+    # solve is that end, and a later solve there costs no step
+    mesh = make_strip_mesh()
+    model, crack = make_model(mesh, p=4.0, lam=1e-2), CrackSet.of([4])
+    solver = ElasticSolver(model, mesh)
+    data = solver._data(crack)
+    x1, n1, e1 = _cold_newton(model, mesh, crack, 1.0)
+    u, rep = solver.solve(crack, 1.0)
+    assert rep.iterations == n1 > 0 and rep.energy == e1
+    assert np.array_equal(u.values[data.topology.free_dofs], x1)
+    x0, n0, _ = _cold_newton(model, mesh, crack, 0.0)
+    assert n0 == 0 and not x0.any()
+    _, cold, _ = _cold_newton(model, mesh, crack, 0.6)
+    assert solver.solve(crack, 0.6)[1].iterations < cold
+    assert sorted(data.ends) == [(0, 1e-10), (1, 1e-10)]
+    assert np.array_equal(data.ends[1, 1e-10], x1)
+    again, rep = solver.solve(crack, 1.0)
+    assert rep.iterations == 0 and np.array_equal(again.values, u.values)
+
+
+def test_a_failed_newton_end_leaves_the_interpolant_start(monkeypatch):
+    # an end whose solve fails is kept as unavailable: the solves of its
+    # segment start from the interpolant of psi(t), as the loop alone does,
+    # and its steps are counted once
+    mesh = make_strip_mesh()
+    model, crack = make_model(mesh, p=4.0, lam=1e-2), CrackSet.of([4])
+    newton_end, calls = ElasticSolver._newton_end, []
+
+    def failing_end(self, data, j, tol):
+        calls.append(j)
+        return (None, 7) if j == 1 else newton_end(self, data, j, tol)
+
+    monkeypatch.setattr(ElasticSolver, "_newton_end", failing_end)
+    solver = ElasticSolver(model, mesh)
+    free = solver._data(crack).topology.free_dofs
+    for t, ends in ((0.6, 7), (0.7, 0)):
+        x, steps, energy = _cold_newton(model, mesh, crack, t)
+        u, rep = solver.solve(crack, t)
+        assert np.array_equal(u.values[free], x) and rep.energy == energy
+        assert rep.iterations == steps + ends
+    assert calls == [0, 1] and solver._data(crack).ends[1, 1e-10] is None
+
+
+def test_a_failed_anchored_newton_solve_is_run_from_the_interpolant(monkeypatch):
+    # a loop that fails from the interpolated start runs once more from the
+    # interpolant of psi(t), and returns that loop's bits, with every step
+    # of the call counted; a retry that fails too raises its SolveError
+    mesh = make_strip_mesh()
+    model, crack = make_model(mesh, p=4.0, lam=1e-2), CrackSet.of([4])
+    newton, starts = ElasticSolver._newton, []
+
+    def anchored_fails(self, data, t, tol, x=None):
+        starts.append(x is None)
+        ev, out, steps, res, energy = newton(self, data, t, tol, x)
+        return ev, (out if x is None else None), steps, res, energy
+
+    monkeypatch.setattr(ElasticSolver, "_newton", anchored_fails)
+    u, rep = ElasticSolver(model, mesh).solve(crack, 0.6)
+    monkeypatch.undo()
+    x, steps, energy = _cold_newton(model, mesh, crack, 0.6)
+    x1, n1, _ = _cold_newton(model, mesh, crack, 1.0)
+    assert starts == [True, True, False, True]   # the ends at 0 and 1, the anchored loop, the retry
+    assert np.array_equal(u.values[u.topology.free_dofs], x) and rep.energy == energy
+    assert rep.iterations > steps + n1
+    bad = make_model(mesh, q=1.5, lam=1e-2)   # the cracked-off piece relaxes onto the kink
+    with pytest.raises(minimize.SolveError, match="within 200 steps"):
+        ElasticSolver(bad, mesh).solve(crack, 0.3)
 
 
 def test_a_subquadratic_solve_does_not_load_scipy_optimize():

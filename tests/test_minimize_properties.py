@@ -371,6 +371,90 @@ def test_cg_fields_do_not_depend_on_solve_order(kinked, order, cache_size):
             assert len(solver._cache) <= (cache_size or minimize._CACHE_SIZE)
 
 
+_NEWTON_TIMES = (0.0, 0.2, 0.4, 0.55, 0.9, 1.0)
+
+
+def _kinked_newton_strip():
+    """The 2 x 3 strip at p = 1.5, q = 3 with a datum nonzero at t = 0 and
+    kinked at the breakpoint 0.4, so its times fall in two load segments."""
+    mesh = make_strip_mesh(3)
+    x = mesh.vertices[:, 0]
+    psi = TimeTable.build([(0.0, 0.05 * x), (0.4, x / 2.0), (1.0, x / 3.0)], mesh.n_vertices)
+    return make_model(mesh, p=1.5, q=3.0, eps=1e-6, lam=0.5, psi=psi), mesh
+
+
+@pytest.fixture(scope="module")
+def newton_cases():
+    """Per case (the three Newton corpus texts at 9 knots, the kinked 2 x 3
+    strip): (model, mesh, crack sets, the fields of a fresh solver filled
+    on demand, None where it fails)."""
+    cases = []
+    for name in ("quartic", "subquadratic", "cubic_body"):
+        model, mesh, edges, _ = _corpus9(name)
+        cases.append((model, mesh, [CrackSet.empty(), CrackSet.of(edges)], {}))
+    model, mesh = _kinked_newton_strip()
+    edges = [int(e) for e in crackable_edges(mesh)]
+    cases.append((model, mesh, [CrackSet.empty(), CrackSet.of(edges[:1]), CrackSet.of(edges)], {}))
+    return cases
+
+
+def _newton_field(solver, crack, t):
+    try:
+        return solver.solve(crack, t)[0].values
+    except minimize.SolveError:
+        return None
+
+
+@given(st.integers(0, 3), st.lists(st.tuples(st.integers(0, 2), st.sampled_from(_NEWTON_TIMES)),
+                                   min_size=1, max_size=10),
+       st.sampled_from([None, 1]))
+@settings(max_examples=40, deadline=None)
+def test_newton_fields_do_not_depend_on_solve_order(newton_cases, case, order, cache_size):
+    # a Newton solve starts from its crack set's solutions at the load
+    # breakpoints, which the cache entry keeps: any order of solves on one
+    # solver, with its ends kept, evicted by a third breakpoint or dropped
+    # with the entry (an LRU of 1), gives every field bit for bit as a fresh
+    # solver does
+    model, mesh, cracks, fresh = newton_cases[case]
+    with pytest.MonkeyPatch.context() as patch:
+        if cache_size:
+            patch.setattr(minimize, "_CACHE_SIZE", cache_size)
+        solver = ElasticSolver(model, mesh)
+        for k, t in order:
+            k %= len(cracks)
+            u = _newton_field(solver, cracks[k], t)
+            if (k, t) not in fresh:
+                fresh[k, t] = _newton_field(ElasticSolver(model, mesh), cracks[k], t)
+            assert (u is None) is (fresh[k, t] is None)
+            assert u is None or np.array_equal(u, fresh[k, t])
+
+
+def test_an_anchored_newton_solve_succeeds_where_the_interpolant_does():
+    # a reduced sweep: on the 2 x 1 and 2 x 3 strips, for each exponent pair,
+    # confinement and crack set, one solver sweeps t; each of its solves
+    # that the loop from the interpolant of psi(t) alone solves succeeds
+    # too, with the same energy to 1e-12 (1 + |E|) and a dual certificate
+    # within 1e-8
+    times = np.linspace(0.125, 1.0, 8)
+    for ny, p, q, lam in itertools.product((1, 3), (1.5, 4.0, 10.0), (2.0, 3.0), (1e-2, 0.5)):
+        mesh = _STRIPS[ny]
+        model = make_model(mesh, p=p, q=q, lam=lam, eps=1e-6 if p < 2.0 else 0.0)
+        edges = [int(e) for e in crackable_edges(mesh)]
+        for crack in (CrackSet.empty(), CrackSet.of(edges[:ny]), CrackSet.of(edges)):
+            solver, cold = ElasticSolver(model, mesh), ElasticSolver(model, mesh)
+            for t in times:
+                with np.errstate(all="ignore"):
+                    _, x, _, _, energy = cold._newton(cold._data(crack), t, 1e-10)
+                if x is None:
+                    continue
+                u, rep = solver.solve(crack, t)
+                assert rep.residual <= 1e-10
+                assert abs(rep.energy - energy) <= 1e-12 * (1.0 + abs(energy)), (ny, p, q, lam, crack, t)
+                c = dual_certificate(model, mesh, crack, t, u)
+                assert c.annihilation_residual <= 1e-8
+                assert abs(c.fenchel_gap) <= 1e-8 * (1.0 + abs(c.primal_value))
+
+
 @functools.cache
 def _corpus9(name):
     p = parse_config(config_text(name, 9)).build_problem()
