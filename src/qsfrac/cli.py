@@ -12,8 +12,6 @@ import math
 import sys
 from pathlib import Path
 
-from numpy.linalg import LinAlgError
-
 from . import audit as audit_mod
 from .audit import AuditError, AuditReport, CheckResult
 from .config import MAX_KNOTS, ConfigError, load_config
@@ -126,7 +124,7 @@ def main(argv=None) -> int:
     except (ConfigError, AuditError, RecordError, SearchLimitError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SolveError, EvolutionError, LinAlgError) as exc:
+    except (SolveError, EvolutionError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -221,10 +221,33 @@ def net_power(power: dict) -> float:
 # the evolution record
 # ---------------------------------------------------------------------------
 
-def _finite(values, what: str):
+_NUMBER = (int, float)   # as ``json.load`` gives them: a bool is neither
+
+
+def _typed(value, what: str, types: tuple, items: tuple = ()):
+    """``value`` where its type is one of ``types`` and, for a list, each
+    item's one of ``items``: the types ``save`` writes.  Otherwise a
+    ValueError naming ``what``."""
+    if type(value) not in types or (items and not set(map(type, value)).issubset(items)):
+        expected = " of ".join(" or ".join(t.__name__ for t in ts) for ts in (types, items) if ts)
+        raise ValueError(f"{what}: expected {expected}, got {value!r:.60}")
+    return value
+
+
+def _finite(values, what: str) -> np.ndarray:
+    """A JSON list of finite numbers as a float array."""
+    values = np.array(_typed(values, what, (list,), _NUMBER), dtype=float)
     if not np.all(np.isfinite(values)):
         raise ValueError(f"non-finite {what} value")
     return values
+
+
+def _number(value, what: str) -> float:
+    """A finite JSON number as a float."""
+    value = float(_typed(value, what, _NUMBER))
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite {what} value")
+    return value
 
 
 @dataclass
@@ -310,7 +333,8 @@ class EvolutionRecord:
 
         A file that is not a readable record for this mesh (bad JSON, a
         missing key, a DOF array of the wrong length, an edge that cannot
-        crack, a non-finite number) raises ``RecordError`` naming the knot.
+        crack, a non-finite number, a value of another JSON type than
+        ``save`` writes) raises ``RecordError`` naming the knot.
         """
         with open(path) as fh:
             try:
@@ -322,39 +346,41 @@ class EvolutionRecord:
         try:
             if not isinstance(payload, dict):
                 raise ValueError("the top level is not a JSON object")
-            if payload.get("format_version") != RECORD_FORMAT_VERSION:
-                raise ValueError(f"unsupported record format version {payload.get('format_version')!r}")
-            grid = TimeGrid(_finite(np.asarray(payload["grid"], dtype=float), "grid"))
+            version = payload.get("format_version")
+            if type(version) is not int or version != RECORD_FORMAT_VERSION:
+                raise ValueError(f"unsupported record format version {version!r}")
+            grid = TimeGrid(_finite(payload["grid"], "grid"))
             if len(payload["knots"]) != len(grid):
                 raise ValueError(f"{len(payload['knots'])} knots stored for a grid of {len(grid)}")
             cracks, fields, energies, powers = [], [], [], []
             for i, row in enumerate(payload["knots"]):
                 where = f"knot {i}"
-                crack = CrackSet.of(row["crack"])
+                crack = CrackSet.of(_typed(row["crack"], "crack", (list,), (int,)))
                 if crack not in layouts:
                     layouts[crack] = build_topology(mesh, crack)
-                values = _finite(np.asarray(row["dofs"], dtype=float), "DOF")
-                energy = {k: float(row["energy"][k]) for k in _ENERGY_KEYS}
-                power = {k: float(row["power"][k]) for k in _POWER_KEYS}
-                for k, v in {**energy, **power}.items():
-                    if not math.isfinite(v):
-                        raise ValueError(f"non-finite {k} value")
+                values = _finite(row["dofs"], "DOF")
+                energy = {k: _number(row["energy"][k], k) for k in _ENERGY_KEYS}
+                power = {k: _number(row["power"][k], k) for k in _POWER_KEYS}
                 cracks.append(crack)
                 fields.append(BrokenField(layouts[crack], values))
                 energies.append(energy)
                 powers.append(power)
             where = "record"
             strat = payload["strategy"]
+            limit = _typed(strat["max_bruteforce_edges"], "max_bruteforce_edges", (int,))
+            if limit < 0:
+                raise ValueError(f"max_bruteforce_edges: expected a count, got {limit}")
             return cls(
                 grid=grid, cracks=cracks, fields=fields, energies=energies, powers=powers,
-                strategy=SearchStrategy(strat["kind"], strat["max_bruteforce_edges"]),
-                certification=strat["certification"],
+                strategy=SearchStrategy(strat["kind"], limit),
+                certification=_typed(strat["certification"], "certification", (str,)),
                 config_hash=payload["config_hash"], mesh_hash=payload["mesh_hash"],
-                complete=payload["complete"], annotations=list(payload["annotations"]),
+                complete=_typed(payload["complete"], "complete", (bool,)),
+                annotations=_typed(payload["annotations"], "annotations", (list,), (str,)),
             )
         except KeyError as exc:
             raise RecordError(f"{path}: {where}: missing key {exc}") from exc
-        except (IndexError, TypeError, ValueError) as exc:
+        except (IndexError, OverflowError, TypeError, ValueError) as exc:
             raise RecordError(f"{path}: {where}: {exc}") from exc
 
     def write_csv(self, path) -> None:

@@ -43,22 +43,20 @@ psi(t), and a loop that fails from an interpolated start runs once more from
 that interpolant, so every solve that succeeds from it still succeeds.  A
 field thus depends on the crack set, t and the tolerance alone here too, and
 a knot between two breakpoints costs two more solves where its ends are not
-kept yet.  Each step solves (H + delta m I) d = -g through
-``_spd_solver``, with m the mean of diag H; the ratio of actual to predicted
-decrease steers delta, which stays 0 while full Newton steps contract the
-gradient, and grows where the curvature of a power law below exponent 2
-decays or the Hessian of a cracked-off piece is singular; a non-finite
-gradient ends the solve with a ``SolveError``.  Full Newton steps of a
-power law converge only linearly on a cracked-off piece that relaxes to
-zero gradient, so a taken step that lowered the energy is followed by one
-trial at its secant step length.  Energy, gradient and Hessian come from
-one ``_Evaluator`` per loop, which fixes the loads at t; its per-triangle
-constants, like the quadratic forms, are built once per
-``ElasticSolver``.  One pass per trial point gives the energy, the gradient
-and its norm; the Hessian is assembled only after a step is accepted, at
-the point kept, so a rejected step reuses it.  The reported energy is the
-evaluator's at the returned field, from the pass that evaluated it: the
-midpoint quadrature of ``energy.elastic_energy``, summed in another order.
+kept yet.  Each step solves (H + delta m I) d = -g through ``_spd_solver``
+and may try one secant step length after it; the damping delta and the
+secant trial are ``ElasticSolver._newton``'s.  A non-finite gradient ends
+the solve with a ``SolveError``.  Energy, gradient and Hessian come from one
+``_Evaluator`` per loop, which fixes the loads at t; its per-triangle
+constants, like the quadratic forms, are built once per ``ElasticSolver``.
+One pass per trial point gives the energy, the gradient, its norm and the
+point's per-triangle terms, from which the loop assembles the Hessian after
+a step is accepted, at the point kept, so a rejected step reuses it.  The
+reported energy is the evaluator's at the returned field, from the pass that
+evaluated it: the midpoint quadrature of ``energy.elastic_energy``, summed
+in another order.  ``solve`` and ``score`` each hold the one ``np.errstate``
+of their work, so an overflow is a ``SolveError`` or a rejected Newton step,
+never a numpy warning.
 
 One map, the crack set's ``_FreeBlock``, says where a triangle corner lands
 among the free DOFs.  Its ``matrix`` scatters per-triangle 3x3 matrices (the
@@ -113,12 +111,13 @@ of one knot share one interpolation per table.
 A run with zero confinement and a crack that isolates a piece of the body
 from the Dirichlet boundary has no bounded minimizer; this surfaces as a
 ``FloatingComponentError`` naming the component rather than a pseudo-inverse
-solution, keeping the coercivity requirement of the model visible.
+solution, keeping the coercivity requirement of the model visible: raised
+by ``ElasticSolver.solve`` alone, for every exponent pair, and for the open
+space by ``_OpenSpace``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -376,19 +375,6 @@ def _free_hessian(model: EnergyModel, mesh: Mesh, u: BrokenField, block: _FreeBl
     return block.matrix(local + (c / 9.0)[:, None, None] * np.ones((3, 3)))
 
 
-def _quiet(method):
-    """``method`` of an ``_Evaluator`` with numpy's floating-point warnings
-    off: under its own ``np.errstate``, or under the caller's where the
-    evaluator is ``guarded``."""
-    @functools.wraps(method)
-    def call(self, *args):
-        if self.guarded:
-            return method(self, *args)
-        with np.errstate(all="ignore"):
-            return method(self, *args)
-    return call
-
-
 class _Evaluator:
     """Energy, free gradient and free Hessian of the elastic energy for one
     Newton loop: one topology, one time t with its datum psi, one free block.
@@ -406,18 +392,16 @@ class _Evaluator:
     G^T G are the solver's); the crack set's ``_FreeBlock`` scatters the
     gradient and the Hessian.
     ``evaluate(v)`` gives the energy, the gradient and its norm at the free
-    values ``v`` from one pass, and keeps s, z, the stress coefficient and
-    G^T xi of that point as ``terms``: ``hessian()`` assembles at the point
-    evaluated last, or at the one whose ``terms`` were put back.  A wild
-    trial point gives an infinite energy, never a numpy warning: each call
-    opens its own ``np.errstate``, except where ``guarded`` says that the
-    caller holds one around all its calls (``ElasticSolver._solve_newton``).
+    values ``v`` from one pass, with s, z, the stress coefficient and G^T xi
+    of that point as its ``terms``, and ``hessian(terms)`` assembles at the
+    point they belong to; the evaluator keeps no point.  A wild trial point
+    gives an infinite energy, and it raises no numpy warning under the
+    ``np.errstate`` that ``ElasticSolver.solve`` holds around the loop.
     ``energy.elastic_energy``, ``assemble_gradient`` and ``_free_hessian``
     are the reference implementations it is tested against.
     """
 
-    def __init__(self, solver: ElasticSolver, data: _CrackData, t: float, guarded: bool = False):
-        self.guarded = guarded
+    def __init__(self, solver: ElasticSolver, data: _CrackData, t: float):
         topo = data.topology
         self.model, self.topo, self.block = solver.model, topo, data.block
         self.free = topo.free_dofs
@@ -432,10 +416,9 @@ class _Evaluator:
         vals[self.free] = v
         return vals
 
-    @_quiet
-    def evaluate(self, v: np.ndarray) -> tuple[float, np.ndarray, float]:
-        """(E, gradient g of E on the free DOFs, |g|) at the free values
-        ``v``; E is +inf where it is not finite."""
+    def evaluate(self, v: np.ndarray) -> tuple[float, np.ndarray, float, tuple]:
+        """(E, gradient g of E on the free DOFs, |g|, terms) at the free
+        values ``v``; E is +inf where it is not finite."""
         p, body = self.model.p, self.model.body
         vals = self.values(v)
         cv = vals[self.topo.corner_dof]
@@ -452,15 +435,13 @@ class _Evaluator:
             local += (self.area * body.lam / 3.0 * dz)[:, None]
         grad = self.block.vector(local) - self.b_free
         res = math.sqrt(grad @ grad)   # the ddot of np.linalg.norm, which can overflow
-        self.terms = s, z, a, gx
-        return (e if math.isfinite(e) else math.inf), grad, res
+        return (e if math.isfinite(e) else math.inf), grad, res, (s, z, a, gx)
 
-    @_quiet
-    def hessian(self):
-        """The Hessian of E on the free block at the point whose ``terms``
-        it holds: dense up to ``_DENSE_LIMIT`` free DOFs, CSR above."""
+    def hessian(self, terms: tuple):
+        """The Hessian of E on the free block at the point ``evaluate`` gave
+        ``terms`` for: dense up to ``_DENSE_LIMIT`` free DOFs, CSR above."""
         p = self.model.p
-        s, z, a, gx = self.terms
+        s, z, a, gx = terms
         local = a[:, None, None] * self.gtg
         if p != 2.0:
             rank_one = np.where(s > 0.0, self.area_mu * (p - 2.0) * s ** ((p - 4.0) / 2.0), 0.0)
@@ -488,7 +469,8 @@ class _CrackData:
     solution there, None for a Newton end that failed, for at most the two
     ends used last (``ElasticSolver._end``); it is None on the direct path.
     Only for other exponents (no forms) does the block keep its matrix
-    positions, for the Newton Hessians.
+    positions, for the Newton Hessians.  ``floating`` names a piece that
+    nothing holds (zero confinement only): that entry factors nothing.
     """
 
     __slots__ = ("topology", "solve", "method", "floating", "block", "ends")
@@ -501,9 +483,7 @@ class _CrackData:
         self.solve = self.method = self.block = self.ends = None
         if forms is None:
             self.block, self.ends = _FreeBlock(topo), {}
-        elif self.floating:
-            raise FloatingComponentError(self.floating)
-        else:
+        elif not self.floating:
             self._factor(model, mesh, forms)
 
     def _factor(self, model: EnergyModel, mesh: Mesh, forms: np.ndarray) -> None:
@@ -547,11 +527,11 @@ class _OpenSpace(_CrackData):
     bytes, and ``excess`` is one triangular solve with it.  Only G and these
     factors are kept: the score needs neither K^-1 R^T nor the open field.
     A piece of the open body with no constrained DOF is refused with
-    ``FloatingComponentError`` where nothing confines it, and where it is
-    loaded: it drifts to load / lambda, and the identity would cancel
-    energies of that size in rounding.  Above the row
-    limit nothing is factored, no G is formed (``gram`` is None) and the
-    space does not score.
+    ``FloatingComponentError`` where nothing confines it (its constructor,
+    from ``floating``), and where it is loaded (before the factorization):
+    it drifts to load / lambda, and the identity would cancel energies of
+    that size in rounding.  Above the row limit nothing is factored, no G
+    is formed (``gram`` is None) and the space does not score.
     """
 
     __slots__ = ("rows", "owner_edge", "owner_row", "gram", "_factors")
@@ -560,6 +540,8 @@ class _OpenSpace(_CrackData):
     def __init__(self, model: EnergyModel, mesh: Mesh, forms: np.ndarray):
         self._factors = LRU(_CACHE_SIZE, _FACTOR_BYTES, _factor_bytes)   # edge ids -> kept_factor
         super().__init__(model, mesh, CrackSet.of(crackable_edges(mesh)), forms)
+        if self.floating:
+            raise FloatingComponentError(self.floating)
 
     def _factor(self, model: EnergyModel, mesh: Mesh, forms: np.ndarray) -> None:
         """Carve out the rows; within the row limit, factor the stiffness and
@@ -747,10 +729,13 @@ class ElasticSolver:
         data = self._data(crack)
         if data.floating:
             raise FloatingComponentError(data.floating)
-        if self.quadratic:
-            field, iters, res, method, energy = self._solve_quadratic(data, t, tol)
-        else:
-            field, iters, res, method, energy = self._solve_newton(data, t, tol)
+        # the one guard of a solve: an overflow is a SolveError, a wild Newton
+        # step is rejected and an overflowing Hessian fails to factor
+        with np.errstate(all="ignore"):
+            if self.quadratic:
+                field, iters, res, method, energy = self._solve_quadratic(data, t, tol)
+            else:
+                field, iters, res, method, energy = self._solve_newton(data, t, tol)
         report = SolveReport(iterations=iters, residual=res, energy=energy, method=method,
                              n_free=data.topology.n_free)
         field.values.setflags(write=False)
@@ -812,34 +797,33 @@ class ElasticSolver:
         return x, steps
 
     def _solve_quadratic(self, data: _CrackData, t: float, tol: float):
-        topo, block = data.topology, data.block
+        """The linear solve of ``data`` at ``t``: one block forms K u, the
+        free gradient and its norm, and runs again after the one refinement
+        pass that a residual above ``tol`` gets."""
+        topo = data.topology
         free, corner_dof = topo.free_dofs, topo.corner_dof
-        # an overflow surfaces as the SolveError below, not as a numpy warning
-        with np.errstate(all="ignore"):
-            u, b = self._system(data, t)
-            b_free = b[free]
-            # the CG residual is minus the free gradient checked below, so CG
-            # stops at a fixed fraction of ``tol`` (a direct solve ignores it)
-            target = 0.5 * tol
-            if data.method == "cg":
-                u[free], iters = self._interpolated(data, t, target, self._cg_end)
-            else:
-                u[free], iters = data.solve(self._rhs(data, u, b), target)
+        u, b = self._system(data, t)
+        b_free = b[free]
+        # the CG residual is minus the free gradient checked below, so CG
+        # stops at a fixed fraction of ``tol`` (a direct solve ignores it)
+        target = 0.5 * tol
+        if data.method == "cg":
+            u[free], iters = self._interpolated(data, t, target, self._cg_end)
+        else:
+            u[free], iters = data.solve(self._rhs(data, u, b), target)
+        for refined in (False, True):
             cv = u[corner_dof]
             ku = np.einsum("tij,tj->ti", self._forms, cv)
-            grad = block.vector(ku) - b_free
+            grad = data.block.vector(ku) - b_free
             res = float(np.linalg.norm(grad))
-            if res > tol:
-                # rounding, CG's drift between its recursive and true
-                # residuals, or an interpolation off by rounding: one
-                # refinement pass, then give up honestly
-                step, more = data.solve(-grad, target)
-                u[free] += step
-                cv = u[corner_dof]
-                ku = np.einsum("tij,tj->ti", self._forms, cv)
-                res = float(np.linalg.norm(block.vector(ku) - b_free))
-                iters += more
-            energy = 0.5 * float(np.sum(cv * ku)) - float(b @ u) + self._c_eps
+            if refined or not res > tol:   # a NaN residual is not refined either
+                break
+            # rounding, CG's drift between its recursive and true residuals,
+            # or an interpolation off by rounding
+            step, more = data.solve(-grad, target)
+            u[free] += step
+            iters += more
+        energy = 0.5 * float(np.sum(cv * ku)) - float(b @ u) + self._c_eps
         if not (math.isfinite(res) and math.isfinite(energy)):
             raise SolveError(f"non-finite residual or energy at t={t}")
         if res > tol:
@@ -847,31 +831,21 @@ class ElasticSolver:
         return BrokenField(topo, u), iters, res, data.method, energy
 
     def _solve_newton(self, data: _CrackData, t: float, tol: float):
-        """Damped Newton (``_newton``) on the free DOFs from the crack set's
-        Newton solutions at the load breakpoints.
-
-        The loads are affine in t on the load segment [tau_a, tau_b] holding
-        t, and the minimizer moves little along it, so the loop starts from
-        (1 - w) x_a + w x_b (``_interpolated``): a secant predictor in the
-        load parameter.  Each end is solved by ``_newton`` from the
-        interpolant of psi there, to the same ``tol``, and kept on
-        ``data.ends``.  At w = 0 or 1 the start is that end alone, and where
-        t is the breakpoint itself the loop returns it at its first
-        evaluation, with that evaluation's energy.  An end that fails leaves
-        the start at the interpolant of psi(t), and a loop that fails from
-        an interpolated start runs once more from that interpolant.  The
-        start thus depends on the crack set, t and ``tol`` alone, never on
-        the order of solves.  The iterations reported are every step of
-        this call: the ends it solved, the loop and its retry.
-        """
-        # one guard from the first evaluation on: a wild step is rejected and
-        # an overflowing Hessian fails to factor, with no warning
-        with np.errstate(all="ignore"):
-            start, steps = self._interpolated(data, t, tol, self._newton_end)
-            ev, x, more, res, energy = self._newton(data, t, tol, start)
-            if x is None and start is not None:   # once more from the interpolant of psi(t)
-                steps += more
-                ev, x, more, res, energy = self._newton(data, t, tol)
+        """Damped Newton (``_newton``) on the free DOFs, started as the
+        module docstring says: from (1 - w) x_a + w x_b (``_interpolated``),
+        the crack set's Newton solutions at the ends of the load segment
+        holding t, each solved from the interpolant of psi there to ``tol``
+        and kept on ``data.ends``; where t is a breakpoint, the loop returns
+        that end at its first evaluation.  A failed end leaves the
+        interpolant of psi(t) as the start, and a loop that fails from an
+        interpolated start runs once more from it.  The iterations reported
+        are every step of this call: the ends it solved, the loop and its
+        retry."""
+        start, steps = self._interpolated(data, t, tol, self._newton_end)
+        ev, x, more, res, energy = self._newton(data, t, tol, start)
+        if x is None and start is not None:   # once more from the interpolant of psi(t)
+            steps += more
+            ev, x, more, res, energy = self._newton(data, t, tol)
         if x is None:
             raise SolveError(f"Newton did not reach tol {tol:.3e} within {_NEWTON_CAP} steps"
                              if more == _NEWTON_CAP else f"non-finite gradient at t={t}")
@@ -880,7 +854,7 @@ class ElasticSolver:
     def _newton(self, data: _CrackData, t: float, tol: float, x: np.ndarray | None = None):
         """Damped Newton (Levenberg-Marquardt) on the free DOFs at ``t`` from
         the free values ``x``, or the interpolant of psi(t) where None; run
-        under the caller's ``np.errstate``.  Returns (evaluator, free
+        under the ``np.errstate`` of ``solve``.  Returns (evaluator, free
         solution, steps, residual, energy); the solution is None where the
         gradient turns non-finite or ``_NEWTON_CAP`` steps do not reach
         ``tol``.
@@ -905,25 +879,26 @@ class ElasticSolver:
         (a cracked-off piece relaxing to zero gradient keeps 2/3 of its
         error per full step at p = 4, and overshoots by half at p = 1.5).
         delta follows the full step alone, the Hessian is assembled at the
-        point kept, and the secant evaluation counts with its step.
+        point kept, from the terms its evaluation gave, and the secant
+        evaluation counts with its step.
 
         The energy reported is the one the evaluator gave at the point
         returned, so a loop evaluates no energy beyond its steps; one
         with no free DOF, or started at the solution, returns at its first
         evaluation.
         """
-        ev = _Evaluator(self, data, t, guarded=True)
+        ev = _Evaluator(self, data, t)
         if x is None:
             x = self.model.boundary.value(t)[data.topology.dof_vertex[ev.free]]
-        energy, g, res = ev.evaluate(x)
+        energy, g, res, terms = ev.evaluate(x)
         h, delta = None, 0.0
         for it in range(_NEWTON_CAP):
             if res <= tol:   # at once where no DOF is free
                 return ev, x, it, res, energy
             if not math.isfinite(res):   # no step can solve for a non-finite -g
                 return ev, None, it, res, energy
-            if h is None:   # x is the point evaluated last: the start or an accepted step
-                h = ev.hessian()
+            if h is None:   # x is the start or an accepted step, ``terms`` its own
+                h = ev.hessian(terms)
             try:
                 d = _spd_solver(_damped(h, delta))(-g)
             except SolveError:
@@ -932,7 +907,7 @@ class ElasticSolver:
             trial = x + d
             slope = float(g @ d)   # phi'(0) of phi(alpha) = E(x + alpha d)
             predicted = -slope - 0.5 * float(d @ (h @ d))
-            e_new, g_new, res_new = ev.evaluate(trial)
+            e_new, g_new, res_new, terms_new = ev.evaluate(trial)
             rho = (energy - e_new) / predicted if predicted > 0.0 else -math.inf
             contracted = res_new <= 0.5 * res
             if contracted or rho > 0.75:
@@ -944,14 +919,11 @@ class ElasticSolver:
                 drop = slope - float(g_new @ d)
                 alpha = slope / drop if drop < 0.0 else 0.0
                 if e_new < energy and alpha > 0.0 and abs(alpha - 1.0) > _SECANT_SKIP:
-                    terms = ev.terms
                     point = x + min(alpha, _SECANT_MAX) * d
-                    e_sec, g_sec, res_sec = ev.evaluate(point)
+                    e_sec, g_sec, res_sec, terms_sec = ev.evaluate(point)
                     if e_sec < e_new and res_sec < res_new:
-                        trial, e_new, g_new, res_new = point, e_sec, g_sec, res_sec
-                    else:   # the next Hessian is the full step's
-                        ev.terms = terms
-                x, energy, g, res, h = trial, e_new, g_new, res_new, None
+                        trial, e_new, g_new, res_new, terms_new = point, e_sec, g_sec, res_sec, terms_sec
+                x, energy, g, res, terms, h = trial, e_new, g_new, res_new, terms_new, None
         return ev, None, _NEWTON_CAP, res, energy
 
 

@@ -23,7 +23,7 @@ from qsfrac.config import (
     parse_config,
 )
 from qsfrac.corpus import CORPUS, build_config, config_text
-from qsfrac.evolution import run_evolution
+from qsfrac.evolution import EvolutionRecord, RecordError, run_evolution
 from qsfrac.mesh import crackable_edges
 
 from conftest import cli_env
@@ -270,6 +270,54 @@ def test_cli_audit_of_a_malformed_record_exits_2_naming_the_knot(strip_run, tmp_
     assert proc.returncode == 2, proc.stderr
     assert "error:" in proc.stderr and message in proc.stderr, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("knots", 2, "crack"), [4.7], "knot 2: crack: expected list of int, got [4.7]"),
+    (("knots", 2, "crack"), "4", "knot 2: crack: expected list of int, got '4'"),
+    (("knots", 2, "crack"), "44", "knot 2: crack: expected list of int, got '44'"),
+    (("knots", 2, "crack"), [True], "knot 2: crack: expected list of int, got [True]"),
+    (("knots", 2, "dofs", 0), "0.5", "knot 2: DOF: expected list of int or float, got ['0.5'"),
+    (("knots", 2, "dofs", 0), True, "knot 2: DOF: expected list of int or float, got [True"),
+    (("knots", 1, "energy", "W"), "0.1", "knot 1: W: expected int or float, got '0.1'"),
+    (("knots", 3, "power", "stress_power"), False, "knot 3: stress_power: expected int or float, got False"),
+    (("knots", 4, "energy", "total"), 10**400, "knot 4: int too large to convert to float"),
+    (("grid", 1), "0.25", "record: grid: expected list of int or float"),
+    (("complete",), "no", "record: complete: expected bool, got 'no'"),
+    (("complete",), 1, "record: complete: expected bool, got 1"),
+    (("annotations",), "abc", "record: annotations: expected list of str, got 'abc'"),
+    (("annotations",), [1], "record: annotations: expected list of str, got [1]"),
+    (("strategy", "max_bruteforce_edges"), "x", "record: max_bruteforce_edges: expected int, got 'x'"),
+    (("strategy", "max_bruteforce_edges"), True, "record: max_bruteforce_edges: expected int, got True"),
+    (("strategy", "max_bruteforce_edges"), -1, "record: max_bruteforce_edges: expected a count, got -1"),
+    (("strategy", "certification"), 5, "record: certification: expected str, got 5"),
+    (("format_version",), True, "record: unsupported record format version True"),
+], ids=["crack_float", "crack_digit", "crack_digits", "crack_bool", "dof_text", "dof_bool", "energy_text",
+        "power_bool", "energy_huge_int", "grid_text", "complete_text", "complete_int", "annotations_text",
+        "annotation_int", "limit_text", "limit_bool", "limit_negative", "certification_int", "version_bool"])
+def test_record_loader_accepts_only_the_json_types_save_writes(strip_run, tmp_path, capsys, path, value,
+                                                                message):
+    # each of these used to load: "4" as edge 4, a string of digits digit by
+    # digit, a numeric string or a bool as a number, "no" as a complete
+    # record, "abc" as three annotations, true as format version 1; a huge
+    # integer ended in an OverflowError traceback.  Now each is a
+    # RecordError naming the knot, through load and through the audit
+    # (exit 2), with no warning
+    cfg_path, payload = strip_run
+    problem = parse_config(cfg_path.read_text()).build_problem()
+    rec_path = tmp_path / "rec.json"
+    rec_path.write_text(json.dumps(payload))
+    EvolutionRecord.load(rec_path, problem.mesh, problem.model)   # what save wrote loads
+    doc = json.loads(json.dumps(payload))
+    functools.reduce(lambda node, key: node[key], path[:-1], doc)[path[-1]] = value
+    rec_path.write_text(json.dumps(doc))
+    with pytest.raises(RecordError) as caught:
+        EvolutionRecord.load(rec_path, problem.mesh, problem.model)
+    assert f"{rec_path}: {message}" in str(caught.value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["audit", "--config", str(cfg_path), "--record", str(rec_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {rec_path}: {message}")
 
 
 def test_cli_bad_config_exit_2(tmp_path, capsys):

@@ -557,8 +557,8 @@ def _start_hessian(model, mesh, crack, t):
     solver = ElasticSolver(model, mesh)
     ev = minimize._Evaluator(solver, solver._data(crack), t)
     topo = ev.topo
-    ev.evaluate(BrokenField.from_nodal(topo, model.boundary.value(t)).values[topo.free_dofs])
-    return ev.hessian()
+    *_, terms = ev.evaluate(BrokenField.from_nodal(topo, model.boundary.value(t)).values[topo.free_dofs])
+    return ev.hessian(terms)
 
 
 def test_newton_on_a_singular_sparse_hessian_raises_no_warning():
@@ -660,12 +660,12 @@ def test_newton_evaluator_matches_the_reference_functions(p, q, nx, ny):
             v = rng.normal(size=topo.n_free)
             u = BrokenField(topo, ev.values(v))
             energy, _ = elastic_energy(model, mesh, t, u)
-            e, g, res = ev.evaluate(v)
+            e, g, res, terms = ev.evaluate(v)
             assert abs(e - energy) <= 1e-13 * abs(energy)
             grad = minimize.assemble_gradient(model, mesh, t, u)[topo.free_dofs]
             assert np.max(np.abs(g - grad)) <= 1e-13 * np.max(np.abs(grad))
             assert res == float(np.linalg.norm(g))   # the same bits
-            h, ref = ev.hessian(), minimize._free_hessian(model, mesh, u, block)
+            h, ref = ev.hessian(terms), minimize._free_hessian(model, mesh, u, block)
             assert isinstance(h, np.ndarray) is (topo.n_free <= minimize._DENSE_LIMIT)
             diff = h - ref if isinstance(h, np.ndarray) else (h - ref).toarray()
             assert np.max(np.abs(diff)) <= 1e-13 * np.max(np.abs(ref))
@@ -715,20 +715,28 @@ def test_newton_evaluator_at_a_wild_point_raises_no_warning():
     # the sparse LU of the singular q = 3 block of a cracked-off piece gives
     # an undamped step of about 1e14; far beyond, the energy overflows (at 1e308 every
     # term does, and W - F - G would be NaN): an infinite energy, so a
-    # rejected step, with no numpy warning on the way
+    # rejected step.  The evaluator runs under the np.errstate that
+    # ElasticSolver.solve holds, so a solve of the same problem returns or
+    # raises SolveError with no numpy warning on the way
     mesh = make_strip_mesh(labeling={"dirichlet": ("left",)})
     model = make_model(mesh, q=3.0, lam=0.5, f=TimeTable.constant(10.0, mesh.n_triangles))
     solver = ElasticSolver(model, mesh)
     ev = minimize._Evaluator(solver, solver._data(CrackSet.of([4])), 0.5)
     topo = ev.topo
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
         warnings.simplefilter("error")
         for scale, finite in ((1e12, True), (1e120, False), (1e308, False)):
             v = scale * (1.0 + 0.5 * np.linspace(-1.0, 1.0, topo.n_free))
-            energy, _, _ = ev.evaluate(v)
+            energy, _, _, terms = ev.evaluate(v)
             assert math.isfinite(energy) is finite
             assert energy > 0.0
-            ev.hessian()
+            ev.hessian(terms)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            ElasticSolver(model, mesh).solve(CrackSet.of([4]), 0.5)
+        except minimize.SolveError:
+            pass
 
 
 def _count_energies(monkeypatch):
@@ -773,9 +781,10 @@ def test_a_failed_solve_is_not_memoized(monkeypatch):
 
 
 def test_newton_hessian_assembles_once_per_iterate(monkeypatch):
-    # the Hessian is assembled once per accepted iterate, at that iterate: a
-    # rejected step reuses it, the returned iterate needs none, and after a
-    # rejected secant trial it is the full step's Hessian, not the trial's.
+    # the Hessian is assembled once per accepted iterate, at that iterate and
+    # from the terms its evaluation gave: a rejected step reuses it, the
+    # returned iterate needs none, and after a rejected secant trial it is
+    # the full step's Hessian, not the trial's.
     # Each accepted iterate x is the point whose gradient g gives the
     # right-hand side -g of the Newton directions solved from x.  A solve
     # runs one loop per evaluator (the ends at the load breakpoints 0 and 1,
@@ -797,12 +806,13 @@ def test_newton_hessian_assembles_once_per_iterate(monkeypatch):
             out = evaluate(self, v)
             points, evaluated, _, _ = loops.setdefault(self, ({}, [], [], {}))
             points[out[1].tobytes()] = v.copy()
-            evaluated.append(v.tobytes())
+            evaluated.append((v.tobytes(), out[3]))
             return out
 
-        def on_hessian(self):
+        def on_hessian(self, terms):
             _, evaluated, hessians, _ = loops[self]
-            hessians.append((hessian(self), evaluated[-1]))
+            (owner,) = [point for point, given in evaluated if given is terms]
+            hessians.append((hessian(self, terms), evaluated[-1][0], owner))
             last[:] = [self]
             return hessians[-1][0]
 
@@ -828,11 +838,12 @@ def test_newton_hessian_assembles_once_per_iterate(monkeypatch):
             iterates = [points[starts[k].tobytes()] for k in range(len(hessians))]
             assert len({x.tobytes() for x in iterates}) == len(iterates)
             longest = max(longest, len(iterates))
-            for (h, _), x in zip(hessians, iterates):
+            for (h, _, owner), x in zip(hessians, iterates):
+                assert owner == x.tobytes()   # the terms of the iterate itself
                 ref = minimize._free_hessian(model, mesh, BrokenField(ev.topo, ev.values(x)), ev.block)
                 diff = h - ref if isinstance(h, np.ndarray) else (h - ref).toarray()
                 assert np.max(np.abs(diff)) <= 1e-13 * np.max(np.abs(ref))
-            rejected |= any(seen != x.tobytes() for (_, seen), x in zip(hessians, iterates))
+            rejected |= any(seen != x.tobytes() for (_, seen, _), x in zip(hessians, iterates))
         assert longest >= 2
         if mesh is strip:   # a secant trial was evaluated after a full step and rejected
             assert rejected
