@@ -77,12 +77,14 @@ __all__ = [
     "EULER",
     "ONE_EDGE",
     "ORACLE",
+    "MAX_ORACLE_EDGES",
 ]
 
 EULER = "euler"
 ONE_EDGE = "one_edge"
 ORACLE = "oracle"
 _LEVELS = (EULER, ONE_EDGE, ORACLE)
+MAX_ORACLE_EDGES = 12   # default candidate-edge cap of the oracle stability level
 
 _RESIDUAL_TOL = 1e-8
 _RECOMPUTE_RTOL = 1e-12
@@ -253,7 +255,7 @@ class StabilityResult:
 
 
 def check_global_stability(record: EvolutionRecord, model: EnergyModel, mesh: Mesh,
-                           level: str = ORACLE, max_oracle_edges: int = 12) -> StabilityResult:
+                           level: str = ORACLE, max_oracle_edges: int = MAX_ORACLE_EDGES) -> StabilityResult:
     """Check the minimality of every recorded state at its own time.
 
     The margin of a candidate extension is (candidate total energy) minus the

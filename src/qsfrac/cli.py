@@ -19,6 +19,7 @@ from .evolution import (
     BRUTE_FORCE,
     GREEDY,
     GREEDY_WITH_PAIRS,
+    MAX_BRUTEFORCE_EDGES,
     EvolutionError,
     EvolutionRecord,
     RecordError,
@@ -91,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="comma list of checks to run")
     aud.add_argument("--level", choices=("euler", "one_edge", "oracle", "auto"), default="auto",
                      help="global-stability level (auto: oracle when small enough)")
-    aud.add_argument("--max-edges", type=_count, default=12,
+    aud.add_argument("--max-edges", type=_count, default=audit_mod.MAX_ORACLE_EDGES,
                      help="candidate-edge cap for the oracle stability level")
     aud.add_argument("--tol", type=_positive, default=None, help="energy-balance gap tolerance")
     aud.add_argument("--inconclusive", choices=("pass", "fail"), default="pass",
@@ -105,8 +106,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cmp_ = sub.add_parser("oracle-compare", help="brute force vs greedy strategies, end to end")
     cmp_.add_argument("--config", required=True)
-    cmp_.add_argument("--max-edges", type=_count, default=12,
-                      help="refuse instances with more crackable edges than this (cap 20)")
+    cmp_.add_argument("--max-edges", type=_count, default=audit_mod.MAX_ORACLE_EDGES,
+                      help=f"refuse instances with more crackable edges than this (cap {MAX_BRUTEFORCE_EDGES})")
     return parser
 
 
@@ -268,7 +269,7 @@ def cmd_envelope(args) -> int:
 
 def cmd_oracle_compare(args) -> int:
     problem = _load_problem(args)
-    max_edges = min(args.max_edges, 20)
+    max_edges = min(args.max_edges, MAX_BRUTEFORCE_EDGES)
     n_cand = len(crackable_edges(problem.mesh))
     if n_cand > max_edges:
         raise AuditError(

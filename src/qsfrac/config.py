@@ -50,8 +50,9 @@ from .energy import (
     _TOUGHNESS_KINDS,
     check_knots,
 )
-from .evolution import SearchStrategy, TimeGrid
+from .evolution import MAX_BRUTEFORCE_EDGES, SearchStrategy, TimeGrid
 from .mesh import Mesh, MeshGeometryError, _resolve_brittle, build_structured_mesh
+from .minimize import TOL
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "load_config", "config_hash"]
 
@@ -141,8 +142,8 @@ _KEYS: dict[str, tuple[str, Callable, object]] = {
                   None),
     "initial.crack": (*_TEXT, "none"),
     "strategy.kind": (*_TEXT, "brute_force"),
-    "strategy.max_edges": (*_integer(0), 20),
-    "solver.tolerance": (*_POSITIVE, 1e-10),
+    "strategy.max_edges": (*_integer(0), MAX_BRUTEFORCE_EDGES),
+    "solver.tolerance": (*_POSITIVE, TOL),
     "run.require_initial_minimality": ("true or false", lambda text: _BOOLS[text.lower()], True),
 }
 

@@ -53,7 +53,7 @@ from .energy import (
     total_energy,
 )
 from .mesh import Mesh, crackable_edges, mesh_fingerprint
-from .minimize import _CACHE_SIZE, ElasticSolver
+from .minimize import _CACHE_SIZE, TOL, ElasticSolver
 
 __all__ = [
     "TimeGrid",
@@ -61,6 +61,7 @@ __all__ = [
     "BRUTE_FORCE",
     "GREEDY",
     "GREEDY_WITH_PAIRS",
+    "MAX_BRUTEFORCE_EDGES",
     "EvolutionRecord",
     "EvolutionError",
     "RecordError",
@@ -80,6 +81,7 @@ BRUTE_FORCE = "brute_force"
 GREEDY = "greedy"
 GREEDY_WITH_PAIRS = "greedy_pairs"
 _KINDS = (BRUTE_FORCE, GREEDY, GREEDY_WITH_PAIRS)
+MAX_BRUTEFORCE_EDGES = 20   # default candidate-edge cap of brute force, and oracle-compare's cap
 
 RECORD_FORMAT_VERSION = 1
 
@@ -153,7 +155,7 @@ class SearchStrategy:
     """Crack-search strategy for the per-knot minimization."""
 
     kind: str = BRUTE_FORCE
-    max_bruteforce_edges: int = 20
+    max_bruteforce_edges: int = MAX_BRUTEFORCE_EDGES
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -260,16 +262,18 @@ class EvolutionRecord:
     energies: list[dict]
     powers: list[dict]
     strategy: SearchStrategy
-    certification: str
     config_hash: str = ""
     mesh_hash: str = ""
     complete: bool = True
     annotations: list[str] = field(default_factory=list)
-    format_version: int = RECORD_FORMAT_VERSION
 
     @property
     def times(self) -> np.ndarray:
         return self.grid.knots
+
+    @property
+    def certification(self) -> str:
+        return self.strategy.certification
 
     def __len__(self) -> int:
         return len(self.cracks)
@@ -304,7 +308,7 @@ class EvolutionRecord:
                 "power": {k: float(self.powers[i][k]) for k in _POWER_KEYS},
             })
         return {
-            "format_version": self.format_version,
+            "format_version": RECORD_FORMAT_VERSION,
             "config_hash": self.config_hash,
             "mesh_hash": self.mesh_hash,
             "strategy": {
@@ -334,7 +338,8 @@ class EvolutionRecord:
         A file that is not a readable record for this mesh (bad JSON, a
         missing key, a DOF array of the wrong length, an edge that cannot
         crack, a non-finite number, a value of another JSON type than
-        ``save`` writes) raises ``RecordError`` naming the knot.
+        ``save`` writes, a certification not the strategy's) raises
+        ``RecordError`` naming the knot.
         """
         with open(path) as fh:
             try:
@@ -370,11 +375,15 @@ class EvolutionRecord:
             limit = _typed(strat["max_bruteforce_edges"], "max_bruteforce_edges", (int,))
             if limit < 0:
                 raise ValueError(f"max_bruteforce_edges: expected a count, got {limit}")
+            strategy = SearchStrategy(strat["kind"], limit)
+            certification = _typed(strat["certification"], "certification", (str,))
+            if certification != strategy.certification:
+                raise ValueError(f"certification: expected {strategy.certification!r} for strategy "
+                                 f"{strategy.kind!r}, got {certification!r:.60}")
             return cls(
-                grid=grid, cracks=cracks, fields=fields, energies=energies, powers=powers,
-                strategy=SearchStrategy(strat["kind"], limit),
-                certification=_typed(strat["certification"], "certification", (str,)),
-                config_hash=payload["config_hash"], mesh_hash=payload["mesh_hash"],
+                grid=grid, cracks=cracks, fields=fields, energies=energies, powers=powers, strategy=strategy,
+                config_hash=_typed(payload["config_hash"], "config_hash", (str,)),
+                mesh_hash=_typed(payload["mesh_hash"], "mesh_hash", (str,)),
                 complete=_typed(payload["complete"], "complete", (bool,)),
                 annotations=_typed(payload["annotations"], "annotations", (list,), (str,)),
             )
@@ -404,19 +413,18 @@ class EvolutionRecord:
 # ---------------------------------------------------------------------------
 
 class _Search:
-    """The search of one run: its strategy, its own ``ElasticSolver``, the
-    tolerance of every solve and score it makes, the crackable edges and
-    their surface energies.  A run's initial check and every knot share it,
-    and so they share the surface energy of each crack set it totals, kept
-    in an LRU of at most ``_CACHE_SIZE`` crack sets."""
+    """The search of one run: its strategy, its own ``ElasticSolver``, built
+    at the tolerance of every solve and score it makes, the crackable edges
+    and their surface energies.  A run's initial check and every knot share
+    it, and so they share the surface energy of each crack set it totals,
+    kept in an LRU of at most ``_CACHE_SIZE`` crack sets."""
 
     def __init__(self, model: EnergyModel, mesh: Mesh, strategy: SearchStrategy = SearchStrategy(),
-                 tol: float = 1e-10):
+                 tol: float = TOL):
         self.model = model
         self.mesh = mesh
         self.strategy = strategy
-        self.solver = ElasticSolver(model, mesh)
-        self.tol = tol
+        self.solver = ElasticSolver(model, mesh, tol)
         self.crackable = [int(e) for e in crackable_edges(mesh)]
         self._edge_es = np.zeros(mesh.n_edges)   # surface energy per crackable edge
         self._edge_es[self.crackable] = edge_surface_energies(model.toughness, mesh, self.crackable)
@@ -426,7 +434,7 @@ class _Search:
         return self._surfaces.get(crack.edge_ids, lambda: float(np.sum(self._edge_es[list(crack.edge_ids)])))
 
     def _scored(self, crack: CrackSet, t: float) -> tuple[BrokenField, float]:
-        u, report = self.solver.solve(crack, t, self.tol)
+        u, report = self.solver.solve(crack, t)
         return u, report.energy + self._surface(crack)
 
     def total(self, crack: CrackSet, t: float) -> float:
@@ -434,7 +442,7 @@ class _Search:
         plus the surface energy where the score applies, else a solve."""
         if not self.solver.scores:
             return self._scored(crack, t)[1]
-        return self.solver.score(crack, t, self.tol) + self._surface(crack)
+        return self.solver.score(crack, t) + self._surface(crack)
 
     def energies(self, cracks: list[CrackSet], t: float, stored: float | None = None) -> list[float]:
         """Total energies of the candidate crack sets at time t, in order.
@@ -534,10 +542,9 @@ class _Search:
 
     def step(self, crack_prev: CrackSet, t: float) -> tuple[BrokenField, CrackSet]:
         """One knot of the incremental scheme: the best superset of
-        ``crack_prev`` at time t and its field, solved to the search's
-        tolerance."""
+        ``crack_prev`` at time t and its field."""
         crack = self.best_superset(crack_prev, t)
-        return self.solver.solve(crack, t, self.tol)[0], crack
+        return self.solver.solve(crack, t)[0], crack
 
     def best_superset(self, crack_prev: CrackSet, t: float) -> CrackSet:
         if self.strategy.kind == BRUTE_FORCE:
@@ -604,7 +611,7 @@ def check_initial_minimality(model: EnergyModel, mesh: Mesh, crack0: CrackSet,
 
 
 def incremental_step(model: EnergyModel, mesh: Mesh, crack_prev: CrackSet, t: float,
-                     strategy: SearchStrategy, tol: float = 1e-10):
+                     strategy: SearchStrategy, tol: float = TOL):
     """One knot of the incremental scheme: the minimizing (field, crack) with
     the crack containing ``crack_prev``, from a new search at ``tol``
     (``_Search.step``)."""
@@ -612,7 +619,7 @@ def incremental_step(model: EnergyModel, mesh: Mesh, crack_prev: CrackSet, t: fl
 
 
 def run_evolution(model: EnergyModel, mesh: Mesh, grid: TimeGrid, crack0: CrackSet,
-                  strategy: SearchStrategy, *, solver_tol: float = 1e-10,
+                  strategy: SearchStrategy, *, solver_tol: float = TOL,
                   require_initial_minimality: bool = True,
                   config_hash: str = "") -> EvolutionRecord:
     """Run the incremental scheme over the grid from the initial crack.
@@ -621,9 +628,9 @@ def run_evolution(model: EnergyModel, mesh: Mesh, grid: TimeGrid, crack0: CrackS
     knot; it must be globally minimal there (checked with the declared
     strategy) unless ``require_initial_minimality=False``, in which case the
     record is annotated instead.  Subsequent knots apply the incremental
-    step, which preserves crack inclusion by construction.  One search
-    serves the whole run: the initial solve, the initial check and every
-    step solve and score at ``solver_tol``.
+    step, which preserves crack inclusion by construction.  One search, and
+    its one solver built at ``solver_tol``, serves the whole run: the
+    initial solve, the initial check and every step.
     """
     if grid.horizon > model.boundary.horizon + 1e-12:
         raise EvolutionError("time grid extends beyond the load tables")
@@ -631,7 +638,7 @@ def run_evolution(model: EnergyModel, mesh: Mesh, grid: TimeGrid, crack0: CrackS
     search = _Search(model, mesh, strategy, tol=solver_tol)
 
     t0 = float(grid.knots[0])
-    u0, _ = search.solver.solve(crack0, t0, solver_tol)
+    u0, _ = search.solver.solve(crack0, t0)
     init = check_initial_minimality(model, mesh, crack0, u0, strategy, t=t0, _search=search)
     if not init.passed:
         msg = (f"initial state is not minimal: extending to {list(init.witness_crack or ())} "
@@ -649,8 +656,8 @@ def run_evolution(model: EnergyModel, mesh: Mesh, grid: TimeGrid, crack0: CrackS
         return EvolutionRecord(
             grid=grid if complete else TimeGrid(grid.knots[: len(cracks)]), cracks=cracks,
             fields=fields, energies=energies, powers=powers, strategy=strategy,
-            certification=strategy.certification, config_hash=config_hash,
-            mesh_hash=mesh_fingerprint(mesh), complete=complete, annotations=annotations,
+            config_hash=config_hash, mesh_hash=mesh_fingerprint(mesh), complete=complete,
+            annotations=annotations,
         )
 
     for i in range(1, len(grid)):

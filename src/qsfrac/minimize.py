@@ -20,11 +20,10 @@ segment [tau_a, tau_b] holding t (``energy.segment``), solves the crack set
 from zero at both ends, keeps the two solutions on its cache entry and
 returns (1 - w) x_a + w x_b; the residual check at t and its refinement pass
 follow as above.  An end of weight 0 is not solved, and one whose right-hand
-side is zero is 0.  A field thus depends on the crack set, t and the
-tolerance alone, never on the order of solves, and re-solving a crack set at
-a later knot of the same segment costs no CG step.  Where the tables have
-several breakpoints between two knots, a knot can cost two CG solves instead
-of one.  The elastic energy W - F - G of the solution is then the quadratic
+side is zero is 0.  A field thus never depends on the order of solves, and
+re-solving a crack set at a later knot of the same segment costs no CG step.
+Where the tables have several breakpoints between two knots, a knot can cost
+two CG solves instead of one.  The elastic energy W - F - G of the solution is then the quadratic
 form itself,
 
     E_el(u) = 1/2 u.(K u) - b.u + c_eps,   c_eps = 1/2 eps^2 sum_T |T| mu_T,
@@ -36,14 +35,12 @@ quadrature.  For any other exponents one damped Newton loop
 minimizer is no longer affine in t, but it moves little along a load
 segment, so the loop starts from the same interpolation, a secant predictor
 in the load parameter: (1 - w) x_a + w x_b, with x_a and x_b the crack set's
-Newton solutions at the two ends, each solved to the same tolerance from the
-interpolant of psi there and kept on the cache entry.  At w = 0 or 1 the
-start is that end.  An end that fails leaves the start at the interpolant of
-psi(t), and a loop that fails from an interpolated start runs once more from
-that interpolant, so every solve that succeeds from it still succeeds.  A
-field thus depends on the crack set, t and the tolerance alone here too, and
-a knot between two breakpoints costs two more solves where its ends are not
-kept yet.  Each step solves (H + delta m I) d = -g through ``_spd_solver``
+Newton solutions at the two ends, each solved from the interpolant of psi
+there and kept on the cache entry.  At w = 0 or 1 the start is that end.  An
+end that fails leaves the start at the interpolant of psi(t), and a loop
+that fails from an interpolated start runs once more from that interpolant,
+so every solve that succeeds from it still succeeds.  A knot between two
+breakpoints costs two more solves where its ends are not kept yet.  Each step solves (H + delta m I) d = -g through ``_spd_solver``
 and may try one secant step length after it; the damping delta and the
 secant trial are ``ElasticSolver._newton``'s.  A non-finite gradient ends
 the solve with a ``SolveError``.  Energy, gradient and Hessian come from one
@@ -94,19 +91,22 @@ reference gradient (``assemble_gradient``) the Newton evaluator is tested
 against, the Euler residual of the stability audit, and both residuals of
 the dual certificate.
 
-``ElasticSolver`` keeps four caches: an LRU of at most ``_CACHE_SIZE``
+An ``ElasticSolver`` solves to the one free-gradient norm ``tol`` it is built
+at (``TOL`` unless given), so its results depend on the crack set and t
+alone.  It keeps four caches: an LRU of at most ``_CACHE_SIZE``
 per-crack-set solve structures (DOF layout and free-block scatter, with the
 linear solve for p = q = 2 and, on the CG and Newton paths, the solutions at
 the two load breakpoints used last), a one-entry memo of the last successful
-solve (crack set, time and tolerance, with its field and report), so the
-state a search has just chosen is not solved again, and, from the first
-``scores`` or ``score``, the open space with a one-entry memo of E_open and
-r at the time and tolerance scored last, and its LRU of kept-row factors, at
-most ``_CACHE_SIZE`` crack sets and ``_FACTOR_BYTES`` bytes.  Each holds a
-pure function of its key, so no cache changes a bit of a result.  It keeps
-no loads: ``_system`` builds a crack set's datum and load vector at t from
-psi(t), f(t) and g(t), which each ``TimeTable`` memoizes, so the candidates
-of one knot share one interpolation per table.
+solve (crack set and time, with its field and report), so the state a
+search has just chosen is not solved again, and, from the first ``scores``
+or ``score``, the open space with a one-entry memo of E_open and r at the
+time scored last, and its LRU of kept-row factors, at most ``_CACHE_SIZE``
+crack sets and ``_FACTOR_BYTES`` bytes.  Each keys on the crack set, the time
+or the breakpoint alone and holds a pure function of its key, so no cache
+changes a bit of a result.  It keeps no loads: ``_system`` builds a crack
+set's datum and load vector at t from psi(t), f(t) and g(t), which each
+``TimeTable`` memoizes, so the candidates of one knot share one
+interpolation per table.
 
 A run with zero confinement and a crack that isolates a piece of the body
 from the Dirichlet boundary has no bounded minimizer; this surfaces as a
@@ -142,12 +142,14 @@ __all__ = [
     "SolveError",
     "FloatingComponentError",
     "ElasticSolver",
+    "TOL",
     "minimize_elastic",
     "euler_residual",
     "assemble_gradient",
     "assemble_pairing",
 ]
 
+TOL = 1e-10   # the free-gradient norm a solver reaches unless built at another
 _DENSE_LIMIT = 200
 _CACHE_SIZE = 8192   # crack sets whose solve structure ElasticSolver keeps
 # bytes of the kept-row factors the open space keeps (``_OpenSpace.kept_factor``):
@@ -195,12 +197,12 @@ class FloatingComponentError(SolveError):
 
 @dataclass
 class SolveReport:
-    """How a solve went.  ``energy`` is the elastic energy W - F - G of the
-    returned field: the quadratic form 1/2 u.(K u) - b.u + c_eps for
-    p = q = 2 (K u formed per triangle), otherwise the Newton evaluator's
-    energy there (``_Evaluator.evaluate``), which agrees with the quadrature
-    of ``energy.elastic_energy`` up to rounding.  Stored totals come from
-    ``energy.total_energy`` either way.
+    """How a solve went, a function of (crack set, t).  ``energy`` is the
+    elastic energy W - F - G of the returned field: the quadratic form
+    1/2 u.(K u) - b.u + c_eps for p = q = 2 (K u formed per triangle),
+    otherwise the Newton evaluator's energy there (``_Evaluator.evaluate``),
+    which agrees with the quadrature of ``energy.elastic_energy`` up to
+    rounding.  Stored totals come from ``energy.total_energy`` either way.
     ``iterations`` counts the CG steps a CG solve spent in this call (at
     the load breakpoints it had not solved yet, and in a refinement pass),
     so 0 when both ends were cached; one per linear solve of a direct one;
@@ -465,9 +467,9 @@ class _CrackData:
     ``method``: the direct ``_spd_solver`` up to ``_cg_above`` free DOFs (one
     iteration, ``atol`` unused), ``_jacobi_cg`` above, run until its residual
     norm is below ``atol`` (its steps as the count).  On the CG and Newton
-    paths ``ends`` maps (load breakpoint index, tolerance) to the free
-    solution there, None for a Newton end that failed, for at most the two
-    ends used last (``ElasticSolver._end``); it is None on the direct path.
+    paths ``ends`` maps a load breakpoint's index to the free solution
+    there, None for a Newton end that failed, for at most the two ends used
+    last (``ElasticSolver._end``); it is None on the direct path.
     Only for other exponents (no forms) does the block keep its matrix
     positions, for the Newton Hessians.  ``floating`` names a piece that
     nothing holds (zero confinement only): that entry factors nothing.
@@ -661,15 +663,16 @@ class ElasticSolver:
     instead.
     """
 
-    def __init__(self, model: EnergyModel, mesh: Mesh):
+    def __init__(self, model: EnergyModel, mesh: Mesh, tol: float = TOL):
         model.validate(mesh)
         self.model = model
         self.mesh = mesh
+        self.tol = tol
         self.quadratic = model.p == 2.0 and model.q == 2.0
         self._cache = LRU(_CACHE_SIZE)   # edge ids -> _CrackData
         self._open: _OpenSpace | bool | None = None   # built when ``scores`` is first read
-        self._open_at: tuple | None = None     # ((t, tol), E_open, r) of the last score
-        self._last: tuple | None = None        # ((edge ids, t, tol), (field, report)) of the last solve
+        self._open_at: tuple | None = None     # (t, E_open, r) of the last score
+        self._last: tuple | None = None        # ((edge ids, t), (field, report)) of the last solve
         # per-triangle constants: |T| mu and G^T G (Newton), the forms (p = q = 2)
         self._area_mu = mesh.tri_area * model.bulk.mu_at(np.arange(mesh.n_triangles))
         self._gtg = np.einsum("tki,tkj->tij", mesh.grad_op, mesh.grad_op)
@@ -695,12 +698,12 @@ class ElasticSolver:
             self._open = False if space is None or space.gram is None else space
         return self._open is not False
 
-    def score(self, crack: CrackSet, t: float, tol: float = 1e-10) -> float:
+    def score(self, crack: CrackSet, t: float) -> float:
         """Elastic energy of the minimizer over ``crack`` at time ``t`` from
         the all-open space (see ``_OpenSpace``): no topology, no assembly and
-        no linear solve per crack set.  The open minimizer is solved to
-        ``tol`` once per (t, tol), so a score depends on the crack set, t and
-        ``tol`` alone, as a solve does.  Where ``scores`` does not hold
+        no linear solve per crack set.  The open minimizer is solved to the
+        solver's ``tol`` once per t, so a score depends on the crack set and
+        t alone, as a solve does.  Where ``scores`` does not hold
         (p or q is not 2, or the all-open space is refused) it raises
         ``ValueError``."""
         if not self.scores:
@@ -709,21 +712,20 @@ class ElasticSolver:
         space = self._open
         memo = self._open_at
         with np.errstate(all="ignore"):   # an overflow is the SolveError below
-            if memo is None or memo[0] != (t, tol):
-                u, _, _, _, e_open = self._solve_quadratic(space, t, tol)
-                memo = self._open_at = ((t, tol), e_open,
-                                        space.residual(u.values, self.model.boundary.value(t)))
+            if memo is None or memo[0] != t:
+                u, _, _, _, e_open = self._solve_quadratic(space, t)
+                memo = self._open_at = (t, e_open, space.residual(u.values, self.model.boundary.value(t)))
             energy = memo[1] + space.excess(crack, memo[2])
         if not math.isfinite(energy):
             raise SolveError(f"non-finite energy score at t={t}")
         return energy
 
-    def solve(self, crack: CrackSet, t: float, tol: float = 1e-10):
-        """Return (field, report) with the free-DOF gradient norm at most tol.
+    def solve(self, crack: CrackSet, t: float):
+        """(field, report) with the free gradient's norm at most ``tol``.
 
         The last successful solve is memoized: asking for it again returns
         the same (field, report), whose field values are read-only."""
-        key = (crack.edge_ids, t, tol)
+        key = (crack.edge_ids, t)
         if self._last is not None and self._last[0] == key:
             return self._last[1]
         data = self._data(crack)
@@ -733,9 +735,9 @@ class ElasticSolver:
         # step is rejected and an overflowing Hessian fails to factor
         with np.errstate(all="ignore"):
             if self.quadratic:
-                field, iters, res, method, energy = self._solve_quadratic(data, t, tol)
+                field, iters, res, method, energy = self._solve_quadratic(data, t)
             else:
-                field, iters, res, method, energy = self._solve_newton(data, t, tol)
+                field, iters, res, method, energy = self._solve_newton(data, t)
         report = SolveReport(iterations=iters, residual=res, energy=energy, method=method,
                              n_free=data.topology.n_free)
         field.values.setflags(write=False)
@@ -756,47 +758,47 @@ class ElasticSolver:
         topo = data.topology
         return b[topo.free_dofs] - data.block.vector(np.einsum("tij,tj->ti", self._forms, u[topo.corner_dof]))
 
-    def _end(self, data: _CrackData, j: int, tol: float, solve_end):
-        """(free solution at load breakpoint ``j`` to ``tol``, steps this call
-        spent): the one ``data.ends`` keeps, at no step, or else
-        ``solve_end(data, j, tol)``'s, which it keeps.  The entry keeps the
-        two ends used last; a Newton end that failed is kept as None."""
-        ends, key = data.ends, (j, tol)
-        if key in ends:
-            x, steps = ends.pop(key), 0
+    def _end(self, data: _CrackData, j: int, solve_end):
+        """(free solution at load breakpoint ``j``, steps this call spent):
+        the one ``data.ends`` keeps, at no step, or else
+        ``solve_end(data, j)``'s, which it keeps.  The entry keeps the two
+        ends used last; a Newton end that failed is kept as None."""
+        ends = data.ends
+        if j in ends:
+            x, steps = ends.pop(j), 0
         else:
-            x, steps = solve_end(data, j, tol)
-        ends[key] = x
+            x, steps = solve_end(data, j)
+        ends[j] = x
         if len(ends) > 2:
             del ends[next(iter(ends))]
         return x, steps
 
-    def _interpolated(self, data: _CrackData, t: float, tol: float, solve_end):
+    def _interpolated(self, data: _CrackData, t: float, solve_end):
         """(free solution at ``t``, steps spent) from the ends of the load
         segment [tau_a, tau_b] holding ``t`` (``segment``): (1 - w) x_a +
         w x_b.  An end of weight 0 is not solved; the solution is None where
         an end it needs is."""
         i, w = segment(self._breaks, t)
         if w == 0.0 or w == 1.0:
-            return self._end(data, i + int(w), tol, solve_end)
-        (xa, na), (xb, nb) = self._end(data, i, tol, solve_end), self._end(data, i + 1, tol, solve_end)
+            return self._end(data, i + int(w), solve_end)
+        (xa, na), (xb, nb) = self._end(data, i, solve_end), self._end(data, i + 1, solve_end)
         if xa is None or xb is None:
             return None, na + nb
         return (1.0 - w) * xa + w * xb, na + nb
 
-    def _cg_end(self, data: _CrackData, j: int, target: float):
-        """``_end``'s CG solve from zero; a zero right-hand side costs no
-        step (its solution is 0)."""
+    def _cg_end(self, data: _CrackData, j: int):
+        """``_end``'s CG solve from zero, to ``_solve_quadratic``'s target; a
+        zero right-hand side costs no step (its solution is 0)."""
         rhs = self._rhs(data, *self._system(data, float(self._breaks[j])))
-        return data.solve(rhs, target) if rhs.any() else (np.zeros_like(rhs), 0)
+        return data.solve(rhs, 0.5 * self.tol) if rhs.any() else (np.zeros_like(rhs), 0)
 
-    def _newton_end(self, data: _CrackData, j: int, tol: float):
+    def _newton_end(self, data: _CrackData, j: int):
         """``_end``'s Newton solve from the interpolant of psi there; None
         where it fails."""
-        _, x, steps, _, _ = self._newton(data, float(self._breaks[j]), tol)
+        _, x, steps, _, _ = self._newton(data, float(self._breaks[j]))
         return x, steps
 
-    def _solve_quadratic(self, data: _CrackData, t: float, tol: float):
+    def _solve_quadratic(self, data: _CrackData, t: float):
         """The linear solve of ``data`` at ``t``: one block forms K u, the
         free gradient and its norm, and runs again after the one refinement
         pass that a residual above ``tol`` gets."""
@@ -806,9 +808,9 @@ class ElasticSolver:
         b_free = b[free]
         # the CG residual is minus the free gradient checked below, so CG
         # stops at a fixed fraction of ``tol`` (a direct solve ignores it)
-        target = 0.5 * tol
+        tol, target = self.tol, 0.5 * self.tol
         if data.method == "cg":
-            u[free], iters = self._interpolated(data, t, target, self._cg_end)
+            u[free], iters = self._interpolated(data, t, self._cg_end)
         else:
             u[free], iters = data.solve(self._rhs(data, u, b), target)
         for refined in (False, True):
@@ -830,34 +832,33 @@ class ElasticSolver:
             raise SolveError(f"linear solve stalled at residual {res:.3e} > tol {tol:.3e}")
         return BrokenField(topo, u), iters, res, data.method, energy
 
-    def _solve_newton(self, data: _CrackData, t: float, tol: float):
+    def _solve_newton(self, data: _CrackData, t: float):
         """Damped Newton (``_newton``) on the free DOFs, started as the
         module docstring says: from (1 - w) x_a + w x_b (``_interpolated``),
         the crack set's Newton solutions at the ends of the load segment
-        holding t, each solved from the interpolant of psi there to ``tol``
-        and kept on ``data.ends``; where t is a breakpoint, the loop returns
-        that end at its first evaluation.  A failed end leaves the
-        interpolant of psi(t) as the start, and a loop that fails from an
-        interpolated start runs once more from it.  The iterations reported
-        are every step of this call: the ends it solved, the loop and its
-        retry."""
-        start, steps = self._interpolated(data, t, tol, self._newton_end)
-        ev, x, more, res, energy = self._newton(data, t, tol, start)
+        holding t, each solved from the interpolant of psi there and kept on
+        ``data.ends``; where t is a breakpoint, the loop returns that end at
+        its first evaluation.  A failed end leaves the interpolant of psi(t)
+        as the start, and a loop that fails from an interpolated start runs
+        once more from it.  The iterations reported are every step of this
+        call: the ends it solved, the loop and its retry."""
+        start, steps = self._interpolated(data, t, self._newton_end)
+        ev, x, more, res, energy = self._newton(data, t, start)
         if x is None and start is not None:   # once more from the interpolant of psi(t)
             steps += more
-            ev, x, more, res, energy = self._newton(data, t, tol)
+            ev, x, more, res, energy = self._newton(data, t)
         if x is None:
-            raise SolveError(f"Newton did not reach tol {tol:.3e} within {_NEWTON_CAP} steps"
+            raise SolveError(f"Newton did not reach tol {self.tol:.3e} within {_NEWTON_CAP} steps"
                              if more == _NEWTON_CAP else f"non-finite gradient at t={t}")
         return BrokenField(data.topology, ev.values(x)), steps + more, res, "newton", energy
 
-    def _newton(self, data: _CrackData, t: float, tol: float, x: np.ndarray | None = None):
+    def _newton(self, data: _CrackData, t: float, x: np.ndarray | None = None):
         """Damped Newton (Levenberg-Marquardt) on the free DOFs at ``t`` from
         the free values ``x``, or the interpolant of psi(t) where None; run
         under the ``np.errstate`` of ``solve``.  Returns (evaluator, free
         solution, steps, residual, energy); the solution is None where the
         gradient turns non-finite or ``_NEWTON_CAP`` steps do not reach
-        ``tol``.
+        the solver's ``tol``.
 
         Each step solves (H + delta m I) d = -g, with m the mean of diag H,
         and the ratio rho of the actual to the predicted decrease of the
@@ -891,7 +892,7 @@ class ElasticSolver:
         if x is None:
             x = self.model.boundary.value(t)[data.topology.dof_vertex[ev.free]]
         energy, g, res, terms = ev.evaluate(x)
-        h, delta = None, 0.0
+        h, delta, tol = None, 0.0, self.tol
         for it in range(_NEWTON_CAP):
             if res <= tol:   # at once where no DOF is free
                 return ev, x, it, res, energy
@@ -942,14 +943,14 @@ def _damped(h, delta: float):
 
 
 def minimize_elastic(model: EnergyModel, mesh: Mesh, crack: CrackSet, t: float,
-                     tol: float = 1e-10):
+                     tol: float = TOL):
     """One-shot minimization of the elastic energy over the broken space.
 
     Returns (field, report); the report's residual is the Euclidean norm of
     the energy gradient on the free DOFs.  Long sweeps should construct an
     ``ElasticSolver`` once and reuse it.
     """
-    return ElasticSolver(model, mesh).solve(crack, t, tol)
+    return ElasticSolver(model, mesh, tol).solve(crack, t)
 
 
 def euler_residual(model: EnergyModel, mesh: Mesh, crack: CrackSet, t: float,

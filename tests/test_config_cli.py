@@ -291,15 +291,27 @@ def test_cli_audit_of_a_malformed_record_exits_2_naming_the_knot(strip_run, tmp_
     (("strategy", "max_bruteforce_edges"), True, "record: max_bruteforce_edges: expected int, got True"),
     (("strategy", "max_bruteforce_edges"), -1, "record: max_bruteforce_edges: expected a count, got -1"),
     (("strategy", "certification"), 5, "record: certification: expected str, got 5"),
+    (("strategy", "certification"), "pair-stable",
+     "record: certification: expected 'exhaustive' for strategy 'brute_force', got 'pair-stable'"),
     (("format_version",), True, "record: unsupported record format version True"),
+    (("config_hash",), 5, "record: config_hash: expected str, got 5"),
+    (("config_hash",), None, "record: config_hash: expected str, got None"),
+    (("config_hash",), ["a"], "record: config_hash: expected str, got ['a']"),
+    (("mesh_hash",), 5, "record: mesh_hash: expected str, got 5"),
+    (("mesh_hash",), None, "record: mesh_hash: expected str, got None"),
+    (("mesh_hash",), ["a"], "record: mesh_hash: expected str, got ['a']"),
 ], ids=["crack_float", "crack_digit", "crack_digits", "crack_bool", "dof_text", "dof_bool", "energy_text",
         "power_bool", "energy_huge_int", "grid_text", "complete_text", "complete_int", "annotations_text",
-        "annotation_int", "limit_text", "limit_bool", "limit_negative", "certification_int", "version_bool"])
+        "annotation_int", "limit_text", "limit_bool", "limit_negative", "certification_int",
+        "certification_other", "version_bool", "config_hash_int", "config_hash_null", "config_hash_list",
+        "mesh_hash_int", "mesh_hash_null", "mesh_hash_list"])
 def test_record_loader_accepts_only_the_json_types_save_writes(strip_run, tmp_path, capsys, path, value,
                                                                 message):
     # each of these used to load: "4" as edge 4, a string of digits digit by
     # digit, a numeric string or a bool as a number, "no" as a complete
-    # record, "abc" as three annotations, true as format version 1; a huge
+    # record, "abc" as three annotations, true as format version 1, a
+    # certification other than the strategy's as it was, and a hash of
+    # another type (then blamed by the audit as a hash mismatch); a huge
     # integer ended in an OverflowError traceback.  Now each is a
     # RecordError naming the knot, through load and through the audit
     # (exit 2), with no warning
@@ -338,6 +350,26 @@ def test_cli_solver_tolerance_not_positive_is_a_config_error(tmp_path, capsys, v
     assert code == 2
     assert "solver.tolerance: expected a finite number > 0" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
+
+
+def test_each_search_cap_is_declared_once(capsys):
+    # the brute-force cap: the strategy's and the config's default, and the
+    # cap of oracle-compare; the oracle cap: the stability audit's default
+    # and the --max-edges default of audit and of oracle-compare
+    import inspect
+
+    from qsfrac import audit, cli
+    from qsfrac.evolution import MAX_BRUTEFORCE_EDGES, SearchStrategy
+    assert (MAX_BRUTEFORCE_EDGES, audit.MAX_ORACLE_EDGES) == (20, 12)
+    assert SearchStrategy().max_bruteforce_edges == MAX_BRUTEFORCE_EDGES
+    assert parse_config(BASE).build_problem().strategy.max_bruteforce_edges == MAX_BRUTEFORCE_EDGES
+    limit = inspect.signature(audit.check_global_stability).parameters["max_oracle_edges"].default
+    parser = cli._build_parser()
+    commands = (["audit", "--config", "c", "--record", "r"], ["oracle-compare", "--config", "c"])
+    assert [limit] + [parser.parse_args(c).max_edges for c in commands] == [audit.MAX_ORACLE_EDGES] * 3
+    with pytest.raises(SystemExit):
+        main(["oracle-compare", "--help"])
+    assert f"(cap {MAX_BRUTEFORCE_EDGES})" in " ".join(capsys.readouterr().out.split())
 
 
 def test_cli_surface_load_without_a_surface_side_is_a_config_error(tmp_path, capsys):

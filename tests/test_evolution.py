@@ -225,8 +225,8 @@ def test_greedy_solves_only_the_state_and_the_tie_window(monkeypatch):
 
 @pytest.mark.parametrize("name", ["strip", "quartic"])
 def test_one_search_solves_and_scores_at_the_run_tolerance(name, monkeypatch):
-    # the run builds one solver, and its initial solve, its initial check and
-    # every step solve and score at the run's tolerance
+    # the run builds exactly one solver, at the run's tolerance, and its
+    # initial solve, its initial check and every step solve and score on it
     p = build_config(name, 9).build_problem()
     calls, solvers = [], []
     init, solve, score = ElasticSolver.__init__, ElasticSolver.solve, ElasticSolver.score
@@ -236,14 +236,14 @@ def test_one_search_solves_and_scores_at_the_run_tolerance(name, monkeypatch):
         init(self, *args)
 
     def counted(kind, method):
-        return lambda self, crack, t, tol=1e-10: calls.append((kind, tol)) or method(self, crack, t, tol)
+        return lambda self, crack, t: calls.append((kind, self)) or method(self, crack, t)
 
     monkeypatch.setattr(ElasticSolver, "__init__", counted_init)
     monkeypatch.setattr(ElasticSolver, "solve", counted("solve", solve))
     monkeypatch.setattr(ElasticSolver, "score", counted("score", score))
     run_evolution(p.model, p.mesh, p.grid, p.initial_crack, p.strategy, solver_tol=1e-7)
-    assert len(solvers) == 1
-    assert {tol for _, tol in calls} == {1e-7}
+    assert len(solvers) == 1 and solvers[0].tol == 1e-7
+    assert {solver for _, solver in calls} == set(solvers)
     assert {kind for kind, _ in calls} == ({"solve", "score"} if name == "strip" else {"solve"})
 
 
@@ -330,10 +330,10 @@ def test_step_failure_yields_partial_record(monkeypatch):
     p = build_config("strip", 9).build_problem()
     orig = ElasticSolver.solve
 
-    def failing(self, crack, t, tol=1e-10):
+    def failing(self, crack, t):
         if t > 0.5:
             raise RuntimeError("synthetic failure")
-        return orig(self, crack, t, tol)
+        return orig(self, crack, t)
 
     monkeypatch.setattr(ElasticSolver, "solve", failing)
     with pytest.raises(EvolutionError) as err:

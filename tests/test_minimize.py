@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 import subprocess
 import sys
@@ -231,7 +232,7 @@ def test_newton_path_at_zero_confinement():
     solver = ElasticSolver(problem.model, mesh)
     with pytest.raises(FloatingComponentError, match=r"vertices \[1, 2, 4, 5\]"):
         solver.solve(CrackSet.of(crackable_edges(mesh)), 0.5)
-    u, rep = solver.solve(CrackSet.empty(), 0.5, tol=1e-10)
+    u, rep = solver.solve(CrackSet.empty(), 0.5)
     assert rep.method == "newton"
     assert rep.residual <= 1e-10
 
@@ -438,7 +439,7 @@ def test_cg_interpolates_across_a_load_breakpoint():
         # 0.3 solves both ends of [0, 0.4], 0.4 has them, 0.45 solves 1.0,
         # and 0.7 lies in the same segment
         assert (rep.iterations > 0) == (t in (0.3, 0.45)), (t, rep.iterations)
-    assert sorted(data.ends) == [(1, 5e-11), (2, 5e-11)]
+    assert sorted(data.ends) == [1, 2]
 
 
 # Newton steps per solve of the 2 x 1 strip at lambda = 1e-2 without secant
@@ -468,7 +469,7 @@ def test_subquadratic_bulk_solves_to_tolerance():
                 assert euler_residual(model, mesh, crack, t, u) <= 1e-8
                 solver = ElasticSolver(model, mesh)
                 with np.errstate(all="ignore"):
-                    _, x, n, res, _ = solver._newton(solver._data(crack), t, 1e-10)
+                    _, x, n, res, _ = solver._newton(solver._data(crack), t)
                 assert x is not None and res <= 1e-10
                 steps.append(n)
         assert all(n <= m for n, m in zip(steps, plain)), (p, steps)
@@ -754,16 +755,15 @@ def test_a_repeated_solve_returns_the_last_result(monkeypatch):
     model = make_model(mesh, p=4.0, lam=1e-2)
     evaluations = _count_energies(monkeypatch)
     solver = ElasticSolver(model, mesh)
-    u, rep = solver.solve(CrackSet.of([4]), 0.8, 1e-10)
+    u, rep = solver.solve(CrackSet.of([4]), 0.8)
     data = u.values.tobytes()
     assert evaluations and not u.values.flags.writeable
     evaluations.clear()
-    again = solver.solve(CrackSet.of([4]), 0.8, 1e-10)
+    again = solver.solve(CrackSet.of([4]), 0.8)
     assert again[0] is u and again[1] is rep and u.values.tobytes() == data
     assert not evaluations
-    for crack, t, tol in ((CrackSet.of([4]), 0.7, 1e-10), (CrackSet.of([4]), 0.7, 1e-11),
-                          (CrackSet.empty(), 0.7, 1e-11)):
-        solver.solve(crack, t, tol)
+    for crack, t in ((CrackSet.of([4]), 0.7), (CrackSet.empty(), 0.7)):
+        solver.solve(crack, t)
         assert evaluations
         evaluations.clear()
 
@@ -854,7 +854,7 @@ def _cold_newton(model, mesh, crack, t):
     interpolant of psi(t) alone, on a fresh solver."""
     solver = ElasticSolver(model, mesh)
     with np.errstate(all="ignore"):
-        _, x, steps, _, energy = solver._newton(solver._data(crack), t, 1e-10)
+        _, x, steps, _, energy = solver._newton(solver._data(crack), t)
     return x, steps, energy
 
 
@@ -874,8 +874,8 @@ def test_newton_starts_from_the_solutions_at_the_load_breakpoints():
     assert n0 == 0 and not x0.any()
     _, cold, _ = _cold_newton(model, mesh, crack, 0.6)
     assert solver.solve(crack, 0.6)[1].iterations < cold
-    assert sorted(data.ends) == [(0, 1e-10), (1, 1e-10)]
-    assert np.array_equal(data.ends[1, 1e-10], x1)
+    assert sorted(data.ends) == [0, 1]
+    assert np.array_equal(data.ends[1], x1)
     again, rep = solver.solve(crack, 1.0)
     assert rep.iterations == 0 and np.array_equal(again.values, u.values)
 
@@ -888,9 +888,9 @@ def test_a_failed_newton_end_leaves_the_interpolant_start(monkeypatch):
     model, crack = make_model(mesh, p=4.0, lam=1e-2), CrackSet.of([4])
     newton_end, calls = ElasticSolver._newton_end, []
 
-    def failing_end(self, data, j, tol):
+    def failing_end(self, data, j):
         calls.append(j)
-        return (None, 7) if j == 1 else newton_end(self, data, j, tol)
+        return (None, 7) if j == 1 else newton_end(self, data, j)
 
     monkeypatch.setattr(ElasticSolver, "_newton_end", failing_end)
     solver = ElasticSolver(model, mesh)
@@ -900,7 +900,7 @@ def test_a_failed_newton_end_leaves_the_interpolant_start(monkeypatch):
         u, rep = solver.solve(crack, t)
         assert np.array_equal(u.values[free], x) and rep.energy == energy
         assert rep.iterations == steps + ends
-    assert calls == [0, 1] and solver._data(crack).ends[1, 1e-10] is None
+    assert calls == [0, 1] and solver._data(crack).ends[1] is None
 
 
 def test_a_failed_anchored_newton_solve_is_run_from_the_interpolant(monkeypatch):
@@ -911,9 +911,9 @@ def test_a_failed_anchored_newton_solve_is_run_from_the_interpolant(monkeypatch)
     model, crack = make_model(mesh, p=4.0, lam=1e-2), CrackSet.of([4])
     newton, starts = ElasticSolver._newton, []
 
-    def anchored_fails(self, data, t, tol, x=None):
+    def anchored_fails(self, data, t, x=None):
         starts.append(x is None)
-        ev, out, steps, res, energy = newton(self, data, t, tol, x)
+        ev, out, steps, res, energy = newton(self, data, t, x)
         return ev, (out if x is None else None), steps, res, energy
 
     monkeypatch.setattr(ElasticSolver, "_newton", anchored_fails)
@@ -972,17 +972,31 @@ def test_score_on_a_fresh_solver_reads_scores_itself():
 
 
 def test_score_depends_on_its_tolerance():
-    # the open-space memo is keyed by (t, tol): a tolerance no solve reaches
-    # fails after a score at 1e-10 as it does on a fresh solver
+    # a score is solved to the tolerance its solver is built at: one no
+    # solve reaches fails, and a default solver scores as it did before and
+    # after it, to the bit
     p = parse_config(config_text("lattice", 9)).build_problem()
     crack = CrackSet.of(crackable_edges(p.mesh)[:1])
-    solver, fresh = ElasticSolver(p.model, p.mesh), ElasticSolver(p.model, p.mesh)
-    assert solver.scores and fresh.scores
-    e = solver.score(crack, 0.5, 1e-10)
-    for s in (solver, fresh):
-        with pytest.raises(minimize.SolveError, match="stalled"):
-            s.score(crack, 0.5, 1e-300)
-    assert solver.score(crack, 0.5, 1e-10) == fresh.score(crack, 0.5, 1e-10) == e
+    e = ElasticSolver(p.model, p.mesh).score(crack, 0.5)
+    strict = ElasticSolver(p.model, p.mesh, tol=1e-300)
+    assert strict.scores and strict.tol == 1e-300
+    with pytest.raises(minimize.SolveError, match="stalled"):
+        strict.score(crack, 0.5)
+    solver = ElasticSolver(p.model, p.mesh)
+    assert solver.tol == minimize.TOL == 1e-10
+    assert solver.score(crack, 0.5) == solver.score(crack, 0.5) == e
+
+
+def test_every_default_tolerance_is_the_solver_default():
+    # the default tolerance is declared once, as ``minimize.TOL``: the
+    # solver's, the one-shot solve's, the search's, the run's and the
+    # step's, and the config key's
+    from qsfrac import evolution
+    defaults = [inspect.signature(fn).parameters[name].default for fn, name in (
+        (ElasticSolver, "tol"), (minimize.minimize_elastic, "tol"), (evolution._Search, "tol"),
+        (evolution.run_evolution, "solver_tol"), (evolution.incremental_step, "tol"))]
+    assert defaults == [minimize.TOL] * 5 and minimize.TOL == 1e-10
+    assert parse_config(config_text("strip", 5)).build_problem().solver_tol == minimize.TOL
 
 
 @pytest.mark.parametrize("nx, brittle, scores", [

@@ -444,7 +444,7 @@ def test_an_anchored_newton_solve_succeeds_where_the_interpolant_does():
             solver, cold = ElasticSolver(model, mesh), ElasticSolver(model, mesh)
             for t in times:
                 with np.errstate(all="ignore"):
-                    _, x, _, _, energy = cold._newton(cold._data(crack), t, 1e-10)
+                    _, x, _, _, energy = cold._newton(cold._data(crack), t)
                 if x is None:
                     continue
                 u, rep = solver.solve(crack, t)
@@ -461,14 +461,14 @@ def _corpus9(name):
     return p.model, p.mesh, [int(e) for e in crackable_edges(p.mesh)], p.grid.knots
 
 
-def _reference_score(model, mesh, crack, t, tol=1e-10):
+def _reference_score(model, mesh, crack, t):
     """The open-space score of ``crack`` at ``t`` from a fresh solver, with
     its kept rows factored here by ``dpstrf``."""
     fresh = ElasticSolver(model, mesh)
     assert fresh.scores
     space = fresh._open
     with np.errstate(all="ignore"):
-        u, _, _, _, e_open = fresh._solve_quadratic(space, t, tol)
+        u, _, _, _, e_open = fresh._solve_quadratic(space, t)
         r = space.residual(u.values, model.boundary.value(t))
         rows = space.kept_rows(crack)
         if not len(rows):
