@@ -7,9 +7,22 @@ energy increment matches the integrated power of the external loadings) —
 plus the structure identity (the crack equals the initial crack united with
 all past jump supports) and two convex-duality certificates.
 
+Each check that reads the recorded fields (the balance recompute, the Euler
+residuals of the stability check and the certificates) reads them through
+one ``energy.KnotEvaluation`` per knot, built from one gather of the knot's
+corner values.  A public check builds its own; ``audit_record``, the entry
+point of ``qsfrac audit``, builds each knot's once for every check it runs,
+and keeps only what each check needs of it.  The Euler residual and the
+certificate's annihilation residual are one number, the norm of the
+evaluation's free-DOF pairing, and a field that is not admissible at its
+time (a pinned DOF off the boundary datum) has neither.
+
 The duality certificate projects onto a Gram matrix that depends only on the
 DOF layout of the crack set, so its factor is built once per layout and kept
 in a single cached entry that holds the layout weakly (``_gram_solver``).
+The ``certificates`` check holds every knot's certificate to the bounds of a
+solve at the default tolerance: an annihilation residual of at most 1e-8 and
+a Fenchel gap of at most 1e-8 (1 + |primal|).
 
 Stability is checked at three levels forming a hierarchy:
 
@@ -38,26 +51,24 @@ from .broken import (
     CrackSet,
     DofTopology,
     corner_gradients,
-    corner_trace,
     default_jump_tol,
     jump_support,
     trace_on_surface_part,
 )
 from .energy import (
     EnergyModel,
+    KnotEvaluation,
     TimeTable,
-    _elastic_energy,
-    _stress_triple,
+    assemble_pairing,
     body_conjugate_density,
     bulk_conjugate_density,
     lq_norm_tri,
     lr_norm_surface,
     stress,
-    total_energy,
 )
 from .evolution import BRUTE_FORCE, GREEDY, EvolutionRecord, SearchStrategy, _Search, net_power, tie_tolerance
-from .mesh import Mesh
-from .minimize import _FreeBlock, _local_forms, _spd_solver, assemble_pairing, euler_residual
+from .mesh import Mesh, crackable_edges
+from .minimize import _FreeBlock, _local_forms, _spd_solver
 
 __all__ = [
     "AuditError",
@@ -72,6 +83,9 @@ __all__ = [
     "check_structure",
     "DualCertificate",
     "dual_certificate",
+    "check_certificates",
+    "CHECKS",
+    "audit_record",
     "ProbeResult",
     "stress_continuity_probe",
     "EULER",
@@ -195,14 +209,25 @@ def check_energy_balance(record: EvolutionRecord, model: EnergyModel, mesh: Mesh
     recomputed from the fields; a mismatch beyond 1e-12 relative is a FAIL on
     its own (the record does not describe the model it claims to).
     """
+    return _energy_balance(record, map(_recomputed_total, _evaluations(record, model, mesh)),
+                           exclude_intervals, tol)
+
+
+def _recomputed_total(knot: KnotEvaluation) -> float:
+    with np.errstate(over="ignore", invalid="ignore"):   # an overflow is an inf or NaN total
+        return knot.energies["total"]
+
+
+def _energy_balance(record: EvolutionRecord, recomputed, exclude_intervals: tuple[int, ...],
+                    tol: float | None) -> BalanceResult:
+    """``check_energy_balance`` from the total recomputed at each knot, read
+    in knot order up to the first mismatch."""
     n = len(record)
     times = record.times
     # recomputation guard: the record must be consistent with the model.  The
     # tolerance scales with the stored total, which loading checked finite, so
     # a recomputed total that overflows fails, as NaN does
-    for i in range(n):
-        with np.errstate(over="ignore", invalid="ignore"):
-            total, _ = total_energy(model, mesh, float(times[i]), record.fields[i], record.cracks[i])
+    for i, total in enumerate(recomputed):
         stored = record.total_energy(i)
         if not abs(total - stored) <= _RECOMPUTE_RTOL * (1.0 + abs(stored)):
             res = CheckResult(
@@ -265,6 +290,23 @@ def check_global_stability(record: EvolutionRecord, model: EnergyModel, mesh: Me
     at its own knot (a pinned DOF off the boundary datum) is a FAIL naming
     the first such knot.
     """
+    return _global_stability(record, model, mesh, level, max_oracle_edges,
+                             map(_euler, _evaluations(record, model, mesh)))
+
+
+def _euler(knot: KnotEvaluation) -> tuple[float, str]:
+    """The knot's Euler residual and "", or inf and why its field is not
+    admissible."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):   # an overflow is an inf residual
+            return knot.residual, ""
+    except ValueError as exc:   # e.g. a pinned DOF off the boundary datum
+        return np.inf, str(exc)
+
+
+def _global_stability(record: EvolutionRecord, model: EnergyModel, mesh: Mesh, level: str,
+                      max_oracle_edges: int, residuals) -> StabilityResult:
+    """``check_global_stability`` from each knot's ``_euler``, in knot order."""
     if level not in _LEVELS:
         raise AuditError(f"unknown stability level {level!r}; expected one of {_LEVELS}")
     kind = BRUTE_FORCE if level == ORACLE else GREEDY
@@ -274,13 +316,8 @@ def check_global_stability(record: EvolutionRecord, model: EnergyModel, mesh: Me
     max_resid = 0.0
     worst_resid_knot = -1
     inadmissible = ""
-    for i in range(n):
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):   # an overflow is an inf residual
-                r = euler_residual(model, mesh, record.cracks[i], float(record.times[i]), record.fields[i])
-        except ValueError as exc:   # e.g. a pinned DOF off the boundary datum
-            r = np.inf
-            inadmissible = inadmissible or f"knot {i}: {exc}"
+    for i, (r, refusal) in enumerate(residuals):
+        inadmissible = inadmissible or (refusal and f"knot {i}: {refusal}")
         if r > max_resid or not np.isfinite(r):   # a NaN residual is the worst
             max_resid, worst_resid_knot = r, i
     euler_ok = max_resid <= _RESIDUAL_TOL
@@ -440,60 +477,154 @@ def dual_certificate(model: EnergyModel, mesh: Mesh, crack: CrackSet, t: float,
         elastic(w) >= elastic(u) - gap   for every admissible w.
 
     Both certificates vanish quadratically as the solver residual goes to
-    zero.
+    zero.  A field that is not admissible at t has no certificate: it raises
+    the ValueError of ``euler_residual``.
 
     The Gram matrix of the projection depends only on the DOF layout of
     ``u``, the mesh and whether the body term is present; its factor is
     cached for the last such triple (see ``_gram_solver``), so the knots of
     one crack set cost one back-solve each.
     """
-    if u.topology.crack != crack:
-        raise ValueError("field was built on a different crack set")
-    topo = u.topology
-    free = topo.free_dofs
-    area = mesh.tri_area
-    tri = np.arange(mesh.n_triangles)
+    return _certificate(KnotEvaluation(model, mesh, t, u, crack))
 
-    cv = u.corner_values()
-    grads, z, trace = corner_gradients(mesh, cv), cv.mean(axis=1), corner_trace(mesh, cv)
-    sig1, sig2, sig3 = _stress_triple(model, mesh, t, grads, z)
-    rho = assemble_pairing(mesh, topo, sig1, sig2, sig3)[free]
-    residual = float(np.linalg.norm(rho))
+
+def _certificate(knot: KnotEvaluation) -> DualCertificate:
+    """``dual_certificate`` of the knot, with sums and means written as
+    ``KnotEvaluation`` writes them."""
+    mesh, model, topo = knot.mesh, knot.model, knot.u.topology
+    area = mesh.tri_area
+    rho = knot.pairing
+    sig1, sig2, sig3 = knot.triple
 
     # minimum-norm correction of (sig1, sig2) restoring exact annihilation
     use_mass = model.body.lam > 0.0
-    y = _gram_solver(mesh, topo, use_mass)(-rho)
     yfull = np.zeros(topo.n_dofs)
-    yfull[free] = y
-    yfield = BrokenField(topo, yfull)
-    dsig1 = area[:, None] * yfield.gradients()
-    dsig2 = area * yfield.tri_means() if use_mass else np.zeros(mesh.n_triangles)
+    yfull[topo.free_dofs] = _gram_solver(mesh, topo, use_mass)(-rho)
+    ycv = yfull[topo.corner_dof]
+    dsig1 = area[:, None] * corner_gradients(mesh, ycv)
+    dsig2 = area * (ycv.sum(axis=1) / 3) if use_mass else np.zeros(mesh.n_triangles)
     sig1_hat = sig1 + dsig1
     sig2_hat = sig2 + dsig2
-    correction = float(np.sqrt(np.sum(dsig1**2) + np.sum(dsig2**2)))
+    correction = float(np.sqrt((dsig1**2).sum() + (dsig2**2).sum()))
 
-    post = assemble_pairing(mesh, topo, sig1_hat, sig2_hat, sig3)[free]
-    post_residual = float(np.linalg.norm(post))
+    post = assemble_pairing(mesh, topo, sig1_hat, sig2_hat, sig3)[topo.free_dofs]
 
-    primal, _ = _elastic_energy(model, mesh, t, grads, z, trace)
+    primal, _ = knot.elastic
     # the surface potential is linear, so its conjugate is the indicator of
     # {sigma3 = -g}; sig3 is left uncorrected and contributes 0
-    conj = float(np.sum(area * bulk_conjugate_density(model.bulk, tri, sig1_hat)))
-    conj += float(np.sum(area * body_conjugate_density(model.body, t, sig2_hat)))
-    pairing = float(np.sum(area * np.einsum("tk,tk->t", sig1_hat, grads)))
-    pairing += float(np.sum(area * sig2_hat * z))
+    conj = float((area * bulk_conjugate_density(model.bulk, np.arange(mesh.n_triangles), sig1_hat)).sum())
+    conj += float((area * body_conjugate_density(model.body, knot.t, sig2_hat)).sum())
+    pairing = float((area * np.einsum("tk,tk->t", sig1_hat, knot.grads)).sum())
+    pairing += float((area * sig2_hat * knot.means).sum())
     ids = mesh.surface_edges
     if len(ids):
-        pairing += float(np.sum(mesh.edge_length[ids] * sig3 * trace))
+        pairing += float((mesh.edge_length[ids] * sig3 * knot.trace).sum())
     gap = primal + conj - pairing
 
     return DualCertificate(
-        annihilation_residual=residual,
+        annihilation_residual=knot.residual,
         fenchel_gap=float(gap),
         projection_norm=correction,
-        post_residual=post_residual,
+        post_residual=float(np.linalg.norm(post)),
         primal_value=primal,
     )
+
+
+def check_certificates(record: EvolutionRecord, model: EnergyModel, mesh: Mesh) -> CheckResult:
+    """PASS iff every knot's dual certificate meets the bounds of a solve at
+    the default tolerance: an annihilation residual of at most 1e-8 and a
+    Fenchel gap of at most 1e-8 (1 + |primal|).  A FAIL names the first knot
+    that misses one, or whose field is not admissible at its time."""
+    return _certificates(map(_certify, _evaluations(record, model, mesh)))
+
+
+def _certify(knot: KnotEvaluation) -> DualCertificate | str:
+    """The knot's certificate, or why it has none."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.isfinite(knot.residual):   # a non-finite triple has no projection
+                return f"the annihilation residual is {knot.residual}"
+            return _certificate(knot)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _certificates(certs) -> CheckResult:
+    """``check_certificates`` from each knot's ``_certify``, in knot order."""
+    residuals, gaps = [0.0], [0.0]
+    failure = ""
+    for i, c in enumerate(certs):
+        if isinstance(c, str):
+            residuals.append(np.inf)
+            failure = failure or f"knot {i}: {c}"
+            continue
+        residuals.append(c.annihilation_residual)
+        gaps.append(abs(c.fenchel_gap) / (1.0 + abs(c.primal_value)))
+        if failure:
+            continue
+        if not c.annihilation_residual <= _RESIDUAL_TOL:
+            failure = f"knot {i}: annihilation residual {c.annihilation_residual:.3e} exceeds {_RESIDUAL_TOL:.1e}"
+        elif not abs(c.fenchel_gap) <= _RESIDUAL_TOL * (1.0 + abs(c.primal_value)):
+            failure = f"knot {i}: Fenchel gap {c.fenchel_gap:.3e} exceeds {_RESIDUAL_TOL:.1e} (1 + |primal|)"
+    return CheckResult(
+        "dual_certificates", "FAIL" if failure else "PASS",
+        margins={"max_annihilation_residual": float(np.max(residuals)),
+                 "max_relative_gap": float(np.max(gaps))},
+        tolerances={"residual": _RESIDUAL_TOL, "relative_gap": _RESIDUAL_TOL},
+        details=failure,
+    )
+
+
+# ---------------------------------------------------------------------------
+# the audit of a record
+# ---------------------------------------------------------------------------
+
+CHECKS = ("irreversibility", "balance", "stability", "structure", "certificates")
+# what each check reads from a knot's evaluation
+_MEASURES = {"balance": _recomputed_total, "stability": _euler, "certificates": _certify}
+
+
+def _evaluations(record: EvolutionRecord, model: EnergyModel, mesh: Mesh):
+    """Each knot's ``KnotEvaluation``, built when it is reached."""
+    return (KnotEvaluation(model, mesh, float(record.times[i]), record.fields[i], record.cracks[i])
+            for i in range(len(record)))
+
+
+def audit_record(record: EvolutionRecord, model: EnergyModel, mesh: Mesh, checks,
+                 level: str = "auto", max_oracle_edges: int = MAX_ORACLE_EDGES,
+                 balance_tol: float | None = None) -> AuditReport:
+    """The report of the named ``checks`` (of ``CHECKS``), in their order:
+    each the result of its public check (``check_energy_balance`` at
+    ``balance_tol`` with no interval excluded, ``check_global_stability`` at
+    ``level``, ``check_certificates`` ...), from one ``KnotEvaluation`` per
+    knot that every check reading the fields shares.  Level "auto" is the
+    oracle where the mesh has at most ``max_oracle_edges`` crackable edges,
+    else one_edge."""
+    unknown = set(checks) - set(CHECKS)
+    if unknown:
+        raise AuditError(f"unknown checks: {sorted(unknown)}; available: {sorted(CHECKS)}")
+    if not checks:
+        raise AuditError(f"no check named; available: {sorted(CHECKS)}")
+    measured = {name: [] for name in checks if name in _MEASURES}
+    if measured:
+        for knot in _evaluations(record, model, mesh):
+            for name, values in measured.items():
+                values.append(_MEASURES[name](knot))
+    results = []
+    for name in checks:
+        if name == "irreversibility":
+            results.append(check_irreversibility(record))
+        elif name == "balance":
+            results.append(_energy_balance(record, measured[name], (), balance_tol).result)
+        elif name == "stability":
+            if level == "auto":
+                level = ORACLE if len(crackable_edges(mesh)) <= max_oracle_edges else ONE_EDGE
+            results.append(_global_stability(record, model, mesh, level, max_oracle_edges, measured[name]).result)
+        elif name == "structure":
+            results.append(check_structure(record, model.boundary).result)
+        else:
+            results.append(_certificates(measured[name]))
+    return AuditReport(results)
 
 
 # ---------------------------------------------------------------------------

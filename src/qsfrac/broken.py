@@ -227,6 +227,20 @@ def corner_trace(mesh: Mesh, cv: np.ndarray) -> np.ndarray:
     return cv.ravel()[mesh.edge_corner[mesh.surface_edges, 0]].mean(axis=1)
 
 
+def _scatter_corner(mesh: Mesh, topo: DofTopology, per_corner: np.ndarray,
+                    surf: np.ndarray) -> np.ndarray:
+    """The DOF vector summing ``per_corner`` (one value per triangle corner)
+    and ``surf[k]`` at both endpoint DOFs of surface-force edge k: one
+    ``np.bincount`` over the corners, then every first endpoint, then every
+    second one."""
+    index, weights = topo.corner_dof.ravel(), per_corner.ravel()
+    if len(surf):
+        ends = index[mesh.edge_corner[mesh.surface_edges, 0]]
+        index = np.concatenate([index, ends[:, 0], ends[:, 1]])
+        weights = np.concatenate([weights, surf, surf])
+    return np.bincount(index, weights, topo.n_dofs)
+
+
 def jump_across_edge(u: BrokenField, edge_id: int, psi) -> tuple[float, float]:
     """Jump of ``u`` across one edge at its two endpoints (sorted vertex order).
 

@@ -23,9 +23,12 @@ element, and it *defines* the discrete functionals elsewhere.
 
 All operations are pure: their inputs are immutable, and the arrays a
 ``TimeTable`` memoizes (its last value and its last rate) are read-only, so
-a memoized answer is bit for bit what a fresh table computes.  The elastic
-energy and the stress triple read a field's corner values once and derive
-its gradients, midpoint means and surface trace from them.
+a memoized answer is bit for bit what a fresh table computes.  A field at a
+time is evaluated by a ``KnotEvaluation``: it reads the field's corner
+values once and derives from them, on first use, the gradients, midpoint
+means and surface trace, the energy parts, the stress triple, its pairing
+with the admissible variations and the power terms.  ``elastic_energy``,
+``stress_triple`` and ``total_energy`` each read one.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .broken import BrokenField, CrackSet, corner_gradients, corner_trace
+from .broken import BrokenField, CrackSet, DofTopology, _scatter_corner, corner_gradients, corner_trace
 from .mesh import Mesh
 
 __all__ = [
@@ -58,9 +61,11 @@ __all__ = [
     "body_conjugate_density",
     "surface_value_and_gradient",
     "surface_rate",
+    "KnotEvaluation",
     "elastic_energy",
     "stress_triple",
     "total_energy",
+    "assemble_pairing",
     "validate_growth",
     "GrowthCheck",
     "GrowthReport",
@@ -577,22 +582,124 @@ class EnergyModel:
         return warnings
 
 
+class _lazy:
+    """A method computed on first access and kept as the instance attribute
+    of its name: ``functools.cached_property`` without the lock that
+    Python 3.11 takes on every first access."""
+
+    def __init__(self, method):
+        self.method, self.name, self.__doc__ = method, method.__name__, method.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.method(obj)
+        return value
+
+
+class KnotEvaluation:
+    """The field ``u`` on crack set ``crack`` at time t, evaluated from one
+    gather of its corner values.  Each quantity below is computed on first
+    use from that gather and kept while the object lives; it keeps nothing
+    else, so a caller builds one per (field, time) and drops it with its
+    call.  A record's row reads ``energies`` and ``powers``, the audits read
+    ``energies``, ``residual`` and, for the dual certificate, ``triple``,
+    ``pairing`` and ``elastic``.  Its sums are ``ndarray.sum`` and its means
+    sums divided by the count: the bits of ``np.sum`` and ``mean`` at less
+    Python-level cost per call, which on the small meshes of the corpus is
+    most of the cost.
+    """
+
+    def __init__(self, model: EnergyModel, mesh: Mesh, t: float, u: BrokenField, crack: CrackSet):
+        self.model, self.mesh, self.t, self.u, self.crack = model, mesh, t, u, crack
+        self.cv = u.corner_values()
+
+    @_lazy
+    def grads(self) -> np.ndarray:
+        return corner_gradients(self.mesh, self.cv)
+
+    @_lazy
+    def means(self) -> np.ndarray:
+        return self.cv.sum(axis=1) / 3
+
+    @_lazy
+    def trace(self) -> np.ndarray:
+        return corner_trace(self.mesh, self.cv)
+
+    @_lazy
+    def elastic(self) -> tuple[float, dict]:
+        """(W - F - G, {"W", "F", "G"}): ``elastic_energy``."""
+        model, mesh, t = self.model, self.mesh, self.t
+        w_val = float((mesh.tri_area * bulk_energy_density(model.bulk, np.arange(mesh.n_triangles), self.grads)).sum())
+        f_val = _body_value(model.body, model.body.table.value(t), mesh.tri_area, self.means)
+        g_val = _surface_value(model.surface.table.value(t), mesh.edge_length[mesh.surface_edges], self.trace)
+        return w_val - f_val - g_val, {"W": w_val, "F": f_val, "G": g_val}
+
+    @_lazy
+    def energies(self) -> dict:
+        """W, F, G, Es and total: the parts of ``total_energy``."""
+        el, parts = self.elastic
+        es = surface_energy(self.model.toughness, self.mesh, self.crack)
+        return dict(parts, Es=es, total=el + es)
+
+    @_lazy
+    def triple(self) -> tuple:
+        """``stress_triple``; G is linear, so its part needs no trace."""
+        model, t = self.model, self.t
+        sig = stress(model.bulk, np.arange(self.mesh.n_triangles), self.grads)
+        return sig, -_body_density(model.body, model.body.table.value(t), self.means), -model.surface.table.value(t)
+
+    @_lazy
+    def pairing(self) -> np.ndarray:
+        """The stress triple paired with the admissible variations, the free
+        DOFs: the free gradient of the elastic energy.  A field that is not
+        admissible at t, built on another crack set or with a pinned DOF off
+        the boundary datum by more than 1e-8 (1 + max |psi(t)|), raises a
+        ValueError instead."""
+        topo = self.u.topology
+        if topo.crack != self.crack:
+            raise ValueError("field was built on a different crack set")
+        psi = self.model.boundary.value(self.t)
+        cons = topo.constrained_dofs
+        off = np.abs(self.u.values[cons] - psi[topo.dof_vertex[cons]]).max(initial=0.0)
+        # the bound is at least 1e-8, so the datum's size is read only past it
+        if off > 1e-8 and off > 1e-8 * (1.0 + np.abs(psi).max(initial=0.0)):
+            raise ValueError("field does not match the boundary datum at time t")
+        return assemble_pairing(self.mesh, topo, *self.triple)[topo.free_dofs]
+
+    @_lazy
+    def residual(self) -> float:
+        """The Euclidean norm of ``pairing``: the Euler residual."""
+        return float(np.linalg.norm(self.pairing))
+
+    @_lazy
+    def powers(self) -> dict:
+        """The five power terms driving the energy balance.  Rates of the
+        boundary datum and of the loads take their left-interval values at
+        knots.  The net external power is stress_power - body_coupling -
+        body_rate - surface_coupling - surface_rate."""
+        model, mesh, t = self.model, self.mesh, self.t
+        psi_dot = model.boundary.rate(t)
+        psi_dot_corner = psi_dot[mesh.triangles]
+        sig, body, surf = self.triple
+        ids = mesh.surface_edges
+        surface = (0.0, 0.0)
+        if len(ids):
+            surface = (float(np.sum(mesh.edge_length[ids] * -surf * psi_dot[mesh.edges[ids]].mean(axis=1))),
+                       surface_rate(model.surface, t, self.trace, mesh))
+        grads_psi_dot = corner_gradients(mesh, psi_dot_corner)
+        return {
+            "stress_power": float((mesh.tri_area * np.einsum("tk,tk->t", sig, grads_psi_dot)).sum()),
+            "body_coupling": float((mesh.tri_area * -body * (psi_dot_corner.sum(axis=1) / 3)).sum()),
+            "body_rate": _body_rate(model.body, t, mesh.tri_area, self.means),
+            "surface_coupling": surface[0],
+            "surface_rate": surface[1],
+        }
+
+
 def elastic_energy(model: EnergyModel, mesh: Mesh, t: float, u: BrokenField):
     """Elastic part W - F - G at time t; returns (value, parts dict)."""
-    cv = u.corner_values()
-    return _elastic_energy(model, mesh, t, corner_gradients(mesh, cv), cv.mean(axis=1),
-                           corner_trace(mesh, cv))
-
-
-def _elastic_energy(model: EnergyModel, mesh: Mesh, t: float, grads: np.ndarray,
-                    z: np.ndarray, trace: np.ndarray):
-    """``elastic_energy`` from the gradients, midpoint means and surface
-    trace of the field."""
-    w_val = float(np.sum(mesh.tri_area * bulk_energy_density(model.bulk, np.arange(mesh.n_triangles), grads)))
-    f_val = _body_value(model.body, model.body.table.value(t), mesh.tri_area, z)
-    g_val = _surface_value(model.surface.table.value(t), mesh.edge_length[mesh.surface_edges], trace)
-    parts = {"W": w_val, "F": f_val, "G": g_val}
-    return w_val - f_val - g_val, parts
+    return KnotEvaluation(model, mesh, t, u, u.topology.crack).elastic
 
 
 def stress_triple(model: EnergyModel, mesh: Mesh, t: float, u: BrokenField):
@@ -600,26 +707,25 @@ def stress_triple(model: EnergyModel, mesh: Mesh, t: float, u: BrokenField):
     dF/dz per triangle, minus dG/dz per surface edge).
 
     Paired with (grad v, v, v) it is the first variation of the elastic
-    energy W - F - G in the direction v (``minimize.assemble_pairing``).
+    energy W - F - G in the direction v (``assemble_pairing``).
     """
-    cv = u.corner_values()
-    return _stress_triple(model, mesh, t, corner_gradients(mesh, cv), cv.mean(axis=1))
-
-
-def _stress_triple(model: EnergyModel, mesh: Mesh, t: float, grads: np.ndarray, z: np.ndarray):
-    """``stress_triple`` from the gradients and midpoint means of the field;
-    G is linear, so its part needs no trace."""
-    sig = stress(model.bulk, np.arange(mesh.n_triangles), grads)
-    body = _body_density(model.body, model.body.table.value(t), z)
-    return sig, -body, -model.surface.table.value(t)
+    return KnotEvaluation(model, mesh, t, u, u.topology.crack).triple
 
 
 def total_energy(model: EnergyModel, mesh: Mesh, t: float, u: BrokenField, crack: CrackSet):
     """Total energy: elastic part plus crack surface energy; (value, parts)."""
-    el, parts = elastic_energy(model, mesh, t, u)
-    es = surface_energy(model.toughness, mesh, crack)
-    parts = dict(parts, Es=es, total=el + es)
-    return el + es, parts
+    parts = KnotEvaluation(model, mesh, t, u, crack).energies
+    return parts["total"], parts
+
+
+def assemble_pairing(mesh: Mesh, topo: DofTopology, sig: np.ndarray, body: np.ndarray,
+                     surf: np.ndarray) -> np.ndarray:
+    """The DOF vector of v -> sum_T |T| (sig.grad v + body v) + sum_e |e| surf v,
+    for a triple of densities per triangle (``sig``, ``body``) and per
+    surface edge (``surf``), with midpoint quadrature."""
+    area = mesh.tri_area
+    per_corner = area[:, None] * np.einsum("tk,tki->ti", sig, mesh.grad_op) + (area * body / 3.0)[:, None]
+    return _scatter_corner(mesh, topo, per_corner, mesh.edge_length[mesh.surface_edges] * surf / 2.0)
 
 
 # ---------------------------------------------------------------------------

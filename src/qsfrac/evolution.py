@@ -28,7 +28,8 @@ when it is strictly energetically convenient, and records are reproducible.
 
 The produced record stores, per knot, the crack set, the field, all energy
 components, and the five power terms whose time integral the energy-balance
-audit compares against the energy increment.
+audit compares against the energy increment; a knot's energy components and
+power terms come from one ``energy.KnotEvaluation`` of its field.
 """
 
 from __future__ import annotations
@@ -42,16 +43,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import LRU, parallel_map
-from .broken import BrokenField, CrackSet, build_topology, corner_gradients, corner_trace
-from .energy import (
-    EnergyModel,
-    _body_rate,
-    _stress_triple,
-    check_knots,
-    edge_surface_energies,
-    surface_rate,
-    total_energy,
-)
+from .broken import BrokenField, CrackSet, build_topology
+from .energy import EnergyModel, KnotEvaluation, check_knots, edge_surface_energies, total_energy
 from .mesh import Mesh, crackable_edges, mesh_fingerprint
 from .minimize import _CACHE_SIZE, TOL, ElasticSolver
 
@@ -179,39 +172,9 @@ _ENERGY_KEYS = ("W", "Es", "F", "G", "total")
 
 
 def sample_power_terms(model: EnergyModel, mesh: Mesh, t: float, u: BrokenField) -> dict:
-    """The five power terms driving the energy balance, sampled at time t.
-
-    Rates of the boundary datum and of the loads take their left-interval
-    values at knots.  The net external power is
-    stress_power - body_coupling - body_rate - surface_coupling - surface_rate.
-    """
-    psi_dot = model.boundary.rate(t)
-    psi_dot_corner = psi_dot[mesh.triangles]
-    grads_psi_dot = corner_gradients(mesh, psi_dot_corner)
-    cv = u.corner_values()
-    z = cv.mean(axis=1)
-    sig, body, surf = _stress_triple(model, mesh, t, corner_gradients(mesh, cv), z)
-    p_stress = float(np.sum(mesh.tri_area * np.einsum("tk,tk->t", sig, grads_psi_dot)))
-
-    p_body_coupling = float(np.sum(mesh.tri_area * -body * psi_dot_corner.mean(axis=1)))
-    p_body_rate = _body_rate(model.body, t, mesh.tri_area, z)
-
-    ids = mesh.surface_edges
-    if len(ids):
-        psi_dot_edge = psi_dot[mesh.edges[ids]].mean(axis=1)
-        p_surf_coupling = float(np.sum(mesh.edge_length[ids] * -surf * psi_dot_edge))
-        p_surf_rate = surface_rate(model.surface, t, corner_trace(mesh, cv), mesh)
-    else:
-        p_surf_coupling = 0.0
-        p_surf_rate = 0.0
-
-    return {
-        "stress_power": p_stress,
-        "body_coupling": p_body_coupling,
-        "body_rate": p_body_rate,
-        "surface_coupling": p_surf_coupling,
-        "surface_rate": p_surf_rate,
-    }
+    """The five power terms driving the energy balance, sampled at time t
+    (``energy.KnotEvaluation.powers``)."""
+    return KnotEvaluation(model, mesh, t, u, u.topology.crack).powers
 
 
 def net_power(power: dict) -> float:
@@ -649,8 +612,9 @@ def run_evolution(model: EnergyModel, mesh: Mesh, grid: TimeGrid, crack0: CrackS
 
     cracks = [crack0]
     fields = [u0]
-    energies = [total_energy(model, mesh, t0, u0, crack0)[1]]
-    powers = [sample_power_terms(model, mesh, t0, u0)]
+    knot = KnotEvaluation(model, mesh, t0, u0, crack0)
+    energies = [knot.energies]
+    powers = [knot.powers]
 
     def record(complete: bool) -> EvolutionRecord:
         return EvolutionRecord(
@@ -671,8 +635,9 @@ def run_evolution(model: EnergyModel, mesh: Mesh, grid: TimeGrid, crack0: CrackS
         assert cracks[-1].issubset(crack)
         cracks.append(crack)
         fields.append(u)
-        energies.append(total_energy(model, mesh, t, u, crack)[1])
-        powers.append(sample_power_terms(model, mesh, t, u))
+        knot = KnotEvaluation(model, mesh, t, u, crack)
+        energies.append(knot.energies)
+        powers.append(knot.powers)
 
     return record(True)
 
@@ -695,8 +660,9 @@ def _envelope(record: EvolutionRecord, model: EnergyModel, mesh: Mesh, side: str
         u, _ = solver.solve(crack, t)
         out.cracks[i] = crack
         out.fields[i] = u
-        out.energies[i] = total_energy(model, mesh, t, u, crack)[1]
-        out.powers[i] = sample_power_terms(model, mesh, t, u)
+        knot = KnotEvaluation(model, mesh, t, u, crack)
+        out.energies[i] = knot.energies
+        out.powers[i] = knot.powers
     out.annotations.append(f"{side} envelope applied at knots {jumps}")
     return out
 

@@ -60,7 +60,8 @@ among the free DOFs.  Its ``matrix`` scatters per-triangle 3x3 matrices (the
 solver's stiffness-plus-mass forms into K_ff, the Newton Hessians, the dual
 certificate's Gram matrix), its ``vector`` per-corner values (the Newton
 gradient, and K u as each form applied to its corner values), each by one
-``np.bincount``; so is each vector on all DOFs (loads, ``assemble_pairing``).
+``np.bincount``; so is each vector on all DOFs (loads, and
+``energy.assemble_pairing``), by ``broken._scatter_corner``.
 
 Every crack set X of a quadratic problem is the all-open space (every
 crackable edge cracked) with time-independent rows added: a tie per endpoint
@@ -85,11 +86,12 @@ score of the crack set, at any time: a score then costs one triangular
 solve.
 
 The first variation of the elastic energy is the stress triple of
-``energy.stress_triple`` paired with (grad v, v, v); ``assemble_pairing`` is
-the one routine that scatters such a pairing onto the DOFs.  It gives the
-reference gradient (``assemble_gradient``) the Newton evaluator is tested
-against, the Euler residual of the stability audit, and both residuals of
-the dual certificate.
+``energy.stress_triple`` paired with (grad v, v, v);
+``energy.assemble_pairing`` is the one routine that scatters such a pairing
+onto the DOFs.  It gives the reference gradient (``assemble_gradient``) the
+Newton evaluator is tested against, and the free-DOF pairing of
+``energy.KnotEvaluation``, whose norm is both the Euler residual of the
+stability audit and the dual certificate's annihilation residual.
 
 An ``ElasticSolver`` solves to the one free-gradient norm ``tol`` it is built
 at (``TOL`` unless given), so its results depend on the crack set and t
@@ -127,9 +129,11 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from ._util import LRU
-from .broken import BrokenField, CrackSet, DofTopology, _components, build_topology
+from .broken import BrokenField, CrackSet, DofTopology, _components, _scatter_corner, build_topology
 from .energy import (
     EnergyModel,
+    KnotEvaluation,
+    assemble_pairing,
     body_hessian_coeff,
     segment,
     stress_jacobian,
@@ -146,7 +150,6 @@ __all__ = [
     "minimize_elastic",
     "euler_residual",
     "assemble_gradient",
-    "assemble_pairing",
 ]
 
 TOL = 1e-10   # the free-gradient norm a solver reaches unless built at another
@@ -274,20 +277,6 @@ class _FreeBlock:
         return scipy.sparse.csr_matrix((values, divmod(flat, n)), shape=(n, n))
 
 
-def _scatter_corner(mesh: Mesh, topo: DofTopology, per_corner: np.ndarray,
-                    surf: np.ndarray) -> np.ndarray:
-    """The DOF vector summing ``per_corner`` (one value per triangle corner)
-    and ``surf[k]`` at both endpoint DOFs of surface-force edge k: one
-    ``np.bincount`` over the corners, then every first endpoint, then every
-    second one."""
-    index, weights = topo.corner_dof.ravel(), per_corner.ravel()
-    if len(surf):
-        ends = index[mesh.edge_corner[mesh.surface_edges, 0]]
-        index = np.concatenate([index, ends[:, 0], ends[:, 1]])
-        weights = np.concatenate([weights, surf, surf])
-    return np.bincount(index, weights, topo.n_dofs)
-
-
 def _spd_solver(matrix):
     """Factor a symmetric positive definite matrix once and return
     ``solve(rhs)``: dense Cholesky up to ``_DENSE_LIMIT`` unknowns, sparse LU
@@ -350,16 +339,6 @@ def _jacobi_cg(kff, inv_diag: np.ndarray, rhs: np.ndarray, atol: float):
         r -= alpha * q
         rho_prev = rho
     return x, 10 * len(rhs)
-
-
-def assemble_pairing(mesh: Mesh, topo: DofTopology, sig: np.ndarray, body: np.ndarray,
-                     surf: np.ndarray) -> np.ndarray:
-    """The DOF vector of v -> sum_T |T| (sig.grad v + body v) + sum_e |e| surf v,
-    for a triple of densities per triangle (``sig``, ``body``) and per
-    surface edge (``surf``), with midpoint quadrature."""
-    area = mesh.tri_area
-    per_corner = area[:, None] * np.einsum("tk,tki->ti", sig, mesh.grad_op) + (area * body / 3.0)[:, None]
-    return _scatter_corner(mesh, topo, per_corner, mesh.edge_length[mesh.surface_edges] * surf / 2.0)
 
 
 def assemble_gradient(model: EnergyModel, mesh: Mesh, t: float, u: BrokenField) -> np.ndarray:
@@ -960,14 +939,7 @@ def euler_residual(model: EnergyModel, mesh: Mesh, crack: CrackSet, t: float,
 
     The variation space contains exactly the fields vanishing on the uncracked
     Dirichlet boundary with jumps inside the crack set, i.e. the free DOFs.
+    A field that is not admissible raises a ValueError
+    (``energy.KnotEvaluation.pairing``).
     """
-    if u.topology.crack != crack:
-        raise ValueError("field was built on a different crack set")
-    psi = model.boundary.value(t)
-    cons = u.topology.constrained_dofs
-    expected = psi[u.topology.dof_vertex[cons]]
-    scale = 1.0 + float(np.max(np.abs(psi))) if len(psi) else 1.0
-    if len(cons) and float(np.max(np.abs(u.values[cons] - expected))) > 1e-8 * scale:
-        raise ValueError("field does not match the boundary datum at time t")
-    g = assemble_gradient(model, mesh, t, u)
-    return float(np.linalg.norm(g[u.topology.free_dofs]))
+    return KnotEvaluation(model, mesh, t, u, crack).residual

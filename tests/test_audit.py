@@ -1,7 +1,9 @@
 import dataclasses
 import gc
+import json
 import sys
 import weakref
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -9,10 +11,14 @@ import pytest
 
 from qsfrac import audit
 from qsfrac.audit import (
+    CHECKS,
     EULER,
     ONE_EDGE,
     ORACLE,
     AuditError,
+    AuditReport,
+    audit_record,
+    check_certificates,
     check_energy_balance,
     check_global_stability,
     check_irreversibility,
@@ -21,7 +27,7 @@ from qsfrac.audit import (
     stress_continuity_probe,
 )
 from qsfrac.broken import BrokenField, CrackSet, build_topology
-from qsfrac.corpus import build_config, strip_crackfree
+from qsfrac.corpus import CORPUS, build_config, strip_crackfree
 from qsfrac.config import parse_config
 from qsfrac.energy import TimeTable, Toughness, elastic_energy
 from qsfrac.evolution import (
@@ -33,7 +39,7 @@ from qsfrac.evolution import (
     run_evolution,
 )
 from qsfrac.mesh import build_structured_mesh
-from qsfrac.minimize import _FreeBlock, _local_forms, _spd_solver, minimize_elastic
+from qsfrac.minimize import _FreeBlock, _local_forms, _spd_solver, euler_residual, minimize_elastic
 
 from conftest import NOTCHED, make_model, make_strip_mesh
 
@@ -483,6 +489,130 @@ def test_dual_certificates_from_racing_threads_match_a_serial_pass(strip_problem
         sys.setswitchinterval(interval)
     for got in results:
         assert all(got[i] == serial[i] for i in got)
+
+
+def test_dual_certificate_refuses_a_field_off_the_datum_of_its_time(lattice17):
+    # knot 3's field at knot 2's time, on the same crack set: its pinned DOFs
+    # hold psi(t_3), so it has no certificate at t_2, as it has no Euler
+    # residual there
+    p, rec = lattice17
+    assert rec.cracks[2] == rec.cracks[3]
+    for fn in (dual_certificate, euler_residual):
+        with pytest.raises(ValueError, match="boundary datum"):
+            fn(p.model, p.mesh, rec.cracks[2], float(rec.times[2]), rec.fields[3])
+
+
+# ---------------------------------------------------------------------------
+# one evaluation per knot
+# ---------------------------------------------------------------------------
+
+def _loaded_run(tmp_path_factory, name, knots):
+    """The corpus instance's problem and its record, saved and read back."""
+    p = build_config(name, knots).build_problem()
+    rec = run_evolution(p.model, p.mesh, p.grid, p.initial_crack, p.strategy, config_hash=p.config_hash)
+    path = tmp_path_factory.mktemp(name) / "rec.json"
+    rec.save(path)
+    return p, EvolutionRecord.load(path, p.mesh, p.model)
+
+
+@pytest.fixture(scope="module")
+def lattice17(tmp_path_factory):
+    return _loaded_run(tmp_path_factory, "lattice", 17)
+
+
+@pytest.fixture(scope="module")
+def quartic9(tmp_path_factory):
+    return _loaded_run(tmp_path_factory, "quartic", 9)
+
+
+def _gathers(monkeypatch):
+    """Corner gathers counted per field object."""
+    calls = Counter()
+    gather = BrokenField.corner_values
+
+    def counted(self):
+        calls[id(self)] += 1
+        return gather(self)
+
+    monkeypatch.setattr(BrokenField, "corner_values", counted)
+    return calls
+
+
+def test_audit_record_gathers_each_knot_once(monkeypatch, lattice17):
+    p, rec = lattice17
+    calls = _gathers(monkeypatch)
+    checks = ["balance", "stability", "certificates"]
+    report = audit_record(rec, p.model, p.mesh, checks, level=ORACLE)
+    assert [calls[id(u)] for u in rec.fields] == [1] * len(rec)
+    assert [r.verdict for r in report.results] == ["PASS"] * 3
+    # where each check builds its own evaluation, each knot is gathered per check
+    calls.clear()
+    check_energy_balance(rec, p.model, p.mesh)
+    check_global_stability(rec, p.model, p.mesh, level=EULER)
+    check_certificates(rec, p.model, p.mesh)
+    assert [calls[id(u)] for u in rec.fields] == [3] * len(rec)
+
+
+@pytest.mark.parametrize("run", ["lattice17", "quartic9"])
+def test_audit_record_reports_what_the_public_checks_report(request, run):
+    p, rec = request.getfixturevalue(run)
+    shared = audit_record(rec, p.model, p.mesh, list(CHECKS), level=ORACLE)
+    separate = AuditReport([
+        check_irreversibility(rec),
+        check_energy_balance(rec, p.model, p.mesh).result,
+        check_global_stability(rec, p.model, p.mesh, level=ORACLE).result,
+        check_structure(rec, p.model.boundary).result,
+        check_certificates(rec, p.model, p.mesh),
+    ])
+    assert shared.to_text() == separate.to_text()
+    assert json.dumps(shared.to_payload(), sort_keys=True) == json.dumps(separate.to_payload(), sort_keys=True)
+    assert shared.ok(inconclusive_ok=False)
+
+
+def test_audit_record_auto_level_is_the_oracle_on_a_small_instance(lattice17):
+    p, rec = lattice17
+    (auto,) = audit_record(rec, p.model, p.mesh, ["stability"]).results
+    (capped,) = audit_record(rec, p.model, p.mesh, ["stability"], max_oracle_edges=0).results
+    assert auto.name == "global_stability[oracle]" and capped.name == "global_stability[one_edge]"
+
+
+@pytest.mark.parametrize("checks", [[], ["balance", "bogus"]])
+def test_audit_record_refuses_an_empty_or_unknown_check_list(lattice17, checks):
+    p, rec = lattice17
+    with pytest.raises(AuditError, match="available"):
+        audit_record(rec, p.model, p.mesh, checks)
+
+
+def test_the_euler_residual_is_the_certificates_annihilation_residual(tmp_path_factory):
+    for name in CORPUS:
+        p, rec = _loaded_run(tmp_path_factory, name, 17)
+        stab = check_global_stability(rec, p.model, p.mesh, level=EULER)
+        certs = _certify_all(p, rec)
+        assert stab.max_euler_residual == max(c.annihilation_residual for c in certs), name
+
+
+def test_certificates_fail_naming_the_first_knot_off_the_solver_tolerance(lattice17):
+    p, rec = lattice17
+    bad = doctor(rec)
+    for i in (5, 9):
+        u = bad.fields[i]
+        vals = u.values.copy()
+        vals[u.topology.free_dofs] += 1e-3
+        bad.fields[i] = BrokenField(u.topology, vals)
+    res = check_certificates(bad, p.model, p.mesh)
+    assert res.verdict == "FAIL"
+    assert res.details.startswith("knot 5: annihilation residual ")
+    assert res.margins["max_annihilation_residual"] > 1e-8
+
+
+def test_certificates_fail_at_a_field_that_is_not_admissible(lattice17):
+    p, rec = lattice17
+    bad = doctor(rec)
+    bad.fields[2] = rec.fields[3]
+    res = check_certificates(bad, p.model, p.mesh)
+    assert res.verdict == "FAIL"
+    assert res.details == "knot 2: field does not match the boundary datum at time t"
+    assert res.margins["max_annihilation_residual"] == np.inf
 
 
 # ---------------------------------------------------------------------------

@@ -418,6 +418,37 @@ def test_cli_audit_of_a_pinned_dof_off_the_datum_fails_naming_the_knot(strip_run
     assert "Traceback" not in proc.stderr
 
 
+def test_cli_certificates_fail_naming_a_knot_whose_field_is_off_its_datum(tmp_path, capsys):
+    # lattice@17 with knot 2's DOFs swapped for knot 3's, on the same crack
+    # set: the field at knot 2 holds the datum of t_3, so knot 2 has no
+    # certificate
+    cfg_path, rec_path = tmp_path / "lattice.cfg", tmp_path / "rec.json"
+    cfg_path.write_text(config_text("lattice", 17))
+    assert main(["run", "--config", str(cfg_path), "--out", str(rec_path)]) == 0
+    payload = json.loads(rec_path.read_text())
+    assert payload["knots"][2]["crack"] == payload["knots"][3]["crack"]
+    assert main(["audit", "--config", str(cfg_path), "--record", str(rec_path), "--checks", "certificates"]) == 0
+    payload["knots"][2]["dofs"] = payload["knots"][3]["dofs"]
+    rec_path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["audit", "--config", str(cfg_path), "--record", str(rec_path), "--checks", "certificates"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL        ] dual_certificates" in out
+    assert "    knot 2: field does not match the boundary datum at time t" in out
+
+
+def test_cli_certificates_of_a_dof_whose_energy_overflows_fail_without_a_warning(strip_run, tmp_path, capsys):
+    cfg_path, payload = strip_run
+    payload = json.loads(json.dumps(payload))
+    payload["knots"][2]["dofs"][1] = 1e308
+    rec_path = tmp_path / "rec.json"
+    rec_path.write_text(json.dumps(payload))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["audit", "--config", str(cfg_path), "--record", str(rec_path), "--checks", "certificates"]) == 1
+    assert "    knot 2: the annihilation residual is " in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("flags", [[], ["-W", "error"]])
 def test_cli_audit_of_a_dof_whose_energy_overflows_fails_naming_the_knot(strip_run, tmp_path, flags):
     # the recomputed total is inf: the balance guard and the Euler residual
