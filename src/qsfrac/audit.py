@@ -539,14 +539,17 @@ def check_certificates(record: EvolutionRecord, model: EnergyModel, mesh: Mesh) 
 
 
 def _certify(knot: KnotEvaluation) -> DualCertificate | str:
-    """The knot's certificate, or why it has none."""
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            if not np.isfinite(knot.residual):   # a non-finite triple has no projection
-                return f"the annihilation residual is {knot.residual}"
-            return _certificate(knot)
-    except ValueError as exc:
-        return str(exc)
+    """The knot's certificate, or why it has none.  Only the knot's own
+    numbers may overflow quietly; a warning in the certificate's own
+    arithmetic is raised as ``dual_certificate`` raises it."""
+    residual, refusal = _euler(knot)
+    if refusal:
+        return refusal
+    if not np.isfinite(residual):   # a non-finite triple has no projection
+        return f"the annihilation residual is {residual}"
+    with np.errstate(over="ignore", invalid="ignore"):   # an overflow is an inf primal and gap
+        knot.elastic   # kept by the knot for the certificate
+    return _certificate(knot)
 
 
 def _certificates(certs) -> CheckResult:

@@ -198,6 +198,8 @@ def cmd_audit(args) -> int:
     record = EvolutionRecord.load(args.record, problem.mesh, problem.model)
     _verify_hashes(record, problem)
     wanted = [c.strip() for c in args.checks.split(",") if c.strip()]
+    if args.out:   # before the audit, so its report has somewhere to go
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     report = audit_mod.audit_record(record, problem.model, problem.mesh, wanted, level=args.level,
                                     max_oracle_edges=args.max_edges, balance_tol=args.tol)
     if not record.complete:
@@ -208,7 +210,6 @@ def cmd_audit(args) -> int:
         ))
     print(report.to_text())
     if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         with open(args.out, "w") as fh:
             json.dump(report.to_payload(), fh, sort_keys=True, indent=1, allow_nan=False)
             fh.write("\n")

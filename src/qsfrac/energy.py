@@ -34,6 +34,7 @@ with the admissible variations and the power terms.  ``elastic_energy``,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -582,21 +583,6 @@ class EnergyModel:
         return warnings
 
 
-class _lazy:
-    """A method computed on first access and kept as the instance attribute
-    of its name: ``functools.cached_property`` without the lock that
-    Python 3.11 takes on every first access."""
-
-    def __init__(self, method):
-        self.method, self.name, self.__doc__ = method, method.__name__, method.__doc__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.method(obj)
-        return value
-
-
 class KnotEvaluation:
     """The field ``u`` on crack set ``crack`` at time t, evaluated from one
     gather of its corner values.  Each quantity below is computed on first
@@ -614,19 +600,19 @@ class KnotEvaluation:
         self.model, self.mesh, self.t, self.u, self.crack = model, mesh, t, u, crack
         self.cv = u.corner_values()
 
-    @_lazy
+    @cached_property
     def grads(self) -> np.ndarray:
         return corner_gradients(self.mesh, self.cv)
 
-    @_lazy
+    @cached_property
     def means(self) -> np.ndarray:
         return self.cv.sum(axis=1) / 3
 
-    @_lazy
+    @cached_property
     def trace(self) -> np.ndarray:
         return corner_trace(self.mesh, self.cv)
 
-    @_lazy
+    @cached_property
     def elastic(self) -> tuple[float, dict]:
         """(W - F - G, {"W", "F", "G"}): ``elastic_energy``."""
         model, mesh, t = self.model, self.mesh, self.t
@@ -635,21 +621,21 @@ class KnotEvaluation:
         g_val = _surface_value(model.surface.table.value(t), mesh.edge_length[mesh.surface_edges], self.trace)
         return w_val - f_val - g_val, {"W": w_val, "F": f_val, "G": g_val}
 
-    @_lazy
+    @cached_property
     def energies(self) -> dict:
         """W, F, G, Es and total: the parts of ``total_energy``."""
         el, parts = self.elastic
         es = surface_energy(self.model.toughness, self.mesh, self.crack)
         return dict(parts, Es=es, total=el + es)
 
-    @_lazy
+    @cached_property
     def triple(self) -> tuple:
         """``stress_triple``; G is linear, so its part needs no trace."""
         model, t = self.model, self.t
         sig = stress(model.bulk, np.arange(self.mesh.n_triangles), self.grads)
         return sig, -_body_density(model.body, model.body.table.value(t), self.means), -model.surface.table.value(t)
 
-    @_lazy
+    @cached_property
     def pairing(self) -> np.ndarray:
         """The stress triple paired with the admissible variations, the free
         DOFs: the free gradient of the elastic energy.  A field that is not
@@ -667,12 +653,12 @@ class KnotEvaluation:
             raise ValueError("field does not match the boundary datum at time t")
         return assemble_pairing(self.mesh, topo, *self.triple)[topo.free_dofs]
 
-    @_lazy
+    @cached_property
     def residual(self) -> float:
         """The Euclidean norm of ``pairing``: the Euler residual."""
         return float(np.linalg.norm(self.pairing))
 
-    @_lazy
+    @cached_property
     def powers(self) -> dict:
         """The five power terms driving the energy balance.  Rates of the
         boundary datum and of the loads take their left-interval values at

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import json
 import sys
+import warnings
 import weakref
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -613,6 +614,19 @@ def test_certificates_fail_at_a_field_that_is_not_admissible(lattice17):
     assert res.verdict == "FAIL"
     assert res.details == "knot 2: field does not match the boundary datum at time t"
     assert res.margins["max_annihilation_residual"] == np.inf
+
+
+def test_certificates_raise_a_warning_of_the_certificate_arithmetic(monkeypatch, lattice17):
+    # only the knot's own numbers overflow quietly: an overflow in the
+    # conjugate densities reaches a caller that raises warnings
+    p, rec = lattice17
+    monkeypatch.setattr(audit, "bulk_conjugate_density", lambda bulk, tri, sig: np.full(len(tri), 1e308) * 10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            check_certificates(rec, p.model, p.mesh)
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            audit_record(rec, p.model, p.mesh, ["balance", "stability", "certificates"])
 
 
 # ---------------------------------------------------------------------------
