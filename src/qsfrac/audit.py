@@ -36,6 +36,32 @@ levels pass.  The euler and one-edge levels are necessary conditions only;
 when they succeed the verdict is INCONCLUSIVE (with ``level_passed`` set),
 while an exhaustive success is a genuine PASS.
 
+The one-edge and oracle levels search a knot's rivals (``_Search.rivals``)
+at the two end knots of each run only, where p = q = 2: a run is a maximal
+stretch of knots with one crack set X and no load breakpoint strictly
+inside (``_runs``).  On a load segment the minimizer over a fixed crack set
+is affine in t, so each rival Y's margin over X,
+
+    Es(Y ∖ X) - 1/2 a(u_X - u_Y, u_X - u_Y),
+
+is concave in t and smallest at an end of the run.  An interior knot keeps
+its Euler residual, and its stored total lies above the minimum over X by
+at most its difference from the total recomputed from its field plus
+gap_k = 1/2 g.K_ff^-1 g, with g its free-DOF pairing
+(``ElasticSolver.energy_gaps``).  The ends are searched down to a guard
+band below their stored totals, the run's smallest tie tolerance minus its
+largest such bound (``_stable_between``).  The run is searched at every
+knot instead where an end rival falls inside the band or X scores above
+the stored total, where a rival energy or a bound is not finite, and
+wherever the argument does not hold or does not pay: p or q is not 2, the
+body is unconfined and a piece of the all-open body has no Dirichlet
+constraint (a minimum need not be finite), or X solves by CG (above
+``_DENSE_LIMIT`` free DOFs, where a factor of K_ff per run saved nothing
+measurable: a CG re-solve at a later knot of a segment costs no CG step).
+So the verdict, the worst margin and knot, the violations and the details
+are those of a search at every knot, up to rounding at 1e-16 relative
+where the tie tolerance is 1e-9.
+
 All checks are read-only over immutable records.
 """
 
@@ -68,7 +94,7 @@ from .energy import (
 )
 from .evolution import BRUTE_FORCE, GREEDY, EvolutionRecord, SearchStrategy, _Search, net_power, tie_tolerance
 from .mesh import Mesh, crackable_edges
-from .minimize import _FreeBlock, _local_forms, _spd_solver
+from .minimize import _DENSE_LIMIT, _FreeBlock, _local_forms, _spd_solver
 
 __all__ = [
     "AuditError",
@@ -277,6 +303,7 @@ class StabilityResult:
     max_euler_residual: float
     violations: list[tuple[int, tuple, float]]   # (knot, crack edge ids, margin)
     result: CheckResult
+    stable_runs: list[tuple[int, int]] = field(default_factory=list)   # (first, last) knot
 
 
 def check_global_stability(record: EvolutionRecord, model: EnergyModel, mesh: Mesh,
@@ -289,9 +316,15 @@ def check_global_stability(record: EvolutionRecord, model: EnergyModel, mesh: Me
     the PASS/INCONCLUSIVE semantics.  A recorded field that is not admissible
     at its own knot (a pinned DOF off the boundary datum) is a FAIL naming
     the first such knot.
+
+    ``stable_runs`` lists, as (first knot, last knot), each run of one crack
+    set on one load segment whose interior knots the searches at its two
+    end knots certified (p = q = 2, see the module docstring); it is empty
+    where the audit searched every knot.  Verdict, margins, violations and
+    details are those of a search at every knot.
     """
     return _global_stability(record, model, mesh, level, max_oracle_edges,
-                             map(_euler, _evaluations(record, model, mesh)))
+                             map(_stationarity, _evaluations(record, model, mesh)))
 
 
 def _euler(knot: KnotEvaluation) -> tuple[float, str]:
@@ -304,9 +337,46 @@ def _euler(knot: KnotEvaluation) -> tuple[float, str]:
         return np.inf, str(exc)
 
 
+def _stationarity(knot: KnotEvaluation) -> tuple[float, str, np.ndarray | None, float]:
+    """The knot's ``_euler``, then, where p = q = 2, the free block solves
+    directly (at most ``_DENSE_LIMIT`` free DOFs), the residual is finite
+    and the pinned DOFs hold the datum exactly, its free-DOF pairing and the
+    total recomputed from its field (else None and NaN): what bounds the
+    stored total's distance from the minimum over the knot's crack set."""
+    residual, refusal = _euler(knot)
+    model, topo = knot.model, knot.u.topology
+    if refusal or not np.isfinite(residual) or not model.p == model.q == 2.0 or topo.n_free > _DENSE_LIMIT:
+        return residual, refusal, None, np.nan
+    pinned = topo.constrained_dofs
+    if not np.array_equal(knot.u.values[pinned], model.boundary.value(knot.t)[topo.dof_vertex[pinned]]):
+        return residual, refusal, None, np.nan
+    return residual, refusal, knot.pairing, _recomputed_total(knot)
+
+
+def _runs(record: EvolutionRecord, breaks: np.ndarray) -> list[tuple[int, int]]:
+    """The record's runs, as (first knot, last knot): maximal stretches of
+    knots with one crack set and no load breakpoint strictly inside.  A knot
+    at a breakpoint ends one run and begins the next."""
+    times = record.times
+    crossed = np.searchsorted(breaks, times[1:], "left") > np.searchsorted(breaks, times[:-1], "right")
+    at_break = np.isin(times, breaks)
+    runs, first = [], 0
+    for i in range(1, len(record)):
+        if record.cracks[i] != record.cracks[i - 1] or crossed[i - 1]:
+            runs.append((first, i - 1))
+            first = i
+        elif at_break[i - 1] and i - 1 > first:
+            runs.append((first, i - 1))
+            first = i - 1
+    if len(record):
+        runs.append((first, len(record) - 1))
+    return runs
+
+
 def _global_stability(record: EvolutionRecord, model: EnergyModel, mesh: Mesh, level: str,
-                      max_oracle_edges: int, residuals) -> StabilityResult:
-    """``check_global_stability`` from each knot's ``_euler``, in knot order."""
+                      max_oracle_edges: int, measures) -> StabilityResult:
+    """``check_global_stability`` from each knot's ``_stationarity``, in knot
+    order."""
     if level not in _LEVELS:
         raise AuditError(f"unknown stability level {level!r}; expected one of {_LEVELS}")
     kind = BRUTE_FORCE if level == ORACLE else GREEDY
@@ -316,29 +386,51 @@ def _global_stability(record: EvolutionRecord, model: EnergyModel, mesh: Mesh, l
     max_resid = 0.0
     worst_resid_knot = -1
     inadmissible = ""
-    for i, (r, refusal) in enumerate(residuals):
+    pairings, recomputed = [], []
+    for i, (r, refusal, pairing, total) in enumerate(measures):
         inadmissible = inadmissible or (refusal and f"knot {i}: {refusal}")
         if r > max_resid or not np.isfinite(r):   # a NaN residual is the worst
             max_resid, worst_resid_knot = r, i
+        pairings.append(pairing)
+        recomputed.append(total)
     euler_ok = max_resid <= _RESIDUAL_TOL
 
     violations: list[tuple[int, tuple, float]] = []
     worst_margin = np.inf
     worst_knot = -1
+    stable_runs: list[tuple[int, int]] = []
 
     if level in (ONE_EDGE, ORACLE):
-        for i in range(n):
-            t = float(record.times[i])
-            base = record.cracks[i]
+        if level == ORACLE:
+            for crack in record.cracks:
+                n_cand = len(search.candidates(crack))
+                if n_cand > max_oracle_edges:
+                    raise AuditError(
+                        f"oracle stability over {n_cand} candidate edges exceeds "
+                        f"the limit {max_oracle_edges}; use level one_edge or raise the limit"
+                    )
+        searched: dict[int, tuple] = {}   # knot -> (depth, cracks, energies)
+
+        def rivals(i: int, depth: float) -> tuple[list[CrackSet], list[float]]:
+            """Knot i's rivals, with every one below its stored total by
+            more than ``depth``; a search to a smaller depth serves too."""
+            if i not in searched or searched[i][0] > depth:
+                searched[i] = (depth, *search.rivals(record.cracks[i], float(record.times[i]),
+                                                      record.total_energy(i), depth))
+            return searched[i][1:]
+
+        for first, last in _runs(record, model.breakpoints):
+            if last - first > 1 and search.solver.bounded and \
+                    _stable_between(record, search.solver, first, last, pairings, recomputed, rivals):
+                stable_runs.append((first, last))
+                continue
+            for i in range(first, last + 1):
+                rivals(i, tie_tolerance(record.total_energy(i)))
+
+        for i in sorted(searched):
+            _, cracks, energies = searched[i]
             e_rec = record.total_energy(i)
             tol_i = tie_tolerance(e_rec)
-            n_cand = len(search.candidates(base))
-            if level == ORACLE and n_cand > max_oracle_edges:
-                raise AuditError(
-                    f"oracle stability over {n_cand} candidate edges exceeds "
-                    f"the limit {max_oracle_edges}; use level one_edge or raise the limit"
-                )
-            cracks, energies = search.rivals(base, t, e_rec)
             for crack, e_cand in zip(cracks, energies):
                 margin = e_cand - e_rec
                 if margin < worst_margin:
@@ -374,8 +466,44 @@ def _global_stability(record: EvolutionRecord, model: EnergyModel, mesh: Mesh, l
         level=level, level_passed=level_passed,
         worst_margin=float(worst_margin if worst_margin < np.inf else 0.0),
         worst_knot=worst_knot, max_euler_residual=max_resid,
-        violations=violations, result=res,
+        violations=violations, result=res, stable_runs=stable_runs,
     )
+
+
+def _stable_between(record: EvolutionRecord, solver, first: int, last: int,
+                    pairings: list, recomputed: list, rivals) -> bool:
+    """Whether the rivals at the end knots of the run [first, last] certify
+    its interior knots, searched through ``rivals(knot, depth)``.
+
+    The stored total at an interior knot k lies above the minimum over the
+    run's crack set X by at most d_k = (stored - recomputed total) + gap_k,
+    gap_k = 1/2 g.K_ff^-1 g for the knot's free-DOF pairing g (exact for
+    p = q = 2 and a field holding its datum).  A rival Y's margin over X's
+    minimum is concave in t on a load segment, so at k it is at least its
+    smaller end value.  Hence no interior margin falls below the tie
+    tolerance when, at both ends, X itself scores at most the stored total
+    and no rival lies below it by more than the depth: the run's smallest
+    tie tolerance minus its largest d_k.  Any rival energy that is not
+    finite, or a field without a pairing, refuses the certificate."""
+    inner = range(first + 1, last)
+    if any(pairings[k] is None for k in inner):
+        return False
+    crack = record.cracks[first]
+    stored = [record.total_energy(k) for k in range(first, last + 1)]
+    gaps = solver.energy_gaps(crack, np.column_stack([pairings[k] for k in inner]))
+    excess = np.array([stored[k - first] - recomputed[k] for k in inner]) + gaps
+    if not np.isfinite(excess).all():
+        return False
+    depth = min(map(tie_tolerance, stored)) - max(0.0, float(excess.max()))
+    if not depth > 0.0:
+        return False
+    for k in (first, last):
+        cracks, energies = rivals(k, depth)
+        margins = np.asarray(energies) - record.total_energy(k)
+        if cracks[0] != crack or not np.isfinite(margins).all() or not margins[0] <= 0.0 \
+                or not (margins >= -depth).all():
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +712,7 @@ def _certificates(certs) -> CheckResult:
 
 CHECKS = ("irreversibility", "balance", "stability", "structure", "certificates")
 # what each check reads from a knot's evaluation
-_MEASURES = {"balance": _recomputed_total, "stability": _euler, "certificates": _certify}
+_MEASURES = {"balance": _recomputed_total, "stability": _stationarity, "certificates": _certify}
 
 
 def _evaluations(record: EvolutionRecord, model: EnergyModel, mesh: Mesh):

@@ -440,8 +440,8 @@ class _Search:
         present = crack.as_set()
         return [e for e in self.crackable if e not in present]
 
-    def branch_and_bound(self, base: CrackSet, t: float,
-                         stored: float | None = None) -> tuple[list[CrackSet], list[float]]:
+    def branch_and_bound(self, base: CrackSet, t: float, stored: float | None = None,
+                         tol: float | None = None) -> tuple[list[CrackSet], list[float]]:
         """The supersets of ``base`` that can decide an exact search at time t,
         in ``extensions`` order, with their energies as ``energies`` scores them.
 
@@ -454,10 +454,10 @@ class _Search:
         the crack grows, and the surface energy adds up over edges.  A node
         is pruned when this bound exceeds both the incumbent plus
         1e-9 * (1 + max(|incumbent|, |root bound|)), which covers the tie
-        window of the final minimum, and ``stored`` minus its tie tolerance.
-        So the result holds the minimum, every superset within the tie
-        tolerance of it and, given ``stored``, every superset below it by
-        more than its tie tolerance.
+        window of the final minimum, and the floor ``stored`` minus ``tol``
+        (its tie tolerance unless given).  So the result holds the minimum,
+        every superset within the tie tolerance of it and, given ``stored``,
+        every superset below it by more than ``tol``.
         """
         cand = self.candidates(base)
         if len(cand) > self.strategy.max_bruteforce_edges:
@@ -466,7 +466,7 @@ class _Search:
                 f"limit {self.strategy.max_bruteforce_edges}; shrink the brittle region "
                 "or use a greedy strategy"
             )
-        floor = -np.inf if stored is None else stored - tie_tolerance(stored)
+        floor = -np.inf if stored is None else stored - (tie_tolerance(stored) if tol is None else tol)
         # tail[k]: surface energy of the undecided edges cand[k:]
         es = self._edge_es[cand]
         tail = np.append(np.cumsum(es[::-1])[::-1], 0.0).tolist()
@@ -492,13 +492,15 @@ class _Search:
         order = sorted(leaves, key=lambda c: (len(c), c.edge_ids))
         return order, [leaves[c] for c in order]
 
-    def rivals(self, base: CrackSet, t: float, stored: float) -> tuple[list[CrackSet], list[float]]:
+    def rivals(self, base: CrackSet, t: float, stored: float,
+               tol: float | None = None) -> tuple[list[CrackSet], list[float]]:
         """The supersets of ``base`` that a minimality verdict against the
         stored total ``stored`` at time t weighs, with their energies: the
-        branch and bound under brute force, else ``base`` and its single-edge
-        (with pairs, also two-edge) extensions, scored by ``energies``."""
+        branch and bound under brute force (down to ``stored`` minus
+        ``tol``), else ``base`` and its single-edge (with pairs, also
+        two-edge) extensions, scored by ``energies``.  ``base`` comes first."""
         if self.strategy.kind == BRUTE_FORCE:
-            return self.branch_and_bound(base, t, stored)
+            return self.branch_and_bound(base, t, stored, tol)
         sizes = (0, 1, 2) if self.strategy.kind == GREEDY_WITH_PAIRS else (0, 1)
         cracks = extensions(base, self.candidates(base), sizes)
         return cracks, self.energies(cracks, t, stored)

@@ -649,7 +649,7 @@ class ElasticSolver:
         self.tol = tol
         self.quadratic = model.p == 2.0 and model.q == 2.0
         self._cache = LRU(_CACHE_SIZE)   # edge ids -> _CrackData
-        self._open: _OpenSpace | bool | None = None   # built when ``scores`` is first read
+        self._open: _OpenSpace | bool | None = None   # built when ``scores`` or ``bounded`` is first read
         self._open_at: tuple | None = None     # (t, E_open, r) of the last score
         self._last: tuple | None = None        # ((edge ids, t), (field, report)) of the last solve
         # per-triangle constants: |T| mu and G^T G (Newton), the forms (p = q = 2)
@@ -664,18 +664,32 @@ class ElasticSolver:
     def _data(self, crack: CrackSet) -> _CrackData:
         return self._cache.get(crack.edge_ids, lambda: _CrackData(self.model, self.mesh, crack, self._forms))
 
+    def _open_space(self) -> _OpenSpace | bool:
+        """The all-open space, built on first use; False where p or q is
+        not 2 or the space is refused."""
+        if self._open is None:
+            try:
+                self._open = _OpenSpace(self.model, self.mesh, self._forms) if self.quadratic else False
+            except FloatingComponentError:
+                self._open = False
+        return self._open
+
+    @property
+    def bounded(self) -> bool:
+        """Whether p = q = 2 and every crack set's free block K_ff is
+        positive definite, so that its minimum is finite and unique: the
+        body is confined (lambda > 0), or no piece of the all-open body is
+        without a Dirichlet constraint."""
+        return self.quadratic and (self.model.body.lam > 0.0 or self._open_space() is not False)
+
     @property
     def scores(self) -> bool:
         """Whether ``score`` applies: p = q = 2, some confinement or no piece
-        of the all-open body left without a Dirichlet constraint, and few
-        enough rows that a score costs less than a solve."""
-        if self._open is None:
-            try:
-                space = _OpenSpace(self.model, self.mesh, self._forms) if self.quadratic else None
-            except FloatingComponentError:
-                space = None
-            self._open = False if space is None or space.gram is None else space
-        return self._open is not False
+        of the all-open body left without a Dirichlet constraint, no such
+        piece loaded, and few enough rows that a score costs less than a
+        solve."""
+        space = self._open_space()
+        return space is not False and space.gram is not None
 
     def score(self, crack: CrackSet, t: float) -> float:
         """Elastic energy of the minimizer over ``crack`` at time ``t`` from
@@ -698,6 +712,19 @@ class ElasticSolver:
         if not math.isfinite(energy):
             raise SolveError(f"non-finite energy score at t={t}")
         return energy
+
+    def energy_gaps(self, crack: CrackSet, gradients: np.ndarray) -> np.ndarray:
+        """1/2 g.K_ff^-1 g for each column g of ``gradients``, the free
+        gradients of fields on ``crack`` that hold its datum exactly: how far
+        each field's elastic energy lies above the minimum over ``crack``.
+        It solves with the crack set's cached direct factor, so it needs
+        p = q = 2, no floating piece and at most ``_DENSE_LIMIT`` free DOFs,
+        else ``ValueError``."""
+        data = self._data(crack)
+        if data.method != "direct":
+            raise ValueError("energy gaps need a direct factor of the crack set's K_ff")
+        x, _ = data.solve(gradients, 0.0)
+        return 0.5 * np.einsum("ij,ij->j", gradients, x)
 
     def solve(self, crack: CrackSet, t: float):
         """(field, report) with the free gradient's norm at most ``tol``.

@@ -28,7 +28,7 @@ from qsfrac.audit import (
     stress_continuity_probe,
 )
 from qsfrac.broken import BrokenField, CrackSet, build_topology
-from qsfrac.corpus import CORPUS, build_config, strip_crackfree
+from qsfrac.corpus import CORPUS, build_config, config_text, strip_crackfree
 from qsfrac.config import parse_config
 from qsfrac.energy import TimeTable, Toughness, elastic_energy
 from qsfrac.evolution import (
@@ -37,7 +37,9 @@ from qsfrac.evolution import (
     EvolutionRecord,
     SearchStrategy,
     TimeGrid,
+    _Search,
     run_evolution,
+    tie_tolerance,
 )
 from qsfrac.mesh import build_structured_mesh
 from qsfrac.minimize import _FreeBlock, _local_forms, _spd_solver, euler_residual, minimize_elastic
@@ -507,9 +509,10 @@ def test_dual_certificate_refuses_a_field_off_the_datum_of_its_time(lattice17):
 # one evaluation per knot
 # ---------------------------------------------------------------------------
 
-def _loaded_run(tmp_path_factory, name, knots):
-    """The corpus instance's problem and its record, saved and read back."""
-    p = build_config(name, knots).build_problem()
+def _loaded_run(tmp_path_factory, name, knots, text=None):
+    """The corpus instance's problem, or that of the config ``text``, and its
+    record, saved and read back."""
+    p = parse_config(text or config_text(name, knots)).build_problem()
     rec = run_evolution(p.model, p.mesh, p.grid, p.initial_crack, p.strategy, config_hash=p.config_hash)
     path = tmp_path_factory.mktemp(name) / "rec.json"
     rec.save(path)
@@ -627,6 +630,121 @@ def test_certificates_raise_a_warning_of_the_certificate_arithmetic(monkeypatch,
             check_certificates(rec, p.model, p.mesh)
         with pytest.raises(RuntimeWarning, match="overflow"):
             audit_record(rec, p.model, p.mesh, ["balance", "stability", "certificates"])
+
+
+# ---------------------------------------------------------------------------
+# stability between knots
+# ---------------------------------------------------------------------------
+
+# the lattice's datum kinked at t = 0.5, inside the run of its first crack set
+KINKED_LATTICE = config_text("lattice", 17).replace("boundary.psi = 0: 0; 1: x / 3",
+                                                    "boundary.psi = 0: 0; 0.5: x / 4; 1: x / 3")
+
+
+@pytest.fixture(scope="module")
+def kinked17(tmp_path_factory):
+    return _loaded_run(tmp_path_factory, "kinked", 17, KINKED_LATTICE)
+
+
+@pytest.fixture(scope="module")
+def unconfined9(tmp_path_factory):
+    # no confinement and a floating middle column once every crackable edge
+    # is cracked: the all-open space is refused; greedy, so no run solves it
+    text = config_text("lattice", 9).replace("energy.lambda = 1e-3", "energy.lambda = 0")
+    return _loaded_run(tmp_path_factory, "unconfined", 9, text + "strategy.kind = greedy\n")
+
+
+def _searched_times(monkeypatch):
+    """The times ``_Search.rivals`` is called at, in order."""
+    times = []
+    rivals = _Search.rivals
+
+    def counted(self, base, t, stored, tol=None):
+        times.append(t)
+        return rivals(self, base, t, stored, tol)
+
+    monkeypatch.setattr(_Search, "rivals", counted)
+    return times
+
+
+def _at_every_knot(monkeypatch, rec, p, level):
+    """The stability check with every knot its own run: a search at every knot."""
+    with monkeypatch.context() as m:
+        m.setattr(audit, "_runs", lambda record, breaks: [(i, i) for i in range(len(record))])
+        return check_global_stability(rec, p.model, p.mesh, level=level)
+
+
+def _report_bytes(res):
+    report = AuditReport([res.result])
+    return report.to_text(), json.dumps(report.to_payload(), sort_keys=True)
+
+
+@pytest.mark.parametrize("level", [ONE_EDGE, ORACLE])
+def test_stability_searches_the_ends_of_runs_split_at_a_load_breakpoint(monkeypatch, kinked17, level):
+    # the crack set of knots 6-16 spans the kink at t = 0.5 (knot 8): its run
+    # splits there, and each run is searched at its two end knots only
+    p, rec = kinked17
+    assert rec.jump_knots() == [6] and rec.times[8] == 0.5
+    searched = _searched_times(monkeypatch)
+    res = check_global_stability(rec, p.model, p.mesh, level=level)
+    assert res.stable_runs == [(0, 5), (6, 8), (8, 16)]
+    # knot 8 ends one run and begins the next; its first search serves both
+    assert searched == [rec.times[k] for k in (0, 5, 6, 8, 16)]
+    searched.clear()
+    ref = _at_every_knot(monkeypatch, rec, p, level)
+    assert searched == list(rec.times) and ref.stable_runs == []
+    assert (res.level_passed, res.worst_margin, res.worst_knot, res.violations) == \
+        (ref.level_passed, ref.worst_margin, ref.worst_knot, ref.violations)
+    assert _report_bytes(res) == _report_bytes(ref)
+
+
+@pytest.mark.parametrize("run, level", [("quartic9", ORACLE), ("unconfined9", ONE_EDGE)])
+def test_stability_searches_every_knot_where_margins_need_not_be_concave(monkeypatch, request, run, level):
+    # p = 4, and no confinement with a piece of the all-open body that has
+    # no Dirichlet constraint, keep the search at every knot
+    p, rec = request.getfixturevalue(run)
+    assert len(set(rec.cracks)) == 1 or p.model.p != 2.0
+    searched = _searched_times(monkeypatch)
+    res = check_global_stability(rec, p.model, p.mesh, level=level)
+    assert searched == list(rec.times) and res.stable_runs == []
+    assert res.level_passed
+
+
+def test_a_loaded_piece_that_floats_in_the_open_space_is_certified_between_knots(monkeypatch, tmp_path_factory):
+    # cracking frees the loaded right piece of surface_pull: the open space
+    # scores nothing, yet lam > 0 keeps every K_ff positive definite
+    p, rec = _loaded_run(tmp_path_factory, "surface_pull", 17)
+    assert not _Search(p.model, p.mesh).solver.scores
+    res = check_global_stability(rec, p.model, p.mesh, level=ORACLE)
+    assert res.stable_runs == [(0, 10), (11, 16)]
+    assert _report_bytes(res) == _report_bytes(_at_every_knot(monkeypatch, rec, p, ORACLE))
+
+
+@pytest.mark.parametrize("raised, certified", [(0.3, True), (0.6, False)])
+def test_an_end_margin_inside_the_guard_band_falls_back_to_a_search_at_every_knot(monkeypatch, lattice17,
+                                                                                   raised, certified):
+    # the stored totals of the run 8-16 sit ``raised`` tie tolerances above
+    # the fields' own: no knot violates, and the guard band reaches 1 -
+    # ``raised`` tie tolerances below them.  Each end's own crack set lies
+    # above the band at 0.3 and inside it at 0.6.  Knot 3 sits 2 tie
+    # tolerances above, a violation no end of its run shows
+    p, rec = lattice17
+    assert rec.jump_knots() == [8]
+    bad = doctor(rec)
+    for k, by in [(3, 2.0)] + [(k, raised) for k in range(8, 17)]:
+        e = bad.energies[k]["total"]
+        bad.energies[k]["total"] = e + by * tie_tolerance(e)
+    searched = _searched_times(monkeypatch)
+    res = check_global_stability(bad, p.model, p.mesh, level=ORACLE)
+    if certified:
+        assert res.stable_runs == [(8, 16)] and searched == list(rec.times[:9]) + [rec.times[16]]
+    else:
+        assert res.stable_runs == [] and searched == list(rec.times)
+    assert res.result.verdict == "FAIL" and res.result.details.startswith("knot 3: ")
+    assert [k for k, _, _ in res.violations] == [3]
+    ref = _at_every_knot(monkeypatch, bad, p, ORACLE)
+    assert (res.worst_margin, res.worst_knot, res.violations) == (ref.worst_margin, ref.worst_knot, ref.violations)
+    assert _report_bytes(res) == _report_bytes(ref)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsfrac.audit import ORACLE, check_global_stability
+from qsfrac.audit import EULER, ONE_EDGE, ORACLE, check_global_stability
 from qsfrac.broken import CrackSet
 from qsfrac.energy import TimeTable, Toughness, total_energy
 from qsfrac.evolution import (
@@ -241,6 +241,46 @@ def _oracle_reference(search, rec):
             if e - e_rec < -tie_tolerance(e_rec):
                 violations.append((i, crack.edge_ids, float(e - e_rec)))
     return float(worst_margin), worst_knot, violations
+
+
+def _one_edge_reference(search, rec):
+    """(worst margin, worst knot, violations) of the one-edge audit by a
+    search at every knot: the base and each single-edge extension."""
+    worst_margin, worst_knot, violations = np.inf, -1, []
+    for i in range(len(rec)):
+        t, e_rec = float(rec.times[i]), rec.total_energy(i)
+        cracks = extensions(rec.cracks[i], search.candidates(rec.cracks[i]), (0, 1))
+        for crack, e in zip(cracks, search.energies(cracks, t, stored=e_rec)):
+            if e - e_rec < worst_margin:
+                worst_margin, worst_knot = e - e_rec, i
+            if e - e_rec < -tie_tolerance(e_rec):
+                violations.append((i, crack.edge_ids, float(e - e_rec)))
+    return float(worst_margin), worst_knot, violations
+
+
+@given(problems(), st.sampled_from([BRUTE_FORCE, GREEDY]))
+@settings(max_examples=40, deadline=None)
+def test_stability_audits_decide_like_a_search_at_every_knot(case, kind):
+    # at 9 knots a run of one crack set has interior knots, and the psi
+    # breakpoint at 0.3, 0.5 or 0.8 falls inside some: the audits search
+    # only the end knots of the runs they certify, yet decide, and give the
+    # worst margin and knot, as a search at every knot
+    model, mesh = case
+    rec = run_evolution(model, mesh, TimeGrid.uniform(1.0, 9), CrackSet.empty(), SearchStrategy(kind))
+    search = _Search(model, mesh)
+    breaks = model.breakpoints
+    for audited in (rec, _uncracked(rec, model, mesh, search.solver)):
+        euler_ok = check_global_stability(audited, model, mesh, level=EULER).level_passed
+        for level, reference in ((ORACLE, _oracle_reference), (ONE_EDGE, _one_edge_reference)):
+            res = check_global_stability(audited, model, mesh, level=level)
+            worst_margin, worst_knot, violations = reference(search, audited)
+            verdict = "FAIL" if violations or not euler_ok else "PASS" if level == ORACLE else "INCONCLUSIVE"
+            assert (res.result.verdict, res.worst_margin, res.worst_knot, res.violations) == \
+                (verdict, worst_margin, worst_knot, violations)
+            for first, last in res.stable_runs:
+                lo, hi = audited.times[first], audited.times[last]
+                assert last - first > 1 and len(set(audited.cracks[first:last + 1])) == 1
+                assert not ((breaks > lo) & (breaks < hi)).any()
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from qsfrac import minimize
 from qsfrac.broken import BrokenField, CrackSet, build_topology
 from qsfrac.config import parse_config
 from qsfrac.corpus import config_text
-from qsfrac.energy import TimeTable, body_hessian_coeff, elastic_energy, stress_jacobian
+from qsfrac.energy import KnotEvaluation, TimeTable, body_hessian_coeff, elastic_energy, stress_jacobian
 from qsfrac.mesh import build_structured_mesh, crackable_edges
 from qsfrac.minimize import (
     ElasticSolver,
@@ -997,6 +997,30 @@ def test_every_default_tolerance_is_the_solver_default():
         (evolution.run_evolution, "solver_tol"), (evolution.incremental_step, "tol"))]
     assert defaults == [minimize.TOL] * 5 and minimize.TOL == 1e-10
     assert parse_config(config_text("strip", 5)).build_problem().solver_tol == minimize.TOL
+
+
+def test_energy_gaps_are_how_far_a_field_lies_above_the_minimum():
+    # 1/2 g.K_ff^-1 g is the elastic energy a field holding its datum has
+    # above the minimizer over its crack set (p = q = 2, direct factor);
+    # other exponents and the CG path have no factor to solve with
+    p = parse_config(config_text("lattice", 9)).build_problem()
+    solver = ElasticSolver(p.model, p.mesh)
+    crack, t = CrackSet.of(crackable_edges(p.mesh)[:3]), 0.7
+    u, _ = solver.solve(crack, t)
+    rng = np.random.default_rng(5)
+    fields = []
+    for _ in range(3):
+        vals = u.values.copy()
+        vals[u.topology.free_dofs] += 1e-3 * rng.normal(size=u.topology.n_free)
+        fields.append(BrokenField(u.topology, vals))
+    g = np.column_stack([KnotEvaluation(p.model, p.mesh, t, v, crack).pairing for v in fields])
+    e_min, _ = elastic_energy(p.model, p.mesh, t, u)
+    excess = [elastic_energy(p.model, p.mesh, t, v)[0] - e_min for v in fields]
+    np.testing.assert_allclose(solver.energy_gaps(crack, g), excess, rtol=1e-6)
+    for text in (config_text("quartic", 9), NOTCHED.format(nx=20, ny=10, knots=3, kind="greedy")):
+        q = parse_config(text).build_problem()
+        with pytest.raises(ValueError, match="direct factor"):
+            ElasticSolver(q.model, q.mesh).energy_gaps(q.initial_crack, np.zeros((1, 1)))
 
 
 @pytest.mark.parametrize("nx, brittle, scores", [
