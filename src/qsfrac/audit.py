@@ -7,12 +7,12 @@ energy increment matches the integrated power of the external loadings) —
 plus the structure identity (the crack equals the initial crack united with
 all past jump supports) and two convex-duality certificates.
 
-Each check that reads the recorded fields (the balance recompute, the Euler
-residuals of the stability check and the certificates) reads them through
-one ``energy.KnotEvaluation`` per knot, built from one gather of the knot's
-corner values.  A public check builds its own; ``audit_record``, the entry
-point of ``qsfrac audit``, builds each knot's once for every check it runs,
-and keeps only what each check needs of it.  The Euler residual and the
+Each check that reads the recorded fields (the balance's totals and powers,
+the Euler residuals of the stability check and the certificates) reads them
+through one ``energy.KnotEvaluation`` per knot, built from one gather of the
+knot's corner values.  A public check builds its own; ``audit_record``, the
+entry point of ``qsfrac audit``, builds each knot's once for every check it
+runs, and keeps only what each check needs of it.  The Euler residual and the
 certificate's annihilation residual are one number, the norm of the
 evaluation's free-DOF pairing, and a field that is not admissible at its
 time (a pinned DOF off the boundary datum) has neither.
@@ -225,35 +225,39 @@ class BalanceResult:
 def check_energy_balance(record: EvolutionRecord, model: EnergyModel, mesh: Mesh,
                          exclude_intervals: tuple[int, ...] = (),
                          tol: float | None = None) -> BalanceResult:
-    """Compare energy increments with the trapezoid rule on the power samples.
+    """Compare energy increments with the trapezoid rule on the net power of
+    each knot's field at its time (``energy.KnotEvaluation.powers``).
 
     The gap is the largest magnitude, over knots, of the accumulated
     difference between the stored total energy relative to the initial one
     and the integrated net power.  ``exclude_intervals`` removes individual
     interval contributions (e.g. the single interval where a crack jump makes
-    the power samples one-sided).  Stored energy components are first
-    recomputed from the fields; a mismatch beyond 1e-12 relative is a FAIL on
-    its own (the record does not describe the model it claims to).
+    the powers one-sided).  Stored total energies are first recomputed from
+    the fields; a mismatch beyond 1e-12 relative is a FAIL on its own (the
+    record does not describe the model it claims to).
     """
     return _energy_balance(record, map(_recomputed_total, _evaluations(record, model, mesh)),
                            exclude_intervals, tol)
 
 
-def _recomputed_total(knot: KnotEvaluation) -> float:
-    with np.errstate(over="ignore", invalid="ignore"):   # an overflow is an inf or NaN total
-        return knot.energies["total"]
+def _recomputed_total(knot: KnotEvaluation) -> tuple[float, float]:
+    """The knot's total energy and net power, recomputed from its field."""
+    with np.errstate(over="ignore", invalid="ignore"):   # an overflow is an inf or NaN total or power
+        return knot.energies["total"], net_power(knot.powers)
 
 
 def _energy_balance(record: EvolutionRecord, recomputed, exclude_intervals: tuple[int, ...],
                     tol: float | None) -> BalanceResult:
-    """``check_energy_balance`` from the total recomputed at each knot, read
-    in knot order up to the first mismatch."""
+    """``check_energy_balance`` from the (total, net power) recomputed at each
+    knot, read in knot order up to the first mismatch of the totals."""
     n = len(record)
     times = record.times
+    powers = []
     # recomputation guard: the record must be consistent with the model.  The
     # tolerance scales with the stored total, which loading checked finite, so
     # a recomputed total that overflows fails, as NaN does
-    for i, total in enumerate(recomputed):
+    for i, (total, power) in enumerate(recomputed):
+        powers.append(power)
         stored = record.total_energy(i)
         if not abs(total - stored) <= _RECOMPUTE_RTOL * (1.0 + abs(stored)):
             res = CheckResult(
@@ -264,7 +268,7 @@ def _energy_balance(record: EvolutionRecord, recomputed, exclude_intervals: tupl
             )
             return BalanceResult(np.inf, np.zeros(max(n - 1, 0)), np.zeros(n), tuple(exclude_intervals), res)
 
-    powers = np.asarray([net_power(p) for p in record.powers])
+    powers = np.asarray(powers)
     totals = np.asarray([record.total_energy(i) for i in range(n)])
     mask = np.ones(max(n - 1, 0), dtype=bool)
     for i in exclude_intervals:
@@ -350,7 +354,8 @@ def _stationarity(knot: KnotEvaluation) -> tuple[float, str, np.ndarray | None, 
     pinned = topo.constrained_dofs
     if not np.array_equal(knot.u.values[pinned], model.boundary.value(knot.t)[topo.dof_vertex[pinned]]):
         return residual, refusal, None, np.nan
-    return residual, refusal, knot.pairing, _recomputed_total(knot)
+    with np.errstate(over="ignore", invalid="ignore"):   # an overflow is an inf or NaN total
+        return residual, refusal, knot.pairing, knot.energies["total"]
 
 
 def _runs(record: EvolutionRecord, breaks: np.ndarray) -> list[tuple[int, int]]:

@@ -434,7 +434,7 @@ def _body_density(pot: BodyPotential, f: np.ndarray, z: np.ndarray) -> np.ndarra
 
 def _body_rate(pot: BodyPotential, t: float, area: np.ndarray, z: np.ndarray) -> float:
     """Integral of fdot(t) u from the midpoint means ``z``."""
-    return float(np.sum(area * pot.table.rate(t) * z))
+    return float((area * pot.table.rate(t) * z).sum())
 
 
 def body_value_and_gradient(pot: BodyPotential, t: float, u: BrokenField):
@@ -513,7 +513,7 @@ def _surface_value(g: np.ndarray, lengths: np.ndarray, trace: np.ndarray) -> flo
 
 def surface_rate(pot: SurfacePotential, t: float, trace: np.ndarray, mesh: Mesh) -> float:
     ids = mesh.surface_edges
-    return float(np.sum(mesh.edge_length[ids] * pot.table.rate(t) * np.asarray(trace)))
+    return float((mesh.edge_length[ids] * pot.table.rate(t) * np.asarray(trace)).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -588,12 +588,12 @@ class KnotEvaluation:
     gather of its corner values.  Each quantity below is computed on first
     use from that gather and kept while the object lives; it keeps nothing
     else, so a caller builds one per (field, time) and drops it with its
-    call.  A record's row reads ``energies`` and ``powers``, the audits read
-    ``energies``, ``residual`` and, for the dual certificate, ``triple``,
-    ``pairing`` and ``elastic``.  Its sums are ``ndarray.sum`` and its means
-    sums divided by the count: the bits of ``np.sum`` and ``mean`` at less
-    Python-level cost per call, which on the small meshes of the corpus is
-    most of the cost.
+    call.  A record's row reads ``energies``, the audits read ``energies``,
+    ``powers`` (the balance), ``residual`` and, for the dual certificate,
+    ``triple``, ``pairing`` and ``elastic``.  Its sums are ``ndarray.sum``
+    and its means sums divided by the count: the bits of ``np.sum`` and
+    ``mean`` at less Python-level cost per call, which on the small meshes
+    of the corpus is most of the cost.
     """
 
     def __init__(self, model: EnergyModel, mesh: Mesh, t: float, u: BrokenField, crack: CrackSet):
@@ -671,7 +671,7 @@ class KnotEvaluation:
         ids = mesh.surface_edges
         surface = (0.0, 0.0)
         if len(ids):
-            surface = (float(np.sum(mesh.edge_length[ids] * -surf * psi_dot[mesh.edges[ids]].mean(axis=1))),
+            surface = (float((mesh.edge_length[ids] * -surf * (psi_dot[mesh.edges[ids]].sum(axis=1) / 2)).sum()),
                        surface_rate(model.surface, t, self.trace, mesh))
         grads_psi_dot = corner_gradients(mesh, psi_dot_corner)
         return {

@@ -26,10 +26,10 @@ Energy ties within 1e-9 * (1 + |E|) are broken toward fewer cracked edges,
 then toward the lexicographically smallest edge-id set: a crack only appears
 when it is strictly energetically convenient, and records are reproducible.
 
-The produced record stores, per knot, the crack set, the field, all energy
-components, and the five power terms whose time integral the energy-balance
-audit compares against the energy increment; a knot's energy components and
-power terms come from one ``energy.KnotEvaluation`` of its field.
+The produced record stores, per knot, the crack set, the field and all
+energy components, which come from one ``energy.KnotEvaluation`` of its
+field.  It stores no power: the power a knot's field exerts at its time is a
+function of the two, and the energy-balance audit computes it from them.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ GREEDY_WITH_PAIRS = "greedy_pairs"
 _KINDS = (BRUTE_FORCE, GREEDY, GREEDY_WITH_PAIRS)
 MAX_BRUTEFORCE_EDGES = 20   # default candidate-edge cap of brute force, and oracle-compare's cap
 
-RECORD_FORMAT_VERSION = 1
+RECORD_FORMAT_VERSION = 2
 
 
 class EvolutionError(RuntimeError):
@@ -164,10 +164,9 @@ class SearchStrategy:
 
 
 # ---------------------------------------------------------------------------
-# power samples and record rows
+# power terms and record rows
 # ---------------------------------------------------------------------------
 
-_POWER_KEYS = ("stress_power", "body_coupling", "body_rate", "surface_coupling", "surface_rate")
 _ENERGY_KEYS = ("W", "Es", "F", "G", "total")
 
 
@@ -217,13 +216,12 @@ def _number(value, what: str) -> float:
 
 @dataclass
 class EvolutionRecord:
-    """Per-knot states, energy components and power samples of one run."""
+    """Per-knot states and energy components of one run."""
 
     grid: TimeGrid
     cracks: list[CrackSet]
     fields: list[BrokenField]
     energies: list[dict]
-    powers: list[dict]
     strategy: SearchStrategy
     config_hash: str = ""
     mesh_hash: str = ""
@@ -254,7 +252,6 @@ class EvolutionRecord:
             cracks=list(self.cracks),
             fields=list(self.fields),
             energies=[dict(e) for e in self.energies],
-            powers=[dict(p) for p in self.powers],
             annotations=list(self.annotations),
         )
 
@@ -268,7 +265,6 @@ class EvolutionRecord:
                 "crack": list(self.cracks[i].edge_ids),
                 "dofs": self.fields[i].values.tolist(),
                 "energy": {k: float(self.energies[i][k]) for k in _ENERGY_KEYS},
-                "power": {k: float(self.powers[i][k]) for k in _POWER_KEYS},
             })
         return {
             "format_version": RECORD_FORMAT_VERSION,
@@ -277,7 +273,6 @@ class EvolutionRecord:
             "strategy": {
                 "kind": self.strategy.kind,
                 "max_bruteforce_edges": self.strategy.max_bruteforce_edges,
-                "certification": self.certification,
             },
             "grid": self.times.tolist(),
             "complete": self.complete,
@@ -286,9 +281,9 @@ class EvolutionRecord:
         }
 
     def save(self, path) -> None:
-        """Write the record in one write; floats round-trip exactly through
-        the JSON text."""
-        text = json.dumps(self.to_payload(), sort_keys=True, indent=1) + "\n"
+        """Write the record in one write, unindented with sorted keys; floats
+        round-trip exactly through the JSON text."""
+        text = json.dumps(self.to_payload(), sort_keys=True) + "\n"
         with open(path, "w") as fh:
             fh.write(text)
 
@@ -301,8 +296,9 @@ class EvolutionRecord:
         A file that is not a readable record for this mesh (bad JSON, a
         missing key, a DOF array of the wrong length, an edge that cannot
         crack, a non-finite number, a value of another JSON type than
-        ``save`` writes, a certification not the strategy's) raises
-        ``RecordError`` naming the knot.
+        ``save`` writes, a format version other than ``save``'s) raises
+        ``RecordError`` naming the knot.  Keys ``save`` does not write are
+        not read.
         """
         with open(path) as fh:
             try:
@@ -320,7 +316,7 @@ class EvolutionRecord:
             grid = TimeGrid(_finite(payload["grid"], "grid"))
             if len(payload["knots"]) != len(grid):
                 raise ValueError(f"{len(payload['knots'])} knots stored for a grid of {len(grid)}")
-            cracks, fields, energies, powers = [], [], [], []
+            cracks, fields, energies = [], [], []
             for i, row in enumerate(payload["knots"]):
                 where = f"knot {i}"
                 crack = CrackSet.of(_typed(row["crack"], "crack", (list,), (int,)))
@@ -328,23 +324,17 @@ class EvolutionRecord:
                     layouts[crack] = build_topology(mesh, crack)
                 values = _finite(row["dofs"], "DOF")
                 energy = {k: _number(row["energy"][k], k) for k in _ENERGY_KEYS}
-                power = {k: _number(row["power"][k], k) for k in _POWER_KEYS}
                 cracks.append(crack)
                 fields.append(BrokenField(layouts[crack], values))
                 energies.append(energy)
-                powers.append(power)
             where = "record"
             strat = payload["strategy"]
             limit = _typed(strat["max_bruteforce_edges"], "max_bruteforce_edges", (int,))
             if limit < 0:
                 raise ValueError(f"max_bruteforce_edges: expected a count, got {limit}")
-            strategy = SearchStrategy(strat["kind"], limit)
-            certification = _typed(strat["certification"], "certification", (str,))
-            if certification != strategy.certification:
-                raise ValueError(f"certification: expected {strategy.certification!r} for strategy "
-                                 f"{strategy.kind!r}, got {certification!r:.60}")
             return cls(
-                grid=grid, cracks=cracks, fields=fields, energies=energies, powers=powers, strategy=strategy,
+                grid=grid, cracks=cracks, fields=fields, energies=energies,
+                strategy=SearchStrategy(strat["kind"], limit),
                 config_hash=_typed(payload["config_hash"], "config_hash", (str,)),
                 mesh_hash=_typed(payload["mesh_hash"], "mesh_hash", (str,)),
                 complete=_typed(payload["complete"], "complete", (bool,)),
@@ -614,14 +604,12 @@ def run_evolution(model: EnergyModel, mesh: Mesh, grid: TimeGrid, crack0: CrackS
 
     cracks = [crack0]
     fields = [u0]
-    knot = KnotEvaluation(model, mesh, t0, u0, crack0)
-    energies = [knot.energies]
-    powers = [knot.powers]
+    energies = [KnotEvaluation(model, mesh, t0, u0, crack0).energies]
 
     def record(complete: bool) -> EvolutionRecord:
         return EvolutionRecord(
             grid=grid if complete else TimeGrid(grid.knots[: len(cracks)]), cracks=cracks,
-            fields=fields, energies=energies, powers=powers, strategy=strategy,
+            fields=fields, energies=energies, strategy=strategy,
             config_hash=config_hash, mesh_hash=mesh_fingerprint(mesh), complete=complete,
             annotations=annotations,
         )
@@ -637,9 +625,7 @@ def run_evolution(model: EnergyModel, mesh: Mesh, grid: TimeGrid, crack0: CrackS
         assert cracks[-1].issubset(crack)
         cracks.append(crack)
         fields.append(u)
-        knot = KnotEvaluation(model, mesh, t, u, crack)
-        energies.append(knot.energies)
-        powers.append(knot.powers)
+        energies.append(KnotEvaluation(model, mesh, t, u, crack).energies)
 
     return record(True)
 
@@ -662,9 +648,7 @@ def _envelope(record: EvolutionRecord, model: EnergyModel, mesh: Mesh, side: str
         u, _ = solver.solve(crack, t)
         out.cracks[i] = crack
         out.fields[i] = u
-        knot = KnotEvaluation(model, mesh, t, u, crack)
-        out.energies[i] = knot.energies
-        out.powers[i] = knot.powers
+        out.energies[i] = KnotEvaluation(model, mesh, t, u, crack).energies
     out.annotations.append(f"{side} envelope applied at knots {jumps}")
     return out
 

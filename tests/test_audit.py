@@ -39,6 +39,7 @@ from qsfrac.evolution import (
     TimeGrid,
     _Search,
     run_evolution,
+    sample_power_terms,
     tie_tolerance,
 )
 from qsfrac.mesh import build_structured_mesh
@@ -82,7 +83,6 @@ def test_irreversibility_single_knot_record(strip_problem, strip_record):
     solo.cracks = solo.cracks[:1]
     solo.fields = solo.fields[:1]
     solo.energies = solo.energies[:1]
-    solo.powers = solo.powers[:1]
     assert check_irreversibility(solo).verdict == "PASS"
 
 
@@ -117,6 +117,30 @@ def test_balance_fails_when_the_recomputed_total_overflows(strip_problem, strip_
     assert res.verdict == "FAIL"
     assert res.details == "stored total energy at knot 2 does not match the model"
     assert res.margins["recompute_mismatch"] == np.inf
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_balance_integrates_the_power_of_each_loaded_field(corpus_runs, tmp_path, name):
+    # a record stores no power: the balance of a saved and loaded record is
+    # the trapezoid over the power terms of each loaded field at its time,
+    # bit for bit
+    p, rec = corpus_runs[name]
+    path = tmp_path / "rec.json"
+    rec.save(path)
+    loaded = EvolutionRecord.load(path, p.mesh, p.model)
+    excluded = tuple(j - 1 for j in loaded.jump_knots())
+    bal = check_energy_balance(loaded, p.model, p.mesh, exclude_intervals=excluded)
+    terms = [sample_power_terms(p.model, p.mesh, float(t), u) for t, u in zip(loaded.times, loaded.fields)]
+    power = np.array([w["stress_power"] - w["body_coupling"] - w["body_rate"] - w["surface_coupling"]
+                      - w["surface_rate"] for w in terms])
+    totals = np.array([e["total"] for e in loaded.energies])
+    mismatch = np.diff(totals) - 0.5 * np.diff(loaded.times) * (power[:-1] + power[1:])
+    kept = np.ones(len(mismatch), dtype=bool)
+    kept[list(excluded)] = False
+    deviations = np.concatenate([[0.0], np.cumsum(np.where(kept, mismatch, 0.0))])
+    assert bal.interval_mismatch.tobytes() == mismatch.tobytes()
+    assert bal.deviations.tobytes() == deviations.tobytes()
+    assert bal.gap == float(np.max(np.abs(deviations)))
 
 
 def test_balance_first_order_gap_halves_under_refinement():

@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsfrac.audit import CHECKS
+from qsfrac.broken import BrokenField
 from qsfrac.cli import main
 from qsfrac.config import (
     _KEYS,
@@ -23,6 +25,7 @@ from qsfrac.config import (
     parse_config,
 )
 from qsfrac.corpus import CORPUS, build_config, config_text
+from qsfrac.energy import KnotEvaluation
 from qsfrac.evolution import EvolutionRecord, RecordError, run_evolution
 from qsfrac.mesh import crackable_edges
 
@@ -240,10 +243,6 @@ def _inf_energy(payload):
     payload["knots"][4]["energy"]["W"] = float("inf")
 
 
-def _nan_power(payload):
-    payload["knots"][1]["power"]["stress_power"] = float("nan")
-
-
 @pytest.mark.parametrize("tamper, message", [
     (None, "not a JSON record"),
     (_drop_energy_key, "knot 2: missing key 'W'"),
@@ -251,9 +250,8 @@ def _nan_power(payload):
     (_crack_a_pinned_edge, "knot 3: crack contains non-crackable edges [0]"),
     (_nan_dof, "knot 2: non-finite DOF value"),
     (_inf_energy, "knot 4: non-finite W value"),
-    (_nan_power, "knot 1: non-finite stress_power value"),
 ], ids=["invalid_json", "missing_energy_key", "short_dof_array", "uncrackable_edge", "nan_dof",
-        "inf_energy", "nan_power"])
+        "inf_energy"])
 def test_cli_audit_of_a_malformed_record_exits_2_naming_the_knot(strip_run, tmp_path, tamper, message):
     cfg_path, payload = strip_run
     rec_path = tmp_path / "rec.json"
@@ -280,7 +278,6 @@ def test_cli_audit_of_a_malformed_record_exits_2_naming_the_knot(strip_run, tmp_
     (("knots", 2, "dofs", 0), "0.5", "knot 2: DOF: expected list of int or float, got ['0.5'"),
     (("knots", 2, "dofs", 0), True, "knot 2: DOF: expected list of int or float, got [True"),
     (("knots", 1, "energy", "W"), "0.1", "knot 1: W: expected int or float, got '0.1'"),
-    (("knots", 3, "power", "stress_power"), False, "knot 3: stress_power: expected int or float, got False"),
     (("knots", 4, "energy", "total"), 10**400, "knot 4: int too large to convert to float"),
     (("grid", 1), "0.25", "record: grid: expected list of int or float"),
     (("complete",), "no", "record: complete: expected bool, got 'no'"),
@@ -290,10 +287,8 @@ def test_cli_audit_of_a_malformed_record_exits_2_naming_the_knot(strip_run, tmp_
     (("strategy", "max_bruteforce_edges"), "x", "record: max_bruteforce_edges: expected int, got 'x'"),
     (("strategy", "max_bruteforce_edges"), True, "record: max_bruteforce_edges: expected int, got True"),
     (("strategy", "max_bruteforce_edges"), -1, "record: max_bruteforce_edges: expected a count, got -1"),
-    (("strategy", "certification"), 5, "record: certification: expected str, got 5"),
-    (("strategy", "certification"), "pair-stable",
-     "record: certification: expected 'exhaustive' for strategy 'brute_force', got 'pair-stable'"),
     (("format_version",), True, "record: unsupported record format version True"),
+    (("format_version",), 1, "record: unsupported record format version 1"),
     (("config_hash",), 5, "record: config_hash: expected str, got 5"),
     (("config_hash",), None, "record: config_hash: expected str, got None"),
     (("config_hash",), ["a"], "record: config_hash: expected str, got ['a']"),
@@ -301,20 +296,20 @@ def test_cli_audit_of_a_malformed_record_exits_2_naming_the_knot(strip_run, tmp_
     (("mesh_hash",), None, "record: mesh_hash: expected str, got None"),
     (("mesh_hash",), ["a"], "record: mesh_hash: expected str, got ['a']"),
 ], ids=["crack_float", "crack_digit", "crack_digits", "crack_bool", "dof_text", "dof_bool", "energy_text",
-        "power_bool", "energy_huge_int", "grid_text", "complete_text", "complete_int", "annotations_text",
-        "annotation_int", "limit_text", "limit_bool", "limit_negative", "certification_int",
-        "certification_other", "version_bool", "config_hash_int", "config_hash_null", "config_hash_list",
-        "mesh_hash_int", "mesh_hash_null", "mesh_hash_list"])
+        "energy_huge_int", "grid_text", "complete_text", "complete_int", "annotations_text",
+        "annotation_int", "limit_text", "limit_bool", "limit_negative", "version_bool", "version_one",
+        "config_hash_int", "config_hash_null", "config_hash_list", "mesh_hash_int", "mesh_hash_null",
+        "mesh_hash_list"])
 def test_record_loader_accepts_only_the_json_types_save_writes(strip_run, tmp_path, capsys, path, value,
                                                                 message):
     # each of these used to load: "4" as edge 4, a string of digits digit by
     # digit, a numeric string or a bool as a number, "no" as a complete
-    # record, "abc" as three annotations, true as format version 1, a
-    # certification other than the strategy's as it was, and a hash of
-    # another type (then blamed by the audit as a hash mismatch); a huge
-    # integer ended in an OverflowError traceback.  Now each is a
+    # record, "abc" as three annotations, true as format version 1, and a
+    # hash of another type (then blamed by the audit as a hash mismatch); a
+    # huge integer ended in an OverflowError traceback.  Now each is a
     # RecordError naming the knot, through load and through the audit
-    # (exit 2), with no warning
+    # (exit 2), with no warning.  So is a record of format version 1, whose
+    # stored powers format 2 no longer reads
     cfg_path, payload = strip_run
     problem = parse_config(cfg_path.read_text()).build_problem()
     rec_path = tmp_path / "rec.json"
@@ -687,14 +682,30 @@ def test_a_fuzzed_record_audits_to_an_exit_code(strip_run, data):
 
 
 def test_cli_audit_of_overflowing_powers_fails_the_balance_without_a_warning(strip_run, tmp_path, capsys):
-    # two neighbouring power samples of 1e308 overflow the trapezoid, which
-    # used to end the audit in a RuntimeWarning traceback under -W error
+    # the trapezoid of two neighbouring net powers of -1.2e308 overflows,
+    # which used to end the audit in a RuntimeWarning traceback under
+    # -W error.  Under a body load of rate 1e300, a constant field c = 6e7
+    # strains nothing and has the net power -2e300 c on the strip's area 2,
+    # while its energies stay finite.  The strip's record with that field at
+    # knots 2 and 3, every knot's energies recomputed under this load, loads
+    # and matches the model
     cfg_path, payload = strip_run
-    doc = json.loads(json.dumps(payload))
-    for knot in doc["knots"][1:3]:
-        knot["power"]["surface_coupling"] = 1e308
+    text = cfg_path.read_text()
+    assert "body.force = 0: 0; 0.7: 0.1; 1: 0.1" in text
+    text = text.replace("body.force = 0: 0; 0.7: 0.1; 1: 0.1", "body.force = 0: 0; 1: 1e300")
+    cfg_path = tmp_path / "steep.cfg"
+    cfg_path.write_text(text)
+    problem = parse_config(text).build_problem()
     rec_path = tmp_path / "rec.json"
-    rec_path.write_text(json.dumps(doc))
+    rec_path.write_text(json.dumps(payload))
+    rec = EvolutionRecord.load(rec_path, problem.mesh, problem.model)
+    rec.config_hash = problem.config_hash
+    for i in range(len(rec)):
+        if i in (2, 3):
+            rec.fields[i] = BrokenField(rec.fields[i].topology, np.full(rec.fields[i].topology.n_dofs, 6e7))
+        rec.energies[i] = KnotEvaluation(problem.model, problem.mesh, float(rec.times[i]),
+                                         rec.fields[i], rec.cracks[i]).energies
+    rec.save(rec_path)
     report_path = tmp_path / "report.json"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -702,6 +713,27 @@ def test_cli_audit_of_overflowing_powers_fails_the_balance_without_a_warning(str
                      "--out", str(report_path)]) == 1
     (check,) = json.loads(report_path.read_text())["checks"]
     assert check["verdict"] == "FAIL" and check["margins"]["gap"] == "inf"
+
+
+def test_cli_audit_reads_no_power_block(strip_run, tmp_path, capsys):
+    # a record of format 2 stores no power: the balance takes each knot's
+    # from its field, so a power block added by hand, here one that would
+    # break the balance, changes neither the report nor the exit code
+    cfg_path, payload = strip_run
+    assert all("power" not in knot for knot in payload["knots"])
+    doc = json.loads(json.dumps(payload))
+    for knot in doc["knots"]:
+        knot["power"] = {"stress_power": 1e3, "body_coupling": 0.0, "body_rate": 0.0,
+                         "surface_coupling": 0.0, "surface_rate": 0.0}
+    outputs = []
+    for name, record in (("clean", payload), ("powered", doc)):
+        rec_path, report_path = tmp_path / f"{name}.json", tmp_path / f"{name}.report.json"
+        rec_path.write_text(json.dumps(record))
+        code = main(["audit", "--config", str(cfg_path), "--record", str(rec_path),
+                     "--checks", ",".join(CHECKS), "--out", str(report_path)])
+        out, err = capsys.readouterr()
+        outputs.append((code, out.replace(str(report_path), "<report>"), err, report_path.read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("grid", [[0.0, 0.25, 0.5, 0.75, 1e308], [0.0, 0.5, 1.0, 2.0, 3.0]])
@@ -923,7 +955,6 @@ def test_cli_run_overrides(tmp_path, capsys):
     payload = json.loads(rec_path.read_text())
     assert payload["grid"] == [0.0, 0.25, 0.5, 0.75, 1.0]
     assert payload["strategy"]["kind"] == "greedy"
-    assert payload["strategy"]["certification"] == "single-edge-stable"
 
 
 def test_cli_run_tol_reaches_the_solver(tmp_path, monkeypatch):
